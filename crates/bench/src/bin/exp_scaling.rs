@@ -1,6 +1,6 @@
 //! Parallel-scaling benchmark: exploration-space construction and the
-//! PARIS pipeline at 1/2/4/8 threads on one datagen scenario, with the
-//! shared similarity cache. Writes `BENCH_scaling.json` so future PRs have
+//! PARIS pipeline at 1/2/4/8 threads on one datagen scenario, each scoring
+//! through one value table. Writes `BENCH_scaling.json` so future PRs have
 //! a perf trajectory, and verifies that every thread count produces output
 //! bit-identical to the serial run (the determinism guarantee of
 //! `alex-core::parallel`) — a mismatch exits non-zero.
@@ -17,7 +17,7 @@ use alex_core::{ExplorationSpace, DEFAULT_MAX_BLOCK};
 use alex_datagen::{generate, PaperPair};
 use alex_paris::{ParisConfig, ParisLinker, ParisOutput};
 use alex_rdf::IriId;
-use alex_sim::{SimCache, SimConfig};
+use alex_sim::{SimConfig, ValueTable};
 use serde::Serialize;
 
 const THETA: f64 = 0.3;
@@ -25,6 +25,7 @@ const THETA: f64 = 0.3;
 #[derive(Serialize)]
 struct ThreadResult {
     threads: usize,
+    /// Value-table build plus space build, as the driver times it.
     space_build_ms: f64,
     /// Serial space-build time / this thread count's time.
     space_speedup: f64,
@@ -33,12 +34,14 @@ struct ThreadResult {
     alignment_ms: f64,
     paris_ms: f64,
     paris_speedup: f64,
-    space_cache_hits: u64,
-    space_cache_misses: u64,
-    space_cache_hit_rate: f64,
-    paris_cache_hits: u64,
-    paris_cache_misses: u64,
-    paris_cache_hit_rate: f64,
+    /// Similarity evaluations the space build scored from the table.
+    space_evaluations: u64,
+    /// Distinct values in the space build's table.
+    space_values: u64,
+    /// Similarity evaluations PARIS scored from its table, all rounds.
+    paris_evaluations: u64,
+    /// Distinct values in PARIS's table.
+    paris_values: u64,
     /// Space and PARIS output bit-identical to the 1-thread run.
     identical_to_serial: bool,
 }
@@ -126,7 +129,7 @@ fn main() {
     );
     println!(
         "{:>7} | {:>12} | {:>7} | {:>10} | {:>10} | {:>10} | {:>8} | {:>9}",
-        "threads", "space ms", "speedup", "block ms", "eqv ms", "align ms", "hit rate", "identical"
+        "threads", "space ms", "speedup", "block ms", "eqv ms", "align ms", "paris ms", "identical"
     );
 
     let mut baseline_space_ms = 0.0;
@@ -140,8 +143,8 @@ fn main() {
 
     for &t in &threads {
         let executor = Executor::new(t);
-        let cache = SimCache::new(SimConfig::default());
         let t0 = Instant::now();
+        let table = ValueTable::from_stores(SimConfig::default(), &pair.left, &pair.right);
         let space = ExplorationSpace::build_with(
             &pair.left,
             &pair.right,
@@ -149,10 +152,10 @@ fn main() {
             THETA,
             DEFAULT_MAX_BLOCK,
             &executor,
-            &cache,
+            &table,
         );
         let space_build_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        let space_stats = cache.stats();
+        let space_stats = table.stats();
         let space_fp = space_fingerprint(&space);
 
         let paris_cfg = ParisConfig {
@@ -177,14 +180,14 @@ fn main() {
 
         let s = out.stats;
         println!(
-            "{:>7} | {:>12.1} | {:>6.2}x | {:>10.1} | {:>10.1} | {:>10.1} | {:>7.1}% | {:>9}",
+            "{:>7} | {:>12.1} | {:>6.2}x | {:>10.1} | {:>10.1} | {:>10.1} | {:>8.1} | {:>9}",
             t,
             space_build_ms,
             baseline_space_ms / space_build_ms.max(1e-9),
             s.blocking_seconds * 1000.0,
             s.equivalence_seconds * 1000.0,
             s.alignment_seconds * 1000.0,
-            space_stats.hit_rate() * 100.0,
+            paris_ms,
             identical
         );
         results.push(ThreadResult {
@@ -196,12 +199,10 @@ fn main() {
             alignment_ms: s.alignment_seconds * 1000.0,
             paris_ms,
             paris_speedup: baseline_paris_ms / paris_ms.max(1e-9),
-            space_cache_hits: space_stats.hits,
-            space_cache_misses: space_stats.misses,
-            space_cache_hit_rate: space_stats.hit_rate(),
-            paris_cache_hits: s.cache.hits,
-            paris_cache_misses: s.cache.misses,
-            paris_cache_hit_rate: s.cache.hit_rate(),
+            space_evaluations: space_stats.hits,
+            space_values: space_stats.misses,
+            paris_evaluations: s.cache.hits,
+            paris_values: s.cache.misses,
             identical_to_serial: identical,
         });
     }

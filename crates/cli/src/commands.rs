@@ -74,9 +74,11 @@ pub fn link(args: &[String]) -> Result<(), String> {
         links.len()
     );
     let s = out.stats;
+    // The value table has no memo: "hits" are similarity evaluations
+    // served from prebuilt forms, "misses" the distinct values built.
     eprintln!(
         "stages: blocking {:.3}s, equivalence {:.3}s, alignment {:.3}s ({} thread{}); \
-         sim cache: {} hits / {} misses ({:.1}% hit rate)",
+         value table: {} similarity evaluations over {} distinct values",
         s.blocking_seconds,
         s.equivalence_seconds,
         s.alignment_seconds,
@@ -84,7 +86,6 @@ pub fn link(args: &[String]) -> Result<(), String> {
         if s.threads == 1 { "" } else { "s" },
         s.cache.hits,
         s.cache.misses,
-        s.cache.hit_rate() * 100.0
     );
 
     match flag_value(args, "--out") {
@@ -534,14 +535,13 @@ pub fn curate(args: &[String]) -> Result<(), String> {
     let b = driver.build_stats();
     eprintln!(
         "built exploration spaces: {} pairs in {:.3}s ({} thread{}); \
-         sim cache: {} hits / {} misses ({:.1}% hit rate)",
+         value table: {} similarity evaluations over {} distinct values",
         b.pairs,
         b.seconds,
         b.threads,
         if b.threads == 1 { "" } else { "s" },
         b.cache.hits,
         b.cache.misses,
-        b.cache.hit_rate() * 100.0
     );
 
     let oracle = ExactOracle::new(truth.clone());

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use alex_rdf::{IriId, Link, Store};
-use alex_sim::{CacheStats, SimCache};
+use alex_sim::{CacheStats, ValueTable};
 
 use crate::config::AlexConfig;
 use crate::engine::{EngineDiagnostics, PartitionEngine, PartitionEpisodeStats};
@@ -27,16 +27,20 @@ use crate::partition::round_robin;
 use crate::space::{ExplorationSpace, DEFAULT_MAX_BLOCK};
 
 /// Observability for the pre-processing stage: how long the exploration
-/// spaces took to build and how the shared similarity cache performed.
+/// spaces took to build and how much scoring the value table served.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpaceBuildStats {
-    /// Wall-clock seconds spent building all partition spaces.
+    /// Wall-clock seconds spent building the value table and all
+    /// partition spaces.
     pub seconds: f64,
     /// Pairs that survived the θ filter, summed over partitions.
     pub pairs: usize,
     /// Worker threads the build ran with.
     pub threads: usize,
-    /// Similarity-cache hit/miss counters for the whole build.
+    /// Value-table counters for the whole build: `hits` = similarity
+    /// evaluations served from prebuilt forms, `misses` = distinct values
+    /// whose forms were built. The table has no memo, so this is not a
+    /// cache hit rate.
     pub cache: CacheStats,
 }
 
@@ -136,12 +140,12 @@ impl AlexDriver {
 
         // Build partition spaces one after another, each parallelized
         // internally over its subjects (one executor, so the machine is
-        // never oversubscribed) and sharing one similarity cache — entities
-        // in different partitions repeat the same literals.
+        // never oversubscribed) and scoring through one value table —
+        // entities in different partitions repeat the same literals.
         let executor = Executor::resolve(cfg.threads);
-        let cache = SimCache::new(cfg.sim);
         let build_start = Instant::now();
         let build_span = alex_trace::span("driver.space_build");
+        let table = ValueTable::from_stores(cfg.sim, left, right);
         let spaces: Vec<ExplorationSpace> = parts
             .iter()
             .map(|p| {
@@ -152,7 +156,7 @@ impl AlexDriver {
                     cfg.theta,
                     DEFAULT_MAX_BLOCK,
                     &executor,
-                    &cache,
+                    &table,
                 )
             })
             .collect();
@@ -161,7 +165,7 @@ impl AlexDriver {
             seconds: build_start.elapsed().as_secs_f64(),
             pairs: spaces.iter().map(|s| s.len()).sum(),
             threads: executor.workers(),
-            cache: cache.stats(),
+            cache: table.stats(),
         };
 
         // Route initial links to their owning partition; links whose left
@@ -202,7 +206,7 @@ impl AlexDriver {
         &self.cfg
     }
 
-    /// Timing and cache statistics of the exploration-space build.
+    /// Timing and value-table statistics of the exploration-space build.
     pub fn build_stats(&self) -> SpaceBuildStats {
         self.build_stats
     }

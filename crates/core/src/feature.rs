@@ -7,8 +7,8 @@
 //! zeroed, then the per-row maxima (if `|E1| > |E2|`, else per-column
 //! maxima) are kept, one feature per attribute of the larger entity.
 
-use alex_rdf::{Entity, Interner, IriId, Term};
-use alex_sim::{value_similarity, SimCache, SimConfig};
+use alex_rdf::{Entity, Interner, IriId};
+use alex_sim::{value_similarity, Scorer, SimConfig, ValueId};
 
 /// A feature identifier: a predicate of the left entity paired with a
 /// predicate of the right entity.
@@ -47,7 +47,9 @@ pub struct FeatureSet {
 }
 
 impl FeatureSet {
-    /// Builds the feature set for the pair `(left, right)`.
+    /// Builds the feature set for the pair `(left, right)`, scoring with
+    /// the plain [`value_similarity`] — the reference
+    /// [`FeatureSet::build_from_table`] is tested against.
     ///
     /// Returns `None` when no feature survives the θ filter — such pairs
     /// are dropped from the search space entirely (§6.1).
@@ -58,33 +60,37 @@ impl FeatureSet {
         sim: &SimConfig,
         theta: f64,
     ) -> Option<Self> {
-        Self::build_with_sim(left, right, theta, |a, b| {
-            value_similarity(a, b, interner, sim)
+        let attrs = |e: &Entity| -> Vec<_> {
+            e.attributes
+                .iter()
+                .map(|a| (a.predicate, a.object))
+                .collect()
+        };
+        Self::build_with_sim(&attrs(left), &attrs(right), theta, |a, b| {
+            value_similarity(&a, &b, interner, sim)
         })
     }
 
-    /// Like [`FeatureSet::build`], but computing similarities through a
-    /// shared [`SimCache`], so repeated value pairs across candidate links
-    /// are scored once. Bit-identical to `build` with the cache's config.
-    pub fn build_cached(
-        left: &Entity,
-        right: &Entity,
-        interner: &Interner,
-        cache: &SimCache,
+    /// Like [`FeatureSet::build`], over entities given as `(predicate,
+    /// value id)` attribute lists of a [`alex_sim::ValueTable`] (see
+    /// [`alex_sim::ValueTable::attributes`]), scoring through `scorer`.
+    /// Bit-identical to `build` with the table's config.
+    pub fn build_from_table(
+        left: &[(IriId, ValueId)],
+        right: &[(IriId, ValueId)],
+        scorer: &Scorer<'_>,
         theta: f64,
     ) -> Option<Self> {
-        Self::build_with_sim(left, right, theta, |a, b| {
-            cache.value_similarity(a, b, interner)
-        })
+        Self::build_with_sim(left, right, theta, |a, b| scorer.similarity(a, b))
     }
 
-    /// The shared matrix-reduction logic, generic over how a pair of terms
-    /// is scored.
-    fn build_with_sim(
-        left: &Entity,
-        right: &Entity,
+    /// The shared matrix-reduction logic, generic over how attribute
+    /// values are represented and scored.
+    fn build_with_sim<V: Copy>(
+        left: &[(IriId, V)],
+        right: &[(IriId, V)],
         theta: f64,
-        mut sim: impl FnMut(&Term, &Term) -> f64,
+        mut sim: impl FnMut(V, V) -> f64,
     ) -> Option<Self> {
         if left.is_empty() || right.is_empty() {
             return None;
@@ -92,7 +98,7 @@ impl FeatureSet {
         // Build the similarity matrix, then reduce along the smaller side:
         // per-row max if the left entity has more attributes, per-column
         // max otherwise (§4.1).
-        let row_major = left.arity() >= right.arity();
+        let row_major = left.len() >= right.len();
         let (outer, inner) = if row_major {
             (left, right)
         } else {
@@ -100,15 +106,15 @@ impl FeatureSet {
         };
 
         let mut features: Vec<Feature> = Vec::new();
-        for oa in &outer.attributes {
+        for &oa in outer {
             let mut best: Option<Feature> = None;
-            for ia in &inner.attributes {
-                let (la, ra) = if row_major { (oa, ia) } else { (ia, oa) };
-                let score = sim(&la.object, &ra.object);
+            for &ia in inner {
+                let ((lp, lv), (rp, rv)) = if row_major { (oa, ia) } else { (ia, oa) };
+                let score = sim(lv, rv);
                 if score < theta {
                     continue;
                 }
-                let key = FeatureKey::new(la.predicate, ra.predicate);
+                let key = FeatureKey::new(lp, rp);
                 if best.is_none_or(|b| score > b.score) {
                     best = Some(Feature { key, score });
                 }

@@ -20,8 +20,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use alex_rdf::{Entity, IriId, Link, Literal, Store, Term};
-use alex_sim::{string::tokens, SimCache, SimConfig};
+use alex_rdf::{IriId, Link, Literal, Store, Term};
+use alex_sim::{string::tokens, SimConfig, ValueId, ValueTable};
 
 use crate::feature::{FeatureKey, FeatureSet};
 use crate::parallel::Executor;
@@ -90,7 +90,7 @@ impl ExplorationSpace {
     ///
     /// Honors `ALEX_THREADS` (see [`crate::parallel`]): this is a thin
     /// wrapper over [`ExplorationSpace::build_with`] with a resolved
-    /// executor and a fresh similarity cache.
+    /// executor and a value table over both stores.
     pub fn build(
         left: &Store,
         right: &Store,
@@ -106,12 +106,13 @@ impl ExplorationSpace {
             theta,
             max_block,
             &Executor::resolve(0),
-            &SimCache::new(*sim),
+            &ValueTable::from_stores(*sim, left, right),
         )
     }
 
-    /// Builds the space on an explicit [`Executor`], sharing `cache` for
-    /// value similarities (its [`SimConfig`] is the one used).
+    /// Builds the space on an explicit [`Executor`], scoring values
+    /// through `table` (its [`SimConfig`] is the one used), which must be
+    /// built from `left` and `right`.
     ///
     /// Left subjects are sharded into contiguous chunks; each chunk
     /// computes its `(link, feature set)` list independently, and the
@@ -125,13 +126,13 @@ impl ExplorationSpace {
         theta: f64,
         max_block: usize,
         executor: &Executor,
-        cache: &SimCache,
+        table: &ValueTable,
     ) -> Self {
         let _span = alex_trace::span("space.build");
         // Inverted index over the right dataset.
         let index_span = alex_trace::span("space.index_right");
         let mut right_index: HashMap<String, Vec<IriId>> = HashMap::new();
-        let mut right_entities: HashMap<IriId, Entity> = HashMap::new();
+        let mut right_entities: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
         let mut keys = Vec::new();
         for subject in right.subjects() {
             let entity = right.entity(subject);
@@ -145,20 +146,18 @@ impl ExplorationSpace {
                     }
                 }
             }
-            right_entities.insert(subject, entity);
+            right_entities.insert(subject, table.attributes(&entity));
         }
         right_index.retain(|_, v| v.len() <= max_block);
         drop(index_span);
 
-        let interner = left.interner();
-
         // Parallel map: each chunk of left subjects produces its scored
         // pairs in deterministic (subject order, then sorted candidate)
-        // order. All cross-thread state is read-only; similarity scores go
-        // through the shared cache.
+        // order. All cross-thread state is read-only, the table included.
         let score_span = alex_trace::span("space.score_pairs");
         let chunk_results: Vec<Vec<(Link, FeatureSet)>> =
             executor.map_chunks(left_subjects, |chunk| {
+                let scorer = table.scorer();
                 let mut out: Vec<(Link, FeatureSet)> = Vec::new();
                 let mut keys = Vec::new();
                 for &ls in chunk {
@@ -182,13 +181,12 @@ impl ExplorationSpace {
                     }
                     let mut cands: Vec<IriId> = cands.into_iter().collect();
                     cands.sort_unstable();
+                    let left_attrs = table.attributes(&left_entity);
                     for rs in cands {
-                        let right_entity = &right_entities[&rs];
-                        let Some(fs) = FeatureSet::build_cached(
-                            &left_entity,
-                            right_entity,
-                            interner,
-                            cache,
+                        let Some(fs) = FeatureSet::build_from_table(
+                            &left_attrs,
+                            &right_entities[&rs],
+                            &scorer,
                             theta,
                         ) else {
                             continue;

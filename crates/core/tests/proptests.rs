@@ -8,7 +8,7 @@ use alex_core::{
     DEFAULT_MAX_BLOCK,
 };
 use alex_rdf::{Interner, IriId, Link, Literal, Store};
-use alex_sim::{SimCache, SimConfig};
+use alex_sim::{SimConfig, ValueTable};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -253,6 +253,25 @@ proptest! {
         }
     }
 
+    /// Every feature set the table-scored space build keeps equals the
+    /// reference `FeatureSet::build` over `value_similarity`, bit for bit.
+    #[test]
+    fn space_feature_sets_match_reference_build(names in arb_names(), theta in 0.1f64..0.9) {
+        let (left, right, subjects) = build_world(&names);
+        let sim = SimConfig::default();
+        let space = ExplorationSpace::build(&left, &right, &subjects, &sim, theta, DEFAULT_MAX_BLOCK);
+        for l in space.links() {
+            let want = FeatureSet::build(
+                &left.entity(l.left), &right.entity(l.right), left.interner(), &sim, theta,
+            );
+            let got = space.feature_set(l).unwrap();
+            prop_assert_eq!(want.as_ref(), Some(got));
+            for (a, b) in want.unwrap().features().iter().zip(got.features()) {
+                prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+            }
+        }
+    }
+
     /// Parallel space construction is bit-identical to the serial run:
     /// same links in the same order, same feature keys, and the same
     /// score bits (the `ALEX_THREADS=1` oracle of `alex-core::parallel`).
@@ -261,11 +280,11 @@ proptest! {
         let (left, right, subjects) = build_world(&names);
         let serial = ExplorationSpace::build_with(
             &left, &right, &subjects, theta, DEFAULT_MAX_BLOCK,
-            &Executor::new(1), &SimCache::new(SimConfig::default()),
+            &Executor::new(1), &ValueTable::from_stores(SimConfig::default(), &left, &right),
         );
         let parallel = ExplorationSpace::build_with(
             &left, &right, &subjects, theta, DEFAULT_MAX_BLOCK,
-            &Executor::new(4), &SimCache::new(SimConfig::default()),
+            &Executor::new(4), &ValueTable::from_stores(SimConfig::default(), &left, &right),
         );
         prop_assert_eq!(serial.len(), parallel.len());
         prop_assert_eq!(serial.feature_key_count(), parallel.feature_key_count());
@@ -284,17 +303,17 @@ proptest! {
     }
 
     /// The convenience `build` wrapper (auto-resolved executor, private
-    /// cache) matches an explicit executor + externally shared cache, so
-    /// neither memoization nor cache sharing changes results.
+    /// table) matches an explicit executor + externally shared table, so
+    /// sharing the table changes no result.
     #[test]
     fn cached_space_build_matches_wrapper(names in arb_names(), theta in 0.1f64..0.9) {
         let (left, right, subjects) = build_world(&names);
         let plain = ExplorationSpace::build(
             &left, &right, &subjects, &SimConfig::default(), theta, DEFAULT_MAX_BLOCK,
         );
-        let cache = SimCache::new(SimConfig::default());
+        let table = ValueTable::from_stores(SimConfig::default(), &left, &right);
         let cached = ExplorationSpace::build_with(
-            &left, &right, &subjects, theta, DEFAULT_MAX_BLOCK, &Executor::new(2), &cache,
+            &left, &right, &subjects, theta, DEFAULT_MAX_BLOCK, &Executor::new(2), &table,
         );
         prop_assert_eq!(plain.len(), cached.len());
         for (l, l2) in plain.links().zip(cached.links()) {

@@ -17,8 +17,8 @@
 use std::collections::HashMap;
 
 use alex_core::parallel::Executor;
-use alex_rdf::{Entity, IriId, Store};
-use alex_sim::SimCache;
+use alex_rdf::{IriId, Store};
+use alex_sim::{ValueId, ValueTable};
 
 use crate::equivalence::{object_eq, EquivalenceTable};
 use crate::ParisConfig;
@@ -88,7 +88,7 @@ impl AlignmentTable {
     ///
     /// Honors `ALEX_THREADS`: a thin wrapper over
     /// [`AlignmentTable::estimate_with`] with a resolved executor and a
-    /// fresh similarity cache.
+    /// value table over both stores.
     pub fn estimate(
         left: &Store,
         right: &Store,
@@ -101,12 +101,12 @@ impl AlignmentTable {
             eqv,
             cfg,
             &Executor::resolve(0),
-            &SimCache::new(cfg.sim),
+            &ValueTable::from_stores(cfg.sim, left, right),
         )
     }
 
-    /// Estimates alignments on an explicit [`Executor`], sharing `cache`
-    /// for literal similarities (pass a cache built from `cfg.sim`).
+    /// Estimates alignments on an explicit [`Executor`], scoring literals
+    /// through `table` (pass a table built from `cfg.sim` and both stores).
     ///
     /// Candidate pairs are sharded into contiguous chunks; each chunk
     /// emits its numerator/denominator *contributions* as ordered lists,
@@ -121,23 +121,28 @@ impl AlignmentTable {
         eqv: &EquivalenceTable,
         cfg: &ParisConfig,
         executor: &Executor,
-        cache: &SimCache,
+        table: &ValueTable,
     ) -> Self {
         // Prefetch the entities of qualifying pairs once, serially.
-        let mut left_cache: HashMap<IriId, Entity> = HashMap::new();
-        let mut right_cache: HashMap<IriId, Entity> = HashMap::new();
+        let mut left_cache: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
+        let mut right_cache: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
         for &(l, r) in eqv.pairs() {
             if eqv.score(l, r) < MATCH_CUTOFF {
                 continue;
             }
-            left_cache.entry(l).or_insert_with(|| left.entity(l));
-            right_cache.entry(r).or_insert_with(|| right.entity(r));
+            left_cache
+                .entry(l)
+                .or_insert_with(|| table.attributes(&left.entity(l)));
+            right_cache
+                .entry(r)
+                .or_insert_with(|| table.attributes(&right.entity(r)));
         }
 
         type Contribs = (Vec<(IriId, f64)>, Vec<((IriId, IriId), f64)>);
         let left_cache = &left_cache;
         let right_cache = &right_cache;
         let chunk_results: Vec<Contribs> = executor.map_chunks(eqv.pairs(), |chunk| {
+            let scorer = table.scorer();
             let mut denom_adds: Vec<(IriId, f64)> = Vec::new();
             let mut numer_adds: Vec<((IriId, IriId), f64)> = Vec::new();
             for &(l, r) in chunk {
@@ -148,14 +153,14 @@ impl AlignmentTable {
                 let w = belief * belief;
                 let el = &left_cache[&l];
                 let er = &right_cache[&r];
-                for al in &el.attributes {
-                    denom_adds.push((al.predicate, w));
+                for &(lp, ly) in el {
+                    denom_adds.push((lp, w));
                     // Best matching value per right predicate.
                     let mut best: HashMap<IriId, f64> = HashMap::new();
-                    for ar in &er.attributes {
-                        let eq = object_eq(&al.object, &ar.object, left, eqv.scores(), cfg, cache);
+                    for &(rp, ry) in er {
+                        let eq = object_eq(ly, ry, eqv.scores(), cfg, &scorer);
                         if eq > 0.0 {
-                            let slot = best.entry(ar.predicate).or_insert(0.0);
+                            let slot = best.entry(rp).or_insert(0.0);
                             if eq > *slot {
                                 *slot = eq;
                             }
@@ -166,7 +171,7 @@ impl AlignmentTable {
                     let mut best: Vec<(IriId, f64)> = best.into_iter().collect();
                     best.sort_unstable_by_key(|&(rp, _)| rp);
                     for (rp, eq) in best {
-                        numer_adds.push(((al.predicate, rp), w * eq));
+                        numer_adds.push(((lp, rp), w * eq));
                     }
                 }
             }

@@ -16,8 +16,8 @@
 use std::collections::HashMap;
 
 use alex_core::parallel::Executor;
-use alex_rdf::{Entity, IriId, Link, ScoredLink, Store, Term};
-use alex_sim::SimCache;
+use alex_rdf::{IriId, Link, ScoredLink, Store, Term};
+use alex_sim::{Scorer, ValueId, ValueTable};
 
 use crate::alignment::AlignmentTable;
 use crate::functionality::FunctionalityTable;
@@ -34,31 +34,30 @@ pub struct EquivalenceTable {
 /// value similarity (zeroed below the configured threshold), resource pairs
 /// use the current equivalence score (1.0 on identity).
 ///
-/// Literal similarities go through the shared [`SimCache`] — they are
-/// invariant across fixpoint rounds, so memoizing them is sound and is
-/// where most of PARIS's repeated work lives. Belief lookups (IRI pairs)
-/// change every round and are never cached.
+/// Objects are ids of the run's [`ValueTable`]; literal similarities are
+/// scored from its prebuilt forms. Belief lookups (IRI pairs) change every
+/// round and come from `scores`.
 pub(crate) fn object_eq(
-    y: &Term,
-    y2: &Term,
-    store: &Store,
+    y: ValueId,
+    y2: ValueId,
     scores: &HashMap<(IriId, IriId), f64>,
     cfg: &ParisConfig,
-    cache: &SimCache,
+    scorer: &Scorer<'_>,
 ) -> f64 {
-    match (y, y2) {
+    let table = scorer.table();
+    match (table.term(y), table.term(y2)) {
         (Term::Iri(a), Term::Iri(b)) => {
             if a == b {
                 1.0
             } else {
                 scores
-                    .get(&(*a, *b))
+                    .get(&(a, b))
                     .copied()
-                    .unwrap_or_else(|| scores.get(&(*b, *a)).copied().unwrap_or(0.0))
+                    .unwrap_or_else(|| scores.get(&(b, a)).copied().unwrap_or(0.0))
             }
         }
         _ => {
-            let s = cache.value_similarity(y, y2, store.interner());
+            let s = scorer.similarity(y, y2);
             if s >= cfg.literal_threshold {
                 s
             } else {
@@ -96,7 +95,7 @@ impl EquivalenceTable {
     ///
     /// Honors `ALEX_THREADS`: a thin wrapper over
     /// [`EquivalenceTable::update_with`] with a resolved executor and a
-    /// fresh similarity cache.
+    /// value table over both stores.
     pub fn update(
         &mut self,
         left: &Store,
@@ -114,13 +113,13 @@ impl EquivalenceTable {
             fun_right,
             cfg,
             &Executor::resolve(0),
-            &SimCache::new(cfg.sim),
+            &ValueTable::from_stores(cfg.sim, left, right),
         );
     }
 
-    /// One noisy-OR round on an explicit [`Executor`], sharing `cache` for
-    /// literal similarities (its config is the one used — pass a cache
-    /// built from `cfg.sim`).
+    /// One noisy-OR round on an explicit [`Executor`], scoring literals
+    /// through `table` (its config is the one used — pass a table built
+    /// from `cfg.sim` and both stores).
     ///
     /// Candidate pairs are sharded into contiguous chunks; every chunk
     /// reads the *previous* round's beliefs (a synchronous Jacobi update,
@@ -139,13 +138,17 @@ impl EquivalenceTable {
         fun_right: &FunctionalityTable,
         cfg: &ParisConfig,
         executor: &Executor,
-        cache: &SimCache,
+        table: &ValueTable,
     ) {
-        let mut left_entities: HashMap<IriId, Entity> = HashMap::new();
-        let mut right_entities: HashMap<IriId, Entity> = HashMap::new();
+        let mut left_entities: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
+        let mut right_entities: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
         for &(l, r) in &self.pairs {
-            left_entities.entry(l).or_insert_with(|| left.entity(l));
-            right_entities.entry(r).or_insert_with(|| right.entity(r));
+            left_entities
+                .entry(l)
+                .or_insert_with(|| table.attributes(&left.entity(l)));
+            right_entities
+                .entry(r)
+                .or_insert_with(|| table.attributes(&right.entity(r)));
         }
 
         let prev_scores = &self.scores;
@@ -153,6 +156,7 @@ impl EquivalenceTable {
         let right_entities = &right_entities;
         let chunk_results: Vec<Vec<((IriId, IriId), f64)>> =
             executor.map_chunks(&self.pairs, |chunk| {
+                let scorer = table.scorer();
                 let mut out: Vec<((IriId, IriId), f64)> = Vec::new();
                 // Reused per pair: best evidence seen for each predicate pair.
                 let mut best: HashMap<(IriId, IriId), f64> = HashMap::new();
@@ -160,22 +164,19 @@ impl EquivalenceTable {
                     let el = &left_entities[&l];
                     let er = &right_entities[&r];
                     best.clear();
-                    for al in &el.attributes {
-                        for ar in &er.attributes {
-                            let a = align.get(al.predicate, ar.predicate);
+                    for &(lp, ly) in el {
+                        for &(rp, ry) in er {
+                            let a = align.get(lp, rp);
                             if a <= 0.0 {
                                 continue;
                             }
-                            let eq =
-                                object_eq(&al.object, &ar.object, left, prev_scores, cfg, cache);
+                            let eq = object_eq(ly, ry, prev_scores, cfg, &scorer);
                             if eq <= 0.0 {
                                 continue;
                             }
-                            let ident = fun_left
-                                .ifun(al.predicate)
-                                .max(fun_right.ifun(ar.predicate));
+                            let ident = fun_left.ifun(lp).max(fun_right.ifun(rp));
                             let evidence = a * ident * eq;
-                            let slot = best.entry((al.predicate, ar.predicate)).or_insert(0.0);
+                            let slot = best.entry((lp, rp)).or_insert(0.0);
                             if evidence > *slot {
                                 *slot = evidence;
                             }
@@ -276,37 +277,44 @@ mod tests {
     #[test]
     fn object_eq_thresholds_literals() {
         let interner = Interner::new_shared();
-        let store = Store::new(interner.clone());
         let cfg = ParisConfig::default();
-        let cache = SimCache::new(cfg.sim);
         let scores = HashMap::new();
         let a: Term = Literal::str(&interner, "LeBron James").into();
         let b: Term = Literal::str(&interner, "LeBron James").into();
-        assert_eq!(object_eq(&a, &b, &store, &scores, &cfg, &cache), 1.0);
         let c: Term = Literal::str(&interner, "zzz qqq").into();
-        assert_eq!(object_eq(&a, &c, &store, &scores, &cfg, &cache), 0.0);
-        // Repeating the comparison hits the cache and returns the same.
-        assert_eq!(object_eq(&a, &c, &store, &scores, &cfg, &cache), 0.0);
-        assert!(cache.stats().hits >= 1);
+        let table = ValueTable::new(cfg.sim, &interner, [a, b, c]);
+        let id = |t: &Term| table.id(t).unwrap();
+        {
+            let scorer = table.scorer();
+            assert_eq!(object_eq(id(&a), id(&b), &scores, &cfg, &scorer), 1.0);
+            assert_eq!(object_eq(id(&a), id(&c), &scores, &cfg, &scorer), 0.0);
+            // Repeating the comparison scores from the same forms.
+            assert_eq!(object_eq(id(&a), id(&c), &scores, &cfg, &scorer), 0.0);
+        }
+        assert!(table.stats().hits >= 1);
     }
 
     #[test]
     fn object_eq_uses_current_beliefs_for_resources() {
         let interner = Interner::new_shared();
-        let store = Store::new(interner);
+        let store = Store::new(interner.clone());
         let cfg = ParisConfig::default();
-        let cache = SimCache::new(cfg.sim);
         let a = iri(&store, "a");
         let b = iri(&store, "b");
         let mut scores = HashMap::new();
         scores.insert((a, b), 0.6);
         let ta: Term = a.into();
         let tb: Term = b.into();
-        assert_eq!(object_eq(&ta, &tb, &store, &scores, &cfg, &cache), 0.6);
-        assert_eq!(object_eq(&tb, &ta, &store, &scores, &cfg, &cache), 0.6); // symmetric lookup
-        assert_eq!(object_eq(&ta, &ta, &store, &scores, &cfg, &cache), 1.0);
-        // Beliefs are never cached — they change every round.
-        assert_eq!(cache.stats().total(), 0);
+        let table = ValueTable::new(cfg.sim, &interner, [ta, tb]);
+        let (ia, ib) = (table.id(&ta).unwrap(), table.id(&tb).unwrap());
+        {
+            let scorer = table.scorer();
+            assert_eq!(object_eq(ia, ib, &scores, &cfg, &scorer), 0.6);
+            assert_eq!(object_eq(ib, ia, &scores, &cfg, &scorer), 0.6); // symmetric lookup
+            assert_eq!(object_eq(ia, ia, &scores, &cfg, &scorer), 1.0);
+        }
+        // Beliefs are never scored by the table — they change every round.
+        assert_eq!(table.stats().hits, 0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use std::time::Instant;
 
 use alex_core::parallel::Executor;
 use alex_rdf::{Link, ScoredLink, Store};
-use alex_sim::{CacheStats, SimCache, SimConfig};
+use alex_sim::{CacheStats, SimConfig, ValueTable};
 
 /// Tuning knobs for the PARIS fixpoint.
 #[derive(Clone, Debug)]
@@ -106,9 +106,10 @@ pub struct ParisStats {
     pub alignment_seconds: f64,
     /// Worker threads the run used.
     pub threads: usize,
-    /// Similarity-cache counters for the whole run (the cache is shared
-    /// across fixpoint rounds, so later rounds hit what earlier rounds
-    /// computed).
+    /// Value-table counters for the whole run: `hits` = similarity
+    /// evaluations served from prebuilt forms over all rounds, `misses` =
+    /// distinct values whose forms were built. The table has no memo, so
+    /// this is not a cache hit rate.
     pub cache: CacheStats,
 }
 
@@ -121,7 +122,7 @@ pub struct ParisOutput {
     pub candidates_examined: usize,
     /// Final relation-alignment table, for inspection and tests.
     pub alignments: alignment::AlignmentTable,
-    /// Stage timings and cache counters of this run.
+    /// Stage timings and value-table counters of this run.
     pub stats: ParisStats,
 }
 
@@ -155,17 +156,17 @@ impl ParisLinker {
 
     /// Runs the full PARIS pipeline on two datasets sharing an interner.
     ///
-    /// One executor and one similarity cache are shared across all stages
-    /// and fixpoint rounds: literal similarities are round-invariant, so
-    /// from the second round on the equivalence/alignment updates hit the
-    /// cache instead of re-tokenizing and re-comparing. The thread count
+    /// One executor and one value table are shared across all stages and
+    /// fixpoint rounds: every object of both stores gets its string forms
+    /// built once, so no round re-tokenizes or re-lowercases a literal.
+    /// The thread count
     /// comes from [`ParisConfig::threads`] / `ALEX_THREADS`, and the output
     /// is bit-identical at every thread count.
     pub fn run(&self, left: &Store, right: &Store) -> ParisOutput {
         let _span = alex_trace::span("paris.run");
         let cfg = &self.config;
         let executor = Executor::resolve(cfg.threads);
-        let cache = SimCache::new(cfg.sim);
+        let table = ValueTable::from_stores(cfg.sim, left, right);
 
         let fun_left = functionality::FunctionalityTable::build(left);
         let fun_right = functionality::FunctionalityTable::build(right);
@@ -184,14 +185,14 @@ impl ParisLinker {
             let t = Instant::now();
             let eq_span = alex_trace::span("paris.equivalence");
             eqv.update_with(
-                left, right, &align, &fun_left, &fun_right, cfg, &executor, &cache,
+                left, right, &align, &fun_left, &fun_right, cfg, &executor, &table,
             );
             drop(eq_span);
             equivalence_seconds += t.elapsed().as_secs_f64();
             let t = Instant::now();
             let align_span = alex_trace::span("paris.alignment");
             align =
-                alignment::AlignmentTable::estimate_with(left, right, &eqv, cfg, &executor, &cache);
+                alignment::AlignmentTable::estimate_with(left, right, &eqv, cfg, &executor, &table);
             drop(align_span);
             alignment_seconds += t.elapsed().as_secs_f64();
         }
@@ -206,7 +207,7 @@ impl ParisLinker {
                 equivalence_seconds,
                 alignment_seconds,
                 threads: executor.workers(),
-                cache: cache.stats(),
+                cache: table.stats(),
             },
         }
     }

@@ -7,15 +7,18 @@
 //! float, date, etc.)". This crate is that function:
 //!
 //! * [`string`] — edit-distance and token-based string metrics
-//!   (normalized Levenshtein, Jaro, Jaro-Winkler, token Jaccard, trigram
-//!   Jaccard, token cosine);
+//!   (normalized Levenshtein on a bit-parallel kernel, Jaro, Jaro-Winkler,
+//!   token Jaccard, trigram Jaccard, token cosine);
 //! * [`numeric`] — ratio similarity for numbers and a distance-decay
 //!   similarity for calendar dates;
-//! * [`value_similarity`] — the type-dispatching entry point over RDF
-//!   [`alex_rdf::Term`]s, configurable via [`SimConfig`];
-//! * [`SimCache`] — a thread-safe, sharded memo table over
-//!   [`value_similarity`] that also caches tokenized string forms, used by
-//!   the parallel exploration-space and PARIS pipelines.
+//! * [`value_similarity`] — the type-dispatching function over RDF
+//!   [`alex_rdf::Term`]s, configurable via [`SimConfig`], and the
+//!   reference the table below is tested against;
+//! * [`ValueTable`] — a read-only table built once per pipeline from the
+//!   values of both stores: dense ids, string forms computed once per
+//!   distinct string, and lock-free scoring equal to [`value_similarity`]
+//!   bit for bit. The parallel exploration-space and PARIS pipelines score
+//!   through it.
 //!
 //! Every public metric is guaranteed to return a finite value in `[0, 1]`,
 //! to be symmetric in its arguments, and to return exactly `1.0` on equal
@@ -24,10 +27,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod cache;
 pub mod numeric;
 pub mod string;
+mod table;
 mod value;
 
-pub use cache::{CacheStats, SimCache};
+pub use table::{CacheStats, Scorer, ValueId, ValueTable};
 pub use value::{iri_local_name, value_similarity, NumericSim, SimConfig, StringMetric};

@@ -5,8 +5,6 @@
 //! for attribute values, which are short.
 
 /// Levenshtein edit distance between two strings, counted over chars.
-///
-/// Classic two-row dynamic program; `O(|a|·|b|)` time, `O(min)` space.
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
@@ -14,8 +12,27 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// [`levenshtein`] over pre-collected char slices, so callers comparing
-/// the same string many times (the similarity cache) tokenize once.
+/// the same string many times (the value table) collect its chars once.
+///
+/// When the shorter string has at most 64 chars this runs the
+/// bit-parallel algorithm of Myers (JACM 1999), `O(|long|)` word
+/// operations; longer pairs fall back to [`levenshtein_dp`]. Both return
+/// the same distance.
 pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if short.is_empty() {
+        long.len()
+    } else if short.len() <= 64 {
+        levenshtein_bit_parallel(short, long)
+    } else {
+        levenshtein_dp(short, long)
+    }
+}
+
+/// Levenshtein distance by the classic two-row dynamic program;
+/// `O(|a|·|b|)` time, `O(min)` space. The reference the bit-parallel
+/// kernel is tested against, and the path for patterns over 64 chars.
+pub fn levenshtein_dp(a: &[char], b: &[char]) -> usize {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         return long.len();
@@ -31,6 +48,59 @@ pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[short.len()]
+}
+
+/// Myers' bit-vector edit distance in Hyyrö's formulation: one machine
+/// word holds a whole DP column of `pattern` (1 to 64 chars) as vertical
+/// +1/−1 delta bits, and each char of `text` advances the column with a
+/// constant number of word operations. `dist` tracks the bottom cell.
+fn levenshtein_bit_parallel(pattern: &[char], text: &[char]) -> usize {
+    debug_assert!((1..=64).contains(&pattern.len()));
+    // Match masks: bit i of peq(c) is set when pattern[i] == c. ASCII
+    // chars index a table; the rare others search a short list.
+    let mut ascii = [0u64; 128];
+    let mut other: Vec<(char, u64)> = Vec::new();
+    for (i, &c) in pattern.iter().enumerate() {
+        let bit = 1u64 << i;
+        if c.is_ascii() {
+            ascii[c as usize] |= bit;
+        } else if let Some(slot) = other.iter_mut().find(|(k, _)| *k == c) {
+            slot.1 |= bit;
+        } else {
+            other.push((c, bit));
+        }
+    }
+    let peq = |c: char| {
+        if c.is_ascii() {
+            ascii[c as usize]
+        } else {
+            other
+                .iter()
+                .find(|(k, _)| *k == c)
+                .map_or(0, |&(_, mask)| mask)
+        }
+    };
+    let last = 1u64 << (pattern.len() - 1);
+    let (mut pv, mut mv) = (!0u64, 0u64);
+    let mut dist = pattern.len();
+    for &c in text {
+        let eq = peq(c);
+        let xv = eq | mv;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        if ph & last != 0 {
+            dist += 1;
+        } else if mh & last != 0 {
+            dist -= 1;
+        }
+        // Row 0 of the DP grows by one per text char, so a +1 shifts in.
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        pv = mh | !(xv | ph);
+        mv = ph & xv;
+    }
+    dist
 }
 
 /// Normalized Levenshtein similarity: `1 − dist / max_len`, in `[0, 1]`.
@@ -145,11 +215,12 @@ pub fn token_jaccard(a: &str, b: &str) -> f64 {
     token_jaccard_sorted(&token_set(a), &token_set(b))
 }
 
-/// [`token_jaccard`] over precomputed sorted, deduplicated token sets.
+/// [`token_jaccard`] over precomputed sorted, deduplicated token sets —
+/// token strings, or any ids that map one-to-one onto them.
 ///
 /// Intersection and union sizes are integers counted by a sorted merge, so
 /// the result is bit-identical to the hash-set formulation.
-pub fn token_jaccard_sorted(ta: &[String], tb: &[String]) -> f64 {
+pub fn token_jaccard_sorted<T: Ord>(ta: &[T], tb: &[T]) -> f64 {
     if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }
@@ -258,24 +329,30 @@ pub fn trigram_jaccard_sorted(ga: &[[char; 3]], gb: &[[char; 3]]) -> f64 {
 /// and average. Symmetrized by evaluating both directions and taking the
 /// mean. Strong on multi-token names where individual tokens carry typos.
 pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    monge_elkan_tokens(&tokens(a), &tokens(b))
+    monge_elkan_tokens(&token_chars(a), &token_chars(b))
 }
 
-/// [`monge_elkan`] over precomputed *ordered* token lists (duplicates
-/// preserved — the directed averages weight repeated tokens).
-pub fn monge_elkan_tokens(ta: &[String], tb: &[String]) -> f64 {
+/// The chars of each of [`tokens`], in order — the precomputed form
+/// [`monge_elkan_tokens`] consumes.
+pub fn token_chars(s: &str) -> Vec<Vec<char>> {
+    tokens(s).iter().map(|t| t.chars().collect()).collect()
+}
+
+/// [`monge_elkan`] over precomputed *ordered* token char lists
+/// (duplicates preserved — the directed averages weight repeated tokens).
+pub fn monge_elkan_tokens<T: AsRef<[char]>>(ta: &[T], tb: &[T]) -> f64 {
     if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }
     if ta.is_empty() || tb.is_empty() {
         return 0.0;
     }
-    fn directed(xs: &[String], ys: &[String]) -> f64 {
+    fn directed<T: AsRef<[char]>>(xs: &[T], ys: &[T]) -> f64 {
         let total: f64 = xs
             .iter()
             .map(|x| {
                 ys.iter()
-                    .map(|y| levenshtein_similarity(x, y))
+                    .map(|y| levenshtein_similarity_chars(x.as_ref(), y.as_ref()))
                     .fold(0.0f64, f64::max)
             })
             .sum();
@@ -301,6 +378,22 @@ mod tests {
         assert_eq!(levenshtein("flaw", "lawn"), 2);
         // Unicode-aware: one char substitution, not several byte edits.
         assert_eq!(levenshtein("café", "cafe"), 1);
+    }
+
+    /// The bit-parallel kernel and the dynamic program agree on patterns
+    /// at and around the 64-char word, where the kernel hands over.
+    #[test]
+    fn levenshtein_kernels_agree_at_word_boundary() {
+        for n in [1usize, 2, 63, 64, 65, 100] {
+            let a: Vec<char> = (0..n).map(|i| ['a', 'b', 'c', 'é'][i * 7 % 4]).collect();
+            let mut b = a.clone();
+            b.rotate_left(n / 3);
+            b.push('λ');
+            b.remove(0);
+            assert_eq!(levenshtein_chars(&a, &b), levenshtein_dp(&a, &b), "n = {n}");
+            assert_eq!(levenshtein_chars(&a, &a), 0);
+            assert_eq!(levenshtein_chars(&a, &[]), n);
+        }
     }
 
     #[test]
@@ -400,7 +493,7 @@ mod tests {
             );
             assert_eq!(
                 monge_elkan(a, b).to_bits(),
-                monge_elkan_tokens(&tokens(a), &tokens(b)).to_bits()
+                monge_elkan_tokens(&token_chars(a), &token_chars(b)).to_bits()
             );
             if !a.is_empty() && !b.is_empty() {
                 assert_eq!(

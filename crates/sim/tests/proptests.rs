@@ -2,7 +2,8 @@
 //! reflexive-at-one function.
 
 use alex_rdf::{Date, Interner, Literal, Term};
-use alex_sim::{numeric, string, value_similarity, SimConfig, StringMetric};
+use alex_sim::{numeric, string, value_similarity, SimConfig, StringMetric, ValueTable};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn arb_text() -> impl Strategy<Value = String> {
@@ -24,6 +25,19 @@ fn arb_term() -> impl Strategy<Value = TermSpec> {
         arb_date().prop_map(TermSpec::Date),
         "[a-z]{1,10}".prop_map(|s| TermSpec::Iri(format!("http://ex/{s}"))),
     ]
+}
+
+/// A char for the edit-distance kernels: half the time from a 3-letter
+/// alphabet (long runs of repeats, many matches), otherwise printable
+/// ASCII, non-ASCII letters (some of which change length when lowercased),
+/// or any Unicode scalar value.
+fn arb_char() -> impl Strategy<Value = char> {
+    (0u8..10, any::<u32>()).prop_map(|(pick, x)| match pick {
+        0..=4 => ['a', 'b', 'é'][x as usize % 3],
+        5..=6 => char::from(b' ' + (x % 95) as u8),
+        7..=8 => ['λ', 'ß', 'İ', '日', '😀'][x as usize % 5],
+        _ => char::from_u32(x % 0x11_0000).unwrap_or('\u{FFFD}'),
+    })
 }
 
 #[derive(Clone, Debug)]
@@ -68,6 +82,44 @@ proptest! {
             prop_assert!((ab - ba).abs() < 1e-12, "{m:?} asymmetric: {ab} vs {ba}");
             let aa = m.apply(&a, &a);
             prop_assert!((aa - 1.0).abs() < 1e-12, "{m:?} not reflexive on {a:?}: {aa}");
+        }
+    }
+
+    /// The bit-parallel kernel returns the dynamic program's distance on
+    /// arbitrary strings of 0–150 chars, both argument orders — shorter
+    /// sides on both sides of the 64-char word.
+    #[test]
+    fn bit_parallel_levenshtein_matches_dp(a in vec(arb_char(), 0..150), b in vec(arb_char(), 0..150)) {
+        let want = string::levenshtein_dp(&a, &b);
+        prop_assert_eq!(string::levenshtein_chars(&a, &b), want);
+        prop_assert_eq!(string::levenshtein_chars(&b, &a), want);
+    }
+
+    /// Same, with both lengths near the word size, so patterns of exactly
+    /// 63, 64 and 65 chars come up often.
+    #[test]
+    fn bit_parallel_levenshtein_matches_dp_near_word_size(
+        a in vec(arb_char(), 58..70),
+        b in vec(arb_char(), 58..70),
+    ) {
+        let want = string::levenshtein_dp(&a, &b);
+        prop_assert_eq!(string::levenshtein_chars(&a, &b), want);
+        prop_assert_eq!(string::levenshtein_chars(&b, &a), want);
+    }
+
+    /// A value table over two arbitrary terms scores them exactly as the
+    /// plain function does in canonical order, for every metric.
+    #[test]
+    fn value_table_matches_value_similarity(a in arb_term(), b in arb_term()) {
+        let i = Interner::new_shared();
+        let (ta, tb) = (a.build(&i), b.build(&i));
+        let (lo, hi) = if ta <= tb { (ta, tb) } else { (tb, ta) };
+        for m in METRICS {
+            let cfg = SimConfig { string_metric: m, ..SimConfig::default() };
+            let table = ValueTable::new(cfg, &i, [ta, tb]);
+            let got = table.similarity(table.id(&ta).unwrap(), table.id(&tb).unwrap());
+            let want = value_similarity(&lo, &hi, &i, &cfg);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{m:?}: {ta:?} vs {tb:?}");
         }
     }
 
