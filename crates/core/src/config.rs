@@ -195,8 +195,9 @@ pub struct AlexConfig {
     /// get the default.
     #[serde(skip)]
     pub sim: SimConfig,
-    /// Worker threads for exploration-space construction (`0` = auto:
-    /// honor `ALEX_THREADS`, else use available parallelism). Any value is
+    /// Worker threads for exploration-space construction and for running
+    /// the partitions of each feedback episode (`0` = auto: honor
+    /// `ALEX_THREADS`, else use available parallelism). Any value is
     /// overridden by a set `ALEX_THREADS` environment variable; results
     /// are bit-identical at every thread count (see [`crate::parallel`]).
     pub threads: usize,

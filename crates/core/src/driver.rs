@@ -9,8 +9,10 @@
 //!
 //! Feedback is "directed to all partitions" (§6.2): each episode's budget
 //! of feedback items is split across partitions proportionally to their
-//! candidate counts, and partitions run concurrently on OS threads — the
-//! paper's 27-partition parallelism scaled to the local machine.
+//! candidate counts, and partitions run concurrently on the driver's
+//! [`Executor`] — the paper's 27-partition parallelism scaled to the
+//! local machine. Each engine owns its seeded RNG, so the outcome does not
+//! depend on the worker count.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -100,6 +102,8 @@ pub struct AlexDriver {
     owner: HashMap<IriId, usize>,
     cfg: AlexConfig,
     build_stats: SpaceBuildStats,
+    /// Runs the space build and every episode's partitions.
+    executor: Executor,
 }
 
 impl AlexDriver {
@@ -198,6 +202,7 @@ impl AlexDriver {
             owner,
             cfg,
             build_stats,
+            executor,
         })
     }
 
@@ -315,37 +320,48 @@ impl AlexDriver {
     }
 
     /// Runs exactly one policy-evaluation/policy-improvement episode across
-    /// all partitions (in parallel), without convergence checks or metric
-    /// computation — the building block for interactive deployments that
-    /// interleave curation with their own bookkeeping. Returns the
-    /// aggregated episode counters.
+    /// all partitions (in parallel on the driver's executor), without
+    /// convergence checks or metric computation — the building block for
+    /// interactive deployments that interleave curation with their own
+    /// bookkeeping. Returns the aggregated episode counters.
     pub fn step(&mut self, oracle: &dyn FeedbackOracle) -> PartitionEpisodeStats {
         let items = self.allot_items();
-        let episode_span = alex_trace::span("rl.episode");
-        let ctx = episode_span.ctx();
-        let results: Vec<PartitionEpisodeStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .engines
-                .iter_mut()
-                .zip(&items)
-                .map(|(e, &count)| {
-                    scope.spawn(move || {
-                        let _guard = alex_trace::attach(ctx);
-                        let _span = alex_trace::span("rl.partition");
-                        e.run_episode(count, oracle)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("partition panicked"))
-                .collect()
-        });
         let mut totals = PartitionEpisodeStats::default();
-        for r in &results {
-            totals.merge(r);
+        for (stats, _) in self.run_partitions(&items, oracle) {
+            totals.merge(&stats);
         }
         totals
+    }
+
+    /// Runs one episode on every partition, `items[k]` feedback items on
+    /// partition `k`, under one `rl.episode` span. Returns each
+    /// partition's counters and wall-clock milliseconds in partition
+    /// order.
+    fn run_partitions(
+        &mut self,
+        items: &[usize],
+        oracle: &dyn FeedbackOracle,
+    ) -> Vec<(PartitionEpisodeStats, f64)> {
+        let episode_span = alex_trace::span("rl.episode");
+        let ctx = episode_span.ctx();
+        let mut work: Vec<(&mut PartitionEngine, usize)> =
+            self.engines.iter_mut().zip(items.iter().copied()).collect();
+        self.executor
+            .map_chunks_mut(&mut work, |chunk| {
+                let _guard = alex_trace::attach(ctx);
+                chunk
+                    .iter_mut()
+                    .map(|(engine, count)| {
+                        let _span = alex_trace::span("rl.partition");
+                        let t = Instant::now();
+                        let stats = engine.run_episode(*count, oracle);
+                        (stats, t.elapsed().as_secs_f64() * 1000.0)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Runs episodes until convergence or the episode cap, evaluating
@@ -402,29 +418,7 @@ impl AlexDriver {
                 break; // nothing left to give feedback on
             }
             let episode_start = Instant::now();
-            let episode_span = alex_trace::span("rl.episode");
-            let ctx = episode_span.ctx();
-            let results: Vec<(PartitionEpisodeStats, f64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .engines
-                    .iter_mut()
-                    .zip(&items)
-                    .map(|(e, &count)| {
-                        scope.spawn(move || {
-                            let _guard = alex_trace::attach(ctx);
-                            let _span = alex_trace::span("rl.partition");
-                            let t = Instant::now();
-                            let stats = e.run_episode(count, oracle);
-                            (stats, t.elapsed().as_secs_f64() * 1000.0)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition panicked"))
-                    .collect()
-            });
-            drop(episode_span);
+            let results = self.run_partitions(&items, oracle);
             let episode_ms = episode_start.elapsed().as_secs_f64() * 1000.0;
 
             let mut totals = PartitionEpisodeStats::default();
@@ -609,8 +603,9 @@ mod tests {
 
     #[test]
     fn deterministic_under_fixed_seed_single_partition() {
-        // With one partition there is no cross-thread scheduling, so two
-        // runs with the same seed must be identical.
+        // Two runs with the same seed must be identical. (Every engine
+        // owns its seeded RNG, so this holds for any partition count; see
+        // `multi_partition_runs_are_identical_across_thread_counts`.)
         let (left, right, truth, links) = world(15);
         let cfg = AlexConfig {
             partitions: 1,
@@ -634,6 +629,37 @@ mod tests {
         let (r2, f2) = run(cfg);
         assert_eq!(r1, r2);
         assert_eq!(f1, f2);
+    }
+
+    #[test]
+    fn multi_partition_runs_are_identical_across_thread_counts() {
+        let (left, right, truth, links) = world(24);
+        let run = |threads: usize| {
+            let cfg = AlexConfig {
+                partitions: 4,
+                episode_size: 40,
+                max_episodes: 12,
+                threads,
+                ..Default::default()
+            };
+            let mut d = AlexDriver::new(&left, &right, &links[..6], cfg).unwrap();
+            let oracle = ExactOracle::new(truth.clone());
+            let out = d.run(&oracle, &truth);
+            (
+                out.reports
+                    .iter()
+                    .map(|r| (r.candidates, r.links_added, r.links_removed))
+                    .collect::<Vec<_>>(),
+                out.final_links,
+            )
+        };
+        let (serial_reports, serial_links) = run(1);
+        assert!(serial_reports.len() > 2, "the run must take episodes");
+        for threads in [2, 4] {
+            let (reports, links) = run(threads);
+            assert_eq!(reports, serial_reports, "threads={threads}");
+            assert_eq!(links, serial_links, "threads={threads}");
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! A chunked work-splitting executor for deterministic data parallelism.
 //!
 //! The dominant costs in ALEX — building exploration spaces, the PARIS
-//! fixpoint, blocking — are embarrassingly parallel *maps* over pair
-//! lists. This module provides the one primitive they all share:
-//! [`Executor::map_chunks`], which splits a slice into contiguous chunks,
-//! runs a closure over the chunks on scoped OS threads, and returns the
-//! per-chunk results **in input order**. Callers then merge the chunk
-//! results with a serial, order-preserving reduce, which is what makes
-//! the parallel output bit-identical to the serial one: every float is
-//! computed from the same operands in the same order, only *which thread*
-//! computes it changes.
+//! fixpoint, blocking, per-partition feedback episodes — are
+//! embarrassingly parallel *maps* over lists of pairs or partitions. This
+//! module provides the one primitive they all share:
+//! [`Executor::map_chunks`] (and [`Executor::map_chunks_mut`] for work
+//! that mutates its items, such as partition engines), which splits a
+//! slice into contiguous chunks, runs a closure over the chunks on scoped
+//! OS threads, and returns the per-chunk results **in input order**.
+//! Callers then merge the chunk results with a serial, order-preserving
+//! reduce, which is what makes the parallel output bit-identical to the
+//! serial one: every float is computed from the same operands in the same
+//! order, only *which thread* computes it changes.
 //!
 //! Worker count resolution (highest precedence first):
 //!
@@ -112,13 +114,56 @@ impl Executor {
         if self.workers == 1 {
             return vec![f(items)];
         }
-        // More chunks than workers smooths out skewed chunk costs; the
-        // atomic cursor lets fast threads steal what's left. Sizes are
-        // balanced to within one element (a fixed ceil size would push
-        // trailing chunk offsets past the end of short inputs).
-        let n_chunks = (self.workers * 4).min(items.len());
-        let base = items.len() / n_chunks;
-        let rem = items.len() % n_chunks;
+        let bounds = self.chunk_bounds(items.len());
+        self.run_chunks(bounds.len(), |i| {
+            let (lo, hi) = bounds[i];
+            f(&items[lo..hi])
+        })
+    }
+
+    /// [`Executor::map_chunks`] over a mutable slice: the same chunk
+    /// bounds and scheduling, with each chunk borrowed exclusively by the
+    /// worker that claims it.
+    pub fn map_chunks_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(&mut [T]) -> R + Sync,
+    {
+        if items.is_empty() {
+            return Vec::new();
+        }
+        if self.workers == 1 {
+            return vec![f(items)];
+        }
+        let mut rest = items;
+        let chunks: Vec<Mutex<Option<&mut [T]>>> = self
+            .chunk_bounds(rest.len())
+            .into_iter()
+            .map(|(lo, hi)| {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                rest = tail;
+                Mutex::new(Some(chunk))
+            })
+            .collect();
+        self.run_chunks(chunks.len(), |i| {
+            let chunk = chunks[i]
+                .lock()
+                .expect("chunk slot poisoned")
+                .take()
+                .expect("every chunk is claimed once");
+            f(chunk)
+        })
+    }
+
+    /// Contiguous `(lo, hi)` bounds covering `len > 0` items. More chunks
+    /// than workers smooths out skewed chunk costs; sizes are balanced to
+    /// within one element (a fixed ceil size would push trailing chunk
+    /// offsets past the end of short inputs).
+    fn chunk_bounds(&self, len: usize) -> Vec<(usize, usize)> {
+        let n_chunks = (self.workers * 4).min(len);
+        let base = len / n_chunks;
+        let rem = len % n_chunks;
         let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(n_chunks);
         let mut lo = 0;
         for i in 0..n_chunks {
@@ -126,7 +171,18 @@ impl Executor {
             bounds.push((lo, hi));
             lo = hi;
         }
-        debug_assert_eq!(lo, items.len());
+        debug_assert_eq!(lo, len);
+        bounds
+    }
+
+    /// Runs `f(i)` for every chunk index `i < n_chunks` on scoped worker
+    /// threads and returns the results in index order. The atomic cursor
+    /// lets fast threads steal what is left.
+    fn run_chunks<R, F>(&self, n_chunks: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
 
@@ -137,8 +193,7 @@ impl Executor {
                     if i >= n_chunks {
                         break;
                     }
-                    let (lo, hi) = bounds[i];
-                    let r = f(&items[lo..hi]);
+                    let r = f(i);
                     *slots[i].lock().expect("result slot poisoned") = Some(r);
                 });
             }
@@ -253,6 +308,28 @@ mod tests {
                     .flatten()
                     .collect();
                 assert_eq!(flat, items, "len={len} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_chunks_mut_uses_the_same_chunks_and_order() {
+        for len in [0usize, 1, 2, 3, 8, 9, 70, 1000] {
+            let items: Vec<usize> = (0..len).collect();
+            for workers in [1, 2, 3, 4, 16] {
+                let ex = Executor::new(workers);
+                let shared: Vec<Vec<usize>> = ex.map_chunks(&items, |c| c.to_vec());
+                let mut owned = items.clone();
+                let exclusive: Vec<Vec<usize>> = ex.map_chunks_mut(&mut owned, |c| {
+                    let before = c.to_vec();
+                    for x in c.iter_mut() {
+                        *x += 1;
+                    }
+                    before
+                });
+                assert_eq!(exclusive, shared, "len={len} workers={workers}");
+                let bumped: Vec<usize> = (1..=len).collect();
+                assert_eq!(owned, bumped, "every item mutated exactly once");
             }
         }
     }

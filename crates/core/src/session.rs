@@ -22,10 +22,9 @@
 //! query layer (queries answered partially because sources were skipped),
 //! so availability accounting survives restarts too.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use alex_rdf::{Link, Store};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use serde::{Deserialize, Serialize};
 
 use crate::config::AlexConfig;
@@ -356,9 +355,8 @@ impl LiveSession {
 ///
 /// Queries only need shared access (the federated engine borrows the
 /// stores and the current candidate set), so many can run concurrently;
-/// feedback mutates the driver and takes the write lock. `parking_lot`'s
-/// lock is used for its fairness under the reader-heavy pattern and
-/// because it cannot poison: a panicking handler thread must not wedge
+/// feedback mutates the driver and takes the write lock. Both accessors
+/// recover a poisoned lock: a panicking handler thread must not wedge
 /// every later request on the same session.
 #[derive(Clone)]
 pub struct SessionHandle(Arc<RwLock<LiveSession>>);
@@ -371,12 +369,12 @@ impl SessionHandle {
 
     /// Shared (read) access — concurrent queries.
     pub fn read(&self) -> RwLockReadGuard<'_, LiveSession> {
-        self.0.read()
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Exclusive (write) access — feedback and curation steps.
     pub fn write(&self) -> RwLockWriteGuard<'_, LiveSession> {
-        self.0.write()
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -643,6 +641,28 @@ mod tests {
         direct.episodes = g.episodes;
         direct.feedback_items = g.feedback_items;
         assert_eq!(g.snapshot(), direct);
+    }
+
+    #[test]
+    fn panicked_writer_does_not_wedge_the_session() {
+        let (left, right, truth) = world();
+        let initial: Vec<Link> = truth.iter().take(2).copied().collect();
+        let driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
+        let handle = SessionHandle::new(LiveSession::new(left, right, driver));
+
+        let h = handle.clone();
+        let joined = std::thread::spawn(move || {
+            let mut g = h.write();
+            g.episodes += 1;
+            panic!("handler died holding the write lock");
+        })
+        .join();
+        assert!(joined.is_err(), "the writer thread panicked");
+
+        // Later readers and writers still get in and see the update.
+        assert_eq!(handle.read().episodes, 1);
+        handle.write().episodes += 1;
+        assert_eq!(handle.read().episodes, 2);
     }
 
     #[test]

@@ -18,9 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Counter name: probe retries against federated query sources (one per
 /// re-attempt after a retryable failure).
@@ -175,7 +173,7 @@ impl Histogram {
         while idx + 1 < BUCKETS && v > Self::bucket_bound(idx) {
             idx += 1;
         }
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         g.counts[idx] += 1;
         g.count += 1;
         g.sum += v;
@@ -185,12 +183,18 @@ impl Histogram {
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.inner.lock().count
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .count
     }
 
     /// Sum of all observations, in seconds.
     pub fn sum(&self) -> f64 {
-        self.inner.lock().sum
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .sum
     }
 
     /// Cumulative bucket counts at the exposition bounds: every
@@ -198,7 +202,7 @@ impl Histogram {
     /// observations ≤ bound)` pairs. The final `+Inf` bucket is implicit —
     /// its count is [`Histogram::count`].
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let g = self.inner.lock();
+        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = Vec::with_capacity(BUCKETS / EXPOSITION_STEP);
         let mut cumulative = 0u64;
         for (i, &c) in g.counts.iter().enumerate() {
@@ -213,7 +217,7 @@ impl Histogram {
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) in seconds, or `None`
     /// when nothing has been recorded.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let g = self.inner.lock();
+        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if g.count == 0 {
             return None;
         }
@@ -254,25 +258,31 @@ impl MetricsRegistry {
 
     /// The counter registered under `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock();
+        let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// The gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock();
+        let mut map = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// The float gauge registered under `name`, creating it on first use.
     pub fn float_gauge(&self, name: &str) -> Arc<FloatGauge> {
-        let mut map = self.float_gauges.lock();
+        let mut map = self
+            .float_gauges
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// The histogram registered under `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock();
+        let mut map = self
+            .histograms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Histogram::new())),
@@ -289,28 +299,48 @@ impl MetricsRegistry {
     /// labels has the `le` label merged into the existing set.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (name, c) in self.counters.lock().iter() {
+        for (name, c) in self
+            .counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
             out.push_str(&format!(
                 "# TYPE {} counter\n{name} {}\n",
                 base_name(name),
                 c.get()
             ));
         }
-        for (name, g) in self.gauges.lock().iter() {
+        for (name, g) in self
+            .gauges
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
             out.push_str(&format!(
                 "# TYPE {} gauge\n{name} {}\n",
                 base_name(name),
                 g.get()
             ));
         }
-        for (name, g) in self.float_gauges.lock().iter() {
+        for (name, g) in self
+            .float_gauges
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
             out.push_str(&format!(
                 "# TYPE {} gauge\n{name} {}\n",
                 base_name(name),
                 g.get()
             ));
         }
-        for (name, h) in self.histograms.lock().iter() {
+        for (name, h) in self
+            .histograms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
             out.push_str(&format!("# TYPE {} histogram\n", base_name(name)));
             let (base, labels) = split_labels(name);
             let bucket_line = |le: &str, count: u64| {

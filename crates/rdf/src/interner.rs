@@ -6,9 +6,7 @@
 //! keys and lets downstream crates use them as indices into side tables.
 
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::hash::FastMap;
 
@@ -93,12 +91,21 @@ impl Interner {
     /// Interns `s`, returning its id. Re-interning an identical string
     /// returns the original id.
     pub fn intern(&self, s: &str) -> StrId {
-        if let Some(&id) = self.inner.read().map.get(s) {
+        if let Some(&id) = self
+            .inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .get(s)
+        {
             return id;
         }
         // The write path re-checks under the exclusive lock in case another
         // writer interned `s` between our read and write acquisitions.
-        self.inner.write().intern(s)
+        self.inner
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .intern(s)
     }
 
     /// Interns a batch of strings under one lock acquisition, returning
@@ -107,7 +114,7 @@ impl Interner {
     /// matters when loading a snapshot dictionary of thousands of strings.
     pub fn intern_all<'a>(&self, strings: impl IntoIterator<Item = &'a str>) -> Vec<StrId> {
         let iter = strings.into_iter();
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let (low, _) = iter.size_hint();
         inner.map.reserve(low);
         inner.strings.reserve(low);
@@ -116,7 +123,12 @@ impl Interner {
 
     /// Returns the id of `s` if it was interned before, without interning.
     pub fn get(&self, s: &str) -> Option<StrId> {
-        self.inner.read().map.get(s).copied()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .get(s)
+            .copied()
     }
 
     /// Resolves an id back to its string.
@@ -129,6 +141,7 @@ impl Interner {
     pub fn resolve(&self, id: StrId) -> Arc<str> {
         self.inner
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .strings
             .get(id.index())
             .cloned()
@@ -138,12 +151,21 @@ impl Interner {
     /// Resolves an id, returning `None` instead of panicking when the id is
     /// foreign.
     pub fn try_resolve(&self, id: StrId) -> Option<Arc<str>> {
-        self.inner.read().strings.get(id.index()).cloned()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .strings
+            .get(id.index())
+            .cloned()
     }
 
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
-        self.inner.read().strings.len()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .strings
+            .len()
     }
 
     /// Whether nothing has been interned yet.

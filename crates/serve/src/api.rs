@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use alex_core::store::{AppendOutcome, WalRecord};
 use alex_core::trace;
@@ -26,7 +26,6 @@ use alex_core::{
 };
 use alex_query::FederatedEngine;
 use alex_rdf::{ntriples, turtle, Interner, Link, Store, Term};
-use parking_lot::Mutex;
 use serde_json::{Number, Value};
 
 use crate::http::{Request, Response};
@@ -90,6 +89,7 @@ fn session_handle(
     state
         .sessions
         .read()
+        .unwrap_or_else(PoisonError::into_inner)
         .get(id)
         .map(|e| (e.handle.clone(), e.durable.clone()))
         .ok_or_else(|| Response::error(404, format!("no session {id:?}")))
@@ -315,19 +315,26 @@ fn create_session(state: &AppState, req: &Request) -> Response {
 
     let handle = SessionHandle::new(session);
     update_session_gauges(state, &id, &handle, truth.as_ref());
-    state.sessions.write().insert(
-        id.clone(),
-        SessionEntry {
-            handle,
-            truth,
-            durable,
-        },
-    );
-    state.metrics.counter("alex_sessions_created_total").inc();
     state
-        .metrics
-        .gauge("alex_sessions_active")
-        .set(state.sessions.read().len() as i64);
+        .sessions
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(
+            id.clone(),
+            SessionEntry {
+                handle,
+                truth,
+                durable,
+            },
+        );
+    state.metrics.counter("alex_sessions_created_total").inc();
+    state.metrics.gauge("alex_sessions_active").set(
+        state
+            .sessions
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as i64,
+    );
 
     Response::json(
         201,
@@ -492,7 +499,11 @@ fn query(state: &AppState, id: &str, req: &Request) -> Response {
             let record = WalRecord::Degraded {
                 source_skips: skipped.len() as u64,
             };
-            match durable.lock().log(&[record]) {
+            match durable
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .log(&[record])
+            {
                 Ok(out) => record_wal_metrics(state, &out, 1),
                 Err(e) => {
                     return Response::error(500, format!("write-ahead log append failed: {e}"))
@@ -578,7 +589,10 @@ fn record_federation_metrics(state: &AppState, report: &alex_query::QueryReport)
 /// Runs one feedback episode and reports what changed.
 fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
     let (handle, truth, durable) = {
-        let sessions = state.sessions.read();
+        let sessions = state
+            .sessions
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         match sessions.get(id) {
             Some(e) => (e.handle.clone(), e.truth.clone(), e.durable.clone()),
             None => return Response::error(404, format!("no session {id:?}")),
@@ -633,7 +647,11 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
                 positive: approve,
             })
             .collect();
-        match durable.lock().log(&records) {
+        match durable
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .log(&records)
+        {
             Ok(out) => record_wal_metrics(state, &out, records.len() as u64),
             Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
         }
@@ -679,7 +697,7 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
                 q_entries: engine.q_table().len() as u64,
             });
         }
-        let mut durable = durable.lock();
+        let mut durable = durable.lock().unwrap_or_else(PoisonError::into_inner);
         match durable.log(&records) {
             Ok(out) => record_wal_metrics(state, &out, records.len() as u64),
             Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
@@ -1066,14 +1084,18 @@ mod tests {
         // same candidate set and blacklist the crashed one had.
         let state2 = AppState::new(Some(dir.clone()));
         state2.advance_ids_past(&recovered.id);
-        state2.sessions.write().insert(
-            recovered.id.clone(),
-            SessionEntry {
-                handle: SessionHandle::new(recovered.session),
-                truth: None,
-                durable: Some(Arc::new(Mutex::new(recovered.durable))),
-            },
-        );
+        state2
+            .sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(
+                recovered.id.clone(),
+                SessionEntry {
+                    handle: SessionHandle::new(recovered.session),
+                    truth: None,
+                    durable: Some(Arc::new(Mutex::new(recovered.durable))),
+                },
+            );
         let (_, resp) = route(
             &state2,
             &request("GET", &format!("/sessions/{id}/links"), ""),
@@ -1089,17 +1111,26 @@ mod tests {
         let dir = temp_state_dir("hostile");
         let state = AppState::new(Some(dir.clone()));
         let id = created_session(&state);
-        let handle = state.sessions.read()[&id].handle.clone();
+        let handle = state
+            .sessions
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)[&id]
+            .handle
+            .clone();
         // The API only ever generates `s{n}` ids, but the filesystem
         // boundary must hold even if a hostile id reaches the table.
-        state.sessions.write().insert(
-            "../../escape".to_string(),
-            SessionEntry {
-                handle,
-                truth: None,
-                durable: None,
-            },
-        );
+        state
+            .sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(
+                "../../escape".to_string(),
+                SessionEntry {
+                    handle,
+                    truth: None,
+                    durable: None,
+                },
+            );
         let results = state.persist_sessions();
         let errors: Vec<&String> = results.iter().filter_map(|r| r.as_ref().err()).collect();
         assert_eq!(errors.len(), 1, "{results:?}");

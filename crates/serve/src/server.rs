@@ -2,8 +2,9 @@
 //!
 //! Architecture (one paragraph): a single acceptor thread owns the
 //! listener in non-blocking mode and polls it alongside the shutdown
-//! flag; accepted connections are `try_send`-ed into a bounded crossbeam
-//! channel. A fixed pool of worker threads receives connections and runs
+//! flag; accepted connections are `try_send`-ed into a bounded std
+//! `sync_channel`. A fixed pool of worker threads shares the receiver
+//! behind a mutex, takes one connection at a time from it, and runs
 //! each one's full keep-alive loop (parse → route → respond). When the
 //! queue is full the acceptor answers `503 Service Unavailable` inline
 //! and closes — backpressure is explicit and immediate, never an unbounded
@@ -14,8 +15,9 @@
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -24,8 +26,6 @@ use alex_core::telemetry::{
 };
 use alex_core::trace::{self, Payload};
 use alex_core::{DurabilityConfig, SessionHandle};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
 
 use crate::api;
 use crate::http::{read_request, HttpError, Response};
@@ -71,7 +71,7 @@ pub struct Server {
     local_addr: SocketAddr,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
-    sender: Option<Sender<TcpStream>>,
+    sender: Option<SyncSender<TcpStream>>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -113,18 +113,22 @@ impl Server {
             }
         }
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) =
-            channel::bounded(cfg.queue_depth.max(1));
+        let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
+        let rx = Arc::new(Mutex::new(rx));
+        // Connections sent but not yet taken by a worker: the
+        // `alex_queue_depth` gauge (std channels do not expose a length).
+        let queued = Arc::new(AtomicUsize::new(0));
 
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
             .map(|i| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
+                let queued = Arc::clone(&queued);
                 let state = Arc::clone(&state);
                 let shutdown = Arc::clone(&shutdown);
                 let timeout = cfg.request_timeout;
                 std::thread::Builder::new()
                     .name(format!("alex-serve-worker-{i}"))
-                    .spawn(move || worker_loop(rx, state, shutdown, timeout))
+                    .spawn(move || worker_loop(rx, queued, state, shutdown, timeout))
                     .expect("spawning worker thread")
             })
             .collect();
@@ -135,7 +139,7 @@ impl Server {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("alex-serve-acceptor".into())
-                .spawn(move || acceptor_loop(listener, tx, state, shutdown))
+                .spawn(move || acceptor_loop(listener, tx, queued, state, shutdown))
                 .expect("spawning acceptor thread")
         };
 
@@ -207,14 +211,18 @@ fn recover_sessions(
         state.advance_ids_past(&recovered.id);
         let handle = SessionHandle::new(recovered.session);
         api::update_session_gauges(state, &recovered.id, &handle, None);
-        state.sessions.write().insert(
-            recovered.id.clone(),
-            SessionEntry {
-                handle,
-                truth: None,
-                durable: Some(Arc::new(Mutex::new(recovered.durable))),
-            },
-        );
+        state
+            .sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(
+                recovered.id.clone(),
+                SessionEntry {
+                    handle,
+                    truth: None,
+                    durable: Some(Arc::new(Mutex::new(recovered.durable))),
+                },
+            );
         trace::diag(
             "info",
             &format!(
@@ -228,10 +236,13 @@ fn recover_sessions(
             ),
         );
     }
-    state
-        .metrics
-        .gauge("alex_sessions_active")
-        .set(state.sessions.read().len() as i64);
+    state.metrics.gauge("alex_sessions_active").set(
+        state
+            .sessions
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as i64,
+    );
 }
 
 /// Poll interval for the non-blocking accept loop; bounds shutdown
@@ -240,7 +251,8 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 fn acceptor_loop(
     listener: TcpListener,
-    tx: Sender<TcpStream>,
+    tx: SyncSender<TcpStream>,
+    queued: Arc<AtomicUsize>,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -251,9 +263,13 @@ fn acceptor_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 conns.inc();
+                // Count before sending so a worker's decrement can never
+                // run ahead of this increment.
+                queued.fetch_add(1, Ordering::SeqCst);
                 match tx.try_send(stream) {
-                    Ok(()) => queue_gauge.set(tx.len() as i64),
+                    Ok(()) => queue_gauge.set(queued.load(Ordering::SeqCst) as i64),
                     Err(TrySendError::Full(stream)) => {
+                        queued.fetch_sub(1, Ordering::SeqCst);
                         rejected.inc();
                         state
                             .metrics
@@ -296,13 +312,22 @@ fn reject_connection(mut stream: TcpStream) {
 }
 
 fn worker_loop(
-    rx: Receiver<TcpStream>,
+    rx: Arc<Mutex<Receiver<TcpStream>>>,
+    queued: Arc<AtomicUsize>,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
     timeout: Duration,
 ) {
-    while let Ok(stream) = rx.recv() {
-        state.metrics.gauge("alex_queue_depth").set(rx.len() as i64);
+    let queue_gauge = state.metrics.gauge("alex_queue_depth");
+    loop {
+        // A statement of its own: the receiver guard is a temporary and
+        // must drop before the connection is served. In a `while let`
+        // scrutinee it would live for the whole body and serialize the
+        // workers.
+        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(stream) = next else { break };
+        let depth = queued.fetch_sub(1, Ordering::SeqCst) - 1;
+        queue_gauge.set(depth as i64);
         handle_connection(stream, &state, &shutdown, timeout);
     }
 }

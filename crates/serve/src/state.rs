@@ -3,14 +3,13 @@
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use alex_core::telemetry::MetricsRegistry;
 use alex_core::{
     validate_session_id, write_atomic, DurabilityConfig, DurableSession, SessionHandle,
 };
 use alex_rdf::Link;
-use parking_lot::{Mutex, RwLock};
 
 /// One server-side session: the shared curation handle plus optional
 /// ground-truth links (when the client supplied them at creation time,
@@ -91,7 +90,7 @@ impl AppState {
         if let Err(e) = std::fs::create_dir_all(dir) {
             return vec![Err(format!("creating {}: {e}", dir.display()))];
         }
-        let sessions = self.sessions.read();
+        let sessions = self.sessions.read().unwrap_or_else(PoisonError::into_inner);
         let mut ids: Vec<&String> = sessions.keys().collect();
         ids.sort();
         ids.into_iter()
@@ -104,7 +103,7 @@ impl AppState {
                 let entry = &sessions[id];
                 let mut snap = entry.handle.read().snapshot();
                 if let Some(durable) = &entry.durable {
-                    let mut durable = durable.lock();
+                    let mut durable = durable.lock().unwrap_or_else(PoisonError::into_inner);
                     durable
                         .checkpoint(&mut snap)
                         .map(|_| durable.dir().join("checkpoint.json"))

@@ -1,11 +1,15 @@
 //! Typed trace events and their JSON-lines encoding.
 //!
-//! Every event is one flat JSON object per line, tagged by `kind`. The
-//! schema is part of the tool surface: `alex trace` and the `/debug/*`
-//! endpoints parse these lines back, so [`Event::to_json_line`] and
-//! [`Event::parse_json_line`] must stay exact inverses (locked by tests).
+//! Every event is one flat JSON object per line, tagged by `kind`, with
+//! scalar values only. The schema is part of the tool surface: `alex
+//! trace` and the `/debug/*` endpoints parse these lines back, so
+//! [`Event::to_json_line`] and [`Event::parse_json_line`] must stay exact
+//! inverses, and logs written by older builds must keep parsing (locked
+//! by tests). Both directions go through `serde_json::Value`, whose
+//! objects keep insertion order, so field order is the order written
+//! here.
 
-use crate::json::{parse_flat_object, push_f64, push_str};
+use serde_json::{Number, Value};
 
 /// The typed body of one trace event.
 #[derive(Clone, Debug, PartialEq)]
@@ -233,68 +237,52 @@ pub struct Event {
     pub payload: Payload,
 }
 
-fn field_str(out: &mut String, key: &str, v: &str) {
-    out.push(',');
-    push_str(out, key);
-    out.push(':');
-    push_str(out, v);
+fn string(v: &str) -> Value {
+    Value::String(v.to_owned())
 }
 
-fn field_u64(out: &mut String, key: &str, v: u64) {
-    out.push(',');
-    push_str(out, key);
-    out.push(':');
-    out.push_str(&v.to_string());
+fn uint(v: u64) -> Value {
+    Value::Number(Number::U64(v))
 }
 
-fn field_f64(out: &mut String, key: &str, v: f64) {
-    out.push(',');
-    push_str(out, key);
-    out.push(':');
-    push_f64(out, v);
-}
-
-fn field_bool(out: &mut String, key: &str, v: bool) {
-    out.push(',');
-    push_str(out, key);
-    out.push(':');
-    out.push_str(if v { "true" } else { "false" });
+fn float(v: f64) -> Value {
+    Value::Number(Number::F64(v))
 }
 
 impl Event {
     /// Serializes the event to one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut o = String::with_capacity(160);
-        o.push_str("{\"seq\":");
-        o.push_str(&self.seq.to_string());
-        field_u64(&mut o, "ts_us", self.ts_us);
-        field_u64(&mut o, "trace", self.trace);
-        field_u64(&mut o, "span", self.span);
-        field_u64(&mut o, "parent", self.parent);
-        field_str(&mut o, "kind", self.payload.kind());
+        let mut o: Vec<(String, Value)> = Vec::with_capacity(16);
+        let mut put = |key: &str, v: Value| o.push((key.to_owned(), v));
+        put("seq", uint(self.seq));
+        put("ts_us", uint(self.ts_us));
+        put("trace", uint(self.trace));
+        put("span", uint(self.span));
+        put("parent", uint(self.parent));
+        put("kind", string(self.payload.kind()));
         match &self.payload {
-            Payload::SpanStart { name } => field_str(&mut o, "name", name),
+            Payload::SpanStart { name } => put("name", string(name)),
             Payload::SpanEnd { name, elapsed_us } => {
-                field_str(&mut o, "name", name);
-                field_u64(&mut o, "elapsed_us", *elapsed_us);
+                put("name", string(name));
+                put("elapsed_us", uint(*elapsed_us));
             }
             Payload::HttpRequest {
                 request_id,
                 method,
                 path,
             } => {
-                field_str(&mut o, "request_id", request_id);
-                field_str(&mut o, "method", method);
-                field_str(&mut o, "path", path);
+                put("request_id", string(request_id));
+                put("method", string(method));
+                put("path", string(path));
             }
             Payload::HttpResponse {
                 request_id,
                 route,
                 status,
             } => {
-                field_str(&mut o, "request_id", request_id);
-                field_str(&mut o, "route", route);
-                field_u64(&mut o, "status", *status);
+                put("request_id", string(request_id));
+                put("route", string(route));
+                put("status", uint(*status));
             }
             Payload::SourceAttempt {
                 source,
@@ -304,26 +292,26 @@ impl Event {
                 backoff_ms,
                 breaker,
             } => {
-                field_str(&mut o, "source", source);
-                field_u64(&mut o, "attempt", *attempt);
-                field_str(&mut o, "outcome", outcome);
-                field_u64(&mut o, "wait_ms", *wait_ms);
-                field_u64(&mut o, "backoff_ms", *backoff_ms);
-                field_str(&mut o, "breaker", breaker);
+                put("source", string(source));
+                put("attempt", uint(*attempt));
+                put("outcome", string(outcome));
+                put("wait_ms", uint(*wait_ms));
+                put("backoff_ms", uint(*backoff_ms));
+                put("breaker", string(breaker));
             }
             Payload::BreakerTransition { source, from, to } => {
-                field_str(&mut o, "source", source);
-                field_str(&mut o, "from", from);
-                field_str(&mut o, "to", to);
+                put("source", string(source));
+                put("from", string(from));
+                put("to", string(to));
             }
             Payload::SourceSkipped { source, reason } => {
-                field_str(&mut o, "source", source);
-                field_str(&mut o, "reason", reason);
+                put("source", string(source));
+                put("reason", string(reason));
             }
-            Payload::QueryDegraded { skipped } => field_u64(&mut o, "skipped", *skipped),
+            Payload::QueryDegraded { skipped } => put("skipped", uint(*skipped)),
             Payload::Feedback { link, positive } => {
-                field_str(&mut o, "link", link);
-                field_bool(&mut o, "positive", *positive);
+                put("link", string(link));
+                put("positive", Value::Bool(*positive));
             }
             Payload::Decision {
                 state,
@@ -337,16 +325,16 @@ impl Event {
                 actions,
                 space,
             } => {
-                field_str(&mut o, "state", state);
-                field_f64(&mut o, "epsilon", *epsilon);
-                field_bool(&mut o, "explored", *explored);
-                field_str(&mut o, "chosen", chosen);
-                field_str(&mut o, "greedy", greedy);
-                field_f64(&mut o, "q", *q);
-                field_bool(&mut o, "q_defined", *q_defined);
-                field_u64(&mut o, "observations", *observations);
-                field_u64(&mut o, "actions", *actions);
-                field_u64(&mut o, "space", *space);
+                put("state", string(state));
+                put("epsilon", float(*epsilon));
+                put("explored", Value::Bool(*explored));
+                put("chosen", string(chosen));
+                put("greedy", string(greedy));
+                put("q", float(*q));
+                put("q_defined", Value::Bool(*q_defined));
+                put("observations", uint(*observations));
+                put("actions", uint(*actions));
+                put("space", uint(*space));
             }
             Payload::LinkAdded {
                 link,
@@ -354,23 +342,23 @@ impl Event {
                 feature,
                 score,
             } => {
-                field_str(&mut o, "link", link);
-                field_str(&mut o, "state", state);
-                field_str(&mut o, "feature", feature);
-                field_f64(&mut o, "score", *score);
+                put("link", string(link));
+                put("state", string(state));
+                put("feature", string(feature));
+                put("score", float(*score));
             }
             Payload::LinkRemoved { link, reason } => {
-                field_str(&mut o, "link", link);
-                field_str(&mut o, "reason", reason);
+                put("link", string(link));
+                put("reason", string(reason));
             }
             Payload::Rollback {
                 state,
                 feature,
                 removed,
             } => {
-                field_str(&mut o, "state", state);
-                field_str(&mut o, "feature", feature);
-                field_u64(&mut o, "removed", *removed);
+                put("state", string(state));
+                put("feature", string(feature));
+                put("removed", uint(*removed));
             }
             Payload::EpisodeEnd {
                 partition,
@@ -378,10 +366,10 @@ impl Event {
                 added,
                 removed,
             } => {
-                field_u64(&mut o, "partition", *partition);
-                field_u64(&mut o, "feedback", *feedback);
-                field_u64(&mut o, "added", *added);
-                field_u64(&mut o, "removed", *removed);
+                put("partition", uint(*partition));
+                put("feedback", uint(*feedback));
+                put("added", uint(*added));
+                put("removed", uint(*removed));
             }
             Payload::WalAppend {
                 session,
@@ -389,45 +377,53 @@ impl Event {
                 seq,
                 bytes,
             } => {
-                field_str(&mut o, "session", session);
-                field_str(&mut o, "record", kind);
-                field_u64(&mut o, "wal_seq", *seq);
-                field_u64(&mut o, "bytes", *bytes);
+                put("session", string(session));
+                put("record", string(kind));
+                put("wal_seq", uint(*seq));
+                put("bytes", uint(*bytes));
             }
             Payload::WalRotate { session, segment } => {
-                field_str(&mut o, "session", session);
-                field_u64(&mut o, "segment", *segment);
+                put("session", string(session));
+                put("segment", uint(*segment));
             }
             Payload::WalReplay {
                 session,
                 records,
                 truncated_bytes,
             } => {
-                field_str(&mut o, "session", session);
-                field_u64(&mut o, "records", *records);
-                field_u64(&mut o, "truncated_bytes", *truncated_bytes);
+                put("session", string(session));
+                put("records", uint(*records));
+                put("truncated_bytes", uint(*truncated_bytes));
             }
             Payload::WalCompact {
                 session,
                 up_to_seq,
                 segments_removed,
             } => {
-                field_str(&mut o, "session", session);
-                field_u64(&mut o, "up_to_seq", *up_to_seq);
-                field_u64(&mut o, "segments_removed", *segments_removed);
+                put("session", string(session));
+                put("up_to_seq", uint(*up_to_seq));
+                put("segments_removed", uint(*segments_removed));
             }
             Payload::Message { level, text } => {
-                field_str(&mut o, "level", level);
-                field_str(&mut o, "text", text);
+                put("level", string(level));
+                put("text", string(text));
             }
         }
-        o.push('}');
-        o
+        Value::Object(o).to_json_string(false)
     }
 
     /// Parses one line produced by [`Event::to_json_line`].
     pub fn parse_json_line(line: &str) -> Result<Event, String> {
-        let kv = parse_flat_object(line)?;
+        let Value::Object(kv) = serde_json::parse_value_str(line).map_err(|e| e.to_string())?
+        else {
+            return Err("an event line must be a JSON object".into());
+        };
+        if let Some((key, _)) = kv
+            .iter()
+            .find(|(_, v)| matches!(v, Value::Array(_) | Value::Object(_)))
+        {
+            return Err(format!("field {key:?}: event fields are scalars"));
+        }
         let get = |key: &str| kv.iter().find(|(k, _)| k == key).map(|(_, v)| v);
         let req_str = |key: &str| -> Result<String, String> {
             get(key)
@@ -687,5 +683,84 @@ mod tests {
     fn unknown_kind_is_an_error() {
         let line = r#"{"seq":1,"kind":"martian"}"#;
         assert!(Event::parse_json_line(line).is_err());
+    }
+
+    fn decision(epsilon: f64, q: f64) -> Event {
+        let mut e = sample_events().swap_remove(2);
+        if let Payload::Decision {
+            epsilon: eps,
+            q: qv,
+            ..
+        } = &mut e.payload
+        {
+            *eps = epsilon;
+            *qv = q;
+        }
+        e
+    }
+
+    #[test]
+    fn escapes_round_trip() {
+        let text = "a \"b\"\n\t\r\\ ü 東京 😀 \u{1} \u{1f}";
+        let mut e = sample_events().swap_remove(3);
+        e.payload = Payload::Message {
+            level: "warn".into(),
+            text: text.into(),
+        };
+        let line = e.to_json_line();
+        assert!(
+            line.contains(r"\u0001") && line.contains(r"\u001f"),
+            "{line}"
+        );
+        assert!(!line.contains('\n'), "one event, one line: {line}");
+        assert_eq!(Event::parse_json_line(&line).unwrap(), e);
+    }
+
+    #[test]
+    fn floats_round_trip() {
+        for v in [
+            0.0,
+            0.1,
+            -1.5,
+            1e-9,
+            1.0,
+            12345.678,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ] {
+            let e = decision(v, -v);
+            let back = Event::parse_json_line(&e.to_json_line()).unwrap();
+            let Payload::Decision { epsilon, q, .. } = back.payload else {
+                panic!("kind changed");
+            };
+            assert_eq!(epsilon.to_bits(), v.to_bits(), "epsilon {v:?}");
+            assert_eq!(q.to_bits(), (-v).to_bits(), "q {:?}", -v);
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_render_as_null_and_parse_as_zero() {
+        let e = decision(f64::INFINITY, f64::NAN);
+        let line = e.to_json_line();
+        assert!(line.contains(r#""epsilon":null"#) && line.contains(r#""q":null"#));
+        let back = Event::parse_json_line(&line).unwrap();
+        assert_eq!(back, decision(0.0, 0.0));
+    }
+
+    #[test]
+    fn garbage_and_nested_values_are_errors() {
+        for line in [
+            "not json",
+            "",
+            r#"["span_start"]"#,
+            r#"{"seq":}"#,
+            r#"{"seq":1,"kind":"span_start","name":"unterminated"#,
+            r#"{"seq":1,"kind":"span_start","name":"x"} trailing"#,
+            r#"{"seq":1,"kind":{"nested":1},"name":"x"}"#,
+            r#"{"seq":1,"kind":"span_start","name":"x","extra":[1]}"#,
+            r#"{"seq":1,"kind":"span_start"}"#,
+        ] {
+            assert!(Event::parse_json_line(line).is_err(), "{line}");
+        }
     }
 }

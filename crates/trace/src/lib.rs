@@ -1,6 +1,6 @@
 //! # alex-trace — structured tracing and the flight recorder
 //!
-//! A dependency-free tracing subsystem, re-exported as `alex_core::trace`:
+//! The tracing subsystem, re-exported as `alex_core::trace`:
 //! [`Span`]s with ids/parents and monotonic timestamps, typed [`Event`]s,
 //! a lock-sharded bounded ring buffer (the "flight recorder"), and a
 //! JSON-lines exporter.
@@ -30,7 +30,6 @@
 #![warn(rust_2018_idioms)]
 
 mod event;
-mod json;
 mod render;
 
 pub use event::{parse_jsonl, to_jsonl, Event, Payload};

@@ -294,6 +294,38 @@ fn keep_alive_serves_multiple_requests_on_one_connection() {
 }
 
 #[test]
+fn idle_keep_alive_connection_does_not_block_other_workers() {
+    // Two workers: one sits on an idle keep-alive connection, waiting for
+    // a next request that never comes; the other must serve a second
+    // connection at once, not after the idle one times out.
+    let timeout = Duration::from_secs(4);
+    let (server, addr) = start(local(|cfg| {
+        cfg.workers = 2;
+        cfg.request_timeout = timeout;
+    }));
+    let mut idle = TcpStream::connect(&addr).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write!(idle, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let mut buf = Vec::new();
+    let mut byte = [0u8; 1];
+    while !buf.ends_with(b"\r\n\r\nok\n") {
+        assert!(idle.read(&mut byte).unwrap() > 0, "idle connection closed");
+        buf.push(byte[0]);
+    }
+
+    let started = std::time::Instant::now();
+    let (status, _) = http(&addr, "GET", "/healthz", None);
+    let waited = started.elapsed();
+    assert_eq!(status, 200);
+    assert!(
+        waited < timeout / 2,
+        "second connection waited {waited:?} behind the idle one"
+    );
+    drop(idle);
+    server.shutdown();
+}
+
+#[test]
 fn saturated_queue_answers_503_and_stalled_requests_408() {
     // One worker, queue of one: a stalled connection occupies the worker,
     // a second fills the queue, the third must be rejected immediately.
