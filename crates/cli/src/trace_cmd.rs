@@ -126,15 +126,23 @@ fn pretty_link(tabbed: &str) -> String {
     tabbed.replace('\t', "  ≡  ")
 }
 
-/// Builds the human-readable causal chain for the first `link_added`
-/// event whose link contains `needle` (`auto` = the first one recorded).
+/// Builds the human-readable causal chain for one `link_added` event
+/// whose link contains `needle` (`auto` matches every link): the smallest
+/// matching link, at its earliest addition. Partitions record from
+/// concurrent threads, so "the first event recorded" would name a
+/// different link from run to run; one link's events all come from its
+/// partition's thread, in order.
 pub fn explain_link(events: &[Event], needle: &str) -> Result<String, String> {
     let added = events
         .iter()
-        .find(|e| match &e.payload {
-            Payload::LinkAdded { link, .. } => needle == "auto" || link.contains(needle),
-            _ => false,
+        .filter_map(|e| match &e.payload {
+            Payload::LinkAdded { link, .. } if needle == "auto" || link.contains(needle) => {
+                Some((link, e))
+            }
+            _ => None,
         })
+        .min_by_key(|&(link, e)| (link, e.seq))
+        .map(|(_, e)| e)
         .ok_or_else(|| {
             if needle == "auto" {
                 "no link was added during the run — try more --episodes".to_string()
@@ -371,8 +379,72 @@ mod tests {
         assert!(text.contains("Q=0.4200 from 3 observation(s)"), "{text}");
         assert!(text.contains("greedy would have picked"), "{text}");
         assert!(text.contains("later feedback on this link: REJECT"));
-        // `auto` picks the same (first) link_added event.
+        // `auto` picks the same (only) link_added event.
         assert_eq!(explain_link(&events, "auto").unwrap(), text);
+    }
+
+    #[test]
+    fn explain_auto_ignores_partition_interleaving() {
+        // Two partitions each approve a link and add one; the second
+        // partition also re-adds its link later.
+        let added = |span: u64, link: &str| {
+            (
+                span,
+                Payload::LinkAdded {
+                    link: link.into(),
+                    state: format!("state of span {span}"),
+                    feature: "http://l/name\thttp://r/label".into(),
+                    score: 0.9,
+                },
+            )
+        };
+        let feedback = |span: u64, link: &str| {
+            (
+                span,
+                Payload::Feedback {
+                    link: link.into(),
+                    positive: true,
+                },
+            )
+        };
+        let first = [
+            feedback(7, "http://l/x\thttp://r/x"),
+            added(7, "http://l/y\thttp://r/y"),
+        ];
+        let second = [
+            feedback(8, "http://l/a\thttp://r/a"),
+            added(8, "http://l/b\thttp://r/b"),
+            feedback(8, "http://l/b\thttp://r/b"),
+            added(8, "http://l/b\thttp://r/b"),
+        ];
+        let numbered = |order: Vec<(u64, Payload)>| -> Vec<Event> {
+            order
+                .into_iter()
+                .enumerate()
+                .map(|(i, (span, p))| ev(i as u64 + 1, span, p))
+                .collect()
+        };
+        let a = numbered(first.iter().chain(&second).cloned().collect());
+        let b = numbered(second.iter().chain(&first).cloned().collect());
+        // Sequence numbers differ between the runs; the chain must not.
+        let without_seq = |text: String| -> String {
+            text.lines()
+                .map(|l| match l.strip_prefix("[seq") {
+                    Some(rest) => rest.split_once(']').map_or(l, |(_, tail)| tail),
+                    None => l,
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let ta = explain_link(&a, "auto").unwrap();
+        let tb = explain_link(&b, "auto").unwrap();
+        assert!(ta.contains("http://l/b  ≡  http://r/b"), "{ta}");
+        // The earliest addition: the re-add is "later feedback" territory.
+        assert!(
+            ta.contains("feedback: APPROVE on\n             http://l/a"),
+            "{ta}"
+        );
+        assert_eq!(without_seq(ta), without_seq(tb));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! sampling, which the feedback loop performs constantly ("we randomly
 //! choose a link out of the set of candidate links", §7.1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
+use alex_rdf::hash::FastMap;
 use alex_rdf::Link;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -12,7 +13,7 @@ use rand::Rng;
 #[derive(Clone, Debug, Default)]
 pub struct CandidateSet {
     links: Vec<Link>,
-    index: HashMap<Link, usize>,
+    index: FastMap<Link, usize>,
 }
 
 impl CandidateSet {

@@ -6,9 +6,10 @@
 //! links. Partitions never communicate (§6.2), so the driver can run many
 //! engines in parallel.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use alex_rdf::hash::{FastMap, FastSet};
 use alex_rdf::{Interner, IriId, Link};
 use alex_trace::{self as trace, Payload};
 use rand::rngs::StdRng;
@@ -83,14 +84,14 @@ pub struct PartitionEngine {
     candidates: CandidateSet,
     q: QTable,
     policy: Policy,
-    blacklist: HashSet<Link>,
+    blacklist: FastSet<Link>,
     /// Discovered link → every state-action pair that generated it
     /// ("Returns(s, a) that led to s'", Algorithm 1 line 14).
-    provenance: HashMap<Link, Vec<StateAction>>,
+    provenance: FastMap<Link, Vec<StateAction>>,
     /// State-action pair → links it added (for rollback, §6.3).
-    generated: HashMap<StateAction, Vec<Link>>,
+    generated: FastMap<StateAction, Vec<Link>>,
     /// Negative feedback observed on links generated by each pair.
-    negative_by_action: HashMap<StateAction, usize>,
+    negative_by_action: FastMap<StateAction, usize>,
     /// State-action pairs that have been rolled back: known-bad, never
     /// re-taken. Realizes the paper's "ALEX can learn that this feature is
     /// not distinctive and avoid exploring around it in the future" (§4.2)
@@ -98,15 +99,17 @@ pub struct PartitionEngine {
     /// rollback.
     banned_actions: HashSet<StateAction>,
     /// Links that have received positive feedback; rollback spares them.
-    approved: HashSet<Link>,
+    approved: FastSet<Link>,
     /// Cumulative negative feedback per link, for the blacklist threshold.
     /// Positive feedback clears the count (contradicted negatives were
     /// probably user error; see `AlexConfig::blacklist_threshold`).
-    negatives_on_link: HashMap<Link, usize>,
+    negatives_on_link: FastMap<Link, usize>,
     /// First-visit bookkeeping, cleared at episode end.
-    visited_this_episode: HashSet<Link>,
+    visited_this_episode: FastSet<Link>,
     /// States to improve at episode end (states feedback arrived on).
-    states_this_episode: HashSet<Link>,
+    /// Improvement at one state never reads another, so the drain order
+    /// of this set does not reach any output.
+    states_this_episode: FastSet<Link>,
     stats: PartitionEpisodeStats,
     rng: StdRng,
     cfg: AlexConfig,
@@ -131,15 +134,15 @@ impl PartitionEngine {
             candidates: CandidateSet::from_links(initial_links),
             q: QTable::new(),
             policy: Policy::new(),
-            blacklist: HashSet::new(),
-            provenance: HashMap::new(),
-            generated: HashMap::new(),
-            negative_by_action: HashMap::new(),
+            blacklist: FastSet::default(),
+            provenance: FastMap::default(),
+            generated: FastMap::default(),
+            negative_by_action: FastMap::default(),
             banned_actions: HashSet::new(),
-            approved: HashSet::new(),
-            negatives_on_link: HashMap::new(),
-            visited_this_episode: HashSet::new(),
-            states_this_episode: HashSet::new(),
+            approved: FastSet::default(),
+            negatives_on_link: FastMap::default(),
+            visited_this_episode: FastSet::default(),
+            states_this_episode: FastSet::default(),
             stats: PartitionEpisodeStats::default(),
             rng: StdRng::seed_from_u64(seed),
             cfg,
@@ -194,7 +197,7 @@ impl PartitionEngine {
     }
 
     /// Current blacklist.
-    pub fn blacklist(&self) -> &HashSet<Link> {
+    pub fn blacklist(&self) -> &FastSet<Link> {
         &self.blacklist
     }
 
@@ -317,7 +320,6 @@ impl PartitionEngine {
             return;
         };
         self.states_this_episode.insert(state);
-        let features = features.clone();
         let Some(choice) =
             self.policy
                 .choose_explained(state, &features, self.cfg.epsilon, &mut self.rng)
@@ -359,11 +361,7 @@ impl PartitionEngine {
                     link: self.link_str(f),
                     state: self.link_str(state),
                     feature: self.feature_str(action),
-                    score: self
-                        .space
-                        .feature_set(f)
-                        .and_then(|fs| fs.score_of(action))
-                        .unwrap_or(0.0),
+                    score: self.space.score_of(f, action).unwrap_or(0.0),
                 });
                 self.provenance.entry(f).or_default().push((state, action));
                 self.generated.entry((state, action)).or_default().push(f);
@@ -453,10 +451,9 @@ impl PartitionEngine {
     /// (Algorithm 1, lines 24–33), then resets per-episode bookkeeping.
     /// Returns and clears the episode counters.
     pub fn end_episode(&mut self) -> PartitionEpisodeStats {
-        let states: Vec<Link> = self.states_this_episode.drain().collect();
-        for s in states {
+        for s in self.states_this_episode.drain() {
             if let Some(fs) = self.space.feature_set(s) {
-                self.policy.improve(s, &self.q, fs);
+                self.policy.improve(s, &self.q, &fs);
             }
         }
         self.visited_this_episode.clear();

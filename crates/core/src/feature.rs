@@ -137,6 +137,13 @@ impl FeatureSet {
         Some(Self { features })
     }
 
+    /// Wraps features already sorted by key with no key repeated, the
+    /// order an [`crate::ExplorationSpace`] stores them in.
+    pub(crate) fn from_sorted(features: Vec<Feature>) -> Self {
+        debug_assert!(features.windows(2).all(|w| w[0].key < w[1].key));
+        Self { features }
+    }
+
     /// The features, sorted by key.
     pub fn features(&self) -> &[Feature] {
         &self.features

@@ -17,34 +17,60 @@
 //! pairs, so an ALEX action — "find all links whose value for this feature
 //! lies within ±step of the approved link's value" (§4.2) — is two binary
 //! searches and a contiguous scan.
+//!
+//! Storage is flat. Feature keys get dense per-space ids in `FeatureKey`
+//! order, so a pair's features sorted by id are in `FeatureSet` order.
+//! All features of all pairs live in one arena of `(key id, score)`
+//! columns, indexed by per-pair offsets. Each range entry carries a bit
+//! mask of the keys its pair has, so the scan rejects a pair that cannot
+//! share enough of the state's features without touching the arena.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
+use alex_rdf::hash::FastMap;
 use alex_rdf::{IriId, Link, Literal, Store, Term};
 use alex_sim::{string::tokens, SimConfig, ValueId, ValueTable};
 
-use crate::feature::{FeatureKey, FeatureSet};
+use crate::feature::{Feature, FeatureKey, FeatureSet};
 use crate::parallel::Executor;
 
 /// Default cap on inverted-index bucket size; buckets larger than this are
 /// stop-word-like and proposed pairs from them are noise.
 pub const DEFAULT_MAX_BLOCK: usize = 100;
 
-/// One entity pair of the space with its feature set.
-#[derive(Clone, Debug)]
-struct PairEntry {
-    link: Link,
-    features: FeatureSet,
+/// One entry of a feature key's score-sorted range list. The mask fills
+/// the bytes a `(f64, u32)` pair would spend on padding.
+#[derive(Clone, Copy, Debug)]
+struct RangeEntry {
+    score: f64,
+    pair: u32,
+    /// Bit `k` is set when the pair has the key with id `k`; keys with
+    /// ids past the mask width have no bit (see [`mask_bit`]).
+    key_mask: u32,
+}
+
+/// The presence bit of key id `k` in a [`RangeEntry::key_mask`], or `None`
+/// when `k` is past the mask width.
+fn mask_bit(k: u32) -> Option<u32> {
+    1u32.checked_shl(k)
 }
 
 /// The filtered link search space of one partition, with per-feature
 /// range-query indexes.
 #[derive(Clone, Debug, Default)]
 pub struct ExplorationSpace {
-    pairs: Vec<PairEntry>,
-    pair_index: HashMap<Link, u32>,
-    /// Per feature key: `(score, pair index)` sorted by score.
-    ranges: HashMap<FeatureKey, Vec<(f64, u32)>>,
+    /// Distinct feature keys in `FeatureKey` order; a key's position is
+    /// its id.
+    keys: Vec<FeatureKey>,
+    links: Vec<Link>,
+    pair_index: FastMap<Link, u32>,
+    /// Pair `i`'s features are `feature_keys[offsets[i]..offsets[i + 1]]`
+    /// (key ids, ascending) with the matching `feature_scores`.
+    offsets: Vec<u32>,
+    feature_keys: Vec<u32>,
+    feature_scores: Vec<f64>,
+    /// Per key id: the pairs with that key, sorted by its score.
+    ranges: Vec<Vec<RangeEntry>>,
     /// `|partition| × |other dataset|`: the unfiltered pair count (Fig 5a).
     total_possible: usize,
 }
@@ -153,86 +179,127 @@ impl ExplorationSpace {
 
         // Parallel map: each chunk of left subjects produces its scored
         // pairs in deterministic (subject order, then sorted candidate)
-        // order. All cross-thread state is read-only, the table included.
+        // order, plus the feature keys it saw, so the merge can number the
+        // keys without another pass over the pairs. All cross-thread state
+        // is read-only, the table included.
         let score_span = alex_trace::span("space.score_pairs");
-        let chunk_results: Vec<Vec<(Link, FeatureSet)>> =
-            executor.map_chunks(left_subjects, |chunk| {
-                let scorer = table.scorer();
-                let mut out: Vec<(Link, FeatureSet)> = Vec::new();
-                let mut keys = Vec::new();
-                for &ls in chunk {
-                    let left_entity = left.entity(ls);
-                    if left_entity.is_empty() {
-                        continue;
-                    }
-                    // Candidate rights: union over this entity's keys.
-                    let mut cands: HashSet<IriId> = HashSet::new();
-                    let mut seen_keys: HashSet<String> = HashSet::new();
-                    for attr in &left_entity.attributes {
-                        keys.clear();
-                        literal_keys(left, &attr.object, &mut keys);
-                        for k in keys.drain(..) {
-                            if seen_keys.insert(k.clone()) {
-                                if let Some(rs) = right_index.get(&k) {
-                                    cands.extend(rs.iter().copied());
-                                }
+        let chunk_results = executor.map_chunks(left_subjects, |chunk| {
+            let scorer = table.scorer();
+            let mut out: Vec<(Link, FeatureSet)> = Vec::new();
+            let mut chunk_keys = BTreeSet::new();
+            let mut keys = Vec::new();
+            for &ls in chunk {
+                let left_entity = left.entity(ls);
+                if left_entity.is_empty() {
+                    continue;
+                }
+                // Candidate rights: union over this entity's keys.
+                let mut cands: HashSet<IriId> = HashSet::new();
+                let mut seen_keys: HashSet<String> = HashSet::new();
+                for attr in &left_entity.attributes {
+                    keys.clear();
+                    literal_keys(left, &attr.object, &mut keys);
+                    for k in keys.drain(..) {
+                        if seen_keys.insert(k.clone()) {
+                            if let Some(rs) = right_index.get(&k) {
+                                cands.extend(rs.iter().copied());
                             }
                         }
                     }
-                    let mut cands: Vec<IriId> = cands.into_iter().collect();
-                    cands.sort_unstable();
-                    let left_attrs = table.attributes(&left_entity);
-                    for rs in cands {
-                        let Some(fs) = FeatureSet::build_from_table(
-                            &left_attrs,
-                            &right_entities[&rs],
-                            &scorer,
-                            theta,
-                        ) else {
-                            continue;
-                        };
-                        out.push((Link::new(ls, rs), fs));
-                    }
                 }
-                out
-            });
+                let mut cands: Vec<IriId> = cands.into_iter().collect();
+                cands.sort_unstable();
+                let left_attrs = table.attributes(&left_entity);
+                for rs in cands {
+                    let Some(fs) = FeatureSet::build_from_table(
+                        &left_attrs,
+                        &right_entities[&rs],
+                        &scorer,
+                        theta,
+                    ) else {
+                        continue;
+                    };
+                    chunk_keys.extend(fs.keys());
+                    out.push((Link::new(ls, rs), fs));
+                }
+            }
+            (out, chunk_keys)
+        });
         drop(score_span);
 
         // Serial, order-preserving merge: replays exactly the pair sequence
         // the single-threaded loop would have produced.
         let merge_span = alex_trace::span("space.merge");
-        let mut pairs: Vec<PairEntry> = Vec::new();
-        let mut pair_index: HashMap<Link, u32> = HashMap::new();
-        let mut ranges: HashMap<FeatureKey, Vec<(f64, u32)>> = HashMap::new();
-        for (link, fs) in chunk_results.into_iter().flatten() {
-            let idx = u32::try_from(pairs.len()).expect("space overflow");
+        let keys: Vec<FeatureKey> = chunk_results
+            .iter()
+            .flat_map(|(_, ks)| ks)
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut space = Self {
+            ranges: vec![Vec::new(); keys.len()],
+            keys,
+            offsets: vec![0],
+            total_possible: left_subjects.len() * right.subject_count(),
+            ..Self::default()
+        };
+        for (link, fs) in chunk_results.into_iter().flat_map(|(pairs, _)| pairs) {
+            let pair = u32::try_from(space.links.len()).expect("space overflow");
+            let start = space.feature_keys.len();
             for f in fs.features() {
-                ranges.entry(f.key).or_default().push((f.score, idx));
+                let id = space.key_id(f.key).expect("every chunk key is numbered");
+                space.feature_keys.push(id);
+                space.feature_scores.push(f.score);
             }
-            pair_index.insert(link, idx);
-            pairs.push(PairEntry { link, features: fs });
+            let ids = &space.feature_keys[start..];
+            let key_mask = ids
+                .iter()
+                .filter_map(|&k| mask_bit(k))
+                .fold(0, |m, b| m | b);
+            for (&id, &score) in ids.iter().zip(&space.feature_scores[start..]) {
+                space.ranges[id as usize].push(RangeEntry {
+                    score,
+                    pair,
+                    key_mask,
+                });
+            }
+            let end = u32::try_from(space.feature_keys.len()).expect("space overflow");
+            space.offsets.push(end);
+            space.pair_index.insert(link, pair);
+            space.links.push(link);
         }
-        for list in ranges.values_mut() {
-            list.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("scores are finite"));
+        for list in &mut space.ranges {
+            list.sort_unstable_by(|a, b| a.score.partial_cmp(&b.score).expect("scores are finite"));
         }
         drop(merge_span);
+        space
+    }
 
-        Self {
-            pairs,
-            pair_index,
-            ranges,
-            total_possible: left_subjects.len() * right.subject_count(),
-        }
+    /// The dense id of `key`, if any pair of the space has it.
+    fn key_id(&self, key: FeatureKey) -> Option<u32> {
+        let id = self.keys.binary_search(&key).ok()?;
+        Some(u32::try_from(id).expect("key ids fit u32"))
+    }
+
+    /// The key ids (ascending) and matching scores of pair `pair`.
+    fn pair_features(&self, pair: u32) -> (&[u32], &[f64]) {
+        let i = pair as usize;
+        let range = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+        (
+            &self.feature_keys[range.clone()],
+            &self.feature_scores[range],
+        )
     }
 
     /// Number of pairs that survived the θ filter.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.links.len()
     }
 
     /// Whether the filtered space is empty.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.links.is_empty()
     }
 
     /// The unfiltered pair count `|partition| × |other dataset|`.
@@ -246,20 +313,49 @@ impl ExplorationSpace {
     }
 
     /// The feature set of `link` — the state representation (§4.1).
-    pub fn feature_set(&self, link: Link) -> Option<&FeatureSet> {
-        self.pair_index
-            .get(&link)
-            .map(|&i| &self.pairs[i as usize].features)
+    pub fn feature_set(&self, link: Link) -> Option<FeatureSet> {
+        let (ids, scores) = self.pair_features(*self.pair_index.get(&link)?);
+        let features = ids
+            .iter()
+            .zip(scores)
+            .map(|(&id, &score)| Feature {
+                key: self.keys[id as usize],
+                score,
+            })
+            .collect();
+        Some(FeatureSet::from_sorted(features))
+    }
+
+    /// The score of feature `key` on `link`, if the link is in the space
+    /// and has that feature. Allocates nothing.
+    pub fn score_of(&self, link: Link, key: FeatureKey) -> Option<f64> {
+        let (ids, scores) = self.pair_features(*self.pair_index.get(&link)?);
+        let j = ids.binary_search(&self.key_id(key)?).ok()?;
+        Some(scores[j])
     }
 
     /// All links of the filtered space.
     pub fn links(&self) -> impl Iterator<Item = Link> + '_ {
-        self.pairs.iter().map(|p| p.link)
+        self.links.iter().copied()
     }
 
     /// Number of distinct feature keys indexed.
     pub fn feature_key_count(&self) -> usize {
-        self.ranges.len()
+        self.keys.len()
+    }
+
+    /// The entries of `key`'s range list with score in
+    /// `[center − step, center + step]`, in list order.
+    fn range(&self, key: FeatureKey, center: f64, step: f64) -> &[RangeEntry] {
+        let Some(id) = self.key_id(key) else {
+            return &[];
+        };
+        let list = &self.ranges[id as usize];
+        let lo = center - step;
+        let hi = center + step;
+        let start = list.partition_point(|e| e.score < lo);
+        let end = list.partition_point(|e| e.score <= hi);
+        &list[start..end]
     }
 
     /// Executes an action (§4.2): all links whose score for `key` lies in
@@ -268,16 +364,9 @@ impl ExplorationSpace {
     /// [`ExplorationSpace::explore_from`], which applies the full action
     /// feature set.
     pub fn explore(&self, key: FeatureKey, center: f64, step: f64) -> Vec<Link> {
-        let Some(list) = self.ranges.get(&key) else {
-            return Vec::new();
-        };
-        let lo = center - step;
-        let hi = center + step;
-        let start = list.partition_point(|&(s, _)| s < lo);
-        let end = list.partition_point(|&(s, _)| s <= hi);
-        list[start..end]
+        self.range(key, center, step)
             .iter()
-            .map(|&(_, i)| self.pairs[i as usize].link)
+            .map(|e| self.links[e.pair as usize])
             .collect()
     }
 
@@ -303,39 +392,61 @@ impl ExplorationSpace {
     ///   birth year, a categorical type).
     ///
     /// The balance of these conditions is what lets recall climb while the
-    /// paper's precision recovers within a few episodes.
+    /// paper's precision recovers within a few episodes. Results come in
+    /// the order of [`ExplorationSpace::explore`], of which they are a
+    /// subsequence.
     pub fn explore_from(&self, state: &FeatureSet, key: FeatureKey, step: f64) -> Vec<Link> {
         let Some(center) = state.score_of(key) else {
             return Vec::new();
         };
-        let Some(list) = self.ranges.get(&key) else {
-            return Vec::new();
-        };
         let n = state.len();
         let required = n.div_ceil(2).max(2.min(n));
-        let lo = center - step;
-        let hi = center + step;
-        let start = list.partition_point(|&(s, _)| s < lo);
-        let end = list.partition_point(|&(s, _)| s <= hi);
-        list[start..end]
+        // The state's other features as (key id, lowest accepted score),
+        // ascending by id. A key no pair has is shared by no candidate.
+        let mut bounds: Vec<(u32, f64)> = Vec::with_capacity(n);
+        let mut state_mask = 0u32;
+        // Shared features the mask cannot see: the explored one, which
+        // every entry of its list has, and state keys past the mask width.
+        let mut unmasked = 1usize;
+        for f in state.features() {
+            if f.key == key {
+                continue;
+            }
+            let Some(id) = self.key_id(f.key) else {
+                continue;
+            };
+            bounds.push((id, f.score - step));
+            match mask_bit(id) {
+                Some(bit) => state_mask |= bit,
+                None => unmasked += 1,
+            }
+        }
+        self.range(key, center, step)
             .iter()
-            .filter(|&&(_, i)| {
-                let cand = &self.pairs[i as usize].features;
-                let mut shared = 0usize;
-                for f in state.features() {
-                    if f.key == key {
-                        shared += 1; // the explored feature, already in range
-                        continue;
+            // An upper bound on the shared count: rejects without reading
+            // the pair's features.
+            .filter(|e| (e.key_mask & state_mask).count_ones() as usize + unmasked >= required)
+            .filter(|e| {
+                let (ids, scores) = self.pair_features(e.pair);
+                let mut shared = 1usize; // the explored feature, in range
+                let mut j = 0;
+                for &(id, min) in &bounds {
+                    while j < ids.len() && ids[j] < id {
+                        j += 1;
                     }
-                    match cand.score_of(f.key) {
-                        Some(v) if v >= f.score - step => shared += 1,
-                        Some(_) => return false, // shared but much worse
-                        None => {}
+                    if j == ids.len() {
+                        break;
+                    }
+                    if ids[j] == id {
+                        if scores[j] < min {
+                            return false; // shared but much worse
+                        }
+                        shared += 1;
                     }
                 }
                 shared >= required
             })
-            .map(|&(_, i)| self.pairs[i as usize].link)
+            .map(|e| self.links[e.pair as usize])
             .collect()
     }
 }
@@ -418,7 +529,7 @@ mod tests {
         let l0 = left.intern_iri("l/e0");
         let r0 = right.intern_iri("r/e0");
         let link = Link::new(l0, r0);
-        let fs = space.feature_set(link).unwrap().clone();
+        let fs = space.feature_set(link).unwrap();
         let f = fs.features()[0];
         let found = space.explore(f.key, f.score, 0.05);
         assert!(
@@ -433,6 +544,27 @@ mod tests {
                 .is_some_and(|v| v >= f.score - 0.05 && v <= f.score + 0.05);
             assert_eq!(found.contains(&l), in_range, "range mismatch for {l:?}");
         }
+    }
+
+    #[test]
+    fn score_of_agrees_with_feature_set() {
+        let (left, right, subjects) = stores();
+        let space = build(&left, &right, &subjects);
+        let ghost = FeatureKey::new(left.intern_iri("ghost1"), right.intern_iri("ghost2"));
+        for l in space.links() {
+            let fs = space.feature_set(l).unwrap();
+            for f in fs.features() {
+                assert_eq!(space.score_of(l, f.key), Some(f.score));
+            }
+            assert_eq!(space.score_of(l, ghost), None);
+        }
+        let outside = Link::new(subjects[0], right.intern_iri("r/other"));
+        let key = space
+            .feature_set(space.links().next().unwrap())
+            .unwrap()
+            .features()[0]
+            .key;
+        assert_eq!(space.score_of(outside, key), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use std::collections::HashSet;
 
 use alex_core::parallel::Executor;
 use alex_core::{
-    round_robin, AlexConfig, CandidateSet, ExplorationSpace, FeatureSet, Policy, QTable, Quality,
-    DEFAULT_MAX_BLOCK,
+    round_robin, AlexConfig, CandidateSet, ExplorationSpace, FeatureKey, FeatureSet, Policy,
+    QTable, Quality, DEFAULT_MAX_BLOCK,
 };
 use alex_rdf::{Interner, IriId, Link, Literal, Store};
 use alex_sim::{SimConfig, ValueTable};
@@ -170,8 +170,77 @@ fn build_world(names: &[String]) -> (Store, Store, Vec<IriId>) {
     (left, right, subjects)
 }
 
+/// One attribute per word on every entity of the wide world.
+const WIDE_WORDS: [&str; 8] = [
+    "red", "green", "blue", "amber", "violet", "ochre", "teal", "umber",
+];
+const WIDE_RIGHT_PREDICATES: usize = 13;
+
+/// A world whose entities have one attribute per `WIDE_WORDS` entry, with
+/// the right-side predicate of each value rotated per entity, so the pairs
+/// carry up to 8 × 13 = 104 distinct predicate pairs: more key ids than a
+/// range entry's key mask has bits.
+fn build_wide_world(names: &[String]) -> (Store, Store, Vec<IriId>) {
+    let interner = Interner::new_shared();
+    let mut left = Store::new(interner.clone());
+    let mut right = Store::new(interner.clone());
+    let mut subjects = Vec::new();
+    for (i, nm) in names.iter().enumerate() {
+        let ls = left.intern_iri(&format!("l/e{i}"));
+        let rs = right.intern_iri(&format!("r/e{i}"));
+        for (j, word) in WIDE_WORDS.iter().enumerate() {
+            let value = format!("{nm} {word}");
+            let lp = left.intern_iri(&format!("l/p{j}"));
+            let rp = right.intern_iri(&format!("r/q{}", (j + 3 * i) % WIDE_RIGHT_PREDICATES));
+            left.insert_literal(ls, lp, Literal::str(&interner, &value));
+            right.insert_literal(rs, rp, Literal::str(&interner, &value));
+        }
+        subjects.push(ls);
+    }
+    (left, right, subjects)
+}
+
 fn arb_names() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-z]{3,8} [a-z]{3,8}", 2..15)
+}
+
+/// The documented `explore_from` predicate on full feature sets: every
+/// feature `cand` shares with `state` scores at least the state's score
+/// minus `step`, and at least `⌈n/2⌉` (and 2, when `n ≥ 2`) of the
+/// state's `n` features are shared, the explored `key` included.
+fn qualifies(state: &FeatureSet, cand: &FeatureSet, key: FeatureKey, step: f64) -> bool {
+    let n = state.len();
+    let required = n.div_ceil(2).max(2.min(n));
+    let mut shared = 0usize;
+    for sf in state.features() {
+        if sf.key == key {
+            shared += 1;
+            continue;
+        }
+        match cand.score_of(sf.key) {
+            Some(cv) if cv >= sf.score - step => shared += 1,
+            Some(_) => return false,
+            None => {}
+        }
+    }
+    shared >= required
+}
+
+/// From every state of `space`, `explore_from` returns exactly the links
+/// of `explore` over the same range that satisfy [`qualifies`], in the
+/// same order: candidate insertion order drives sampling.
+fn check_explore_from_filters_explore(space: &ExplorationSpace, step: f64) {
+    for state_link in space.links() {
+        let state = space.feature_set(state_link).unwrap();
+        for f in state.features() {
+            let want: Vec<Link> = space
+                .explore(f.key, f.score, step)
+                .into_iter()
+                .filter(|&l| qualifies(&state, &space.feature_set(l).unwrap(), f.key, step))
+                .collect();
+            assert_eq!(space.explore_from(&state, f.key, step), want);
+        }
+    }
 }
 
 proptest! {
@@ -187,7 +256,7 @@ proptest! {
             &left, &right, &subjects, &SimConfig::default(), 0.3, DEFAULT_MAX_BLOCK,
         );
         let Some(state_link) = space.links().next() else { return Ok(()); };
-        let state: FeatureSet = space.feature_set(state_link).unwrap().clone();
+        let state: FeatureSet = space.feature_set(state_link).unwrap();
         for f in state.features() {
             let got: HashSet<Link> = space.explore_from(&state, f.key, step).into_iter().collect();
             // Soundness: every result satisfies the documented conditions.
@@ -235,6 +304,33 @@ proptest! {
         }
     }
 
+    /// `explore_from` is the ordered filter of `explore` by the documented
+    /// predicate, from every state of the space.
+    #[test]
+    fn explore_from_is_ordered_filter_of_explore(names in arb_names(), step in 0.01f64..0.3) {
+        let (left, right, subjects) = build_world(&names);
+        let space = ExplorationSpace::build(
+            &left, &right, &subjects, &SimConfig::default(), 0.3, DEFAULT_MAX_BLOCK,
+        );
+        check_explore_from_filters_explore(&space, step);
+    }
+
+    /// The same, over a space with more feature keys than the range
+    /// entries' key mask has bits, so states hold keys the mask cannot
+    /// see and the prefilter must count them as possibly shared.
+    #[test]
+    fn explore_from_past_the_key_mask_width(
+        names in proptest::collection::vec("[a-z]{3,8} [a-z]{3,8}", 13..18),
+        step in 0.01f64..0.3,
+    ) {
+        let (left, right, subjects) = build_wide_world(&names);
+        let space = ExplorationSpace::build(
+            &left, &right, &subjects, &SimConfig::default(), 0.3, DEFAULT_MAX_BLOCK,
+        );
+        prop_assert!(space.feature_key_count() > 64, "only {} keys", space.feature_key_count());
+        check_explore_from_filters_explore(&space, step);
+    }
+
     /// Feature sets in a built space always respect θ and uniqueness.
     #[test]
     fn space_feature_sets_respect_theta(names in arb_names(), theta in 0.1f64..0.9) {
@@ -265,7 +361,7 @@ proptest! {
                 &left.entity(l.left), &right.entity(l.right), left.interner(), &sim, theta,
             );
             let got = space.feature_set(l).unwrap();
-            prop_assert_eq!(want.as_ref(), Some(got));
+            prop_assert_eq!(want.as_ref(), Some(&got));
             for (a, b) in want.unwrap().features().iter().zip(got.features()) {
                 prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
@@ -342,7 +438,7 @@ proptest! {
         let policy = Policy::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..30 {
-            let a = policy.choose(state_link, fs, eps, &mut rng).unwrap();
+            let a = policy.choose(state_link, &fs, eps, &mut rng).unwrap();
             prop_assert!(keys.contains(&a));
         }
     }

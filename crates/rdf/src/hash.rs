@@ -1,11 +1,14 @@
-//! A fast, non-cryptographic hasher for the store's internal indexes.
+//! A fast, non-cryptographic hasher for maps keyed by interner ids.
 //!
 //! The triple store hashes every inserted triple into four structures
 //! (the dedup set and three position indexes), so hashing dominates bulk
-//! loads. The keys are dense interner ids and small fixed-shape terms —
-//! there is no untrusted-key DoS surface worth SipHash's cost — so the
-//! indexes use this multiply-rotate hasher (the same construction rustc
-//! uses for its interned-id tables) instead of the default hasher.
+//! loads; the curation engine's link bookkeeping (candidate index,
+//! provenance, blacklist) is hashed on every link an action adds or a
+//! rollback removes. The keys are dense interner ids and small
+//! fixed-shape terms — ids the interner assigns, never raw client bytes,
+//! so there is no untrusted-key DoS surface worth SipHash's cost — so
+//! these maps use this multiply-rotate hasher (the same construction
+//! rustc uses for its interned-id tables) instead of the default hasher.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
