@@ -338,6 +338,20 @@ pub fn recover(args: &[String]) -> Result<(), String> {
         if r.policy_mismatch {
             println!("  WARNING: policy cross-check failed (RNG stream diverged on replay)");
         }
+        let t = &recovered.timings;
+        match &r.space_rebuilt {
+            None => println!("  spaces: loaded from the space file"),
+            Some(why) => println!("  spaces: rebuilt ({why})"),
+        }
+        println!(
+            "  phases: decode {:.1} ms, spaces {:.1} ms, restore {:.1} ms, WAL open {:.1} ms, \
+             replay {:.1} ms",
+            t.decode_s * 1e3,
+            t.space_s * 1e3,
+            t.restore_s * 1e3,
+            t.wal_open_s * 1e3,
+            t.replay_s * 1e3
+        );
     }
     for (id, why) in &outcome.failures {
         println!("session {id}: NOT RECOVERABLE — {why}");

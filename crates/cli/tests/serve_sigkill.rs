@@ -147,6 +147,17 @@ fn sigkilled_server_resumes_sessions_from_wal_replay() {
         metrics.contains("alex_recoveries_total 2"),
         "metrics missing recovery count: {metrics}"
     );
+    // Both sessions loaded their spaces from the space file, and boot
+    // recovery's wall time is recorded once.
+    for series in [
+        "alex_stage_seconds_count{stage=\"space_load\"} 2",
+        "alex_stage_seconds_count{stage=\"recover\"} 1",
+    ] {
+        assert!(
+            metrics.contains(series),
+            "metrics missing {series}: {metrics}"
+        );
+    }
 
     // The resumed session keeps working: another feedback batch lands.
     let (status, body) = request(

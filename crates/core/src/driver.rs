@@ -33,7 +33,7 @@ use crate::space::{ExplorationSpace, DEFAULT_MAX_BLOCK};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpaceBuildStats {
     /// Wall-clock seconds spent building the value table and all
-    /// partition spaces.
+    /// partition spaces; zero when the spaces were loaded, not built.
     pub seconds: f64,
     /// Pairs that survived the θ filter, summed over partitions.
     pub pairs: usize,
@@ -94,6 +94,43 @@ impl RunOutcome {
     }
 }
 
+/// Builds one space per partition, one partition after another, each
+/// parallelized internally over its subjects (one executor, so the
+/// machine is never oversubscribed) and scoring through one value table —
+/// entities in different partitions repeat the same literals.
+fn build_spaces(
+    left: &Store,
+    right: &Store,
+    parts: &[Vec<IriId>],
+    cfg: &AlexConfig,
+    executor: &Executor,
+) -> (Vec<ExplorationSpace>, SpaceBuildStats) {
+    let build_start = Instant::now();
+    let _span = alex_trace::span("driver.space_build");
+    let table = ValueTable::from_stores(cfg.sim, left, right);
+    let spaces: Vec<ExplorationSpace> = parts
+        .iter()
+        .map(|p| {
+            ExplorationSpace::build_with(
+                left,
+                right,
+                p,
+                cfg.theta,
+                DEFAULT_MAX_BLOCK,
+                executor,
+                &table,
+            )
+        })
+        .collect();
+    let stats = SpaceBuildStats {
+        seconds: build_start.elapsed().as_secs_f64(),
+        pairs: spaces.iter().map(|s| s.len()).sum(),
+        threads: executor.workers(),
+        cache: table.stats(),
+    };
+    (spaces, stats)
+}
+
 /// The orchestrator owning every partition engine.
 pub struct AlexDriver {
     engines: Vec<PartitionEngine>,
@@ -120,18 +157,23 @@ impl AlexDriver {
         initial_links: &[Link],
         cfg: AlexConfig,
     ) -> Result<Self, String> {
-        Self::new_with_state(left, right, initial_links, &[], cfg)
+        Self::with_spaces(left, right, initial_links, &[], cfg, None)
     }
 
-    /// Like [`AlexDriver::new`], but additionally preloads a blacklist —
-    /// used when restoring a persisted session
-    /// ([`crate::SessionSnapshot::restore`]).
-    pub fn new_with_state(
+    /// Like [`AlexDriver::new`], but additionally preloads a blacklist
+    /// and takes the partition spaces already built (one per partition,
+    /// in order — loaded from a session's space file, see
+    /// [`crate::space_file`]); `None` builds them. Used when restoring a
+    /// persisted session ([`crate::SessionSnapshot::restore`]). Each
+    /// partition's initial links keep their order in `initial_links`: it
+    /// is the candidate insertion order sampling draws from.
+    pub(crate) fn with_spaces(
         left: &Store,
         right: &Store,
         initial_links: &[Link],
         blacklist: &[Link],
         cfg: AlexConfig,
+        spaces: Option<Vec<ExplorationSpace>>,
     ) -> Result<Self, String> {
         cfg.validate()?;
         let subjects: Vec<IriId> = left.subjects().collect();
@@ -142,34 +184,24 @@ impl AlexDriver {
             .flat_map(|(k, p)| p.iter().map(move |&s| (s, k)))
             .collect();
 
-        // Build partition spaces one after another, each parallelized
-        // internally over its subjects (one executor, so the machine is
-        // never oversubscribed) and scoring through one value table —
-        // entities in different partitions repeat the same literals.
         let executor = Executor::resolve(cfg.threads);
-        let build_start = Instant::now();
-        let build_span = alex_trace::span("driver.space_build");
-        let table = ValueTable::from_stores(cfg.sim, left, right);
-        let spaces: Vec<ExplorationSpace> = parts
-            .iter()
-            .map(|p| {
-                ExplorationSpace::build_with(
-                    left,
-                    right,
-                    p,
-                    cfg.theta,
-                    DEFAULT_MAX_BLOCK,
-                    &executor,
-                    &table,
-                )
-            })
-            .collect();
-        drop(build_span);
-        let build_stats = SpaceBuildStats {
-            seconds: build_start.elapsed().as_secs_f64(),
-            pairs: spaces.iter().map(|s| s.len()).sum(),
-            threads: executor.workers(),
-            cache: table.stats(),
+        let (spaces, build_stats) = match spaces {
+            Some(spaces) if spaces.len() != cfg.partitions => {
+                return Err(format!(
+                    "{} prebuilt spaces for {} partitions",
+                    spaces.len(),
+                    cfg.partitions
+                ))
+            }
+            Some(spaces) => {
+                let stats = SpaceBuildStats {
+                    pairs: spaces.iter().map(|s| s.len()).sum(),
+                    threads: executor.workers(),
+                    ..SpaceBuildStats::default()
+                };
+                (spaces, stats)
+            }
+            None => build_spaces(left, right, &parts, &cfg, &executor),
         };
 
         // Route initial links to their owning partition; links whose left

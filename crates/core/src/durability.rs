@@ -8,9 +8,17 @@
 //! <state_dir>/session-<id>/
 //!     left.alexdb       binary snapshot of the left dataset (write-once)
 //!     right.alexdb      binary snapshot of the right dataset (write-once)
-//!     checkpoint.json   v3 SessionSnapshot + the WAL sequence it covers
+//!     spaces.alexspace  every partition's exploration space (write-once)
+//!     checkpoint.json   v4 SessionSnapshot + the WAL sequence it covers
 //!     wal/seg-*.wal     records appended since that checkpoint
 //! ```
+//!
+//! **Boot cost.** Recovery loads the partition spaces from
+//! `spaces.alexspace` ([`crate::space_file`]) instead of rescoring every
+//! pair; a missing, damaged or stale file is diagnosed and the spaces are
+//! rebuilt, and nothing is written back. Sessions recover concurrently on
+//! a [`crate::parallel::Executor`] (`ALEX_THREADS=1` recovers them one
+//! after another) and come back in session-id order.
 //!
 //! **The recovery invariant.** A mutation is acknowledged only after its
 //! WAL record is on disk (per the configured [`SyncPolicy`]). Recovery
@@ -34,6 +42,7 @@
 //! [`trace::diag`]) but does not abort recovery.
 
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use alex_rdf::{Interner, Link};
 use alex_store::{
@@ -42,7 +51,9 @@ use alex_store::{
 };
 use alex_trace::{self as trace, Payload};
 
+use crate::parallel::Executor;
 use crate::session::{LiveSession, SessionSnapshot};
+use crate::space_file::{read_space_file, write_space_file, SPACE_FILE};
 
 /// Checks a session id is safe to embed in a filesystem path. Ids come
 /// from HTTP clients, so this is a security boundary: anything that could
@@ -109,10 +120,10 @@ pub struct DurableSession {
 
 impl DurableSession {
     /// Creates the on-disk layout for a new session: the directory, the
-    /// two dataset snapshots, and an empty WAL. The caller must follow up
-    /// with [`DurableSession::checkpoint`] before acknowledging the
-    /// session to a client — a directory without a checkpoint is treated
-    /// as an aborted creation by recovery.
+    /// two dataset snapshots, the space file, and an empty WAL. The caller
+    /// must follow up with [`DurableSession::checkpoint`] before
+    /// acknowledging the session to a client — a directory without a
+    /// checkpoint is treated as an aborted creation by recovery.
     pub fn create(
         root: &Path,
         id: &str,
@@ -127,6 +138,14 @@ impl DurableSession {
             .map_err(|e| format!("writing left dataset snapshot: {e}"))?;
         write_store_file(&dir.join("right.alexdb"), &session.right)
             .map_err(|e| format!("writing right dataset snapshot: {e}"))?;
+        write_space_file(
+            &dir.join(SPACE_FILE),
+            &session.left,
+            &session.right,
+            session.driver.config(),
+            session.driver.engines().iter().map(|e| e.space()),
+        )
+        .map_err(|e| format!("writing the space file: {e}"))?;
         let (wal, _, _) = Wal::open(&wal_dir(&dir), opts)
             .map_err(|e| format!("opening WAL for session {id}: {e}"))?;
         Ok(Self {
@@ -239,6 +258,25 @@ pub struct SessionRecoveryReport {
     /// Whether a [`WalRecord::PolicyDelta`] cross-check failed (the
     /// replayed RNG stream diverged from the logged one).
     pub policy_mismatch: bool,
+    /// Why the partition spaces were rebuilt instead of loaded from the
+    /// space file; `None` when they were loaded.
+    pub space_rebuilt: Option<String>,
+}
+
+/// Where one session's recovery spent its time, in seconds.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RecoveryTimings {
+    /// Decoding the dataset snapshots and parsing the checkpoint.
+    pub decode_s: f64,
+    /// Loading the space file, or rebuilding the spaces when it could
+    /// not be used.
+    pub space_s: f64,
+    /// Restoring the driver from the checkpoint, spaces excluded.
+    pub restore_s: f64,
+    /// Opening (and repairing) the WAL.
+    pub wal_open_s: f64,
+    /// Replaying the WAL suffix.
+    pub replay_s: f64,
 }
 
 /// One successfully recovered session, ready to serve requests.
@@ -251,6 +289,8 @@ pub struct RecoveredSession {
     pub durable: DurableSession,
     /// What recovery found.
     pub report: SessionRecoveryReport,
+    /// Where recovery spent its time.
+    pub timings: RecoveryTimings,
 }
 
 /// The result of scanning a whole state directory.
@@ -264,10 +304,12 @@ pub struct RecoveryOutcome {
 }
 
 /// Scans `root` for `session-<id>/` directories and recovers each one:
-/// dataset snapshots are decoded into a fresh shared interner, the
-/// checkpoint restores the driver and its learned policy, and the WAL
-/// tail replays through the deterministic feedback path. Torn WAL tails
-/// are truncated in place (the logs are reopened for writing).
+/// dataset snapshots are decoded into a fresh shared interner, the space
+/// file supplies the partition spaces, the checkpoint restores the driver
+/// and its learned state, and the WAL tail replays through the
+/// deterministic feedback path. Torn WAL tails are truncated in place (the
+/// logs are reopened for writing). Sessions recover concurrently on
+/// [`Executor::resolve`]`(0)` and are returned in session-id order.
 pub fn recover_state_dir(
     root: &Path,
     opts: WalOptions,
@@ -296,8 +338,16 @@ pub fn recover_state_dir(
         }
     }
     ids.sort();
-    for id in ids {
-        match recover_session(root, &id, opts, compact_after) {
+    let ctx = trace::current();
+    let results = Executor::resolve(0).map_chunks(&ids, |chunk| {
+        let _guard = trace::attach(ctx);
+        chunk
+            .iter()
+            .map(|id| recover_session(root, id, opts, compact_after))
+            .collect::<Vec<_>>()
+    });
+    for (id, result) in ids.into_iter().zip(results.into_iter().flatten()) {
+        match result {
             Ok(recovered) => outcome.sessions.push(recovered),
             Err(why) => {
                 trace::diag(
@@ -319,35 +369,61 @@ pub fn recover_session(
     compact_after: u64,
 ) -> Result<RecoveredSession, String> {
     validate_session_id(id)?;
+    let _span = trace::span("store.recover_session");
     let dir = session_dir(root, id);
     let checkpoint_path = dir.join("checkpoint.json");
     if !checkpoint_path.exists() {
         return Err("no checkpoint (session creation never completed)".into());
     }
+    let mut timings = RecoveryTimings::default();
 
     // Left then right decode into one fresh interner, reproducing the
     // id-sharing the live session had (shared literals compare equal
     // across the pair).
+    let t = Instant::now();
     let interner = Interner::new_shared();
     let left = read_store_file(&dir.join("left.alexdb"), &interner)
         .map_err(|e| format!("left dataset snapshot: {e}"))?;
     let right = read_store_file(&dir.join("right.alexdb"), &interner)
         .map_err(|e| format!("right dataset snapshot: {e}"))?;
-
     let checkpoint_text = std::fs::read_to_string(&checkpoint_path)
         .map_err(|e| format!("reading checkpoint: {e}"))?;
     let snapshot =
         SessionSnapshot::from_json(&checkpoint_text).map_err(|e| format!("checkpoint: {e}"))?;
+    timings.decode_s = t.elapsed().as_secs_f64();
+
+    // The spaces come from the space file; when it is missing, damaged or
+    // written for something else, restore rebuilds them.
+    let t = Instant::now();
+    let (spaces, space_rebuilt) =
+        match read_space_file(&dir.join(SPACE_FILE), &left, &right, &snapshot.config) {
+            Ok(spaces) => (Some(spaces), None),
+            Err(e) => {
+                trace::diag(
+                    "warn",
+                    &format!("session {id}: {SPACE_FILE}: {e}; rebuilding the exploration spaces"),
+                );
+                (None, Some(e.to_string()))
+            }
+        };
+    let load_s = t.elapsed().as_secs_f64();
+    let t = Instant::now();
     let driver = snapshot
-        .restore(&left, &right)
+        .restore_with_spaces(&left, &right, spaces)
         .map_err(|e| format!("restoring driver: {e}"))?;
+    let build_s = driver.build_stats().seconds;
+    timings.space_s = load_s + build_s;
+    timings.restore_s = t.elapsed().as_secs_f64() - build_s;
     let mut session = LiveSession::new(left, right, driver);
     session.restore_counters(&snapshot);
 
     // Reopen the WAL for writing: this truncates any torn tail and hands
     // back everything before it.
-    let (wal, records, wal_report) =
+    let t = Instant::now();
+    let (mut wal, records, wal_report) =
         Wal::open(&wal_dir(&dir), opts).map_err(|e| format!("opening WAL: {e}"))?;
+    wal.resume_after(snapshot.applied_wal_seq);
+    timings.wal_open_s = t.elapsed().as_secs_f64();
 
     let mut report = SessionRecoveryReport {
         id: id.to_string(),
@@ -361,6 +437,7 @@ pub fn recover_session(
         feedback_items: 0,
         candidates: 0,
         policy_mismatch: false,
+        space_rebuilt,
     };
     if let Some(damage) = &wal_report.damage {
         trace::diag(
@@ -373,6 +450,8 @@ pub fn recover_session(
         );
     }
 
+    let t = Instant::now();
+    let replay_span = trace::span("store.wal_replay");
     for sequenced in records {
         if sequenced.seq <= snapshot.applied_wal_seq {
             report.skipped_records += 1;
@@ -381,6 +460,8 @@ pub fn recover_session(
         apply_record(&mut session, &sequenced.record, id, &mut report);
         report.replayed_records += 1;
     }
+    drop(replay_span);
+    timings.replay_s = t.elapsed().as_secs_f64();
 
     trace::emit(|| Payload::WalReplay {
         session: id.to_string(),
@@ -405,6 +486,7 @@ pub fn recover_session(
         session,
         durable,
         report,
+        timings,
     })
 }
 

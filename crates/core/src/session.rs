@@ -18,19 +18,34 @@
 //! persisted). Version-1 snapshots still load; their learning state is
 //! simply empty.
 //!
+//! Since version 4 a snapshot also carries each engine's feedback
+//! bookkeeping ([`EngineStateSnapshot`]): the candidate insertion order
+//! that sampling draws from, which state-action pairs generated each link
+//! and the reverse, and the rollback and blacklist counters. Without them
+//! a restored session could not roll back links added before the
+//! checkpoint, and sampled candidates in a different order, so it drifted
+//! away from the session it resumed within a few episodes. Version 1–3
+//! files still load, restarting that bookkeeping empty.
+//!
 //! Snapshots also keep the degraded-answer bookkeeping from the federated
 //! query layer (queries answered partially because sources were skipped),
 //! so availability accounting survives restarts too.
 
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use alex_rdf::hash::FastMap;
 use alex_rdf::{Link, Store};
 use serde::{Deserialize, Serialize};
 
 use crate::config::AlexConfig;
 use crate::driver::AlexDriver;
-use crate::engine::PartitionEngine;
+use crate::engine::{EngineBookkeeping, PartitionEngine};
 use crate::feature::FeatureKey;
+use crate::policy::StateAction;
+use crate::space::ExplorationSpace;
+
+/// A link or a feature key as its `(left IRI, right IRI)` strings.
+pub type IriPair = (String, String);
 
 /// One persisted `Returns(s, a)` entry: the state link, the feature
 /// explored around, and the Monte-Carlo return statistics.
@@ -57,6 +72,40 @@ pub struct PartitionPolicySnapshot {
     pub banned: Vec<((String, String), (String, String))>,
     /// Raw xoshiro256++ state of the partition's RNG.
     pub rng: [u64; 4],
+    /// The engine's feedback bookkeeping (since version 4; `None` in
+    /// older files, which restore it empty).
+    #[serde(default)]
+    pub engine: Option<EngineStateSnapshot>,
+}
+
+/// One partition engine's feedback bookkeeping in compact form: links and
+/// state-action pairs are stored once and referenced by index.
+///
+/// A *link reference* `i` names the partition's `i`-th candidate in
+/// insertion order when `i < order.len()`, and `links[i - order.len()]`
+/// otherwise.
+#[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]
+pub struct EngineStateSnapshot {
+    /// The partition's candidates in insertion order, as indices into
+    /// [`SessionSnapshot::candidates`].
+    pub order: Vec<u32>,
+    /// Referenced links that are not candidates, as IRI pairs, sorted.
+    pub links: Vec<(String, String)>,
+    /// Feature keys of the state-action table, as IRI pairs, sorted.
+    pub features: Vec<(String, String)>,
+    /// State-action table: `(state link reference, feature index)`,
+    /// sorted.
+    pub actions: Vec<(u32, u32)>,
+    /// Link reference → the actions that generated it, in recorded order.
+    pub provenance: Vec<(u32, Vec<u32>)>,
+    /// Action → the link references it added, in recorded order.
+    pub generated: Vec<(u32, Vec<u32>)>,
+    /// Action → negative feedback on the links it generated.
+    pub negative_by_action: Vec<(u32, u64)>,
+    /// Link references with positive feedback, sorted.
+    pub approved: Vec<u32>,
+    /// Link reference → cumulative negative feedback.
+    pub negatives_on_link: Vec<(u32, u64)>,
 }
 
 /// A serializable snapshot of a curation session.
@@ -93,10 +142,11 @@ pub struct SessionSnapshot {
     pub applied_wal_seq: u64,
 }
 
-/// Current snapshot format version. Version 3 added the episode counters
-/// and the WAL high-water mark; version-2 (and version-1) files still
-/// load, with those fields defaulting to zero.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Current snapshot format version. Version 4 added the engines'
+/// feedback bookkeeping, version 3 the episode counters and the WAL
+/// high-water mark; older files still load, with those fields empty or
+/// zero.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Errors restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,6 +189,7 @@ fn feature_strings(a: FeatureKey, left: &Store, right: &Store) -> (String, Strin
 
 fn capture_policy(
     engine: &PartitionEngine,
+    candidate_index: &FastMap<Link, u32>,
     left: &Store,
     right: &Store,
 ) -> PartitionPolicySnapshot {
@@ -180,7 +231,245 @@ fn capture_policy(
         greedy,
         banned,
         rng: engine.rng_state(),
+        engine: Some(capture_engine(engine, candidate_index, left, right)),
     }
+}
+
+/// Numbers the values `refs` does not know yet by their rendered
+/// strings, after the known ones, and returns the strings in number
+/// order.
+fn number_rest<T: Copy + Eq + std::hash::Hash>(
+    refs: &mut FastMap<T, u32>,
+    items: impl IntoIterator<Item = T>,
+    render: impl Fn(T) -> (String, String),
+) -> Vec<(String, String)> {
+    let mut rest: Vec<((String, String), T)> = items
+        .into_iter()
+        .filter(|x| !refs.contains_key(x))
+        .collect::<std::collections::HashSet<T>>()
+        .into_iter()
+        .map(|x| (render(x), x))
+        .collect();
+    rest.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let base = refs.len() as u32;
+    rest.into_iter()
+        .enumerate()
+        .map(|(i, (strings, x))| {
+            refs.insert(x, base + i as u32);
+            strings
+        })
+        .collect()
+}
+
+fn capture_engine(
+    engine: &PartitionEngine,
+    candidate_index: &FastMap<Link, u32>,
+    left: &Store,
+    right: &Store,
+) -> EngineStateSnapshot {
+    let b = engine.bookkeeping();
+    let order: Vec<u32> = engine
+        .candidates()
+        .iter()
+        .map(|l| candidate_index[&l])
+        .collect();
+    let sas: Vec<StateAction> = b
+        .provenance
+        .iter()
+        .flat_map(|(_, sas)| sas.iter().copied())
+        .chain(b.generated.iter().map(|(sa, _)| *sa))
+        .chain(b.negative_by_action.iter().map(|(sa, _)| *sa))
+        .collect();
+    let mut link_ref: FastMap<Link, u32> = engine
+        .candidates()
+        .iter()
+        .enumerate()
+        .map(|(i, l)| (l, i as u32))
+        .collect();
+    let links = number_rest(
+        &mut link_ref,
+        b.provenance
+            .iter()
+            .map(|(l, _)| *l)
+            .chain(b.generated.iter().flat_map(|(_, ls)| ls.iter().copied()))
+            .chain(b.approved.iter().copied())
+            .chain(b.negatives_on_link.iter().map(|(l, _)| *l))
+            .chain(sas.iter().map(|(s, _)| *s)),
+        |l| link_strings(l, left, right),
+    );
+    let mut feature_ref = FastMap::default();
+    let features = number_rest(&mut feature_ref, sas.iter().map(|(_, a)| *a), |a| {
+        feature_strings(a, left, right)
+    });
+    let mut actions: Vec<(u32, u32)> = sas
+        .iter()
+        .map(|(s, a)| (link_ref[s], feature_ref[a]))
+        .collect();
+    actions.sort_unstable();
+    actions.dedup();
+    let action_ref: FastMap<StateAction, u32> = sas
+        .iter()
+        .map(|&(s, a)| {
+            let key = (link_ref[&s], feature_ref[&a]);
+            (
+                (s, a),
+                actions
+                    .binary_search(&key)
+                    .expect("every action is numbered") as u32,
+            )
+        })
+        .collect();
+    let sorted = |mut v: Vec<(u32, Vec<u32>)>| {
+        v.sort_unstable();
+        v
+    };
+    let mut negative_by_action: Vec<(u32, u64)> = b
+        .negative_by_action
+        .iter()
+        .map(|(sa, n)| (action_ref[sa], *n as u64))
+        .collect();
+    negative_by_action.sort_unstable();
+    let mut approved: Vec<u32> = b.approved.iter().map(|l| link_ref[l]).collect();
+    approved.sort_unstable();
+    let mut negatives_on_link: Vec<(u32, u64)> = b
+        .negatives_on_link
+        .iter()
+        .map(|(l, n)| (link_ref[l], *n as u64))
+        .collect();
+    negatives_on_link.sort_unstable();
+    EngineStateSnapshot {
+        order,
+        links,
+        features,
+        actions,
+        provenance: sorted(
+            b.provenance
+                .iter()
+                .map(|(l, sas)| (link_ref[l], sas.iter().map(|sa| action_ref[sa]).collect()))
+                .collect(),
+        ),
+        generated: sorted(
+            b.generated
+                .iter()
+                .map(|(sa, ls)| (action_ref[sa], ls.iter().map(|l| link_ref[l]).collect()))
+                .collect(),
+        ),
+        negative_by_action,
+        approved,
+        negatives_on_link,
+    }
+}
+
+/// Resolves a partition's [`EngineStateSnapshot`] against the stores:
+/// its candidates in insertion order and its bookkeeping. `candidates`
+/// are the snapshot's resolved top-level candidates. Out-of-range
+/// references are an error, never a panic.
+fn resolve_engine(
+    snap: &EngineStateSnapshot,
+    candidates: &[Link],
+    left: &Store,
+    right: &Store,
+) -> Result<(Vec<Link>, EngineBookkeeping), String> {
+    fn get<T: Copy>(items: &[T], i: u32, what: &str) -> Result<T, String> {
+        items
+            .get(i as usize)
+            .copied()
+            .ok_or_else(|| format!("engine snapshot: {what} reference {i} out of range"))
+    }
+    let order = snap
+        .order
+        .iter()
+        .map(|&i| get(candidates, i, "candidate"))
+        .collect::<Result<Vec<Link>, _>>()?;
+    let links: Vec<Link> = order
+        .iter()
+        .copied()
+        .chain(
+            snap.links
+                .iter()
+                .map(|(l, r)| Link::new(left.intern_iri(l), right.intern_iri(r))),
+        )
+        .collect();
+    let features: Vec<FeatureKey> = snap
+        .features
+        .iter()
+        .map(|(l, r)| FeatureKey::new(left.intern_iri(l), right.intern_iri(r)))
+        .collect();
+    let actions = snap
+        .actions
+        .iter()
+        .map(|&(s, a)| Ok((get(&links, s, "link")?, get(&features, a, "feature")?)))
+        .collect::<Result<Vec<StateAction>, String>>()?;
+    let link = |i: u32| get(&links, i, "link");
+    let action = |i: u32| get(&actions, i, "action");
+    let bookkeeping = EngineBookkeeping {
+        provenance: snap
+            .provenance
+            .iter()
+            .map(|(l, sas)| {
+                Ok((
+                    link(*l)?,
+                    sas.iter().map(|&a| action(a)).collect::<Result<_, _>>()?,
+                ))
+            })
+            .collect::<Result<_, String>>()?,
+        generated: snap
+            .generated
+            .iter()
+            .map(|(a, ls)| {
+                Ok((
+                    action(*a)?,
+                    ls.iter().map(|&l| link(l)).collect::<Result<_, _>>()?,
+                ))
+            })
+            .collect::<Result<_, String>>()?,
+        negative_by_action: snap
+            .negative_by_action
+            .iter()
+            .map(|&(a, n)| Ok((action(a)?, n as usize)))
+            .collect::<Result<_, String>>()?,
+        approved: snap
+            .approved
+            .iter()
+            .map(|&l| link(l))
+            .collect::<Result<_, _>>()?,
+        negatives_on_link: snap
+            .negatives_on_link
+            .iter()
+            .map(|&(l, n)| Ok((link(l)?, n as usize)))
+            .collect::<Result<_, String>>()?,
+    };
+    Ok((order, bookkeeping))
+}
+
+/// The candidate links of `driver`, sorted by their IRI pairs.
+fn sorted_candidates(
+    driver: &AlexDriver,
+    left: &Store,
+    right: &Store,
+) -> Vec<((String, String), Link)> {
+    let mut candidates: Vec<((String, String), Link)> = driver
+        .engines()
+        .iter()
+        .flat_map(|e| e.candidates().iter())
+        .map(|l| (link_strings(l, left, right), l))
+        .collect();
+    candidates.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    candidates.dedup_by(|a, b| a.0 == b.0);
+    candidates
+}
+
+/// Every partition's blacklist as IRI pairs, sorted and deduplicated.
+fn sorted_blacklist(driver: &AlexDriver, left: &Store, right: &Store) -> Vec<IriPair> {
+    let mut blacklist: Vec<IriPair> = driver
+        .engines()
+        .iter()
+        .flat_map(|e| e.blacklist().iter())
+        .map(|l| link_strings(*l, left, right))
+        .collect();
+    blacklist.sort_unstable();
+    blacklist.dedup();
+    blacklist
 }
 
 impl SessionSnapshot {
@@ -189,29 +478,22 @@ impl SessionSnapshot {
     /// Degraded-query counters start at zero; [`LiveSession::snapshot`]
     /// fills them from its own bookkeeping.
     pub fn capture(driver: &AlexDriver, left: &Store, right: &Store) -> Self {
-        let mut candidates: Vec<(String, String)> = driver
-            .candidate_links()
-            .into_iter()
-            .map(|l| link_strings(l, left, right))
-            .collect();
-        candidates.sort();
-        let mut blacklist: Vec<(String, String)> = driver
-            .engines()
+        let (candidates, links): (Vec<(String, String)>, Vec<Link>) =
+            sorted_candidates(driver, left, right).into_iter().unzip();
+        let candidate_index: FastMap<Link, u32> = links
             .iter()
-            .flat_map(|e| e.blacklist().iter())
-            .map(|l| link_strings(*l, left, right))
+            .enumerate()
+            .map(|(i, &l)| (l, i as u32))
             .collect();
-        blacklist.sort();
-        blacklist.dedup();
         let policy = driver
             .engines()
             .iter()
-            .map(|e| capture_policy(e, left, right))
+            .map(|e| capture_policy(e, &candidate_index, left, right))
             .collect();
         Self {
             version: SNAPSHOT_VERSION,
             candidates,
-            blacklist,
+            blacklist: sorted_blacklist(driver, left, right),
             config: driver.config().clone(),
             policy,
             degraded_queries: 0,
@@ -222,9 +504,9 @@ impl SessionSnapshot {
         }
     }
 
-    /// Serializes to pretty JSON.
+    /// Serializes to compact JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot always serializes")
+        serde_json::to_string(self).expect("snapshot always serializes")
     }
 
     /// Deserializes from JSON.
@@ -250,26 +532,61 @@ impl SessionSnapshot {
     }
 
     /// Rebuilds a driver from this snapshot over `left`/`right`: candidate
-    /// set, blacklist, *and* learned policy state resume where the session
-    /// left off, so the restored driver makes the same next exploration
-    /// choice the original would have.
+    /// set, blacklist, learned policy *and* feedback bookkeeping resume
+    /// where the session left off, so the restored driver evolves exactly
+    /// as the original would have.
     pub fn restore(&self, left: &Store, right: &Store) -> Result<AlexDriver, String> {
+        self.restore_with_spaces(left, right, None)
+    }
+
+    /// [`SessionSnapshot::restore`] over partition spaces already built
+    /// for these stores and this configuration (loaded from a session's
+    /// space file); `None` builds them.
+    pub(crate) fn restore_with_spaces(
+        &self,
+        left: &Store,
+        right: &Store,
+        spaces: Option<Vec<ExplorationSpace>>,
+    ) -> Result<AlexDriver, String> {
         let (candidates, blacklist) = self.links(left, right);
-        let mut driver =
-            AlexDriver::new_with_state(left, right, &candidates, &blacklist, self.config.clone())?;
-        let engines = driver.engines_mut();
         // Partition assignment is deterministic (round-robin over the left
-        // store's subject order), so partition k's learning state restores
-        // into engine k. A partition-count mismatch means the config was
-        // edited by hand; learning restarts empty rather than mis-routing.
-        if self.policy.len() == engines.len() {
+        // store's subject order), so partition k's state restores into
+        // engine k. A partition-count mismatch means the config was edited
+        // by hand; learning restarts empty rather than mis-routing.
+        let aligned = self.policy.len() == self.config.partitions;
+        let engines = if aligned && self.policy.iter().all(|p| p.engine.is_some()) {
+            self.policy
+                .iter()
+                .filter_map(|p| p.engine.as_ref())
+                .map(|e| resolve_engine(e, &candidates, left, right))
+                .collect::<Result<Vec<_>, _>>()?
+        } else {
+            Vec::new()
+        };
+        // Each partition's candidates in insertion order, then any the
+        // orders miss (every candidate, sorted, before version 4); the
+        // candidate set keeps the first occurrence.
+        let initial: Vec<Link> = engines
+            .iter()
+            .flat_map(|(order, _)| order.iter().copied())
+            .chain(candidates.iter().copied())
+            .collect();
+        let mut driver = AlexDriver::with_spaces(
+            left,
+            right,
+            &initial,
+            &blacklist,
+            self.config.clone(),
+            spaces,
+        )?;
+        if aligned {
             let link =
                 |p: &(String, String)| Link::new(left.intern_iri(&p.0), right.intern_iri(&p.1));
             let feature = |p: &(String, String)| FeatureKey {
                 left: left.intern_iri(&p.0),
                 right: right.intern_iri(&p.1),
             };
-            for (engine, snap) in engines.iter_mut().zip(&self.policy) {
+            for (engine, snap) in driver.engines_mut().iter_mut().zip(&self.policy) {
                 engine.restore_learning(
                     snap.returns
                         .iter()
@@ -279,6 +596,9 @@ impl SessionSnapshot {
                     snap.rng,
                 );
             }
+        }
+        for (engine, (_, bookkeeping)) in driver.engines_mut().iter_mut().zip(engines) {
+            engine.restore_bookkeeping(bookkeeping);
         }
         Ok(driver)
     }
@@ -339,6 +659,18 @@ impl LiveSession {
         snap.episodes = self.episodes;
         snap.feedback_items = self.feedback_items;
         snap
+    }
+
+    /// The candidate links and the blacklist as sorted IRI pairs (the
+    /// blacklist deduplicated), exactly as a snapshot would hold them,
+    /// without capturing the learned state.
+    pub fn link_pairs(&self) -> (Vec<IriPair>, Vec<IriPair>) {
+        let candidates = sorted_candidates(&self.driver, &self.left, &self.right)
+            .into_iter()
+            .map(|(pair, _)| pair)
+            .collect();
+        let blacklist = sorted_blacklist(&self.driver, &self.left, &self.right);
+        (candidates, blacklist)
     }
 
     /// Restores the bookkeeping counters from a snapshot (the driver
@@ -527,6 +859,64 @@ mod tests {
         assert_eq!(back.degraded_queries, 0);
         let restored = back.restore(&left, &right).unwrap();
         assert!(restored.engines().iter().all(|e| e.q_table().is_empty()));
+    }
+
+    #[test]
+    fn version3_snapshots_restore_with_empty_bookkeeping() {
+        let (left, right, truth) = world();
+        let initial: Vec<Link> = truth.iter().take(3).copied().collect();
+        let mut driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
+        let oracle = ExactOracle::new(truth.clone());
+        driver.run(&oracle, &truth);
+        let mut snap = SessionSnapshot::capture(&driver, &left, &right);
+        assert!(snap.policy.iter().all(|p| p.engine.is_some()));
+        // A version-3 writer never emitted the engine bookkeeping.
+        snap.version = 3;
+        let mut value = serde_json::to_value(&snap).unwrap();
+        let serde::Value::Object(fields) = &mut value else {
+            panic!("snapshot serializes as an object");
+        };
+        for (k, v) in fields.iter_mut() {
+            if k == "policy" {
+                let serde::Value::Array(parts) = v else {
+                    panic!("policy is an array");
+                };
+                for part in parts {
+                    let serde::Value::Object(f) = part else {
+                        panic!("a partition policy is an object");
+                    };
+                    f.retain(|(k, _)| k != "engine");
+                }
+            }
+        }
+        let back = SessionSnapshot::from_json(&value.to_json_string(false)).unwrap();
+        assert!(back.policy.iter().all(|p| p.engine.is_none()));
+        let restored = back.restore(&left, &right).unwrap();
+        assert_eq!(restored.candidate_links(), driver.candidate_links());
+        for (orig, back) in driver.engines().iter().zip(restored.engines()) {
+            assert_eq!(orig.rng_state(), back.rng_state());
+            assert_eq!(back.bookkeeping(), EngineBookkeeping::default());
+        }
+    }
+
+    #[test]
+    fn out_of_range_engine_references_are_errors() {
+        let (left, right, truth) = world();
+        let initial: Vec<Link> = truth.iter().take(3).copied().collect();
+        let mut driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
+        let oracle = ExactOracle::new(truth.clone());
+        driver.run(&oracle, &truth);
+        let snap = SessionSnapshot::capture(&driver, &left, &right);
+        let corrupt = |edit: &dyn Fn(&mut EngineStateSnapshot)| {
+            let mut s = snap.clone();
+            edit(s.policy[0].engine.as_mut().unwrap());
+            s.restore(&left, &right).err()
+        };
+        assert!(corrupt(&|e| e.order.push(u32::MAX)).is_some());
+        assert!(corrupt(&|e| e.approved.push(u32::MAX)).is_some());
+        assert!(corrupt(&|e| e.actions.push((0, u32::MAX))).is_some());
+        assert!(corrupt(&|e| e.generated.push((u32::MAX, vec![]))).is_some());
+        assert!(corrupt(&|_| {}).is_none());
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! share enough of the state's features without touching the arena.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 use alex_rdf::hash::FastMap;
 use alex_rdf::{IriId, Link, Literal, Store, Term};
@@ -230,25 +231,44 @@ impl ExplorationSpace {
         // Serial, order-preserving merge: replays exactly the pair sequence
         // the single-threaded loop would have produced.
         let merge_span = alex_trace::span("space.merge");
-        let keys: Vec<FeatureKey> = chunk_results
+        let keys: BTreeSet<FeatureKey> = chunk_results
             .iter()
             .flat_map(|(_, ks)| ks)
             .copied()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
             .collect();
+        let space = Self::assemble(
+            keys.into_iter().collect(),
+            chunk_results.into_iter().flat_map(|(pairs, _)| pairs),
+            left_subjects.len() * right.subject_count(),
+        );
+        drop(merge_span);
+        space
+    }
+
+    /// Assembles a space from scored pairs, in pair order: numbers `keys`
+    /// (ascending, distinct, covering every pair's keys) densely, fills
+    /// the arena and the range lists, and sorts each range list by score.
+    /// [`ExplorationSpace::build_with`] and the space file loader
+    /// ([`crate::space_file`]) share it, so a loaded space has the pair
+    /// order, key ids and range tie order a rebuild in the same process
+    /// would have.
+    pub(crate) fn assemble(
+        keys: Vec<FeatureKey>,
+        pairs: impl IntoIterator<Item = (Link, FeatureSet)>,
+        total_possible: usize,
+    ) -> Self {
         let mut space = Self {
             ranges: vec![Vec::new(); keys.len()],
             keys,
             offsets: vec![0],
-            total_possible: left_subjects.len() * right.subject_count(),
+            total_possible,
             ..Self::default()
         };
-        for (link, fs) in chunk_results.into_iter().flat_map(|(pairs, _)| pairs) {
+        for (link, fs) in pairs {
             let pair = u32::try_from(space.links.len()).expect("space overflow");
             let start = space.feature_keys.len();
             for f in fs.features() {
-                let id = space.key_id(f.key).expect("every chunk key is numbered");
+                let id = space.key_id(f.key).expect("every pair key is numbered");
                 space.feature_keys.push(id);
                 space.feature_scores.push(f.score);
             }
@@ -272,8 +292,38 @@ impl ExplorationSpace {
         for list in &mut space.ranges {
             list.sort_unstable_by(|a, b| a.score.partial_cmp(&b.score).expect("scores are finite"));
         }
-        drop(merge_span);
         space
+    }
+
+    /// The distinct feature keys, ascending; a key's position is its id.
+    pub(crate) fn keys(&self) -> &[FeatureKey] {
+        &self.keys
+    }
+
+    /// An order-sensitive hash of the whole index: keys, links, offsets,
+    /// the feature arena, every range list with its masks, and the
+    /// unfiltered pair count. Equal spaces hash equal, and spaces that
+    /// answer some query differently (or in another order) differ in
+    /// what is hashed. Ids are process-local, so compare only spaces of
+    /// one process.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.keys.hash(&mut h);
+        self.links.hash(&mut h);
+        self.offsets.hash(&mut h);
+        self.feature_keys.hash(&mut h);
+        for s in &self.feature_scores {
+            s.to_bits().hash(&mut h);
+        }
+        for list in &self.ranges {
+            list.len().hash(&mut h);
+            for e in list {
+                (e.score.to_bits(), e.pair, e.key_mask).hash(&mut h);
+            }
+        }
+        self.pair_index.len().hash(&mut h);
+        self.total_possible.hash(&mut h);
+        h.finish()
     }
 
     /// The dense id of `key`, if any pair of the space has it.
@@ -283,7 +333,7 @@ impl ExplorationSpace {
     }
 
     /// The key ids (ascending) and matching scores of pair `pair`.
-    fn pair_features(&self, pair: u32) -> (&[u32], &[f64]) {
+    pub(crate) fn pair_features(&self, pair: u32) -> (&[u32], &[f64]) {
         let i = pair as usize;
         let range = self.offsets[i] as usize..self.offsets[i + 1] as usize;
         (

@@ -16,6 +16,13 @@
 //!    the same final state as the uninterrupted run (continued curation
 //!    is indistinguishable from never having crashed).
 //!
+//! States compare candidates, counters, RNG streams and every engine's
+//! state fingerprint. Variants of the same trials compact the WAL into a
+//! checkpoint at seeded record counts (so recovery restores engine state
+//! from a checkpoint, not only from the log), damage the session's space
+//! file (so recovery rebuilds the exploration spaces), and recover several
+//! sessions at once against one-at-a-time recovery.
+//!
 //! Fault offsets come from a splitmix64 stream seeded by
 //! `ALEX_TEST_SEED` (decimal or `0x`-hex) so a CI failure is replayable
 //! bit for bit.
@@ -23,7 +30,8 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use alex_core::durability::recover_state_dir;
+use alex_core::durability::{recover_session, recover_state_dir};
+use alex_core::space_file::SPACE_FILE;
 use alex_core::store::{SyncPolicy, WalOptions, WalRecord};
 use alex_core::{AlexConfig, AlexDriver, DurableSession, LiveSession};
 use alex_rdf::{Interner, Link, Literal, Store};
@@ -76,7 +84,7 @@ fn world() -> (Store, Store, Vec<Link>) {
     (left, right, links)
 }
 
-fn live_session() -> (LiveSession, Vec<Link>) {
+fn live_session(seed: u64) -> (LiveSession, Vec<Link>) {
     let (left, right, links) = world();
     let initial: Vec<Link> = links.iter().take(3).copied().collect();
     let cfg = AlexConfig {
@@ -84,6 +92,10 @@ fn live_session() -> (LiveSession, Vec<Link>) {
         partitions: 2,
         max_episodes: 5,
         epsilon: 0.3,
+        // One negative charge rolls a state-action back, so the script
+        // exercises the bookkeeping checkpoints must carry.
+        rollback_threshold: 1,
+        seed,
         ..Default::default()
     };
     let driver = AlexDriver::new(&left, &right, &initial, cfg).unwrap();
@@ -97,6 +109,7 @@ struct OracleState {
     episodes: u64,
     candidates: BTreeSet<(String, String)>,
     rng: Vec<[u64; 4]>,
+    engines: Vec<u64>,
 }
 
 fn capture(session: &LiveSession) -> OracleState {
@@ -119,6 +132,12 @@ fn capture(session: &LiveSession) -> OracleState {
             .engines()
             .iter()
             .map(|e| e.rng_state())
+            .collect(),
+        engines: session
+            .driver
+            .engines()
+            .iter()
+            .map(|e| e.state_fingerprint())
             .collect(),
     }
 }
@@ -148,13 +167,13 @@ fn apply(session: &mut LiveSession, record: &WalRecord) {
     }
 }
 
-/// The scripted history: feedback on nine links (every third negative),
-/// an episode boundary every three items with the policy cross-check
-/// records the server writes.
-fn build_script(session: &LiveSession, links: &[Link]) -> Vec<WalRecord> {
+/// The scripted history: `passes` rounds of feedback on nine links (every
+/// third negative), an episode boundary every three items.
+fn build_script(session: &LiveSession, links: &[Link], passes: usize) -> Vec<WalRecord> {
     let mut script = Vec::new();
     let mut sim = (0u64, 0u64); // (feedback_items, episodes)
-    for (i, &link) in links.iter().skip(3).enumerate() {
+    let fed = links.iter().skip(3).cycle().take(9 * passes);
+    for (i, &link) in fed.enumerate() {
         script.push(WalRecord::Feedback {
             left: session.left.iri_str(link.left).to_string(),
             right: session.right.iri_str(link.right).to_string(),
@@ -247,100 +266,263 @@ fn inject(session_dir: &Path, fault: &Fault) {
     assert!(hit, "fault offset {global} beyond the log");
 }
 
-#[test]
-fn recovery_is_an_exact_prefix_of_acknowledged_history() {
-    let seed = seed_from_env();
-    let mut rng = SplitMix64(seed);
-    let base = std::env::temp_dir().join(format!("alex-crash-harness-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
+/// Damage to the session's space file; recovery must rebuild the spaces
+/// and land exactly where it would have with the file intact.
+#[derive(Clone, Copy, Debug)]
+enum SpaceFault {
+    Delete,
+    Truncate(u64),
+    Flip(u64, u8),
+}
 
-    // Tiny segments force rotation, so faults land in every segment of a
-    // multi-segment log, not just the last one.
-    let opts = WalOptions {
-        sync: SyncPolicy::Always,
-        segment_bytes: 160,
-    };
+fn damage_space_file(session_dir: &Path, fault: SpaceFault) {
+    let path = session_dir.join(SPACE_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    match fault {
+        SpaceFault::Delete => return std::fs::remove_file(&path).unwrap(),
+        SpaceFault::Truncate(at) => bytes.truncate((at % bytes.len() as u64) as usize),
+        SpaceFault::Flip(at, x) => {
+            let i = (at % bytes.len() as u64) as usize;
+            bytes[i] ^= x;
+        }
+    }
+    std::fs::write(&path, bytes).unwrap();
+}
 
-    // ---- The uninterrupted run, producing the oracle states. ----
-    let full_root = base.join("full");
-    let (mut session, links) = live_session();
-    let script = build_script(&session, &links);
-    let mut durable = DurableSession::create(&full_root, "s1", &session, opts, 0).unwrap();
+/// Tiny segments force rotation, so faults land in every segment of a
+/// multi-segment log, not just the last one.
+const OPTS: WalOptions = WalOptions {
+    sync: SyncPolicy::Always,
+    segment_bytes: 160,
+};
+
+/// Logs then applies `record`, and after an episode boundary, when
+/// `may_compact`, folds the log into a checkpoint once the session's
+/// threshold of records has accumulated — the server's feedback path.
+/// Returns whether it compacted.
+fn log_and_apply(
+    durable: &mut DurableSession,
+    session: &mut LiveSession,
+    record: &WalRecord,
+    may_compact: bool,
+) -> bool {
+    durable.log(std::slice::from_ref(record)).unwrap();
+    apply(session, record);
+    if may_compact && matches!(record, WalRecord::EpisodeEnd { .. }) && durable.should_compact() {
+        let mut snap = session.snapshot();
+        durable.checkpoint(&mut snap).unwrap();
+        return true;
+    }
+    false
+}
+
+/// An uninterrupted scripted run and what crash trials predict from it.
+struct Run {
+    root: PathBuf,
+    script: Vec<WalRecord>,
+    /// `oracle[n]`: the state after the first `n` acked records.
+    oracle: Vec<OracleState>,
+    /// Records the last checkpoint covers.
+    checkpointed: usize,
+    /// Per record after the last checkpoint: the byte offset of the final
+    /// log just past it.
+    acked_end: Vec<u64>,
+}
+
+fn uninterrupted_run(root: PathBuf, seed: u64, passes: usize, compact_after: u64) -> Run {
+    let (mut session, links) = live_session(seed);
+    let script = build_script(&session, &links, passes);
+    let mut durable = DurableSession::create(&root, "s1", &session, OPTS, compact_after).unwrap();
     let mut snap = session.snapshot();
     durable.checkpoint(&mut snap).unwrap();
-
-    // oracle[n] = state after the first n acked records;
-    // acked_end[n-1] = global byte offset of the log after record n.
     let mut oracle = vec![capture(&session)];
-    let mut acked_end = Vec::new();
-    for record in &script {
-        durable.log(std::slice::from_ref(record)).unwrap();
-        apply(&mut session, record);
+    let (mut checkpointed, mut acked_end) = (0, Vec::new());
+    for (n, record) in script.iter().enumerate() {
+        // The last episode is never compacted, so faults have a log to hit.
+        let last = n + 1 == script.len();
+        if log_and_apply(&mut durable, &mut session, record, !last) {
+            checkpointed = n + 1;
+            acked_end.clear();
+        } else {
+            acked_end.push(wal_segments(durable.dir()).iter().map(|(_, l)| l).sum());
+        }
         oracle.push(capture(&session));
-        let total: u64 = wal_segments(durable.dir()).iter().map(|(_, l)| l).sum();
-        acked_end.push(total);
     }
-    let session_dir = durable.dir().to_path_buf();
-    drop(durable);
-    let total_bytes = *acked_end.last().unwrap();
-    let final_state = oracle.last().unwrap().clone();
-    assert!(
-        wal_segments(&session_dir).len() >= 2,
-        "script too small to rotate segments"
-    );
+    Run {
+        root,
+        script,
+        oracle,
+        checkpointed,
+        acked_end,
+    }
+}
 
-    // ---- Crash trials. ----
-    for trial in 0..16u64 {
+/// Crash trials against copies of `run`'s state dir: a WAL fault at a
+/// seeded offset (truncation on even trials, a byte flip on odd ones),
+/// plus, when `space_faults` is set, damage to the space file. Each trial
+/// checks the recovered prefix and continued curation.
+fn crash_trials(
+    run: &Run,
+    base: &Path,
+    rng: &mut SplitMix64,
+    trials: u64,
+    space_faults: bool,
+    compact_after: u64,
+) {
+    let seed = seed_from_env();
+    let final_state = run.oracle.last().unwrap().clone();
+    let total_bytes = *run.acked_end.last().unwrap();
+    for trial in 0..trials {
         let offset = rng.next() % total_bytes;
         let fault = if trial % 2 == 0 {
             Fault::Truncate(offset)
         } else {
             Fault::Flip(offset, (rng.next() % 255) as u8 + 1)
         };
+        let space_fault = match trial % 4 {
+            _ if !space_faults => None,
+            0 => None,
+            1 => Some(SpaceFault::Delete),
+            2 => Some(SpaceFault::Truncate(rng.next())),
+            _ => Some(SpaceFault::Flip(rng.next(), (rng.next() % 255) as u8 + 1)),
+        };
         let root = base.join(format!("trial-{trial}"));
-        copy_dir(&full_root, &root);
+        copy_dir(&run.root, &root);
         inject(&root.join("session-s1"), &fault);
+        if let Some(f) = space_fault {
+            damage_space_file(&root.join("session-s1"), f);
+        }
 
         // A fault at `offset` destroys the record containing that byte
-        // and everything after it; records fully before it survive.
-        let expected_n = acked_end.iter().filter(|&&end| end <= offset).count();
+        // and everything after it; records fully before it survive, and
+        // the checkpoint covers the rest.
+        let replayed = run.acked_end.iter().filter(|&&end| end <= offset).count();
+        let expected_n = run.checkpointed + replayed;
+        let what = format!(
+            "seed {seed:#x} trial {trial} ({} at {offset}, space {space_fault:?})",
+            if trial % 2 == 0 { "truncate" } else { "flip" }
+        );
 
-        let outcome = recover_state_dir(&root, opts, 0).unwrap();
+        let outcome = recover_state_dir(&root, OPTS, compact_after).unwrap();
         assert!(
             outcome.failures.is_empty(),
-            "seed {seed:#x} trial {trial}: recovery refused: {:?}",
+            "{what}: recovery refused: {:?}",
             outcome.failures
         );
         assert_eq!(outcome.sessions.len(), 1);
         let mut recovered = outcome.sessions.into_iter().next().unwrap();
         assert_eq!(
-            recovered.report.replayed_records as usize,
-            expected_n,
-            "seed {seed:#x} trial {trial} ({} at {offset}): wrong prefix length",
-            if trial % 2 == 0 { "truncate" } else { "flip" },
+            recovered.report.replayed_records as usize, replayed,
+            "{what}: wrong prefix length"
+        );
+        assert_eq!(
+            recovered.report.space_rebuilt.is_some(),
+            space_fault.is_some(),
+            "{what}: spaces loaded or rebuilt against expectation: {:?}",
+            recovered.report.space_rebuilt
         );
         assert!(!recovered.report.policy_mismatch);
         assert_eq!(
             capture(&recovered.session),
-            oracle[expected_n],
-            "seed {seed:#x} trial {trial}: recovered state is not the \
-             state after {expected_n} acked records"
+            run.oracle[expected_n],
+            "{what}: recovered state is not the state after {expected_n} acked records"
         );
 
         // Continued curation: the lost suffix re-applied to the
         // recovered session must land exactly where the uninterrupted
         // run did — and the reopened log must accept new records.
-        for record in &script[expected_n..] {
-            recovered.durable.log(std::slice::from_ref(record)).unwrap();
-            apply(&mut recovered.session, record);
+        for record in &run.script[expected_n..] {
+            log_and_apply(&mut recovered.durable, &mut recovered.session, record, true);
         }
         assert_eq!(
             capture(&recovered.session),
             final_state,
-            "seed {seed:#x} trial {trial}: continued curation diverged"
+            "{what}: continued curation diverged"
+        );
+        // And so does a second recovery of the continued session.
+        drop(recovered);
+        let again = recover_state_dir(&root, OPTS, compact_after).unwrap();
+        assert_eq!(
+            capture(&again.sessions[0].session),
+            final_state,
+            "{what}: recovery after continued curation diverged"
         );
     }
+}
 
+fn scratch_base(tag: &str) -> PathBuf {
+    let base =
+        std::env::temp_dir().join(format!("alex-crash-harness-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    base
+}
+
+#[test]
+fn recovery_is_an_exact_prefix_of_acknowledged_history() {
+    let mut rng = SplitMix64(seed_from_env());
+    let base = scratch_base("prefix");
+    let run = uninterrupted_run(base.join("full"), 7, 1, 0);
+    assert!(
+        wal_segments(&run.root.join("session-s1")).len() >= 2,
+        "script too small to rotate segments"
+    );
+    crash_trials(&run, &base, &mut rng, 16, true, 0);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The WAL compacts into a checkpoint at seeded record counts, so
+/// recovery restores the engines from a checkpoint and replays only the
+/// suffix; prefix and continued curation must still be exact.
+#[test]
+fn compaction_at_seeded_record_counts_recovers_exactly() {
+    let mut rng = SplitMix64(seed_from_env() ^ 0xC0_4AC7);
+    let base = scratch_base("compact");
+    for k in 0..4 {
+        // Four records make an episode; compact after 4–11 records.
+        let compact_after = 4 + rng.next() % 8;
+        let run = uninterrupted_run(base.join(format!("full-{k}")), 7 + k, 3, compact_after);
+        assert!(
+            run.checkpointed > 0,
+            "threshold {compact_after} never compacted"
+        );
+        crash_trials(
+            &run,
+            &base.join(format!("trials-{k}")),
+            &mut rng,
+            6,
+            false,
+            compact_after,
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Concurrent recovery of several sessions returns the same reports and
+/// engine states, in the same order, as recovering them one at a time.
+#[test]
+fn concurrent_recovery_matches_one_at_a_time() {
+    let base = scratch_base("multi");
+    let root = base.join("state");
+    for (i, id) in ["a1", "b2", "c3", "d4"].iter().enumerate() {
+        let (mut session, links) = live_session(11 + i as u64);
+        let script = build_script(&session, &links, 1 + i % 2);
+        let mut durable = DurableSession::create(&root, id, &session, OPTS, 0).unwrap();
+        let mut snap = session.snapshot();
+        durable.checkpoint(&mut snap).unwrap();
+        for record in &script[..script.len() - i] {
+            log_and_apply(&mut durable, &mut session, record, true);
+        }
+    }
+    let concurrent = recover_state_dir(&root, OPTS, 0).unwrap();
+    assert!(concurrent.failures.is_empty(), "{:?}", concurrent.failures);
+    let ids: Vec<&str> = concurrent.sessions.iter().map(|s| s.id.as_str()).collect();
+    assert_eq!(ids, ["a1", "b2", "c3", "d4"]);
+    for recovered in &concurrent.sessions {
+        let serial = recover_session(&root, &recovered.id, OPTS, 0).unwrap();
+        assert_eq!(recovered.report, serial.report);
+        assert_eq!(capture(&recovered.session), capture(&serial.session));
+        assert!(recovered.report.space_rebuilt.is_none());
+    }
     let _ = std::fs::remove_dir_all(&base);
 }

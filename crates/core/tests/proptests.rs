@@ -3,9 +3,11 @@
 use std::collections::HashSet;
 
 use alex_core::parallel::Executor;
+use alex_core::space_file::{decode_spaces, encode_spaces, SpaceFileError};
+use alex_core::store::{decode_store, encode_store};
 use alex_core::{
-    round_robin, AlexConfig, CandidateSet, ExplorationSpace, FeatureKey, FeatureSet, Policy,
-    QTable, Quality, DEFAULT_MAX_BLOCK,
+    round_robin, AlexConfig, AlexDriver, CandidateSet, ExplorationSpace, FeatureKey, FeatureSet,
+    Policy, QTable, Quality, DEFAULT_MAX_BLOCK,
 };
 use alex_rdf::{Interner, IriId, Link, Literal, Store};
 use alex_sim::{SimConfig, ValueTable};
@@ -440,6 +442,166 @@ proptest! {
         for _ in 0..30 {
             let a = policy.choose(state_link, &fs, eps, &mut rng).unwrap();
             prop_assert!(keys.contains(&a));
+        }
+    }
+}
+
+// -------------------------------------------------------------- space file
+
+/// The partition spaces of a default-config session over `left`/`right`
+/// with `partitions` partitions at `theta`.
+fn session_spaces(left: &Store, right: &Store, cfg: &AlexConfig) -> Vec<ExplorationSpace> {
+    AlexDriver::new(left, right, &[], cfg.clone())
+        .unwrap()
+        .engines()
+        .iter()
+        .map(|e| e.space().clone())
+        .collect()
+}
+
+fn space_file_image(left: &Store, right: &Store, cfg: &AlexConfig) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_spaces(
+        &mut bytes,
+        left,
+        right,
+        cfg,
+        &session_spaces(left, right, cfg),
+    )
+    .unwrap();
+    bytes
+}
+
+/// Decodes both stores into a fresh interner that first interns every
+/// right subject and every predicate in reverse order, so ids — and with
+/// them feature key order and each left subject's candidate order —
+/// differ from the writing process.
+fn reload_scrambled(left: &Store, right: &Store) -> (Store, Store) {
+    let interner = Interner::new_shared();
+    let subjects: Vec<IriId> = right.subjects().collect();
+    for s in subjects.iter().rev() {
+        interner.intern(&right.iri_str(*s));
+    }
+    let mut predicates: Vec<String> = left
+        .iter()
+        .map(|t| left.iri_str(t.predicate).to_string())
+        .chain(right.iter().map(|t| right.iri_str(t.predicate).to_string()))
+        .collect();
+    predicates.sort();
+    for p in predicates.iter().rev() {
+        interner.intern(p);
+    }
+    let left = decode_store(&encode_store(left), &interner).unwrap();
+    let right = decode_store(&encode_store(right), &interner).unwrap();
+    (left, right)
+}
+
+/// `explore_from` from every state of `space`, for every feature, as
+/// IRI-string `Vec`s (order included).
+fn all_explorations(
+    space: &ExplorationSpace,
+    left: &Store,
+    right: &Store,
+) -> Vec<Vec<(String, String)>> {
+    let mut states: Vec<Link> = space.links().collect();
+    states.sort_by_key(|l| (left.iri_str(l.left), right.iri_str(l.right)));
+    let mut out = Vec::new();
+    for s in states {
+        let fs = space.feature_set(s).unwrap();
+        let mut keys: Vec<FeatureKey> = fs.keys().collect();
+        keys.sort_by_key(|k| (left.iri_str(k.left), right.iri_str(k.right)));
+        for k in keys {
+            out.push(
+                space
+                    .explore_from(&fs, k, 0.1)
+                    .into_iter()
+                    .map(|l| {
+                        (
+                            left.iri_str(l.left).to_string(),
+                            right.iri_str(l.right).to_string(),
+                        )
+                    })
+                    .collect(),
+            );
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A loaded space equals the space the loading process would build:
+    /// same fingerprint (keys, links, offsets, arena, ranges with masks,
+    /// unfiltered count) and the same `explore_from` results in the same
+    /// order — also when the loading process numbers IRIs differently.
+    #[test]
+    fn space_file_load_equals_rebuild(
+        // Three-letter words over three letters: names share tokens, so a
+        // left entity has several right candidates to order.
+        names in proptest::collection::vec("[a-c]{3} [a-c]{3}", 2..15),
+        theta in 0.2f64..0.8,
+        partitions in 1usize..4,
+    ) {
+        let (left, right, _) = build_world(&names);
+        let cfg = AlexConfig { theta, partitions, ..AlexConfig::default() };
+        let bytes = space_file_image(&left, &right, &cfg);
+        let loaded = decode_spaces(&bytes, &left, &right, &cfg).unwrap();
+        let built = session_spaces(&left, &right, &cfg);
+        prop_assert_eq!(loaded.len(), partitions);
+        for (a, b) in loaded.iter().zip(&built) {
+            prop_assert_eq!(a.fingerprint(), b.fingerprint());
+            prop_assert_eq!(all_explorations(a, &left, &right), all_explorations(b, &left, &right));
+        }
+        // Another process: the file written above, loaded over reloaded
+        // stores whose ids are assigned in another order, so result order
+        // differs from the writer's; it must equal that process's build.
+        let (left2, right2) = reload_scrambled(&left, &right);
+        let loaded2 = decode_spaces(&bytes, &left2, &right2, &cfg).unwrap();
+        let built2 = session_spaces(&left2, &right2, &cfg);
+        for (a, b) in loaded2.iter().zip(&built2) {
+            prop_assert_eq!(a.fingerprint(), b.fingerprint());
+            prop_assert_eq!(all_explorations(a, &left2, &right2), all_explorations(b, &left2, &right2));
+        }
+    }
+
+    /// Arbitrary bytes are a typed error, never a panic.
+    #[test]
+    fn space_file_arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        let (left, right, _) = build_world(&["alpha beta".to_string(), "gamma delta".to_string()]);
+        prop_assert!(decode_spaces(&bytes, &left, &right, &AlexConfig::default()).is_err());
+    }
+
+    /// Every truncation and every single-byte flip of a valid file is a
+    /// typed error, never a panic.
+    #[test]
+    fn space_file_truncations_and_flips_are_errors(names in arb_names(), cut in any::<u64>(), flip in any::<u64>(), x in 1u8..=255) {
+        let (left, right, _) = build_world(&names);
+        let cfg = AlexConfig::default();
+        let bytes = space_file_image(&left, &right, &cfg);
+        let cut = (cut % bytes.len() as u64) as usize;
+        prop_assert!(decode_spaces(&bytes[..cut], &left, &right, &cfg).is_err());
+        let mut flipped = bytes.clone();
+        flipped[(flip % bytes.len() as u64) as usize] ^= x;
+        prop_assert!(decode_spaces(&flipped, &left, &right, &cfg).is_err());
+    }
+
+    /// A sound file written for other stores, another θ or another
+    /// partition count is rejected as stale, so the caller rebuilds.
+    #[test]
+    fn space_file_for_other_stores_or_config_is_stale(names in arb_names(), other in arb_names()) {
+        let (left, right, _) = build_world(&names);
+        let cfg = AlexConfig::default();
+        let bytes = space_file_image(&left, &right, &cfg);
+        let stale = |r: Result<Vec<ExplorationSpace>, SpaceFileError>| matches!(r, Err(SpaceFileError::Stale(_)));
+        prop_assert!(decode_spaces(&bytes, &left, &right, &cfg).is_ok());
+        let theta = AlexConfig { theta: cfg.theta + 0.1, ..cfg.clone() };
+        prop_assert!(stale(decode_spaces(&bytes, &left, &right, &theta)));
+        let parts = AlexConfig { partitions: cfg.partitions + 1, ..cfg.clone() };
+        prop_assert!(stale(decode_spaces(&bytes, &left, &right, &parts)));
+        if other != names {
+            let (left2, right2, _) = build_world(&other);
+            prop_assert!(stale(decode_spaces(&bytes, &left2, &right2, &cfg)));
         }
     }
 }

@@ -738,30 +738,29 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
 }
 
 /// `GET /sessions/{id}/links` — the current candidate set and blacklist,
-/// as sorted IRI pairs.
+/// as sorted IRI pairs, read straight from the engines (no snapshot of the
+/// learned state), so feedback writers wait on the read lock only as long
+/// as the two lists take to copy.
 fn links(state: &AppState, id: &str) -> Response {
     let (handle, _durable) = match session_handle(state, id) {
         Ok(h) => h,
         Err(resp) => return resp,
     };
-    let session = handle.read();
-    let snapshot = session.snapshot();
-    let pairs = |links: &[(String, String)]| {
+    let (candidates, blacklist) = handle.read().link_pairs();
+    let pairs = |links: Vec<(String, String)>| {
         Value::Array(
             links
-                .iter()
-                .map(|(l, r)| {
-                    Value::Array(vec![Value::String(l.clone()), Value::String(r.clone())])
-                })
+                .into_iter()
+                .map(|(l, r)| Value::Array(vec![Value::String(l), Value::String(r)]))
                 .collect(),
         )
     };
     Response::json(
         200,
         &obj(vec![
-            ("count", num(snapshot.candidates.len())),
-            ("links", pairs(&snapshot.candidates)),
-            ("blacklist", pairs(&snapshot.blacklist)),
+            ("count", num(candidates.len())),
+            ("links", pairs(candidates)),
+            ("blacklist", pairs(blacklist)),
         ]),
     )
 }

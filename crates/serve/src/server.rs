@@ -192,6 +192,7 @@ fn recover_sessions(
     opts: alex_core::store::WalOptions,
     compact_after: u64,
 ) {
+    let start = std::time::Instant::now();
     let outcome = match alex_core::recover_state_dir(dir, opts, compact_after) {
         Ok(o) => o,
         Err(e) => {
@@ -202,7 +203,20 @@ fn recover_sessions(
             return;
         }
     };
+    state
+        .metrics
+        .histogram("alex_stage_seconds{stage=\"recover\"}")
+        .record(start.elapsed().as_secs_f64());
     for recovered in outcome.sessions {
+        let stage = if recovered.report.space_rebuilt.is_none() {
+            "space_load"
+        } else {
+            "space_build"
+        };
+        state
+            .metrics
+            .histogram(&format!("alex_stage_seconds{{stage=\"{stage}\"}}"))
+            .record(recovered.timings.space_s);
         state.metrics.counter(RECOVERIES_TOTAL).inc();
         state
             .metrics

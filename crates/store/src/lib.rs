@@ -36,5 +36,5 @@ pub use snapshot::{
     decode_store, encode_store, read_store_file, store_fingerprint, write_store_file,
     StoreFileError, STORE_MAGIC, STORE_VERSION,
 };
-pub use varint::{CodecError, Reader};
+pub use varint::{write_i64, write_str, write_u64, CodecError, Reader};
 pub use wal::{replay_dir, AppendOutcome, ReplayReport, SyncPolicy, Wal, WalOptions, WalStats};

@@ -300,6 +300,16 @@ impl Wal {
         self.next_seq
     }
 
+    /// Makes the next appended record's sequence number at least
+    /// `seq + 1`. Recovery calls this with its checkpoint's high-water
+    /// mark: a log emptied by compaction (and a crash before the next
+    /// append) or by damage scans as empty and would otherwise restart
+    /// numbering at 1, below what the checkpoint covers — and the next
+    /// recovery would skip those records as already applied.
+    pub fn resume_after(&mut self, seq: u64) {
+        self.next_seq = self.next_seq.max(seq + 1);
+    }
+
     /// The index of the segment currently appended to.
     pub fn segment_index(&self) -> u64 {
         self.segment_index

@@ -111,3 +111,51 @@ fn config_fields_survive_json_round_trip() {
     assert_eq!(back.config.blacklist_threshold, 3);
     assert_eq!(back.config, config);
 }
+
+/// A datagen session checkpointed at every episode boundary — capture,
+/// JSON, parse, restore — and curated further stays the uninterrupted
+/// session: after every episode both hold the same candidates and every
+/// engine the same state fingerprint.
+#[test]
+fn checkpoint_at_every_episode_boundary_matches_the_uninterrupted_run() {
+    use alex_datagen::{degrade, generate, PaperPair};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let pair = generate(&PaperPair::DbpediaNytimes.spec(0.25, 42));
+    let mut rng = StdRng::seed_from_u64(alex_rdf::test_seed(42));
+    let mut initial = degrade(&pair.truth, 0.85, 0.2, &mut rng);
+    initial.sort();
+    let cfg = AlexConfig {
+        episode_size: 10,
+        partitions: 2,
+        seed: 7,
+        ..Default::default()
+    };
+    let (left, right) = (&pair.left, &pair.right);
+    let oracle = ExactOracle::new(pair.truth.clone());
+    let state = |d: &AlexDriver| {
+        let mut links: Vec<Link> = d.candidate_links().into_iter().collect();
+        links.sort();
+        let fps: Vec<u64> = d.engines().iter().map(|e| e.state_fingerprint()).collect();
+        (links, fps)
+    };
+    let mut uninterrupted = AlexDriver::new(left, right, &initial, cfg.clone()).unwrap();
+    let mut checkpointed = AlexDriver::new(left, right, &initial, cfg).unwrap();
+    let mut rollbacks = 0;
+    for episode in 1..=25 {
+        rollbacks += uninterrupted.step(&oracle).rollbacks;
+        let json = SessionSnapshot::capture(&checkpointed, left, right).to_json();
+        checkpointed = SessionSnapshot::from_json(&json)
+            .unwrap()
+            .restore(left, right)
+            .unwrap();
+        checkpointed.step(&oracle);
+        assert_eq!(
+            state(&checkpointed),
+            state(&uninterrupted),
+            "episode {episode}: the checkpointed session diverged"
+        );
+    }
+    assert!(rollbacks > 0, "the run must exercise rollback");
+}
