@@ -269,6 +269,13 @@ impl AlexDriver {
         out
     }
 
+    /// How many candidate links there are, without collecting them: a
+    /// link lives only in the partition that owns its left entity, so the
+    /// partitions' candidate sets are disjoint.
+    pub fn candidate_count(&self) -> usize {
+        self.engines.iter().map(|e| e.candidates().len()).sum()
+    }
+
     /// Sum of all partitions' filtered-space sizes.
     pub fn filtered_space_size(&self) -> usize {
         self.engines.iter().map(|e| e.space().len()).sum()

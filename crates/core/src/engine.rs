@@ -245,8 +245,8 @@ impl PartitionEngine {
     /// Restores learning state captured from a previous engine over the
     /// same datasets: Q-table returns, greedy policy, banned actions, and
     /// the RNG stream. Complements the candidate/blacklist restore done at
-    /// construction; [`PartitionEngine::restore_bookkeeping`] restores the
-    /// rest.
+    /// construction; restoring a snapshot puts the feedback bookkeeping
+    /// back as well.
     pub fn restore_learning(
         &mut self,
         q_entries: impl IntoIterator<Item = (StateAction, f64, u32)>,

@@ -89,7 +89,7 @@ pub use config::{AlexConfig, DurabilityConfig, TraceConfig};
 pub use driver::{AlexDriver, RunOutcome, SpaceBuildStats};
 pub use durability::{
     recover_session, recover_state_dir, session_dir, validate_session_id, write_atomic,
-    DurableSession, RecoveredSession, RecoveryOutcome, RecoveryTimings, SessionRecoveryReport,
+    RecoveredSession, RecoveryOutcome, RecoveryTimings, SessionRecoveryReport,
 };
 pub use engine::{EngineDiagnostics, PartitionEngine, PartitionEpisodeStats};
 pub use feature::{Feature, FeatureKey, FeatureSet};
@@ -98,7 +98,7 @@ pub use oracle::{ExactOracle, FeedbackOracle, NoisyOracle, ReluctantOracle};
 pub use partition::{partition_of, round_robin};
 pub use policy::{ChoiceExplanation, Policy, QTable, StateAction};
 pub use session::{
-    EngineStateSnapshot, LiveSession, SessionError, SessionHandle, SessionSnapshot,
+    EngineStateSnapshot, EpisodeOutcome, LiveSession, SessionError, SessionHandle, SessionSnapshot,
     SNAPSHOT_VERSION,
 };
 pub use space::{ExplorationSpace, DEFAULT_MAX_BLOCK};

@@ -31,15 +31,20 @@
 //! query layer (queries answered partially because sources were skipped),
 //! so availability accounting survives restarts too.
 
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use alex_rdf::hash::FastMap;
 use alex_rdf::{Link, Store};
+use alex_store::{WalOptions, WalRecord, WalStats};
+use alex_trace as trace;
 use serde::{Deserialize, Serialize};
 
 use crate::config::AlexConfig;
 use crate::driver::AlexDriver;
-use crate::engine::{EngineBookkeeping, PartitionEngine};
+use crate::durability::DurableSession;
+use crate::engine::{EngineBookkeeping, PartitionEngine, PartitionEpisodeStats};
 use crate::feature::FeatureKey;
 use crate::policy::StateAction;
 use crate::space::ExplorationSpace;
@@ -609,6 +614,11 @@ impl SessionSnapshot {
 ///
 /// This is the unit a server holds per user session (Figure 1's loop as a
 /// long-lived object); wrap it in a [`SessionHandle`] for concurrent use.
+///
+/// A session changes only through [`LiveSession::feedback_episode`] and
+/// [`LiveSession::record_query_outcome`]: each logs its WAL records first
+/// (when durable) and applies them through the `apply` recovery replays
+/// the log with.
 pub struct LiveSession {
     /// The left dataset (the one the driver partitions).
     pub left: Store,
@@ -625,6 +635,20 @@ pub struct LiveSession {
     pub degraded_queries: u64,
     /// Total skipped-source incidents across degraded queries.
     pub source_skips: u64,
+    /// The session's checkpoint and write-ahead log, when it has them.
+    pub(crate) durable: Option<DurableSession>,
+    /// Feedback records whose `EpisodeEnd` has not been applied yet;
+    /// recovery drops what is left after replay.
+    pub(crate) pending: Vec<(Link, bool)>,
+}
+
+/// What one feedback episode did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EpisodeOutcome {
+    /// Exploration's counters for the episode.
+    pub stats: PartitionEpisodeStats,
+    /// What the episode wrote to the write-ahead log (zero without one).
+    pub logged: WalStats,
 }
 
 impl LiveSession {
@@ -638,16 +662,173 @@ impl LiveSession {
             feedback_items: 0,
             degraded_queries: 0,
             source_skips: 0,
+            durable: None,
+            pending: Vec::new(),
         }
     }
 
-    /// Records the outcome of one federated query: `skipped_sources > 0`
-    /// means the answer set may be partial.
-    pub fn record_query_outcome(&mut self, skipped_sources: usize) {
-        if skipped_sources > 0 {
-            self.degraded_queries += 1;
-            self.source_skips += skipped_sources as u64;
+    /// Lays down the session's durable state under `root` (see
+    /// [`crate::durability`]), so that from then on every mutation is
+    /// logged before it is applied. Call it before acknowledging the
+    /// session to a client.
+    pub fn make_durable(
+        &mut self,
+        root: &Path,
+        id: &str,
+        opts: WalOptions,
+        compact_after: u64,
+    ) -> Result<(), String> {
+        let mut durable = DurableSession::create(root, id, self, opts, compact_after)?;
+        (durable.checkpoint(&mut self.snapshot()))
+            .map_err(|e| format!("writing the initial checkpoint: {e}"))?;
+        self.durable = Some(durable);
+        Ok(())
+    }
+
+    /// Whether the session logs its mutations to a write-ahead log.
+    pub fn is_durable(&self) -> bool {
+        self.durable.is_some()
+    }
+
+    /// Runs one feedback episode over `batch`. A durable session first
+    /// logs a `Feedback` record per item and the `EpisodeEnd` in one group
+    /// commit; if that fails, the session is unchanged. The records are
+    /// then applied, one `PolicyDelta` per partition is logged for
+    /// recovery to cross-check (an error there comes after the episode is
+    /// logged, so recovery still reproduces it), and the log is compacted
+    /// if due.
+    pub fn feedback_episode(&mut self, batch: &[(Link, bool)]) -> io::Result<EpisodeOutcome> {
+        let mut records: Vec<WalRecord> = (batch.iter())
+            .map(|&(link, positive)| WalRecord::Feedback {
+                left: self.left.iri_str(link.left).to_string(),
+                right: self.right.iri_str(link.right).to_string(),
+                positive,
+            })
+            .collect();
+        records.push(WalRecord::EpisodeEnd {
+            episode: self.episodes + 1,
+            feedback_items: self.feedback_items + batch.len() as u64,
+        });
+        let mut outcome = EpisodeOutcome::default();
+        self.log(&records, &mut outcome.logged)?;
+        for record in &records {
+            if let Some(stats) = self.apply(record).map_err(io::Error::other)? {
+                outcome.stats = stats;
+            }
         }
+        let deltas: Vec<WalRecord> = (self.driver.engines().iter().enumerate())
+            .map(|(partition, engine)| WalRecord::PolicyDelta {
+                partition: partition as u64,
+                rng: engine.rng_state(),
+                q_entries: engine.q_table().len() as u64,
+            })
+            .collect();
+        self.log(&deltas, &mut outcome.logged)?;
+        if let Some(durable) = self.durable.as_ref().filter(|d| d.should_compact()) {
+            let id = durable.id().to_string();
+            if let Some(Err(e)) = self.checkpoint() {
+                // Not fatal: the log still holds everything.
+                trace::diag("error", &format!("session {id}: compaction failed: {e}"));
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// Records the outcome of one federated query: `skipped_sources > 0`
+    /// means the answer set may be partial, and a durable session logs
+    /// that before counting it. Returns what was logged.
+    pub fn record_query_outcome(&mut self, skipped_sources: usize) -> io::Result<WalStats> {
+        let mut logged = WalStats::default();
+        if skipped_sources > 0 {
+            let source_skips = skipped_sources as u64;
+            let record = WalRecord::Degraded { source_skips };
+            self.log(std::slice::from_ref(&record), &mut logged)?;
+            self.apply(&record).map_err(io::Error::other)?;
+        }
+        Ok(logged)
+    }
+
+    /// Appends `records` to the session's log, if it has one, adding to
+    /// `logged`.
+    fn log(&mut self, records: &[WalRecord], logged: &mut WalStats) -> io::Result<()> {
+        match &mut self.durable {
+            Some(durable) => durable.log(records, logged),
+            None => Ok(()),
+        }
+    }
+
+    /// Applies one WAL record: the live write path and recovery's replay
+    /// both come through here. Feedback waits for its `EpisodeEnd`, which
+    /// runs the episode and returns its counters. An `Err` reports a
+    /// cross-check the record failed — an `EpisodeEnd` whose counters
+    /// disagree (the session takes the logged ones) or a `PolicyDelta`
+    /// whose RNG state differs — and the record is still applied.
+    pub(crate) fn apply(
+        &mut self,
+        record: &WalRecord,
+    ) -> Result<Option<PartitionEpisodeStats>, String> {
+        match record {
+            WalRecord::Feedback {
+                left,
+                right,
+                positive,
+            } => {
+                let link = Link::new(self.left.intern_iri(left), self.right.intern_iri(right));
+                self.pending.push((link, *positive));
+            }
+            WalRecord::EpisodeEnd {
+                episode,
+                feedback_items,
+            } => {
+                // The episode is the last `feedback_items - self.feedback_items`
+                // feedback records. Any before them were logged by an append
+                // that failed before its episode closed, and never applied.
+                let items = usize::try_from(feedback_items.saturating_sub(self.feedback_items))
+                    .unwrap_or(usize::MAX);
+                let pending = std::mem::take(&mut self.pending);
+                let batch = &pending[pending.len().saturating_sub(items)..];
+                for &(link, positive) in batch {
+                    self.driver.process_feedback(link, positive);
+                }
+                let stats = self.driver.end_episode();
+                self.episodes += 1;
+                self.feedback_items += batch.len() as u64;
+                let replayed = (self.episodes, self.feedback_items);
+                (self.episodes, self.feedback_items) = (*episode, *feedback_items);
+                if replayed != (*episode, *feedback_items) {
+                    return Err(format!(
+                        "episode counters diverged on replay: the log says (episode, items) = \
+                         {:?}, replay reached {replayed:?}",
+                        (episode, feedback_items)
+                    ));
+                }
+                return Ok(Some(stats));
+            }
+            WalRecord::Degraded { source_skips } => {
+                self.degraded_queries += 1;
+                self.source_skips += source_skips;
+            }
+            // Audit records in logs written by earlier builds: exploration
+            // re-derives link additions and removals from the feedback.
+            WalRecord::LinkAdded { .. } | WalRecord::LinkRemoved { .. } => {}
+            WalRecord::PolicyDelta { partition, rng, .. } => {
+                let engine = usize::try_from(*partition).map(|p| self.driver.engines().get(p));
+                if engine.ok().flatten().map(|e| e.rng_state()) != Some(*rng) {
+                    return Err(format!(
+                        "policy cross-check failed for partition {partition} — replayed RNG \
+                         stream diverged from the logged one"
+                    ));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Folds a durable session's log into a fresh checkpoint, returning
+    /// the checkpoint's path; `None` when the session is not durable.
+    pub fn checkpoint(&mut self) -> Option<io::Result<PathBuf>> {
+        let mut snap = self.durable.as_ref().map(|_| self.snapshot())?;
+        Some(self.durable.as_mut()?.checkpoint(&mut snap))
     }
 
     /// Captures a persistable snapshot of the current curation state,
@@ -925,9 +1106,10 @@ mod tests {
         let initial: Vec<Link> = truth.iter().take(2).copied().collect();
         let driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
         let mut session = LiveSession::new(left, right, driver);
-        session.record_query_outcome(0); // clean query: not degraded
-        session.record_query_outcome(2);
-        session.record_query_outcome(1);
+        for skipped in [0, 2, 1] {
+            // A clean query (no skipped source) is not degraded.
+            session.record_query_outcome(skipped).unwrap();
+        }
         assert_eq!(session.degraded_queries, 2);
         assert_eq!(session.source_skips, 3);
 
@@ -1014,11 +1196,7 @@ mod tests {
             // ...while a writer applies feedback.
             let h = handle.clone();
             s.spawn(move || {
-                let mut g = h.write();
-                g.driver.process_feedback(wrong, false);
-                g.driver.end_episode();
-                g.episodes += 1;
-                g.feedback_items += 1;
+                h.write().feedback_episode(&[(wrong, false)]).unwrap();
             });
         });
 

@@ -92,7 +92,7 @@ impl Gauge {
     }
 }
 
-/// A gauge holding a floating-point value (e.g. precision/recall in [0,1]).
+/// A gauge holding a floating-point value (e.g. precision/recall in \[0, 1\]).
 ///
 /// Stored as `f64` bits in an atomic; reads and writes are lock-free.
 #[derive(Debug, Default)]
@@ -198,7 +198,7 @@ impl Histogram {
     }
 
     /// Cumulative bucket counts at the exposition bounds: every
-    /// [`EXPOSITION_STEP`]-th internal bound, as `(upper_bound_seconds,
+    /// `EXPOSITION_STEP`-th internal bound, as `(upper_bound_seconds,
     /// observations ≤ bound)` pairs. The final `+Inf` bucket is implicit —
     /// its count is [`Histogram::count`].
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {

@@ -1,17 +1,19 @@
 //! Crash-injection harness: kill the WAL at a random byte offset and
 //! prove recovery lands on an exact prefix of the acknowledged history.
 //!
-//! The harness scripts a deterministic curation session, logging every
-//! mutation before applying it (the same log-before-ack discipline the
-//! server uses) and capturing an oracle state after each acknowledged
-//! record. It then replays crashes against copies of the session
-//! directory: truncating the log mid-frame (a torn write) or flipping a
-//! single byte (media corruption). For every injected fault it asserts:
+//! The harness scripts a deterministic curation session — feedback
+//! episodes, each followed by a degraded query — through the session's
+//! own write path (the one the server uses: log, then apply) and captures
+//! an oracle state after each acknowledged step. It then replays crashes
+//! against copies of the session directory: truncating the log mid-frame
+//! (a torn write) or flipping a single byte (media corruption). For every
+//! injected fault it asserts:
 //!
 //! 1. recovery never refuses to start;
-//! 2. the recovered state equals the oracle state after exactly the
-//!    records that survive on disk — a *prefix* of the acknowledged
-//!    history, predicted independently from the append byte offsets;
+//! 2. the recovered state equals the oracle state after exactly the steps
+//!    whose closing record (`EpisodeEnd` or `Degraded`) survives on disk —
+//!    a *prefix* of the acknowledged history, predicted independently
+//!    from the frames' byte offsets;
 //! 3. re-applying the remaining script to the recovered session produces
 //!    the same final state as the uninterrupted run (continued curation
 //!    is indistinguishable from never having crashed).
@@ -30,10 +32,10 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use alex_core::durability::{recover_session, recover_state_dir};
+use alex_core::durability::{recover_session, recover_state_dir, session_dir};
 use alex_core::space_file::SPACE_FILE;
-use alex_core::store::{SyncPolicy, WalOptions, WalRecord};
-use alex_core::{AlexConfig, AlexDriver, DurableSession, LiveSession};
+use alex_core::store::{encode_record, replay_dir, write_frame, SyncPolicy, WalOptions, WalRecord};
+use alex_core::{AlexConfig, AlexDriver, LiveSession};
 use alex_rdf::{Interner, Link, Literal, Store};
 
 /// splitmix64: tiny, seedable, and good enough to pick fault offsets.
@@ -107,6 +109,8 @@ fn live_session(seed: u64) -> (LiveSession, Vec<Link>) {
 struct OracleState {
     feedback_items: u64,
     episodes: u64,
+    degraded_queries: u64,
+    source_skips: u64,
     candidates: BTreeSet<(String, String)>,
     rng: Vec<[u64; 4]>,
     engines: Vec<u64>,
@@ -116,6 +120,8 @@ fn capture(session: &LiveSession) -> OracleState {
     OracleState {
         feedback_items: session.feedback_items,
         episodes: session.episodes,
+        degraded_queries: session.degraded_queries,
+        source_skips: session.source_skips,
         candidates: session
             .driver
             .candidate_links()
@@ -142,53 +148,52 @@ fn capture(session: &LiveSession) -> OracleState {
     }
 }
 
-/// Applies one scripted record to a live session, exactly as the server
-/// request handlers (and WAL replay) do.
-fn apply(session: &mut LiveSession, record: &WalRecord) {
-    match record {
-        WalRecord::Feedback {
-            left,
-            right,
-            positive,
-        } => {
-            let link = Link::new(
-                session.left.intern_iri(left),
-                session.right.intern_iri(right),
-            );
-            session.driver.process_feedback(link, *positive);
-            session.feedback_items += 1;
+/// One acknowledged mutation of the scripted session.
+#[derive(Clone, Debug)]
+enum Step {
+    /// A feedback episode: `(left IRI, right IRI, approve)` per item.
+    Episode(Vec<(String, String, bool)>),
+    /// A query answered with this many sources skipped.
+    Degraded(usize),
+}
+
+/// Takes one scripted step through the session's write path.
+fn take(session: &mut LiveSession, step: &Step) {
+    match step {
+        Step::Episode(items) => {
+            let batch: Vec<(Link, bool)> = items
+                .iter()
+                .map(|(l, r, approve)| {
+                    let link = Link::new(session.left.intern_iri(l), session.right.intern_iri(r));
+                    (link, *approve)
+                })
+                .collect();
+            session.feedback_episode(&batch).unwrap();
         }
-        WalRecord::EpisodeEnd { .. } => {
-            session.driver.end_episode();
-            session.episodes += 1;
+        Step::Degraded(skipped) => {
+            session.record_query_outcome(*skipped).unwrap();
         }
-        // Audit-only records; no live-state effect.
-        _ => {}
     }
 }
 
 /// The scripted history: `passes` rounds of feedback on nine links (every
-/// third negative), an episode boundary every three items.
-fn build_script(session: &LiveSession, links: &[Link], passes: usize) -> Vec<WalRecord> {
-    let mut script = Vec::new();
-    let mut sim = (0u64, 0u64); // (feedback_items, episodes)
-    let fed = links.iter().skip(3).cycle().take(9 * passes);
-    for (i, &link) in fed.enumerate() {
-        script.push(WalRecord::Feedback {
-            left: session.left.iri_str(link.left).to_string(),
-            right: session.right.iri_str(link.right).to_string(),
-            positive: i % 3 != 2,
-        });
-        sim.0 += 1;
-        if sim.0.is_multiple_of(3) {
-            sim.1 += 1;
-            script.push(WalRecord::EpisodeEnd {
-                episode: sim.1,
-                feedback_items: sim.0,
-            });
-        }
-    }
-    script
+/// third negative), an episode every three items, and after each episode
+/// a query that skipped one or two sources.
+fn build_script(session: &LiveSession, links: &[Link], passes: usize) -> Vec<Step> {
+    let fed: Vec<(String, String, bool)> = (links.iter().skip(3).cycle().take(9 * passes))
+        .enumerate()
+        .map(|(i, link)| {
+            (
+                session.left.iri_str(link.left).to_string(),
+                session.right.iri_str(link.right).to_string(),
+                i % 3 != 2,
+            )
+        })
+        .collect();
+    fed.chunks(3)
+        .enumerate()
+        .flat_map(|(i, items)| [Step::Episode(items.to_vec()), Step::Degraded(1 + i % 2)])
+        .collect()
 }
 
 fn copy_dir(src: &Path, dst: &Path) {
@@ -296,58 +301,56 @@ const OPTS: WalOptions = WalOptions {
     segment_bytes: 160,
 };
 
-/// Logs then applies `record`, and after an episode boundary, when
-/// `may_compact`, folds the log into a checkpoint once the session's
-/// threshold of records has accumulated — the server's feedback path.
-/// Returns whether it compacted.
-fn log_and_apply(
-    durable: &mut DurableSession,
-    session: &mut LiveSession,
-    record: &WalRecord,
-    may_compact: bool,
-) -> bool {
-    durable.log(std::slice::from_ref(record)).unwrap();
-    apply(session, record);
-    if may_compact && matches!(record, WalRecord::EpisodeEnd { .. }) && durable.should_compact() {
-        let mut snap = session.snapshot();
-        durable.checkpoint(&mut snap).unwrap();
-        return true;
-    }
-    false
-}
-
 /// An uninterrupted scripted run and what crash trials predict from it.
 struct Run {
     root: PathBuf,
-    script: Vec<WalRecord>,
-    /// `oracle[n]`: the state after the first `n` acked records.
+    script: Vec<Step>,
+    /// `oracle[n]`: the state after the first `n` acked steps.
     oracle: Vec<OracleState>,
-    /// Records the last checkpoint covers.
+    /// Steps the last checkpoint covers.
     checkpointed: usize,
     /// Per record after the last checkpoint: the byte offset of the final
-    /// log just past it.
-    acked_end: Vec<u64>,
+    /// log just past it, and whether it closes a step.
+    acked_end: Vec<(u64, bool)>,
 }
 
 fn uninterrupted_run(root: PathBuf, seed: u64, passes: usize, compact_after: u64) -> Run {
     let (mut session, links) = live_session(seed);
     let script = build_script(&session, &links, passes);
-    let mut durable = DurableSession::create(&root, "s1", &session, OPTS, compact_after).unwrap();
-    let mut snap = session.snapshot();
-    durable.checkpoint(&mut snap).unwrap();
+    session
+        .make_durable(&root, "s1", OPTS, compact_after)
+        .unwrap();
     let mut oracle = vec![capture(&session)];
-    let (mut checkpointed, mut acked_end) = (0, Vec::new());
-    for (n, record) in script.iter().enumerate() {
-        // The last episode is never compacted, so faults have a log to hit.
-        let last = n + 1 == script.len();
-        if log_and_apply(&mut durable, &mut session, record, !last) {
-            checkpointed = n + 1;
-            acked_end.clear();
-        } else {
-            acked_end.push(wal_segments(durable.dir()).iter().map(|(_, l)| l).sum());
-        }
+    for step in &script {
+        take(&mut session, step);
         oracle.push(capture(&session));
     }
+    // The records after the last checkpoint, and where each one's frame
+    // ends in the concatenated log.
+    let dir = session_dir(&root, "s1");
+    let (records, _) = replay_dir(&dir.join("wal")).unwrap();
+    let mut end = 0;
+    let acked_end: Vec<(u64, bool)> = records
+        .iter()
+        .map(|r| {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &encode_record(r.seq, &r.record));
+            end += frame.len() as u64;
+            let closes = matches!(
+                r.record,
+                WalRecord::EpisodeEnd { .. } | WalRecord::Degraded { .. }
+            );
+            (end, closes)
+        })
+        .collect();
+    assert_eq!(
+        end,
+        wal_segments(&dir).iter().map(|(_, l)| l).sum::<u64>(),
+        "the frames account for every byte of the log"
+    );
+    // Checkpoints fall between steps, so every step after the last one
+    // has its closing record in the log.
+    let checkpointed = script.len() - acked_end.iter().filter(|(_, closes)| *closes).count();
     Run {
         root,
         script,
@@ -371,7 +374,9 @@ fn crash_trials(
 ) {
     let seed = seed_from_env();
     let final_state = run.oracle.last().unwrap().clone();
-    let total_bytes = *run.acked_end.last().unwrap();
+    // The last step is a degraded query, which never compacts, so faults
+    // always have a log to hit.
+    let total_bytes = run.acked_end.last().unwrap().0;
     for trial in 0..trials {
         let offset = rng.next() % total_bytes;
         let fault = if trial % 2 == 0 {
@@ -394,10 +399,12 @@ fn crash_trials(
         }
 
         // A fault at `offset` destroys the record containing that byte
-        // and everything after it; records fully before it survive, and
-        // the checkpoint covers the rest.
-        let replayed = run.acked_end.iter().filter(|&&end| end <= offset).count();
-        let expected_n = run.checkpointed + replayed;
+        // and everything after it; records fully before it survive, a
+        // step counts once its closing record does, and the checkpoint
+        // covers the rest.
+        let survivors = run.acked_end.iter().filter(|(end, _)| *end <= offset);
+        let replayed = survivors.clone().count();
+        let expected_n = run.checkpointed + survivors.filter(|(_, closes)| *closes).count();
         let what = format!(
             "seed {seed:#x} trial {trial} ({} at {offset}, space {space_fault:?})",
             if trial % 2 == 0 { "truncate" } else { "flip" }
@@ -425,14 +432,14 @@ fn crash_trials(
         assert_eq!(
             capture(&recovered.session),
             run.oracle[expected_n],
-            "{what}: recovered state is not the state after {expected_n} acked records"
+            "{what}: recovered state is not the state after {expected_n} acked steps"
         );
 
         // Continued curation: the lost suffix re-applied to the
         // recovered session must land exactly where the uninterrupted
         // run did — and the reopened log must accept new records.
-        for record in &run.script[expected_n..] {
-            log_and_apply(&mut recovered.durable, &mut recovered.session, record, true);
+        for step in &run.script[expected_n..] {
+            take(&mut recovered.session, step);
         }
         assert_eq!(
             capture(&recovered.session),
@@ -479,8 +486,10 @@ fn compaction_at_seeded_record_counts_recovers_exactly() {
     let mut rng = SplitMix64(seed_from_env() ^ 0xC0_4AC7);
     let base = scratch_base("compact");
     for k in 0..4 {
-        // Four records make an episode; compact after 4–11 records.
-        let compact_after = 4 + rng.next() % 8;
+        // An episode writes six records (three feedback items, its end
+        // and two policy cross-checks) and its degraded query one;
+        // compact after 6–13 records, every one or two episodes.
+        let compact_after = 6 + rng.next() % 8;
         let run = uninterrupted_run(base.join(format!("full-{k}")), 7 + k, 3, compact_after);
         assert!(
             run.checkpointed > 0,
@@ -507,11 +516,9 @@ fn concurrent_recovery_matches_one_at_a_time() {
     for (i, id) in ["a1", "b2", "c3", "d4"].iter().enumerate() {
         let (mut session, links) = live_session(11 + i as u64);
         let script = build_script(&session, &links, 1 + i % 2);
-        let mut durable = DurableSession::create(&root, id, &session, OPTS, 0).unwrap();
-        let mut snap = session.snapshot();
-        durable.checkpoint(&mut snap).unwrap();
-        for record in &script[..script.len() - i] {
-            log_and_apply(&mut durable, &mut session, record, true);
+        session.make_durable(&root, id, OPTS, 0).unwrap();
+        for step in &script[..script.len() - i] {
+            take(&mut session, step);
         }
     }
     let concurrent = recover_state_dir(&root, OPTS, 0).unwrap();

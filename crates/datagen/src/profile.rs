@@ -160,7 +160,7 @@ impl Vocabulary {
 pub struct DatasetProfile {
     /// Display name ("DBpedia").
     pub name: String,
-    /// IRI namespace root ("http://dbpedia.org").
+    /// IRI namespace root (`"http://dbpedia.org"`).
     pub namespace: String,
     /// Predicate vocabulary.
     pub vocab: Vocabulary,

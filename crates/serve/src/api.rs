@@ -17,23 +17,17 @@
 
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::PoisonError;
 
-use alex_core::store::{AppendOutcome, WalRecord};
+use alex_core::store::WalStats;
 use alex_core::trace;
-use alex_core::{
-    AlexConfig, AlexDriver, DurabilityConfig, DurableSession, LiveSession, Quality, SessionHandle,
-};
+use alex_core::{AlexConfig, AlexDriver, DurabilityConfig, LiveSession, Quality, SessionHandle};
 use alex_query::FederatedEngine;
 use alex_rdf::{ntriples, turtle, Interner, Link, Store, Term};
 use serde_json::{Number, Value};
 
 use crate::http::{Request, Response};
 use crate::state::{AppState, SessionEntry};
-
-/// The durable-storage slot shared between the session table and the
-/// handlers that log to it. Lock order: session lock, then this mutex.
-type DurableSlot = Arc<Mutex<DurableSession>>;
 
 /// Shorthand for building an object value.
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
@@ -80,30 +74,27 @@ pub fn route(state: &AppState, req: &Request) -> (&'static str, Response) {
     }
 }
 
-/// Looks up a session handle (and its durable-storage slot, when the
-/// session has one) without holding the table lock afterwards.
-fn session_handle(
-    state: &AppState,
-    id: &str,
-) -> Result<(SessionHandle, Option<DurableSlot>), Response> {
+/// Looks up a session handle without holding the table lock afterwards.
+fn session_handle(state: &AppState, id: &str) -> Result<SessionHandle, Response> {
     state
         .sessions
         .read()
         .unwrap_or_else(PoisonError::into_inner)
         .get(id)
-        .map(|e| (e.handle.clone(), e.durable.clone()))
+        .map(|e| e.handle.clone())
         .ok_or_else(|| Response::error(404, format!("no session {id:?}")))
 }
 
-/// Folds one append's outcome into the process-wide WAL counters.
-fn record_wal_metrics(state: &AppState, out: &AppendOutcome, records: u64) {
+/// Folds what a mutation logged into the process-wide WAL counters
+/// (which appear in `/metrics` once a durable session first logs).
+fn record_wal_metrics(state: &AppState, logged: &WalStats) {
     use alex_core::telemetry::{WAL_APPENDS_TOTAL, WAL_BYTES_TOTAL, WAL_FSYNCS_TOTAL};
-    state.metrics.counter(WAL_APPENDS_TOTAL).add(records);
-    state.metrics.counter(WAL_BYTES_TOTAL).add(out.bytes);
-    state
-        .metrics
-        .counter(WAL_FSYNCS_TOTAL)
-        .add(u64::from(out.synced));
+    if logged.appends == 0 {
+        return;
+    }
+    state.metrics.counter(WAL_APPENDS_TOTAL).add(logged.appends);
+    state.metrics.counter(WAL_BYTES_TOTAL).add(logged.bytes);
+    state.metrics.counter(WAL_FSYNCS_TOTAL).add(logged.fsyncs);
 }
 
 /// Loads one dataset from either an inline N-Triples string or a file
@@ -275,12 +266,12 @@ fn create_session(state: &AppState, req: &Request) -> Response {
         .counter("alex_sim_cache_misses_total")
         .add(build.cache.misses);
 
-    let session = LiveSession::new(left, right, driver);
+    let mut session = LiveSession::new(left, right, driver);
 
     // Durability: lay down the session's on-disk state (dataset
     // snapshots + initial checkpoint + empty WAL) *before* acknowledging
     // the session — a crash after the 201 must be able to bring it back.
-    let durable = if durability.wal {
+    if durability.wal {
         let Some(dir) = &state.state_dir else {
             return Response::error(
                 400,
@@ -291,27 +282,11 @@ fn create_session(state: &AppState, req: &Request) -> Response {
             Ok(o) => o,
             Err(e) => return Response::error(400, format!("config.durability: {e}")),
         };
-        let mut durable = match DurableSession::create(
-            dir,
-            &id,
-            &session,
-            opts,
-            durability.compact_after_records,
-        ) {
-            Ok(d) => d,
-            Err(e) => {
-                return Response::error(500, format!("creating durable session storage: {e}"))
-            }
-        };
-        let mut snap = session.snapshot();
-        if let Err(e) = durable.checkpoint(&mut snap) {
-            return Response::error(500, format!("writing initial checkpoint: {e}"));
+        if let Err(e) = session.make_durable(dir, &id, opts, durability.compact_after_records) {
+            return Response::error(500, format!("creating durable session storage: {e}"));
         }
-        Some(Arc::new(Mutex::new(durable)))
-    } else {
-        None
-    };
-    let durable_on = durable.is_some();
+    }
+    let durable_on = session.is_durable();
 
     let handle = SessionHandle::new(session);
     update_session_gauges(state, &id, &handle, truth.as_ref());
@@ -319,14 +294,7 @@ fn create_session(state: &AppState, req: &Request) -> Response {
         .sessions
         .write()
         .unwrap_or_else(PoisonError::into_inner)
-        .insert(
-            id.clone(),
-            SessionEntry {
-                handle,
-                truth,
-                durable,
-            },
-        );
+        .insert(id.clone(), SessionEntry { handle, truth });
     state.metrics.counter("alex_sessions_created_total").inc();
     state.metrics.gauge("alex_sessions_active").set(
         state
@@ -357,11 +325,10 @@ pub(crate) fn update_session_gauges(
     truth: Option<&HashSet<Link>>,
 ) {
     let session = handle.read();
-    let candidates = session.driver.candidate_links();
     state
         .metrics
         .gauge(&format!("alex_session_candidates{{session=\"{id}\"}}"))
-        .set(candidates.len() as i64);
+        .set(session.driver.candidate_count() as i64);
     state
         .metrics
         .gauge(&format!("alex_session_episodes{{session=\"{id}\"}}"))
@@ -370,7 +337,7 @@ pub(crate) fn update_session_gauges(
         .metrics
         .counter(&format!("alex_session_feedback_total{{session=\"{id}\"}}"));
     if let Some(truth) = truth {
-        let q = Quality::compute(&candidates, truth);
+        let q = Quality::compute(&session.driver.candidate_links(), truth);
         state
             .metrics
             .float_gauge(&format!("alex_session_precision{{session=\"{id}\"}}"))
@@ -384,18 +351,17 @@ pub(crate) fn update_session_gauges(
 
 /// `GET /sessions/{id}` — summary.
 fn session_info(state: &AppState, id: &str) -> Response {
-    let (handle, durable) = match session_handle(state, id) {
+    let handle = match session_handle(state, id) {
         Ok(h) => h,
         Err(resp) => return resp,
     };
-    let durable_on = durable.is_some();
     let session = handle.read();
     let config = serde_json::to_value(session.driver.config()).unwrap_or(Value::Null);
     Response::json(
         200,
         &obj(vec![
             ("id", Value::String(id.to_string())),
-            ("candidates", num(session.driver.candidate_links().len())),
+            ("candidates", num(session.driver.candidate_count())),
             ("episodes", Value::Number(Number::U64(session.episodes))),
             (
                 "feedback_items",
@@ -403,7 +369,7 @@ fn session_info(state: &AppState, id: &str) -> Response {
             ),
             ("left_triples", num(session.left.len())),
             ("right_triples", num(session.right.len())),
-            ("durable", Value::Bool(durable_on)),
+            ("durable", Value::Bool(session.is_durable())),
             ("config", config),
         ]),
     )
@@ -437,7 +403,7 @@ fn render_link(l: &Link, left: &Store, right: &Store) -> Value {
 /// health: whether the answer set is degraded (sources were skipped) and
 /// per-source retry/timeout/breaker accounting.
 fn query(state: &AppState, id: &str, req: &Request) -> Response {
-    let (handle, durable) = match session_handle(state, id) {
+    let handle = match session_handle(state, id) {
         Ok(h) => h,
         Err(resp) => return resp,
     };
@@ -491,26 +457,11 @@ fn query(state: &AppState, id: &str, req: &Request) -> Response {
     let skipped = report.skipped_sources();
     if report.degraded {
         // Only degraded queries need the write lock; the hot path stays
-        // read-only so concurrent queries don't serialize. The tally is
-        // logged before the counters move (log-before-ack), under the
-        // session lock so the WAL order matches the apply order.
-        let mut session = handle.write();
-        if let Some(durable) = &durable {
-            let record = WalRecord::Degraded {
-                source_skips: skipped.len() as u64,
-            };
-            match durable
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .log(&[record])
-            {
-                Ok(out) => record_wal_metrics(state, &out, 1),
-                Err(e) => {
-                    return Response::error(500, format!("write-ahead log append failed: {e}"))
-                }
-            }
+        // read-only so concurrent queries don't serialize.
+        match handle.write().record_query_outcome(skipped.len()) {
+            Ok(logged) => record_wal_metrics(state, &logged),
+            Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
         }
-        session.record_query_outcome(skipped.len());
     }
 
     state.metrics.counter("alex_queries_total").inc();
@@ -588,13 +539,13 @@ fn record_federation_metrics(state: &AppState, report: &alex_query::QueryReport)
 /// `{"items": [{"left": iri, "right": iri, "approve": bool}, ...]}`.
 /// Runs one feedback episode and reports what changed.
 fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
-    let (handle, truth, durable) = {
+    let (handle, truth) = {
         let sessions = state
             .sessions
             .read()
             .unwrap_or_else(PoisonError::into_inner);
         match sessions.get(id) {
-            Some(e) => (e.handle.clone(), e.truth.clone(), e.durable.clone()),
+            Some(e) => (e.handle.clone(), e.truth.clone()),
             None => return Response::error(404, format!("no session {id:?}")),
         }
     };
@@ -635,82 +586,16 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
         ));
     }
 
-    // Log-before-ack: the whole batch reaches the WAL (per the session's
-    // fsync policy) before any of it mutates the driver. A crash after
-    // this point replays the batch; a crash before it never acked.
-    if let Some(durable) = &durable {
-        let records: Vec<WalRecord> = batch
-            .iter()
-            .map(|&(link, approve)| WalRecord::Feedback {
-                left: session.left.iri_str(link.left).to_string(),
-                right: session.right.iri_str(link.right).to_string(),
-                positive: approve,
-            })
-            .collect();
-        match durable
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .log(&records)
-        {
-            Ok(out) => record_wal_metrics(state, &out, records.len() as u64),
-            Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
-        }
-    }
-
-    let before = session.driver.candidate_links();
-    for &(link, approve) in &batch {
-        session.driver.process_feedback(link, approve);
-    }
-    let stats = session.driver.end_episode();
-    session.episodes += 1;
-    session.feedback_items += batch.len() as u64;
-    let after = session.driver.candidate_links();
+    // The episode is logged before it touches the driver; a failed
+    // append leaves the session as it was.
+    let candidates_before = session.driver.candidate_count();
+    let episode = match session.feedback_episode(&batch) {
+        Ok(episode) => episode,
+        Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
+    };
+    record_wal_metrics(state, &episode.logged);
+    let candidates = session.driver.candidate_count();
     let episodes = session.episodes;
-
-    // Close the episode in the log: an audit trail of what exploration
-    // changed, the episode marker, and a per-partition RNG/Q cross-check
-    // that recovery verifies after replay. Then fold the log into a
-    // fresh checkpoint once enough records have accumulated.
-    if let Some(durable) = &durable {
-        let mut records: Vec<WalRecord> = Vec::new();
-        for link in after.difference(&before) {
-            records.push(WalRecord::LinkAdded {
-                left: session.left.iri_str(link.left).to_string(),
-                right: session.right.iri_str(link.right).to_string(),
-            });
-        }
-        for link in before.difference(&after) {
-            records.push(WalRecord::LinkRemoved {
-                left: session.left.iri_str(link.left).to_string(),
-                right: session.right.iri_str(link.right).to_string(),
-                reason: "episode".to_string(),
-            });
-        }
-        records.push(WalRecord::EpisodeEnd {
-            episode: session.episodes,
-            feedback_items: session.feedback_items,
-        });
-        for (partition, engine) in session.driver.engines().iter().enumerate() {
-            records.push(WalRecord::PolicyDelta {
-                partition: partition as u64,
-                rng: engine.rng_state(),
-                q_entries: engine.q_table().len() as u64,
-            });
-        }
-        let mut durable = durable.lock().unwrap_or_else(PoisonError::into_inner);
-        match durable.log(&records) {
-            Ok(out) => record_wal_metrics(state, &out, records.len() as u64),
-            Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
-        }
-        if durable.should_compact() {
-            let mut snap = session.snapshot();
-            if let Err(e) = durable.checkpoint(&mut snap) {
-                // Compaction failing is not fatal: the WAL still has
-                // everything, so durability holds — just report it.
-                trace::diag("error", &format!("session {id}: compaction failed: {e}"));
-            }
-        }
-    }
     drop(session);
 
     state
@@ -727,11 +612,11 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
         200,
         &obj(vec![
             ("accepted", num(batch.len())),
-            ("links_added", num(stats.links_added)),
-            ("links_removed", num(stats.links_removed)),
-            ("rollbacks", num(stats.rollbacks)),
-            ("candidates_before", num(before.len())),
-            ("candidates", num(after.len())),
+            ("links_added", num(episode.stats.links_added)),
+            ("links_removed", num(episode.stats.links_removed)),
+            ("rollbacks", num(episode.stats.rollbacks)),
+            ("candidates_before", num(candidates_before)),
+            ("candidates", num(candidates)),
             ("episode", Value::Number(Number::U64(episodes))),
         ]),
     )
@@ -742,7 +627,7 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
 /// learned state), so feedback writers wait on the read lock only as long
 /// as the two lists take to copy.
 fn links(state: &AppState, id: &str) -> Response {
-    let (handle, _durable) = match session_handle(state, id) {
+    let handle = match session_handle(state, id) {
         Ok(h) => h,
         Err(resp) => return resp,
     };
@@ -1092,7 +977,6 @@ mod tests {
                 SessionEntry {
                     handle: SessionHandle::new(recovered.session),
                     truth: None,
-                    durable: Some(Arc::new(Mutex::new(recovered.durable))),
                 },
             );
         let (_, resp) = route(
@@ -1127,7 +1011,6 @@ mod tests {
                 SessionEntry {
                     handle,
                     truth: None,
-                    durable: None,
                 },
             );
         let results = state.persist_sessions();

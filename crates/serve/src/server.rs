@@ -234,7 +234,6 @@ fn recover_sessions(
                 SessionEntry {
                     handle,
                     truth: None,
-                    durable: Some(Arc::new(Mutex::new(recovered.durable))),
                 },
             );
         trace::diag(

@@ -3,26 +3,21 @@
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock};
 
 use alex_core::telemetry::MetricsRegistry;
-use alex_core::{
-    validate_session_id, write_atomic, DurabilityConfig, DurableSession, SessionHandle,
-};
+use alex_core::{validate_session_id, write_atomic, DurabilityConfig, SessionHandle};
 use alex_rdf::Link;
 
 /// One server-side session: the shared curation handle plus optional
 /// ground-truth links (when the client supplied them at creation time,
 /// precision/recall gauges are updated after every feedback episode).
 pub struct SessionEntry {
-    /// The thread-safe curation session.
+    /// The thread-safe curation session (with its durable storage, when
+    /// it runs with the write-ahead log).
     pub handle: SessionHandle,
     /// Optional ground truth for quality gauges.
     pub truth: Option<HashSet<Link>>,
-    /// Per-session durable storage (dataset snapshots, checkpoint, WAL),
-    /// present when the session runs with the write-ahead log enabled.
-    /// Lock order: the session's own lock first, then this mutex.
-    pub durable: Option<Arc<Mutex<DurableSession>>>,
 }
 
 /// State shared by every worker thread.
@@ -100,20 +95,14 @@ impl AppState {
                 // escape the state directory.
                 validate_session_id(id)
                     .map_err(|e| format!("refusing to persist session {id:?}: {e}"))?;
-                let entry = &sessions[id];
-                let mut snap = entry.handle.read().snapshot();
-                if let Some(durable) = &entry.durable {
-                    let mut durable = durable.lock().unwrap_or_else(PoisonError::into_inner);
-                    durable
-                        .checkpoint(&mut snap)
-                        .map(|_| durable.dir().join("checkpoint.json"))
-                        .map_err(|e| format!("checkpointing session {id}: {e}"))
-                } else {
-                    let path = dir.join(format!("session-{id}.json"));
-                    write_atomic(&path, snap.to_json().as_bytes())
-                        .map(|_| path.clone())
-                        .map_err(|e| format!("writing {}: {e}", path.display()))
+                let mut session = sessions[id].handle.write();
+                if let Some(written) = session.checkpoint() {
+                    return written.map_err(|e| format!("checkpointing session {id}: {e}"));
                 }
+                let path = dir.join(format!("session-{id}.json"));
+                write_atomic(&path, session.snapshot().to_json().as_bytes())
+                    .map(|_| path.clone())
+                    .map_err(|e| format!("writing {}: {e}", path.display()))
             })
             .collect()
     }

@@ -13,9 +13,9 @@ use crate::varint::{write_str, write_u64, CodecError, Reader};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalRecord {
     /// One user-feedback item: the judged link and the verdict
-    /// (`positive` = accepted, otherwise rejected). Feedback records are
-    /// the authoritative replay input: re-applying them through the
-    /// deterministic driver reproduces the exact session state.
+    /// (`positive` = accepted, otherwise rejected). With the episode ends,
+    /// the replay input: re-applying them through the deterministic
+    /// driver reproduces the exact session state.
     Feedback {
         /// Left IRI of the judged link.
         left: String,
@@ -24,15 +24,15 @@ pub enum WalRecord {
         /// Whether the user approved the link.
         positive: bool,
     },
-    /// Exploration added a candidate link (audit trail; implied by
-    /// feedback + determinism on replay).
+    /// Exploration added a candidate link. An audit record that earlier
+    /// builds wrote and replay skips; nothing writes it any more.
     LinkAdded {
         /// Left IRI.
         left: String,
         /// Right IRI.
         right: String,
     },
-    /// A candidate link was removed (audit trail).
+    /// A candidate link was removed. Audit only, like `LinkAdded`.
     LinkRemoved {
         /// Left IRI.
         left: String,
@@ -52,7 +52,8 @@ pub enum WalRecord {
         /// `Returns(s, a)` entries after the episode.
         q_entries: u64,
     },
-    /// One feedback episode completed (policy improvement ran).
+    /// One feedback episode completed (policy improvement ran) over the
+    /// feedback records that its `feedback_items` total adds.
     EpisodeEnd {
         /// Episode number after this one completed (1-based).
         episode: u64,

@@ -245,6 +245,10 @@ pub struct Wal {
     appends_since_sync: u32,
     next_seq: u64,
     stats: WalStats,
+    /// Set once an append fails: the file may end in a torn frame, which
+    /// replay stops at, so no later frame may follow it until
+    /// [`Wal::open`] repairs the log.
+    failed: bool,
 }
 
 impl Wal {
@@ -286,13 +290,9 @@ impl Wal {
             appends_since_sync: 0,
             next_seq: scan.report.last_seq + 1,
             stats: WalStats::default(),
+            failed: false,
         };
         Ok((wal, scan.records, scan.report))
-    }
-
-    /// The directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The sequence number the next appended record will get.
@@ -329,9 +329,17 @@ impl Wal {
     /// applies the sync policy *once* for the whole batch (group commit).
     /// On `Ok`, every record is in the file — and on stable storage if the
     /// policy synced. Callers must not acknowledge the mutations to a
-    /// client before this returns.
+    /// client before this returns. Once an append fails, every later one
+    /// on this log fails too (see `failed`); reopening repairs the log.
     pub fn append_batch(&mut self, records: &[WalRecord]) -> std::io::Result<AppendOutcome> {
         assert!(!records.is_empty(), "empty WAL batch");
+        if self.failed {
+            return Err(std::io::Error::other(
+                "an earlier append to this log failed",
+            ));
+        }
+        // Cleared below only if every write and sync succeeds.
+        self.failed = true;
         let first_seq = self.next_seq;
         let mut bytes = 0u64;
         let mut rotated_to = None;
@@ -358,6 +366,7 @@ impl Wal {
         if synced {
             self.sync()?;
         }
+        self.failed = false;
         Ok(AppendOutcome {
             first_seq,
             last_seq: self.next_seq - 1,
@@ -381,11 +390,11 @@ impl Wal {
         // the next one, or a crash could lose the middle of the chain.
         self.file.sync_data()?;
         self.stats.fsyncs += 1;
-        self.segment_index += 1;
         self.file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(segment_path(&self.dir, self.segment_index))?;
+            .open(segment_path(&self.dir, self.segment_index + 1))?;
+        self.segment_index += 1;
         sync_dir(&self.dir);
         self.segment_len = 0;
         self.appends_since_sync = 0;
@@ -401,11 +410,11 @@ impl Wal {
         self.file.sync_data()?;
         self.stats.fsyncs += 1;
         let old = list_segments(&self.dir)?;
-        self.segment_index += 1;
         self.file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(segment_path(&self.dir, self.segment_index))?;
+            .open(segment_path(&self.dir, self.segment_index + 1))?;
+        self.segment_index += 1;
         self.segment_len = 0;
         self.appends_since_sync = 0;
         let mut removed = 0u64;
@@ -613,6 +622,39 @@ mod tests {
         assert_eq!(report.records, 1, "only the post-checkpoint record remains");
         assert_eq!(replayed[0].seq, 21);
         assert_eq!(report.damage, None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_fails_every_later_one() {
+        let dir = tmp_dir("failed");
+        // One record per segment: the second append must rotate.
+        let opts = WalOptions {
+            segment_bytes: 1,
+            ..WalOptions::default()
+        };
+        let (mut wal, _, _) = Wal::open(&dir, opts).unwrap();
+        wal.append(&feedback(0)).unwrap();
+        // A directory where the next segment file belongs makes the
+        // rotation's open fail.
+        let blocker = segment_path(&dir, 2);
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(wal.append(&feedback(1)).is_err());
+        std::fs::remove_dir(&blocker).unwrap();
+        // The obstacle is gone, but the log stays failed until reopened.
+        assert!(wal.append(&feedback(2)).is_err());
+        assert!(wal.append_batch(&[feedback(3), feedback(4)]).is_err());
+        assert_eq!(wal.stats().appends, 1);
+        drop(wal);
+
+        let (mut wal, replayed, report) = Wal::open(&dir, opts).unwrap();
+        assert_eq!(report.damage, None);
+        assert_eq!(replayed.iter().map(|r| r.seq).collect::<Vec<_>>(), [1]);
+        assert_eq!(wal.append(&feedback(5)).unwrap().first_seq, 2);
+        drop(wal);
+        let (_, replayed, report) = Wal::open(&dir, opts).unwrap();
+        assert_eq!(report.damage, None);
+        assert_eq!(replayed.iter().map(|r| r.seq).collect::<Vec<_>>(), [1, 2]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
