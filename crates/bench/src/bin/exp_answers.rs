@@ -45,12 +45,12 @@ fn attach_documents(right: &mut Store, docs_per_entity: usize) -> IriId {
 fn workload_answers(
     left: &Store,
     right: &Store,
-    links: &HashSet<Link>,
+    links: impl IntoIterator<Item = Link>,
     about: IriId,
     left_label: IriId,
 ) -> HashSet<(alex_rdf::Term, IriId)> {
     let mut fed = FederatedEngine::new(vec![("left".into(), left), ("right".into(), right)]);
-    fed.add_links(links.iter().copied());
+    fed.add_links(links);
     let about_iri = right.iri_str(about);
     let label_iri = left.iri_str(left_label);
     let query =
@@ -79,7 +79,7 @@ fn main() {
     let truth_answers = workload_answers(
         &env.pair.left,
         &env.pair.right,
-        &env.pair.truth,
+        env.pair.truth.iter().copied(),
         about,
         left_label,
     );
@@ -106,7 +106,13 @@ fn main() {
         }
         let links = driver.candidate_links();
         let link_q = Quality::compute(&links, &env.pair.truth);
-        let answers = workload_answers(&env.pair.left, &env.pair.right, &links, about, left_label);
+        let answers = workload_answers(
+            &env.pair.left,
+            &env.pair.right,
+            links.iter().copied(),
+            about,
+            left_label,
+        );
         let correct = answers.intersection(&truth_answers).count() as f64;
         let p = if answers.is_empty() {
             1.0

@@ -17,6 +17,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
+use alex_rdf::hash::FastSet;
 use alex_rdf::{IriId, Link, Store};
 use alex_sim::{CacheStats, ValueTable};
 
@@ -57,7 +58,7 @@ pub struct RunOutcome {
     /// changed (the paper's vertical green line).
     pub relaxed_convergence: Option<usize>,
     /// Final candidate links.
-    pub final_links: HashSet<Link>,
+    pub final_links: FastSet<Link>,
     /// Per-partition quality curves (for Figure 7(b)/(c)), indexed
     /// `[partition][episode]`.
     pub partition_reports: Vec<Vec<EpisodeReport>>,
@@ -260,13 +261,32 @@ impl AlexDriver {
         &mut self.engines
     }
 
-    /// Union of all partitions' candidate links.
-    pub fn candidate_links(&self) -> HashSet<Link> {
-        let mut out = HashSet::new();
-        for e in &self.engines {
-            out.extend(e.candidates().iter());
-        }
+    /// Union of all partitions' candidate links, collected into a set
+    /// sized up front.
+    pub fn candidate_links(&self) -> FastSet<Link> {
+        let mut out = FastSet::with_capacity_and_hasher(self.candidate_count(), Default::default());
+        out.extend(self.candidates());
         out
+    }
+
+    /// Every partition's candidate links, partition by partition, without
+    /// collecting them.
+    pub fn candidates(&self) -> impl Iterator<Item = Link> + '_ {
+        self.engines.iter().flat_map(|e| e.candidates().iter())
+    }
+
+    /// Whether `link` is a candidate, asked of the partition that owns
+    /// its left entity.
+    pub fn is_candidate(&self, link: Link) -> bool {
+        self.engines[self.partition_of(link)]
+            .candidates()
+            .contains(link)
+    }
+
+    /// The partition owning `link`: that of its left entity, or 0 for a
+    /// left entity outside the left dataset.
+    fn partition_of(&self, link: Link) -> usize {
+        self.owner.get(&link.left).copied().unwrap_or(0)
     }
 
     /// How many candidate links there are, without collecting them: a
@@ -320,7 +340,7 @@ impl AlexDriver {
     fn partition_truth(&self, truth: &HashSet<Link>, k: usize) -> HashSet<Link> {
         truth
             .iter()
-            .filter(|l| self.owner.get(&l.left).copied().unwrap_or(0) == k)
+            .filter(|l| self.partition_of(**l) == k)
             .copied()
             .collect()
     }
@@ -334,7 +354,7 @@ impl AlexDriver {
     /// policy improvement; [`AlexDriver::run`] and [`AlexDriver::step`]
     /// do this internally.
     pub fn process_feedback(&mut self, link: Link, positive: bool) {
-        let k = self.owner.get(&link.left).copied().unwrap_or(0);
+        let k = self.partition_of(link);
         self.engines[k].process_feedback(link, positive);
     }
 
@@ -347,6 +367,19 @@ impl AlexDriver {
             totals.merge(&e.end_episode());
         }
         totals
+    }
+
+    /// [`AlexDriver::end_episode`], also handing back every link the
+    /// episode added to or removed from the candidate set — a link may
+    /// appear more than once, and may have ended where it started. Ask
+    /// [`AlexDriver::is_candidate`] where each ended.
+    pub fn end_episode_touched(&mut self) -> (PartitionEpisodeStats, Vec<Link>) {
+        let touched = self
+            .engines
+            .iter_mut()
+            .flat_map(|e| e.take_touched())
+            .collect();
+        (self.end_episode(), touched)
     }
 
     /// Aggregated learning-state diagnostics across all partitions.
@@ -805,11 +838,22 @@ mod tests {
         // partitions (round-robin ownership) and must still take effect.
         driver.process_feedback(links[0], false);
         driver.process_feedback(links[1], true);
-        let stats = driver.end_episode();
+        let (stats, touched) = driver.end_episode_touched();
         assert_eq!(stats.feedback_items, 2);
         assert_eq!(stats.negative_feedback, 1);
 
         let after = driver.candidate_links();
+        // Patching the old set by each touched link's membership gives the
+        // new one.
+        let mut patched = before.clone();
+        for &l in &touched {
+            if driver.is_candidate(l) {
+                patched.insert(l);
+            } else {
+                patched.remove(&l);
+            }
+        }
+        assert_eq!(patched, after);
         assert!(!after.contains(&links[0]), "rejected link is removed");
         assert!(after.contains(&links[1]), "approved link stays");
         // Exploration around the approved (identical-name) link discovers

@@ -5,6 +5,7 @@
 //! `P = |C ∩ G| / |C|`, `R = |C ∩ G| / |G|`, `F = 2PR / (P + R)`.
 
 use std::collections::HashSet;
+use std::hash::BuildHasher;
 
 use alex_rdf::Link;
 use serde::{Deserialize, Serialize};
@@ -22,18 +23,29 @@ pub struct Quality {
 }
 
 impl Quality {
-    /// Computes quality of `candidates` against `ground_truth`.
-    pub fn compute(candidates: &HashSet<Link>, ground_truth: &HashSet<Link>) -> Self {
-        let correct = candidates.intersection(ground_truth).count() as f64;
-        let precision = if candidates.is_empty() {
+    /// Computes quality of `candidates` against `ground_truth`; the two
+    /// sets may use different hashers.
+    pub fn compute<S: BuildHasher, T: BuildHasher>(
+        candidates: &HashSet<Link, S>,
+        ground_truth: &HashSet<Link, T>,
+    ) -> Self {
+        let correct = candidates.iter().filter(|l| ground_truth.contains(l));
+        Self::from_counts(correct.count(), candidates.len(), ground_truth.len())
+    }
+
+    /// Quality from the counts alone: `correct` of `candidates` links are
+    /// in a ground truth of `truth` links.
+    pub fn from_counts(correct: usize, candidates: usize, truth: usize) -> Self {
+        let correct = correct as f64;
+        let precision = if candidates == 0 {
             1.0
         } else {
-            correct / candidates.len() as f64
+            correct / candidates as f64
         };
-        let recall = if ground_truth.is_empty() {
+        let recall = if truth == 0 {
             1.0
         } else {
-            correct / ground_truth.len() as f64
+            correct / truth as f64
         };
         let f1 = if precision + recall == 0.0 {
             0.0

@@ -33,8 +33,9 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use alex_query::{FederatedEngine, Federation, InMemorySource};
 use alex_rdf::hash::FastMap;
 use alex_rdf::{Link, Store};
 use alex_store::{WalOptions, WalRecord, WalStats};
@@ -618,14 +619,24 @@ impl SessionSnapshot {
 /// A session changes only through [`LiveSession::feedback_episode`] and
 /// [`LiveSession::record_query_outcome`]: each logs its WAL records first
 /// (when durable) and applies them through the `apply` recovery replays
-/// the log with.
+/// the log with. The session keeps its own [`Federation`] — the sameAs
+/// index over the candidate links plus the sources' breaker state — which
+/// the first query builds and `apply` then patches with each episode's
+/// link changes, so queries ([`LiveSession::federation`]) never rebuild
+/// it.
 pub struct LiveSession {
     /// The left dataset (the one the driver partitions).
     pub left: Store,
     /// The right dataset.
     pub right: Store,
-    /// The curation driver.
-    pub driver: AlexDriver,
+    /// The curation driver; read it through [`LiveSession::driver`], so
+    /// that every change goes through `apply` and reaches `federation`.
+    pub(crate) driver: AlexDriver,
+    /// The federation queries run on: the candidate links as a sameAs
+    /// index, kept equal to the driver's candidate set once built. Built
+    /// by the first query, so a session nobody queries — and recovery's
+    /// replay — indexes nothing.
+    federation: OnceLock<Federation>,
     /// Feedback episodes completed so far.
     pub episodes: u64,
     /// Total feedback items processed across episodes.
@@ -652,12 +663,13 @@ pub struct EpisodeOutcome {
 }
 
 impl LiveSession {
-    /// Wraps a freshly built driver and its datasets.
+    /// Wraps a freshly built (or restored) driver and its datasets.
     pub fn new(left: Store, right: Store, driver: AlexDriver) -> Self {
         Self {
             left,
             right,
             driver,
+            federation: OnceLock::new(),
             episodes: 0,
             feedback_items: 0,
             degraded_queries: 0,
@@ -688,6 +700,31 @@ impl LiveSession {
     /// Whether the session logs its mutations to a write-ahead log.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
+    }
+
+    /// The curation driver, read-only: the session changes only through
+    /// its episodes.
+    pub fn driver(&self) -> &AlexDriver {
+        &self.driver
+    }
+
+    /// A federated engine over the session's two datasets (sources
+    /// `left` and `right`) and its live federation: the current candidate
+    /// links, and breaker state that carries from one query to the next.
+    /// Only the session's first call indexes the candidate links.
+    pub fn federation(&self) -> FederatedEngine<'_> {
+        let federation = self.federation.get_or_init(|| {
+            let mut federation = Federation::new(2, self.driver.config().federation);
+            federation.add_links(self.driver.candidate_links());
+            federation
+        });
+        FederatedEngine::over(
+            federation,
+            vec![
+                Box::new(InMemorySource::new("left", &self.left)),
+                Box::new(InMemorySource::new("right", &self.right)),
+            ],
+        )
     }
 
     /// Runs one feedback episode over `batch`. A durable session first
@@ -759,10 +796,12 @@ impl LiveSession {
 
     /// Applies one WAL record: the live write path and recovery's replay
     /// both come through here. Feedback waits for its `EpisodeEnd`, which
-    /// runs the episode and returns its counters. An `Err` reports a
-    /// cross-check the record failed — an `EpisodeEnd` whose counters
-    /// disagree (the session takes the logged ones) or a `PolicyDelta`
-    /// whose RNG state differs — and the record is still applied.
+    /// runs the episode, moves each link it touched into or out of the
+    /// federation (once built) by the link's candidacy after the episode,
+    /// and returns the episode's counters. An `Err` reports a cross-check
+    /// the record failed — an `EpisodeEnd` whose counters disagree (the
+    /// session takes the logged ones) or a `PolicyDelta` whose RNG state
+    /// differs — and the record is still applied.
     pub(crate) fn apply(
         &mut self,
         record: &WalRecord,
@@ -790,7 +829,18 @@ impl LiveSession {
                 for &(link, positive) in batch {
                     self.driver.process_feedback(link, positive);
                 }
-                let stats = self.driver.end_episode();
+                let stats = match self.federation.get_mut() {
+                    Some(federation) => {
+                        let (stats, touched) = self.driver.end_episode_touched();
+                        let (present, absent): (Vec<Link>, Vec<Link>) = touched
+                            .into_iter()
+                            .partition(|&l| self.driver.is_candidate(l));
+                        federation.add_links(present);
+                        federation.remove_links(absent);
+                        stats
+                    }
+                    None => self.driver.end_episode(),
+                };
                 self.episodes += 1;
                 self.feedback_items += batch.len() as u64;
                 let replayed = (self.episodes, self.feedback_items);

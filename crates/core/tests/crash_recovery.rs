@@ -19,7 +19,8 @@
 //!    is indistinguishable from never having crashed).
 //!
 //! States compare candidates, counters, RNG streams and every engine's
-//! state fingerprint. Variants of the same trials compact the WAL into a
+//! state fingerprint, and every captured session's query index must hold
+//! exactly its candidates. Variants of the same trials compact the WAL into a
 //! checkpoint at seeded record counts (so recovery restores engine state
 //! from a checkpoint, not only from the log), damage the session's space
 //! file (so recovery rebuilds the exploration spaces), and recover several
@@ -117,30 +118,32 @@ struct OracleState {
 }
 
 fn capture(session: &LiveSession) -> OracleState {
+    let driver = session.driver();
+    let pair = |l: Link| {
+        (
+            session.left.iri_str(l.left).to_string(),
+            session.right.iri_str(l.right).to_string(),
+        )
+    };
+    let candidates: BTreeSet<(String, String)> =
+        driver.candidate_links().into_iter().map(pair).collect();
+    let engine = session.federation();
+    let indexed: BTreeSet<(String, String)> = (session.left.subjects())
+        .flat_map(|e| engine.federation().peers(e).to_vec())
+        .map(pair)
+        .collect();
+    assert_eq!(
+        indexed, candidates,
+        "the query index drifted from the candidates"
+    );
     OracleState {
         feedback_items: session.feedback_items,
         episodes: session.episodes,
         degraded_queries: session.degraded_queries,
         source_skips: session.source_skips,
-        candidates: session
-            .driver
-            .candidate_links()
-            .into_iter()
-            .map(|l| {
-                (
-                    session.left.iri_str(l.left).to_string(),
-                    session.right.iri_str(l.right).to_string(),
-                )
-            })
-            .collect(),
-        rng: session
-            .driver
-            .engines()
-            .iter()
-            .map(|e| e.rng_state())
-            .collect(),
-        engines: session
-            .driver
+        candidates,
+        rng: driver.engines().iter().map(|e| e.rng_state()).collect(),
+        engines: driver
             .engines()
             .iter()
             .map(|e| e.state_fingerprint())

@@ -612,7 +612,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Engine invariants hold under arbitrary feedback sequences:
-    /// blacklisted links are never candidates, and stats add up.
+    /// blacklisted links are never candidates, stats add up, and the
+    /// episode's touched links cover every change to the candidate set.
     #[test]
     fn engine_invariants_under_random_feedback(
         names in arb_names(),
@@ -629,6 +630,7 @@ proptest! {
             return Ok(());
         }
         let mut engine = alex_core::PartitionEngine::new(space, initial, cfg, seed);
+        let before = engine.candidates().to_set();
         let mut rng = StdRng::seed_from_u64(seed);
         for verdict in verdicts {
             let Some(l) = engine.candidates().sample(&mut rng) else { break };
@@ -638,7 +640,12 @@ proptest! {
                 prop_assert!(!engine.candidates().contains(*b));
             }
         }
+        let touched = engine.take_touched();
         let stats = engine.end_episode();
         prop_assert!(stats.negative_feedback <= stats.feedback_items);
+        let after = engine.candidates().to_set();
+        for changed in before.symmetric_difference(&after) {
+            prop_assert!(touched.contains(changed), "untracked change {:?}", changed);
+        }
     }
 }

@@ -28,14 +28,16 @@
 //! for each intermediate row, every source is probed — that is source
 //! selection by attempted match, which at in-memory latencies is as fast as
 //! maintaining predicate summaries. Entity translation tries the bound IRI
-//! itself plus every `owl:sameAs` counterpart, accumulating the used links
-//! in the row. Execution is serial and time is virtual (charged by probes
-//! and backoff, never read from a wall clock), so a fixed fault seed gives
-//! identical results at any thread count — and with flawless sources the
-//! results are identical to the pre-failure-model engine.
+//! itself plus every `owl:sameAs` counterpart in ascending link order,
+//! accumulating the used links in the row. Execution is serial and time
+//! is virtual (charged by probes and backoff, never read from a wall
+//! clock), so a fixed fault seed gives identical results at any thread
+//! count — and with flawless sources the results are identical to the
+//! pre-failure-model engine.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use alex_rdf::{Interner, IriId, Link, Store, Term, Triple};
 use alex_trace::{self as trace, Payload};
@@ -44,6 +46,7 @@ use crate::ast::{Group, PatternTerm, Query, TriplePattern};
 use crate::exec::{eval_filter, resolve_literal, total_term_cmp, VarTable};
 use crate::fault::{stable_mix, unit};
 use crate::parser::{parse, ParseError};
+use crate::same_as::{counterpart, SameAsIndex};
 use crate::source::{InMemorySource, QuerySource, SourceError};
 
 /// One answer of a federated query.
@@ -260,6 +263,7 @@ struct FedRow {
 /// breaker, and the jitter draw counter. Survives across queries so
 /// breaker cooldowns span queries the way they would against real
 /// endpoints.
+#[derive(Clone)]
 struct FedState {
     clock_ms: u64,
     breakers: Vec<Breaker>,
@@ -283,16 +287,99 @@ enum ProbeOutcome {
     Skipped,
 }
 
-/// A federation of query sources connected by `owl:sameAs` links.
+/// The owned half of a federation: the `owl:sameAs` index, the
+/// resilience configuration, and the breaker and virtual-clock state that
+/// persists across queries. It borrows no source, so a long-lived owner —
+/// a curation session — keeps one, patches its links as they change, and
+/// wraps it with its sources per query through [`FederatedEngine::over`].
+pub struct Federation {
+    same_as: SameAsIndex,
+    cfg: FederationConfig,
+    state: Mutex<FedState>,
+}
+
+impl Federation {
+    /// A federation of `sources` sources with no links, every breaker
+    /// closed, and the virtual clock at zero.
+    pub fn new(sources: usize, cfg: FederationConfig) -> Self {
+        Self {
+            same_as: SameAsIndex::default(),
+            cfg,
+            state: Mutex::new(FedState {
+                clock_ms: 0,
+                breakers: vec![Breaker::Closed { failures: 0 }; sources],
+                draws: 0,
+            }),
+        }
+    }
+
+    /// Adds `owl:sameAs` links, both directions; links already present
+    /// are left alone.
+    pub fn add_links(&mut self, links: impl IntoIterator<Item = Link>) {
+        let links = links.into_iter();
+        self.same_as.reserve(links.size_hint().0);
+        for link in links {
+            self.same_as.insert(link);
+        }
+    }
+
+    /// Removes `owl:sameAs` links; absent links are ignored. Breaker and
+    /// clock state are untouched.
+    pub fn remove_links(&mut self, links: impl IntoIterator<Item = Link>) {
+        for link in links {
+            self.same_as.remove(link);
+        }
+    }
+
+    /// The links naming `entity` in either direction, in ascending order —
+    /// the order a query probes its counterparts in.
+    pub fn peers(&self, entity: IriId) -> &[Link] {
+        self.same_as.peers(entity)
+    }
+
+    /// Number of distinct entities with at least one counterpart.
+    pub fn linked_entities(&self) -> usize {
+        self.same_as.entities()
+    }
+
+    /// Current breaker state per source, in registration order.
+    pub fn breaker_states(&self) -> Vec<BreakerKind> {
+        self.state().breakers.iter().map(Breaker::kind).collect()
+    }
+
+    /// The virtual clock: total milliseconds charged by probes and
+    /// backoff since construction.
+    pub fn virtual_clock_ms(&self) -> u64 {
+        self.state().clock_ms
+    }
+
+    /// The resilience state. It is consistent between any two
+    /// statements, so a query that panicked holding it leaves nothing
+    /// half-written.
+    fn state(&self) -> MutexGuard<'_, FedState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Federation {
+    fn clone(&self) -> Self {
+        Self {
+            same_as: self.same_as.clone(),
+            cfg: self.cfg,
+            state: Mutex::new(self.state().clone()),
+        }
+    }
+}
+
+/// A federation of query sources connected by `owl:sameAs` links: the
+/// sources of one query plus a [`Federation`], owned (built by
+/// [`FederatedEngine::add_links`]) or borrowed from a long-lived owner.
 ///
 /// All member sources must share one [`Interner`] (the workspace-wide
 /// convention), so ids are comparable across sources.
 pub struct FederatedEngine<'a> {
     sources: Vec<Box<dyn QuerySource + 'a>>,
-    /// entity → (counterpart, the link that asserts it), both directions.
-    same_as: HashMap<IriId, Vec<(IriId, Link)>>,
-    cfg: FederationConfig,
-    state: Mutex<FedState>,
+    fed: Cow<'a, Federation>,
 }
 
 impl<'a> FederatedEngine<'a> {
@@ -332,6 +419,30 @@ impl<'a> FederatedEngine<'a> {
     /// Panics if the sources do not share an interner, or no source is
     /// given.
     pub fn from_sources(sources: Vec<Box<dyn QuerySource + 'a>>, cfg: FederationConfig) -> Self {
+        let fed = Federation::new(sources.len(), cfg);
+        Self::assemble(sources, Cow::Owned(fed))
+    }
+
+    /// Runs queries over `sources` through a borrowed [`Federation`]:
+    /// its links, configuration and breaker state, which the queries keep
+    /// updating. Costs O(sources); nothing is indexed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sources do not share an interner, or their number
+    /// differs from the federation's.
+    pub fn over(fed: &'a Federation, sources: Vec<Box<dyn QuerySource + 'a>>) -> Self {
+        let breakers = fed.state().breakers.len();
+        assert_eq!(
+            breakers,
+            sources.len(),
+            "federation of {breakers} sources given {}",
+            sources.len()
+        );
+        Self::assemble(sources, Cow::Borrowed(fed))
+    }
+
+    fn assemble(sources: Vec<Box<dyn QuerySource + 'a>>, fed: Cow<'a, Federation>) -> Self {
         assert!(!sources.is_empty(), "federation needs at least one source");
         let first = sources[0].interner().clone();
         for s in &sources {
@@ -341,17 +452,7 @@ impl<'a> FederatedEngine<'a> {
                 s.name()
             );
         }
-        let breakers = vec![Breaker::Closed { failures: 0 }; sources.len()];
-        Self {
-            sources,
-            same_as: HashMap::new(),
-            cfg,
-            state: Mutex::new(FedState {
-                clock_ms: 0,
-                breakers,
-                draws: 0,
-            }),
-        }
+        Self { sources, fed }
     }
 
     /// The shared interner.
@@ -359,9 +460,9 @@ impl<'a> FederatedEngine<'a> {
         self.sources[0].interner()
     }
 
-    /// The active resilience configuration.
-    pub fn config(&self) -> &FederationConfig {
-        &self.cfg
+    /// The links, configuration and resilience state the engine runs on.
+    pub fn federation(&self) -> &Federation {
+        &self.fed
     }
 
     /// Source names, in registration order.
@@ -369,41 +470,16 @@ impl<'a> FederatedEngine<'a> {
         self.sources.iter().map(|s| s.name()).collect()
     }
 
-    /// Current breaker state per source, in registration order.
-    pub fn breaker_states(&self) -> Vec<BreakerKind> {
-        let st = self.state.lock().expect("federation state");
-        st.breakers.iter().map(Breaker::kind).collect()
-    }
-
-    /// The engine's virtual clock: total milliseconds charged by probes
-    /// and backoff since construction.
-    pub fn virtual_clock_ms(&self) -> u64 {
-        self.state.lock().expect("federation state").clock_ms
-    }
-
     /// Installs (or extends) the `owl:sameAs` link set, both directions.
+    /// An engine over a borrowed [`Federation`] first takes a copy of it.
     pub fn add_links(&mut self, links: impl IntoIterator<Item = Link>) {
-        for link in links {
-            self.same_as
-                .entry(link.left)
-                .or_default()
-                .push((link.right, link));
-            self.same_as
-                .entry(link.right)
-                .or_default()
-                .push((link.left, link));
-        }
+        self.fed.to_mut().add_links(links);
     }
 
-    /// Drops every installed link (used when ALEX revises the candidate
-    /// set between episodes).
-    pub fn clear_links(&mut self) {
-        self.same_as.clear();
-    }
-
-    /// Number of distinct entities with at least one counterpart.
-    pub fn linked_entities(&self) -> usize {
-        self.same_as.len()
+    /// Removes `owl:sameAs` links; breaker state is kept. An engine over
+    /// a borrowed [`Federation`] first takes a copy of it.
+    pub fn remove_links(&mut self, links: impl IntoIterator<Item = Link>) {
+        self.fed.to_mut().remove_links(links);
     }
 
     /// Parses and executes a query.
@@ -428,7 +504,7 @@ impl<'a> FederatedEngine<'a> {
     pub fn execute_report(&self, query: &Query) -> QueryReport {
         let _span = trace::span("query.federated");
         let mut ctx = QueryCtx {
-            budget: vec![self.cfg.source_budget_ms; self.sources.len()],
+            budget: vec![self.fed.cfg.source_budget_ms; self.sources.len()],
             counters: self
                 .sources
                 .iter()
@@ -440,7 +516,7 @@ impl<'a> FederatedEngine<'a> {
             skipped: BTreeSet::new(),
         };
         let answers = self.run_query(query, &mut ctx);
-        let breakers = self.breaker_states();
+        let breakers = self.fed.breaker_states();
         let mut sources = ctx.counters;
         for (idx, rep) in sources.iter_mut().enumerate() {
             rep.breaker = Some(breakers[idx]);
@@ -478,10 +554,7 @@ impl<'a> FederatedEngine<'a> {
         for (a, b) in &query.unions {
             let mut next = self.extend_group(rows.clone(), a, &vars, ctx);
             next.extend(self.extend_group(rows, b, &vars, ctx));
-            next.sort_by(|x, y| {
-                format!("{:?}", (&x.bindings, &x.links))
-                    .cmp(&format!("{:?}", (&y.bindings, &y.links)))
-            });
+            sort_rows(&mut next);
             next.dedup_by(|x, y| x.bindings == y.bindings && x.links == y.links);
             rows = next;
         }
@@ -584,14 +657,12 @@ impl<'a> FederatedEngine<'a> {
         rows
     }
 
-    /// Entity ids equivalent to `id` (itself first), with the link that
+    /// Entity ids equivalent to `id` (itself first, then its
+    /// counterparts in ascending link order), with the link that
     /// justifies each non-identity alternative.
-    fn alternatives(&self, id: IriId) -> Vec<(IriId, Option<Link>)> {
-        let mut out = vec![(id, None)];
-        if let Some(peers) = self.same_as.get(&id) {
-            out.extend(peers.iter().map(|&(peer, link)| (peer, Some(link))));
-        }
-        out
+    fn alternatives(&self, id: IriId) -> impl Iterator<Item = (IriId, Option<Link>)> + '_ {
+        let peers = self.fed.same_as.peers(id).iter();
+        std::iter::once((id, None)).chain(peers.map(move |&l| (counterpart(l, id), Some(l))))
     }
 
     /// Probes one source with the full resilience pipeline: breaker gate,
@@ -607,8 +678,8 @@ impl<'a> FederatedEngine<'a> {
         ctx: &mut QueryCtx,
     ) -> Vec<Triple> {
         let source = &self.sources[idx];
-        let cfg = &self.cfg;
-        let mut st = self.state.lock().expect("federation state");
+        let cfg = &self.fed.cfg;
+        let mut st = self.fed.state();
 
         // Breaker gate.
         match st.breakers[idx] {
@@ -828,11 +899,7 @@ impl<'a> FederatedEngine<'a> {
 
             // Subject alternatives (entity translation across datasets).
             let subject_alts: Vec<(Option<IriId>, Option<Link>)> = match s {
-                Some(Term::Iri(id)) => self
-                    .alternatives(id)
-                    .into_iter()
-                    .map(|(i, l)| (Some(i), l))
-                    .collect(),
+                Some(Term::Iri(id)) => self.alternatives(id).map(|(i, l)| (Some(i), l)).collect(),
                 Some(Term::Literal(_)) => continue,
                 None => vec![(None, None)],
             };
@@ -840,7 +907,6 @@ impl<'a> FederatedEngine<'a> {
             let object_alts: Vec<(Option<Term>, Option<Link>)> = match o {
                 Some(Term::Iri(id)) => self
                     .alternatives(id)
-                    .into_iter()
                     .map(|(i, l)| (Some(Term::Iri(i)), l))
                     .collect(),
                 Some(lit) => vec![(Some(lit), None)],
@@ -902,12 +968,17 @@ impl<'a> FederatedEngine<'a> {
         }
         // Deduplicate identical (bindings, links) rows produced via
         // different sources matching the same data.
-        out.sort_unstable_by(|a, b| {
-            format!("{:?}", (&a.bindings, &a.links)).cmp(&format!("{:?}", (&b.bindings, &b.links)))
-        });
+        sort_rows(&mut out);
         out.dedup_by(|a, b| a.bindings == b.bindings && a.links == b.links);
         out
     }
+}
+
+/// Sorts rows by their rendered `(bindings, links)`, rendering each row
+/// once. Rows with equal keys are identical, so the order — and the
+/// dedup that follows — is the same for any sort algorithm.
+fn sort_rows(rows: &mut [FedRow]) {
+    rows.sort_by_cached_key(|r| format!("{:?}", (&r.bindings, &r.links)));
 }
 
 fn pick_next<'p>(
@@ -1089,17 +1160,72 @@ mod tests {
     }
 
     #[test]
-    fn clear_links_resets_federation() {
+    fn remove_links_undoes_add_links() {
         let (dbpedia, nytimes, link) = federation_fixture();
         let mut fed = FederatedEngine::new(vec![
             ("dbpedia".into(), &dbpedia),
             ("nytimes".into(), &nytimes),
         ]);
         fed.add_links([link]);
-        assert_eq!(fed.linked_entities(), 2);
-        fed.clear_links();
-        assert_eq!(fed.linked_entities(), 0);
+        assert_eq!(fed.federation().linked_entities(), 2);
+        assert_eq!(fed.federation().peers(link.left), &[link]);
+        fed.remove_links([link]);
+        assert_eq!(fed.federation().linked_entities(), 0);
+        assert!(fed.execute_str(JOIN_QUERY).unwrap().is_empty());
         assert_eq!(fed.source_names(), vec!["dbpedia", "nytimes"]);
+    }
+
+    #[test]
+    fn borrowed_federation_keeps_state_across_engines() {
+        let (dbpedia, nytimes, link) = federation_fixture();
+        let dead = FaultConfig {
+            outage_rate: 1.0,
+            ..FaultConfig::default()
+        };
+        let mut shared = Federation::new(
+            2,
+            FederationConfig {
+                breaker_cooldown_ms: 1_000_000,
+                ..FederationConfig::default()
+            },
+        );
+        shared.add_links([link]);
+        let engine = |fed| {
+            FederatedEngine::over(
+                fed,
+                vec![
+                    Box::new(InMemorySource::new("dbpedia", &dbpedia)),
+                    Box::new(FaultySource::new(
+                        InMemorySource::new("nytimes", &nytimes),
+                        dead,
+                    )),
+                ],
+            )
+        };
+        assert!(
+            engine(&shared)
+                .execute_str_report(JOIN_QUERY)
+                .unwrap()
+                .degraded
+        );
+        assert_eq!(shared.breaker_states()[1], BreakerKind::Open);
+        // A second engine over the same federation sees the open breaker.
+        let report = engine(&shared).execute_str_report(JOIN_QUERY).unwrap();
+        assert_eq!(report.sources[1].probes, 0, "the breaker stayed open");
+    }
+
+    #[test]
+    #[should_panic(expected = "federation of 3 sources given 2")]
+    fn borrowed_federation_must_match_the_source_count() {
+        let (dbpedia, nytimes, _) = federation_fixture();
+        let fed = Federation::new(3, FederationConfig::default());
+        let _ = FederatedEngine::over(
+            &fed,
+            vec![
+                Box::new(InMemorySource::new("dbpedia", &dbpedia)),
+                Box::new(InMemorySource::new("nytimes", &nytimes)),
+            ],
+        );
     }
 
     #[test]
@@ -1162,9 +1288,13 @@ mod tests {
         assert_eq!(report.total_timeouts(), 0);
         assert_eq!(report.total_breaker_opens(), 0);
         assert!(report.sources.iter().all(|s| s.probes > 0));
-        assert_eq!(fed.virtual_clock_ms(), 0, "in-memory probes are free");
         assert_eq!(
-            fed.breaker_states(),
+            fed.federation().virtual_clock_ms(),
+            0,
+            "in-memory probes are free"
+        );
+        assert_eq!(
+            fed.federation().breaker_states(),
             vec![BreakerKind::Closed, BreakerKind::Closed]
         );
     }
@@ -1259,7 +1389,7 @@ mod tests {
 
         // Enough consecutive failures have tripped the breaker; further
         // probes are skipped without even reaching the source.
-        assert_eq!(fed.breaker_states()[1], BreakerKind::Open);
+        assert_eq!(fed.federation().breaker_states()[1], BreakerKind::Open);
         let report = fed.execute_str_report(JOIN_QUERY).unwrap();
         assert!(report.sources[1].breaker_skipped > 0);
         assert_eq!(report.sources[1].probes, 0, "the source was not probed");

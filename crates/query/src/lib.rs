@@ -14,7 +14,9 @@
 //!   over the store's indexes;
 //! * [`FederatedEngine`] — multi-source execution with `owl:sameAs`
 //!   entity translation and per-answer **link provenance**, the hook that
-//!   turns answer feedback into the link feedback ALEX consumes;
+//!   turns answer feedback into the link feedback ALEX consumes; its
+//!   owned half, [`Federation`] (the sameAs index plus breaker state),
+//!   can outlive a query and be patched link by link;
 //! * [`QuerySource`] / [`FaultySource`] — a failure model for federation
 //!   members: deterministic seed-driven fault injection, per-source
 //!   deadline budgets, bounded retries with jittered backoff, circuit
@@ -58,6 +60,7 @@ mod exec;
 pub mod fault;
 mod federated;
 mod parser;
+mod same_as;
 pub mod source;
 
 pub use ast::{
@@ -70,7 +73,7 @@ pub use exec::{
 };
 pub use fault::{FaultConfig, FaultySource};
 pub use federated::{
-    Answer, BreakerKind, FederatedEngine, FederationConfig, QueryReport, SourceReport,
+    Answer, BreakerKind, FederatedEngine, Federation, FederationConfig, QueryReport, SourceReport,
 };
 pub use parser::{parse, ParseError};
 pub use source::{InMemorySource, Probe, QuerySource, SourceError};

@@ -22,7 +22,6 @@ use std::sync::PoisonError;
 use alex_core::store::WalStats;
 use alex_core::trace;
 use alex_core::{AlexConfig, AlexDriver, DurabilityConfig, LiveSession, Quality, SessionHandle};
-use alex_query::FederatedEngine;
 use alex_rdf::{ntriples, turtle, Interner, Link, Store, Term};
 use serde_json::{Number, Value};
 
@@ -242,7 +241,7 @@ fn create_session(state: &AppState, req: &Request) -> Response {
     };
 
     let id = state.fresh_id();
-    let candidates = driver.candidate_links().len();
+    let candidates = driver.candidate_count();
     let left_triples = left.len();
     let right_triples = right.len();
 
@@ -328,7 +327,7 @@ pub(crate) fn update_session_gauges(
     state
         .metrics
         .gauge(&format!("alex_session_candidates{{session=\"{id}\"}}"))
-        .set(session.driver.candidate_count() as i64);
+        .set(session.driver().candidate_count() as i64);
     state
         .metrics
         .gauge(&format!("alex_session_episodes{{session=\"{id}\"}}"))
@@ -337,7 +336,9 @@ pub(crate) fn update_session_gauges(
         .metrics
         .counter(&format!("alex_session_feedback_total{{session=\"{id}\"}}"));
     if let Some(truth) = truth {
-        let q = Quality::compute(&session.driver.candidate_links(), truth);
+        let driver = session.driver();
+        let correct = driver.candidates().filter(|l| truth.contains(l)).count();
+        let q = Quality::from_counts(correct, driver.candidate_count(), truth.len());
         state
             .metrics
             .float_gauge(&format!("alex_session_precision{{session=\"{id}\"}}"))
@@ -356,12 +357,12 @@ fn session_info(state: &AppState, id: &str) -> Response {
         Err(resp) => return resp,
     };
     let session = handle.read();
-    let config = serde_json::to_value(session.driver.config()).unwrap_or(Value::Null);
+    let config = serde_json::to_value(session.driver().config()).unwrap_or(Value::Null);
     Response::json(
         200,
         &obj(vec![
             ("id", Value::String(id.to_string())),
-            ("candidates", num(session.driver.candidate_count())),
+            ("candidates", num(session.driver().candidate_count())),
             ("episodes", Value::Number(Number::U64(session.episodes))),
             (
                 "feedback_items",
@@ -416,15 +417,7 @@ fn query(state: &AppState, id: &str, req: &Request) -> Response {
     };
 
     let session = handle.read();
-    let mut fed = FederatedEngine::with_config(
-        vec![
-            ("left".to_string(), &session.left),
-            ("right".to_string(), &session.right),
-        ],
-        session.driver.config().federation,
-    );
-    fed.add_links(session.driver.candidate_links());
-    let report = match fed.execute_str_report(text) {
+    let report = match session.federation().execute_str_report(text) {
         Ok(r) => r,
         Err(e) => return Response::error(400, format!("query error: {e}")),
     };
@@ -451,7 +444,6 @@ fn query(state: &AppState, id: &str, req: &Request) -> Response {
             ])
         })
         .collect();
-    drop(fed);
     drop(session);
 
     let skipped = report.skipped_sources();
@@ -588,13 +580,13 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
 
     // The episode is logged before it touches the driver; a failed
     // append leaves the session as it was.
-    let candidates_before = session.driver.candidate_count();
+    let candidates_before = session.driver().candidate_count();
     let episode = match session.feedback_episode(&batch) {
         Ok(episode) => episode,
         Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
     };
     record_wal_metrics(state, &episode.logged);
-    let candidates = session.driver.candidate_count();
+    let candidates = session.driver().candidate_count();
     let episodes = session.episodes;
     drop(session);
 
