@@ -58,11 +58,6 @@ pub fn reports_to_csv(reports: &[EpisodeReport]) -> String {
     out
 }
 
-/// Renders episode reports as a JSON array.
-pub fn reports_to_json(reports: &[EpisodeReport]) -> String {
-    serde_json::to_string_pretty(reports).expect("reports serialize")
-}
-
 /// Writes `content` to `path` if `--out <dir>` was passed on the command
 /// line; returns whether anything was written.
 pub fn maybe_write_output(filename: &str, content: &str) -> bool {
@@ -119,13 +114,5 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("episode,precision"));
         assert!(lines[1].starts_with("0,0.9"));
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let json = reports_to_json(&[report(2)]);
-        let back: Vec<EpisodeReport> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].episode, 2);
     }
 }

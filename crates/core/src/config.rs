@@ -6,68 +6,6 @@ use serde::{Deserialize, Serialize};
 use alex_query::FederationConfig;
 use alex_sim::SimConfig;
 use alex_store::{SyncPolicy, WalOptions};
-use alex_trace::{TraceMode, TraceSettings, DEFAULT_RING_CAPACITY};
-
-/// Tracing configuration (see [`crate::trace`]): where events go, how
-/// traces are sampled, and how much the flight recorder retains. The
-/// `ALEX_TRACE` environment variable takes precedence at entry points, so
-/// a deployed config can be overridden without editing it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct TraceConfig {
-    /// `off`, `ring`, or `jsonl:<path>`.
-    pub mode: String,
-    /// Per-trace sampling rate in `[0, 1]` (1.0 keeps every trace).
-    pub sample: f64,
-    /// Flight-recorder capacity, in events.
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            mode: "off".into(),
-            sample: 1.0,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Converts to runtime [`TraceSettings`], validating the mode string.
-    pub fn to_settings(&self) -> Result<TraceSettings, String> {
-        if !(0.0..=1.0).contains(&self.sample) {
-            return Err(format!(
-                "trace sample rate must be in [0,1], got {}",
-                self.sample
-            ));
-        }
-        if self.ring_capacity == 0 {
-            return Err("trace ring_capacity must be positive".into());
-        }
-        Ok(TraceSettings {
-            mode: TraceMode::parse(&self.mode)?,
-            sample: self.sample,
-            ring_capacity: self.ring_capacity,
-        })
-    }
-
-    /// Validates without installing.
-    pub fn validate(&self) -> Result<(), String> {
-        self.to_settings().map(|_| ())
-    }
-
-    /// Installs this configuration on the global recorder — unless the
-    /// `ALEX_TRACE` environment variable is set, which wins.
-    pub fn install(&self) -> Result<(), String> {
-        if std::env::var(alex_trace::ENV_MODE).is_ok() {
-            alex_trace::configure_from_env();
-            Ok(())
-        } else {
-            alex_trace::configure(&self.to_settings()?)
-        }
-    }
-}
 
 /// Durability configuration (see [`crate::durability`]): whether sessions
 /// keep a write-ahead log, how eagerly it reaches the disk platter, when
@@ -207,9 +145,6 @@ pub struct AlexConfig {
     /// retries with backoff, and the circuit breaker. Flawless in-memory
     /// sources never trigger any of them, so the defaults are free.
     pub federation: FederationConfig,
-    /// Structured-tracing configuration (off by default; tracing never
-    /// changes link-quality output, only records it).
-    pub trace: TraceConfig,
     /// Durability configuration (off by default; when enabled, sessions
     /// log every mutation to a write-ahead log before acknowledging it).
     pub durability: DurabilityConfig,
@@ -236,7 +171,6 @@ impl Default for AlexConfig {
             threads: 0,
             seed: 0x5EED_A1EC,
             federation: FederationConfig::default(),
-            trace: TraceConfig::default(),
             durability: DurabilityConfig::default(),
         }
     }
@@ -287,7 +221,6 @@ impl AlexConfig {
             );
         }
         self.federation.validate()?;
-        self.trace.validate()?;
         self.durability.validate()?;
         Ok(())
     }
@@ -401,14 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn configs_without_trace_knobs_get_defaults() {
-        // Snapshots written before tracing existed must load with it off.
-        let back: AlexConfig = serde_json::from_str(r#"{"episode_size": 7}"#).unwrap();
-        assert_eq!(back.trace, TraceConfig::default());
-        assert_eq!(back.trace.mode, "off");
-    }
-
-    #[test]
     fn configs_without_durability_knobs_get_defaults() {
         // Snapshots written before the storage engine existed must load
         // with durability off.
@@ -454,43 +379,6 @@ mod tests {
         ] {
             let c = AlexConfig {
                 durability: bad,
-                ..Default::default()
-            };
-            assert!(c.validate().is_err());
-        }
-    }
-
-    #[test]
-    fn trace_config_round_trips_and_validates() {
-        let c = AlexConfig {
-            trace: TraceConfig {
-                mode: "jsonl:/tmp/alex.jsonl".into(),
-                sample: 0.5,
-                ring_capacity: 1024,
-            },
-            ..Default::default()
-        };
-        assert!(c.validate().is_ok());
-        let json = serde_json::to_string(&c).unwrap();
-        let back: AlexConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.trace, c.trace);
-
-        for bad in [
-            TraceConfig {
-                mode: "martian".into(),
-                ..Default::default()
-            },
-            TraceConfig {
-                sample: 1.5,
-                ..Default::default()
-            },
-            TraceConfig {
-                ring_capacity: 0,
-                ..Default::default()
-            },
-        ] {
-            let c = AlexConfig {
-                trace: bad,
                 ..Default::default()
             };
             assert!(c.validate().is_err());

@@ -296,19 +296,6 @@ impl AlexDriver {
         self.engines.iter().map(|e| e.candidates().len()).sum()
     }
 
-    /// Sum of all partitions' filtered-space sizes.
-    pub fn filtered_space_size(&self) -> usize {
-        self.engines.iter().map(|e| e.space().len()).sum()
-    }
-
-    /// Sum of all partitions' unfiltered pair counts.
-    pub fn total_possible_pairs(&self) -> usize {
-        self.engines
-            .iter()
-            .map(|e| e.space().total_possible())
-            .sum()
-    }
-
     fn allot_items(&self) -> Vec<usize> {
         let counts: Vec<usize> = self.engines.iter().map(|e| e.candidates().len()).collect();
         let total: usize = counts.iter().sum();
@@ -776,22 +763,6 @@ mod tests {
         };
         let driver = AlexDriver::new(&left, &right, &[], cfg).unwrap();
         assert!(driver.allot_items().iter().all(|&i| i == 0));
-    }
-
-    #[test]
-    fn filtered_space_and_total_pairs_counts() {
-        let (left, right, _, links) = world(8);
-        let cfg = AlexConfig {
-            partitions: 2,
-            ..Default::default()
-        };
-        let driver = AlexDriver::new(&left, &right, &links, cfg).unwrap();
-        assert_eq!(driver.total_possible_pairs(), 8 * 8);
-        assert!(
-            driver.filtered_space_size() >= 8,
-            "true pairs survive the filter"
-        );
-        assert!(driver.filtered_space_size() <= driver.total_possible_pairs());
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub use alex_trace as trace;
 pub use alex_store as store;
 
 pub use candidates::CandidateSet;
-pub use config::{AlexConfig, DurabilityConfig, TraceConfig};
+pub use config::{AlexConfig, DurabilityConfig};
 pub use driver::{AlexDriver, RunOutcome, SpaceBuildStats};
 pub use durability::{
     recover_session, recover_state_dir, session_dir, validate_session_id, write_atomic,

@@ -1131,6 +1131,48 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_with_the_retired_trace_config_restore_identically() {
+        let (left, right, truth) = world();
+        let initial: Vec<Link> = truth.iter().take(3).copied().collect();
+        let mut driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
+        let oracle = ExactOracle::new(truth.clone());
+        driver.run(&oracle, &truth);
+        let snap = SessionSnapshot::capture(&driver, &left, &right);
+        assert_eq!(snap.version, 4);
+        let plain = snap.to_json();
+        // A version-4 writer whose `AlexConfig` still had a `trace` field.
+        let mut value = serde_json::to_value(&snap).unwrap();
+        let serde::Value::Object(fields) = &mut value else {
+            panic!("snapshot serializes as an object");
+        };
+        let (_, config) = fields.iter_mut().find(|(k, _)| k == "config").unwrap();
+        let serde::Value::Object(config) = config else {
+            panic!("config is an object");
+        };
+        assert!(config.iter().all(|(k, _)| k != "trace"));
+        let trace = r#"{"mode": "ring", "sample": 0.5, "ring_capacity": 1024}"#;
+        config.push(("trace".into(), serde_json::from_str(trace).unwrap()));
+        let with_trace = value.to_json_string(false);
+        assert!(with_trace.contains(r#""trace":{"mode":"ring""#));
+
+        let state = |json: &str| {
+            let restored = SessionSnapshot::from_json(json)
+                .unwrap()
+                .restore(&left, &right)
+                .unwrap();
+            let mut links: Vec<Link> = restored.candidate_links().into_iter().collect();
+            links.sort();
+            let fps: Vec<u64> = restored
+                .engines()
+                .iter()
+                .map(|e| e.state_fingerprint())
+                .collect();
+            (links, fps)
+        };
+        assert_eq!(state(&with_trace), state(&plain));
+    }
+
+    #[test]
     fn out_of_range_engine_references_are_errors() {
         let (left, right, truth) = world();
         let initial: Vec<Link> = truth.iter().take(3).copied().collect();

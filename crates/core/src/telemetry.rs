@@ -7,8 +7,7 @@
 //!
 //! * [`Counter`] — monotonically increasing event count (lock-free).
 //! * [`Gauge`] — a value that can go up and down (queue depth, sessions).
-//! * [`Histogram`] — latency distribution over exponential buckets with
-//!   quantile estimation (p50/p95/p99).
+//! * [`Histogram`] — latency distribution over exponential buckets.
 //!
 //! [`MetricsRegistry::render`] emits the whole registry in the plain-text
 //! exposition format (`name{labels} value` lines, `# TYPE` comments), so a
@@ -126,8 +125,6 @@ struct HistogramInner {
     counts: [u64; BUCKETS],
     count: u64,
     sum: f64,
-    min: f64,
-    max: f64,
 }
 
 /// A latency histogram over fixed exponential buckets.
@@ -152,8 +149,6 @@ impl Histogram {
                 counts: [0; BUCKETS],
                 count: 0,
                 sum: 0.0,
-                min: f64::INFINITY,
-                max: 0.0,
             }),
         }
     }
@@ -177,8 +172,6 @@ impl Histogram {
         g.counts[idx] += 1;
         g.count += 1;
         g.sum += v;
-        g.min = g.min.min(v);
-        g.max = g.max.max(v);
     }
 
     /// Number of observations.
@@ -212,27 +205,6 @@ impl Histogram {
             }
         }
         out
-    }
-
-    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) in seconds, or `None`
-    /// when nothing has been recorded.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if g.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * g.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in g.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Clamp the bucket estimate by the true observed extremes so
-                // single-observation histograms report the exact value.
-                let bound = Self::bucket_bound(i);
-                return Some(bound.clamp(g.min, g.max));
-            }
-        }
-        Some(g.max)
     }
 }
 
@@ -408,29 +380,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_order_correctly() {
+    fn histogram_counts_and_sums_observations() {
         let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), None);
         for i in 1..=100 {
             h.record(i as f64 / 1000.0); // 1ms .. 100ms
         }
-        let p50 = h.quantile(0.5).unwrap();
-        let p95 = h.quantile(0.95).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-        // Bucketed estimates stay within the coarse bucket error band.
-        assert!((0.02..=0.11).contains(&p50), "p50 {p50}");
-        assert!(p99 <= 0.14, "p99 {p99}");
         assert_eq!(h.count(), 100);
         assert!((h.sum() - 5.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn single_observation_is_exact() {
-        let h = Histogram::new();
-        h.record(0.25);
-        assert_eq!(h.quantile(0.5), Some(0.25));
-        assert_eq!(h.quantile(0.99), Some(0.25));
     }
 
     #[test]

@@ -70,23 +70,6 @@ impl PaperPair {
         }
     }
 
-    /// Ground-truth link count reported in the paper for this pair.
-    pub fn paper_ground_truth(self) -> usize {
-        match self {
-            PaperPair::DbpediaNytimes => 10_968,
-            PaperPair::DbpediaDrugbank => 1_514,
-            PaperPair::DbpediaLexvo => 4_364,
-            PaperPair::OpencycNytimes => 2_965,
-            PaperPair::OpencycDrugbank => 204,
-            PaperPair::OpencycLexvo => 383,
-            PaperPair::DbpediaSwdf => 461,
-            PaperPair::OpencycSwdf => 110,
-            PaperPair::DbpediaNbaNytimes => 93,
-            PaperPair::OpencycNbaNytimes => 35,
-            PaperPair::DbpediaOpencyc => 41_039,
-        }
-    }
-
     /// Starting (precision, recall) of the initial candidate set, read off
     /// the episode-0 points of the paper's figures.
     pub fn initial_quality(self) -> (f64, f64) {
@@ -234,7 +217,6 @@ mod tests {
     fn all_pairs_have_consistent_metadata() {
         for p in PaperPair::ALL {
             assert!(!p.label().is_empty());
-            assert!(p.paper_ground_truth() > 0);
             let (pr, rc) = p.initial_quality();
             assert!(pr > 0.0 && pr <= 1.0, "{p:?}");
             assert!(rc > 0.0 && rc <= 1.0, "{p:?}");

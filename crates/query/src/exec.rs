@@ -1,68 +1,50 @@
-//! Single-store query execution.
-//!
-//! Classic pattern-at-a-time evaluation: patterns are greedily reordered so
-//! the most selective (most-bound) pattern runs first, each pattern extends
-//! the current binding set via the store's indexes, filters apply as soon
-//! as their variables are bound, and projection/`DISTINCT`/`LIMIT` run at
-//! the end.
+//! Row-level evaluation shared by the federated engine: the variable
+//! table that lays out a solution row, filter evaluation under SPARQL's
+//! error-is-false rule, literal resolution, and the term orderings behind
+//! comparisons and `ORDER BY`.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use alex_rdf::{Date, Interner, IriId, Literal, Store, Term};
+use alex_rdf::{Date, Interner, Literal, Term};
 
-use crate::ast::{
-    CompareOp, FilterExpr, FilterOperand, Group, LiteralSpec, PatternTerm, Query, TriplePattern,
-    Variable,
-};
+use crate::ast::{CompareOp, FilterExpr, FilterOperand, LiteralSpec, Query, Variable};
 
 /// A solution row: one term per query variable (by index), `None` until
 /// bound.
-pub type Row = Vec<Option<Term>>;
+pub(crate) type Row = Vec<Option<Term>>;
 
 /// Maps variable names to row indices for one query.
 #[derive(Clone, Debug, Default)]
-pub struct VarTable {
-    names: Vec<Variable>,
+pub(crate) struct VarTable {
     index: HashMap<Variable, usize>,
 }
 
 impl VarTable {
     /// Builds the table from a query's variables.
-    pub fn from_query(query: &Query) -> Self {
-        let names = query.all_variables();
-        let index = names
-            .iter()
-            .cloned()
+    pub(crate) fn from_query(query: &Query) -> Self {
+        let index = query
+            .all_variables()
+            .into_iter()
             .enumerate()
             .map(|(i, v)| (v, i))
             .collect();
-        Self { names, index }
+        Self { index }
     }
 
     /// Index of `var`, if the query mentions it.
-    pub fn index_of(&self, var: &Variable) -> Option<usize> {
+    pub(crate) fn index_of(&self, var: &Variable) -> Option<usize> {
         self.index.get(var).copied()
     }
 
     /// Number of variables.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the query has no variables.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Variable names in index order.
-    pub fn names(&self) -> &[Variable] {
-        &self.names
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
     }
 }
 
 /// Resolves a literal spec against an interner (interning string payloads).
-pub fn resolve_literal(spec: &LiteralSpec, interner: &Interner) -> Option<Literal> {
+pub(crate) fn resolve_literal(spec: &LiteralSpec, interner: &Interner) -> Option<Literal> {
     Some(match spec {
         LiteralSpec::Str(s) => Literal::Str(interner.intern(s)),
         LiteralSpec::LangStr(s, lang) => Literal::LangStr {
@@ -76,313 +58,9 @@ pub fn resolve_literal(spec: &LiteralSpec, interner: &Interner) -> Option<Litera
     })
 }
 
-/// A query compiled against an interner, ready to run on stores sharing it.
-#[derive(Clone, Debug)]
-pub struct CompiledQuery {
-    query: Query,
-    vars: VarTable,
-}
-
-impl CompiledQuery {
-    /// Compiles `query`.
-    pub fn new(query: Query) -> Self {
-        let vars = VarTable::from_query(&query);
-        Self { query, vars }
-    }
-
-    /// The variable table.
-    pub fn vars(&self) -> &VarTable {
-        &self.vars
-    }
-
-    /// The underlying AST.
-    pub fn query(&self) -> &Query {
-        &self.query
-    }
-
-    /// Row indices of the projection, in projection order.
-    pub fn projection_indices(&self) -> Vec<usize> {
-        self.query
-            .projection()
-            .iter()
-            .filter_map(|v| self.vars.index_of(v))
-            .collect()
-    }
-
-    /// Runs the query against one store, returning projected rows.
-    ///
-    /// Cells are `None` where a projection variable is unbound (possible
-    /// only through `OPTIONAL`).
-    pub fn execute(&self, store: &Store) -> Vec<Vec<Option<Term>>> {
-        let mut rows: Vec<Row> = vec![vec![None; self.vars.len()]];
-        let mut remaining: Vec<&TriplePattern> = self.query.patterns.iter().collect();
-
-        while !remaining.is_empty() && !rows.is_empty() {
-            let pattern = self.pick_next(&rows, &mut remaining);
-            rows = self.extend(rows, pattern, store);
-            rows = self.apply_ready_filters(rows, store, &remaining);
-        }
-
-        // UNION blocks: each row extends through either branch.
-        for (a, b) in &self.query.unions {
-            let mut next = self.extend_group(rows.clone(), a, store);
-            next.extend(self.extend_group(rows, b, store));
-            next.sort();
-            next.dedup();
-            rows = next;
-        }
-
-        // OPTIONAL blocks: left join — keep the row when the group finds
-        // nothing.
-        for g in &self.query.optionals {
-            rows = rows
-                .into_iter()
-                .flat_map(|r| {
-                    let exts = self.extend_group(vec![r.clone()], g, store);
-                    if exts.is_empty() {
-                        vec![r]
-                    } else {
-                        exts
-                    }
-                })
-                .collect();
-        }
-
-        self.finish(rows, store)
-    }
-
-    /// Greedy join order: among remaining patterns, pick the one with the
-    /// most positions already bound (constants count as bound).
-    fn pick_next<'p>(
-        &self,
-        rows: &[Row],
-        remaining: &mut Vec<&'p TriplePattern>,
-    ) -> &'p TriplePattern {
-        let bound_vars: Vec<bool> = (0..self.vars.len())
-            .map(|i| rows.iter().any(|r| r[i].is_some()))
-            .collect();
-        let score = |p: &TriplePattern| -> usize {
-            [&p.subject, &p.predicate, &p.object]
-                .iter()
-                .filter(|t| match t {
-                    PatternTerm::Var(v) => self.vars.index_of(v).is_some_and(|i| bound_vars[i]),
-                    _ => true,
-                })
-                .count()
-        };
-        let (best_idx, _) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, p)| score(p))
-            .expect("remaining is non-empty");
-        remaining.swap_remove(best_idx)
-    }
-
-    /// Extends rows through a nested group's patterns and filters.
-    fn extend_group(&self, mut rows: Vec<Row>, group: &Group, store: &Store) -> Vec<Row> {
-        let mut remaining: Vec<&TriplePattern> = group.patterns.iter().collect();
-        while !remaining.is_empty() && !rows.is_empty() {
-            let pattern = self.pick_next(&rows, &mut remaining);
-            rows = self.extend(rows, pattern, store);
-        }
-        rows.retain(|r| {
-            group
-                .filters
-                .iter()
-                .all(|f| eval_filter(f, r, &self.vars, store.interner()))
-        });
-        rows
-    }
-
-    fn pattern_term_value(
-        &self,
-        term: &PatternTerm,
-        row: &Row,
-        interner: &Interner,
-    ) -> Result<Option<Term>, ()> {
-        match term {
-            PatternTerm::Var(v) => {
-                let i = self
-                    .vars
-                    .index_of(v)
-                    .expect("var table covers all query variables");
-                Ok(row[i])
-            }
-            PatternTerm::Iri(iri) => match interner.get(iri) {
-                Some(id) => Ok(Some(Term::Iri(IriId(id)))),
-                None => Err(()), // IRI never seen: pattern cannot match
-            },
-            PatternTerm::Literal(spec) => match resolve_literal(spec, interner) {
-                Some(l) => Ok(Some(Term::Literal(l))),
-                None => Err(()),
-            },
-        }
-    }
-
-    fn extend(&self, rows: Vec<Row>, pattern: &TriplePattern, store: &Store) -> Vec<Row> {
-        let interner = store.interner();
-        let mut out = Vec::new();
-        for row in rows {
-            let s = match self.pattern_term_value(&pattern.subject, &row, interner) {
-                Ok(v) => v,
-                Err(()) => continue,
-            };
-            let p = match self.pattern_term_value(&pattern.predicate, &row, interner) {
-                Ok(v) => v,
-                Err(()) => continue,
-            };
-            let o = match self.pattern_term_value(&pattern.object, &row, interner) {
-                Ok(v) => v,
-                Err(()) => continue,
-            };
-            // Subject/predicate bound to a literal can never match.
-            let s_iri = match s {
-                Some(Term::Iri(id)) => Some(id),
-                Some(Term::Literal(_)) => continue,
-                None => None,
-            };
-            let p_iri = match p {
-                Some(Term::Iri(id)) => Some(id),
-                Some(Term::Literal(_)) => continue,
-                None => None,
-            };
-            for triple in store.match_pattern(s_iri, p_iri, o) {
-                let mut new_row = row.clone();
-                let mut ok = true;
-                if let PatternTerm::Var(v) = &pattern.subject {
-                    ok &= bind(
-                        &mut new_row,
-                        self.vars.index_of(v).unwrap(),
-                        Term::Iri(triple.subject),
-                    );
-                }
-                if ok {
-                    if let PatternTerm::Var(v) = &pattern.predicate {
-                        ok &= bind(
-                            &mut new_row,
-                            self.vars.index_of(v).unwrap(),
-                            Term::Iri(triple.predicate),
-                        );
-                    }
-                }
-                if ok {
-                    if let PatternTerm::Var(v) = &pattern.object {
-                        ok &= bind(&mut new_row, self.vars.index_of(v).unwrap(), triple.object);
-                    }
-                }
-                if ok {
-                    out.push(new_row);
-                }
-            }
-        }
-        out
-    }
-
-    /// Applies every filter whose variables are all bound in every row and
-    /// cannot be affected by the remaining patterns.
-    fn apply_ready_filters(
-        &self,
-        rows: Vec<Row>,
-        store: &Store,
-        remaining: &[&TriplePattern],
-    ) -> Vec<Row> {
-        let still_unbound: std::collections::HashSet<usize> = remaining
-            .iter()
-            .flat_map(|p| p.variables())
-            .filter_map(|v| self.vars.index_of(v))
-            .collect();
-        let ready: Vec<&FilterExpr> = self
-            .query
-            .filters
-            .iter()
-            .filter(|f| {
-                f.variables()
-                    .iter()
-                    .filter_map(|v| self.vars.index_of(v))
-                    .all(|i| !still_unbound.contains(&i))
-            })
-            .collect();
-        if ready.is_empty() {
-            return rows;
-        }
-        rows.into_iter()
-            .filter(|row| {
-                ready
-                    .iter()
-                    .all(|f| eval_filter(f, row, &self.vars, store.interner()))
-            })
-            .collect()
-    }
-
-    fn finish(&self, mut rows: Vec<Row>, store: &Store) -> Vec<Vec<Option<Term>>> {
-        let interner = store.interner();
-        let proj = self.projection_indices();
-
-        // ORDER BY runs over full solutions, before projection.
-        if !self.query.order_by.is_empty() {
-            let keys: Vec<(usize, bool)> = self
-                .query
-                .order_by
-                .iter()
-                .filter_map(|k| self.vars.index_of(&k.var).map(|i| (i, k.descending)))
-                .collect();
-            rows.sort_by(|a, b| {
-                for &(i, desc) in &keys {
-                    let ord = total_term_cmp(&a[i], &b[i], interner);
-                    let ord = if desc { ord.reverse() } else { ord };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Ordering::Equal
-            });
-        }
-
-        let mut out: Vec<Vec<Option<Term>>> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut to_skip = self.query.offset.unwrap_or(0);
-        for row in rows {
-            // Residual filter check.
-            if !self
-                .query
-                .filters
-                .iter()
-                .all(|f| eval_filter(f, &row, &self.vars, interner))
-            {
-                continue;
-            }
-            let projected: Vec<Option<Term>> = proj.iter().map(|&i| row[i]).collect();
-            if self.query.distinct && !seen.insert(projected.clone()) {
-                continue;
-            }
-            if to_skip > 0 {
-                to_skip -= 1;
-                continue;
-            }
-            out.push(projected);
-            if let Some(limit) = self.query.limit {
-                if out.len() >= limit {
-                    break;
-                }
-            }
-        }
-        out
-    }
-}
-
-fn bind(row: &mut Row, idx: usize, value: Term) -> bool {
-    match row[idx] {
-        Some(existing) => existing == value,
-        None => {
-            row[idx] = Some(value);
-            true
-        }
-    }
-}
-
 /// Evaluates a filter over a (possibly partially bound) row; unbound
 /// variables make the filter fail, matching SPARQL's error-is-false rule.
-pub fn eval_filter(f: &FilterExpr, row: &Row, vars: &VarTable, interner: &Interner) -> bool {
+pub(crate) fn eval_filter(f: &FilterExpr, row: &Row, vars: &VarTable, interner: &Interner) -> bool {
     match f {
         FilterExpr::Compare { left, op, right } => {
             let l = operand_term(left, row, vars, interner);
@@ -448,7 +126,7 @@ fn numeric_value(t: &Term) -> Option<f64> {
 }
 
 /// Term equality with numeric coercion (`3 = 3.0` holds, as in SPARQL).
-pub fn term_eq(a: &Term, b: &Term, _interner: &Interner) -> bool {
+fn term_eq(a: &Term, b: &Term, _interner: &Interner) -> bool {
     if let (Some(x), Some(y)) = (numeric_value(a), numeric_value(b)) {
         return x == y;
     }
@@ -458,7 +136,7 @@ pub fn term_eq(a: &Term, b: &Term, _interner: &Interner) -> bool {
 /// A *total* order over optional terms, for `ORDER BY`: unbound < IRIs <
 /// literals; within literals, numbers < dates < booleans < strings; ties
 /// break by value (numeric, chronological, or lexical).
-pub fn total_term_cmp(a: &Option<Term>, b: &Option<Term>, interner: &Interner) -> Ordering {
+pub(crate) fn total_term_cmp(a: &Option<Term>, b: &Option<Term>, interner: &Interner) -> Ordering {
     fn rank(t: &Term) -> u8 {
         match t {
             Term::Iri(_) => 1,
@@ -500,7 +178,7 @@ pub fn total_term_cmp(a: &Option<Term>, b: &Option<Term>, interner: &Interner) -
 
 /// Ordering between comparable terms: numbers numerically, dates
 /// chronologically, strings lexically. Cross-type comparison is undefined.
-pub fn compare_terms(a: &Term, b: &Term, interner: &Interner) -> Option<Ordering> {
+fn compare_terms(a: &Term, b: &Term, interner: &Interner) -> Option<Ordering> {
     if let (Some(x), Some(y)) = (numeric_value(a), numeric_value(b)) {
         return x.partial_cmp(&y);
     }
@@ -519,7 +197,8 @@ pub fn compare_terms(a: &Term, b: &Term, interner: &Interner) -> Option<Ordering
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::FederatedEngine;
+    use alex_rdf::Store;
 
     fn demo_store() -> Store {
         let interner = Interner::new_shared();
@@ -545,9 +224,19 @@ mod tests {
         store
     }
 
+    /// Runs `q` on a one-source federation over `store`.
+    fn run_opt(store: &Store, q: &str) -> Vec<Vec<Option<Term>>> {
+        FederatedEngine::new(vec![("ex".into(), store)])
+            .execute_str(q)
+            .unwrap()
+            .into_iter()
+            .map(|a| a.row)
+            .collect()
+    }
+
+    /// Like [`run_opt`] for queries whose cells are all bound.
     fn run(store: &Store, q: &str) -> Vec<Vec<Term>> {
-        CompiledQuery::new(parse(q).unwrap())
-            .execute(store)
+        run_opt(store, q)
             .into_iter()
             .map(|row| {
                 row.into_iter()
@@ -555,11 +244,6 @@ mod tests {
                     .collect()
             })
             .collect()
-    }
-
-    /// Like [`run`] but keeps unbound cells (for OPTIONAL tests).
-    fn run_opt(store: &Store, q: &str) -> Vec<Vec<Option<Term>>> {
-        CompiledQuery::new(parse(q).unwrap()).execute(store)
     }
 
     #[test]
@@ -796,14 +480,5 @@ mod tests {
             "SELECT ?p WHERE { { ?p <http://ex/age> 25 } UNION { ?p <http://ex/name> \"Bob Krane\" } }",
         );
         assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
-    fn nested_groups_rejected() {
-        assert!(parse("SELECT ?x WHERE { OPTIONAL { OPTIONAL { ?x <p> ?y } } }").is_err());
-        assert!(
-            parse("SELECT ?x WHERE { { ?x <p> ?y } }").is_err(),
-            "lone group needs UNION"
-        );
     }
 }

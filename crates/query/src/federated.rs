@@ -465,11 +465,6 @@ impl<'a> FederatedEngine<'a> {
         &self.fed
     }
 
-    /// Source names, in registration order.
-    pub fn source_names(&self) -> Vec<&str> {
-        self.sources.iter().map(|s| s.name()).collect()
-    }
-
     /// Installs (or extends) the `owl:sameAs` link set, both directions.
     /// An engine over a borrowed [`Federation`] first takes a copy of it.
     pub fn add_links(&mut self, links: impl IntoIterator<Item = Link>) {
@@ -1172,7 +1167,6 @@ mod tests {
         fed.remove_links([link]);
         assert_eq!(fed.federation().linked_entities(), 0);
         assert!(fed.execute_str(JOIN_QUERY).unwrap().is_empty());
-        assert_eq!(fed.source_names(), vec!["dbpedia", "nytimes"]);
     }
 
     #[test]

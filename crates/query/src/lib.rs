@@ -10,8 +10,6 @@
 //!   paper's workloads need: basic graph patterns, `PREFIX`, `DISTINCT`,
 //!   `FILTER` (comparisons, `CONTAINS`, `STRSTARTS`, `&&`/`||`/`!`),
 //!   `LIMIT`;
-//! * [`CompiledQuery`] — single-store execution with greedy join ordering
-//!   over the store's indexes;
 //! * [`FederatedEngine`] — multi-source execution with `owl:sameAs`
 //!   entity translation and per-answer **link provenance**, the hook that
 //!   turns answer feedback into the link feedback ALEX consumes; its
@@ -66,10 +64,6 @@ pub mod source;
 pub use ast::{
     CompareOp, FilterExpr, FilterOperand, LiteralSpec, OrderKey, PatternTerm, Query, TriplePattern,
     Variable,
-};
-pub use exec::{
-    compare_terms, eval_filter, resolve_literal, term_eq, total_term_cmp, CompiledQuery, Row,
-    VarTable,
 };
 pub use fault::{FaultConfig, FaultySource};
 pub use federated::{

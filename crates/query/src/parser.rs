@@ -809,4 +809,13 @@ mod tests {
         assert!(err.position > 0);
         assert!(err.to_string().contains("unsigned"));
     }
+
+    #[test]
+    fn nested_groups_rejected() {
+        assert!(parse("SELECT ?x WHERE { OPTIONAL { OPTIONAL { ?x <p> ?y } } }").is_err());
+        assert!(
+            parse("SELECT ?x WHERE { { ?x <p> ?y } }").is_err(),
+            "lone group needs UNION"
+        );
+    }
 }

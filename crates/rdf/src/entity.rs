@@ -41,19 +41,6 @@ impl Entity {
         self.attributes.is_empty()
     }
 
-    /// All objects asserted under `predicate`.
-    pub fn values_of(&self, predicate: IriId) -> impl Iterator<Item = &Term> {
-        self.attributes
-            .iter()
-            .filter(move |a| a.predicate == predicate)
-            .map(|a| &a.object)
-    }
-
-    /// The first object asserted under `predicate`, if any.
-    pub fn value_of(&self, predicate: IriId) -> Option<&Term> {
-        self.values_of(predicate).next()
-    }
-
     /// Distinct predicates of this entity, in first-occurrence order.
     pub fn predicates(&self) -> Vec<IriId> {
         let mut seen = std::collections::HashSet::new();
@@ -101,9 +88,6 @@ mod tests {
         );
         assert_eq!(e.arity(), 3);
         assert!(!e.is_empty());
-        assert_eq!(e.values_of(p1).count(), 2);
-        assert_eq!(e.value_of(p2), Some(&Term::Literal(Literal::Integer(2))));
         assert_eq!(e.predicates(), vec![p1, p2]);
-        assert_eq!(e.value_of(iri(&i, "p3")), None);
     }
 }

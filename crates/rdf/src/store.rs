@@ -365,16 +365,6 @@ impl Store {
             .map(|t| t.object)
     }
 
-    /// Subjects of `(?s, predicate, object)`.
-    pub fn subjects_with(
-        &self,
-        predicate: IriId,
-        object: Term,
-    ) -> impl Iterator<Item = IriId> + '_ {
-        self.match_pattern(None, Some(predicate), Some(object))
-            .map(|t| t.subject)
-    }
-
     /// Materializes the [`Entity`] view of `subject` (empty attribute list
     /// if the subject is unknown).
     pub fn entity(&self, subject: IriId) -> Entity {
@@ -586,13 +576,10 @@ mod tests {
     }
 
     #[test]
-    fn objects_and_subjects_with() {
-        let (store, a, b, name, _) = small_store();
+    fn objects_of_subject_and_predicate() {
+        let (store, a, _, name, _) = small_store();
         let objs: Vec<Term> = store.objects(a, name).collect();
         assert_eq!(objs.len(), 1);
-        let bob: Term = Literal::str(store.interner(), "Bob").into();
-        let subs: Vec<IriId> = store.subjects_with(name, bob).collect();
-        assert_eq!(subs, vec![b]);
     }
 
     #[test]

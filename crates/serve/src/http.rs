@@ -339,12 +339,6 @@ impl Response {
         }
     }
 
-    /// Adds one extra response header (builder-style).
-    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
-        self.extra_headers.push((name, value.into()));
-        self
-    }
-
     /// A JSON error envelope: `{"error": message}`.
     pub fn error(status: u16, message: impl Into<String>) -> Self {
         Response::json(
@@ -576,11 +570,10 @@ mod tests {
 
     #[test]
     fn extra_headers_are_written_before_the_blank_line() {
+        let mut resp = Response::text(200, "ok\n");
+        resp.extra_headers.push(("X-Request-Id", "r42".into()));
         let mut out = Vec::new();
-        Response::text(200, "ok\n")
-            .with_header("X-Request-Id", "r42")
-            .write_to(&mut out, true)
-            .unwrap();
+        resp.write_to(&mut out, true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("X-Request-Id: r42\r\n"));
         let head_end = text.find("\r\n\r\n").unwrap();

@@ -8,7 +8,7 @@
 //!
 //! * [`string`] — edit-distance and token-based string metrics
 //!   (normalized Levenshtein on a bit-parallel kernel, Jaro, Jaro-Winkler,
-//!   token Jaccard, trigram Jaccard, token cosine);
+//!   token Jaccard, trigram Jaccard);
 //! * [`numeric`] — ratio similarity for numbers and a distance-decay
 //!   similarity for calendar dates;
 //! * [`value_similarity`] — the type-dispatching function over RDF

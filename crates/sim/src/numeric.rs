@@ -57,11 +57,6 @@ pub fn date_similarity(a: Date, b: Date, half_life_days: f64) -> f64 {
     half_life_decay(a.days_between(b) as f64, half_life_days)
 }
 
-/// Similarity of two integers via [`numeric_similarity`].
-pub fn integer_similarity(a: i64, b: i64) -> f64 {
-    numeric_similarity(a as f64, b as f64)
-}
-
 /// Absolute-difference similarity with exponential decay:
 /// `2^(−|a − b| / half_diff)`.
 ///
@@ -136,12 +131,6 @@ mod tests {
             half_life_similarity(9.0, 3.0, 2.0),
         );
         close(half_life_similarity(f64::NAN, 1.0, 2.0), 0.0);
-    }
-
-    #[test]
-    fn integer_similarity_delegates() {
-        close(integer_similarity(8, 10), 0.8);
-        close(integer_similarity(-3, -3), 1.0);
     }
 
     #[test]

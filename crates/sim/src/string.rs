@@ -245,34 +245,6 @@ pub fn token_jaccard_sorted<T: Ord>(ta: &[T], tb: &[T]) -> f64 {
     }
 }
 
-/// Cosine similarity over lowercase token *multisets*.
-pub fn token_cosine(a: &str, b: &str) -> f64 {
-    use std::collections::HashMap;
-    let count = |s: &str| {
-        let mut m: HashMap<String, f64> = HashMap::new();
-        for t in tokens(s) {
-            *m.entry(t).or_insert(0.0) += 1.0;
-        }
-        m
-    };
-    let ca = count(a);
-    let cb = count(b);
-    if ca.is_empty() && cb.is_empty() {
-        return 1.0;
-    }
-    let dot: f64 = ca
-        .iter()
-        .filter_map(|(k, v)| cb.get(k).map(|w| v * w))
-        .sum();
-    let na: f64 = ca.values().map(|v| v * v).sum::<f64>().sqrt();
-    let nb: f64 = cb.values().map(|v| v * v).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        (dot / (na * nb)).clamp(0.0, 1.0)
-    }
-}
-
 /// The sorted, deduplicated trigram set of a string (lowercased, with
 /// `^`/`$` padding) — the precomputed form [`trigram_jaccard_sorted`]
 /// consumes.
@@ -438,15 +410,6 @@ mod tests {
         close(token_jaccard("", ""), 1.0);
         close(token_jaccard("a", ""), 0.0);
         close(token_jaccard("...", "..."), 1.0); // both tokenless
-    }
-
-    #[test]
-    fn token_cosine_behaviour() {
-        close(token_cosine("a a b", "a a b"), 1.0);
-        close(token_cosine("a", "b"), 0.0);
-        close(token_cosine("", ""), 1.0);
-        let v = token_cosine("a b", "b c");
-        assert!(v > 0.0 && v < 1.0);
     }
 
     #[test]

@@ -149,13 +149,17 @@ pub fn encode_store(store: &Store) -> Vec<u8> {
         body.extend_from_slice(s.as_bytes());
     }
     body.extend_from_slice(&triples);
+    seal(&body)
+}
 
+/// Frames `body` behind the header: magic, version, length, CRC.
+fn seal(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + body.len());
     out.extend_from_slice(&STORE_MAGIC);
     out.extend_from_slice(&STORE_VERSION.to_le_bytes());
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out.extend_from_slice(body);
     out
 }
 
@@ -203,180 +207,6 @@ pub fn decode_store(bytes: &[u8], interner: &Arc<Interner>) -> Result<Store, Cod
         raw.push(r.read_str_borrowed()?);
     }
     let dict: Vec<StrId> = interner.intern_all(raw.iter().copied());
-    let triple_section = r.rest();
-    // Hot path first: a sticky-fault scanner decodes the triple section
-    // with plain-value reads (no per-field Result plumbing). On any
-    // fault it bails out and the careful Reader-based decoder below
-    // re-walks the section purely to produce an exact error message —
-    // corrupt input is the cold case, so its cost does not matter.
-    if let Some(decoded) = decode_triples_fast(triple_section, &dict) {
-        return Ok(Store::from_triples(Arc::clone(interner), decoded));
-    }
-    Err(decode_triples_precise(triple_section, &dict)
-        .err()
-        .unwrap_or_else(|| CodecError::Corrupt("triple section failed fast decode only".into())))
-}
-
-/// Sticky-fault byte scanner for the snapshot's triple section. Every
-/// read returns a plain value; the first malformed byte (or read past
-/// the end) latches `failed` and the caller checks it once at the end.
-/// This keeps the hot decode loop free of per-field `Result` shuffling.
-/// Values returned after a fault are garbage by design — the caller
-/// discards everything when `failed` is set.
-struct FastScanner<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    failed: bool,
-}
-
-impl<'a> FastScanner<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self {
-            buf,
-            pos: 0,
-            failed: false,
-        }
-    }
-
-    #[inline]
-    fn u8(&mut self) -> u8 {
-        match self.buf.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                b
-            }
-            None => {
-                self.failed = true;
-                0
-            }
-        }
-    }
-
-    #[inline]
-    fn u64(&mut self) -> u64 {
-        if let [b0, rest @ ..] = &self.buf[self.pos..] {
-            if b0 & 0x80 == 0 {
-                self.pos += 1;
-                return u64::from(*b0);
-            }
-            if let [b1, ..] = rest {
-                if b1 & 0x80 == 0 {
-                    self.pos += 2;
-                    return u64::from(b0 & 0x7F) | u64::from(*b1) << 7;
-                }
-            }
-        }
-        self.u64_slow()
-    }
-
-    fn u64_slow(&mut self) -> u64 {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8();
-            if self.failed || (shift == 63 && byte > 1) {
-                self.failed = true;
-                return 0;
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return v;
-            }
-            shift += 7;
-            if shift > 63 {
-                self.failed = true;
-                return 0;
-            }
-        }
-    }
-
-    #[inline]
-    fn i64(&mut self) -> i64 {
-        let z = self.u64();
-        ((z >> 1) as i64) ^ -((z & 1) as i64)
-    }
-}
-
-/// Decodes the triple section with [`FastScanner`], returning `None` on
-/// any structural fault (the precise decoder then reports what broke).
-fn decode_triples_fast(section: &[u8], dict: &[StrId]) -> Option<Vec<Triple>> {
-    let mut s = FastScanner::new(section);
-    let triple_count = s.u64();
-    // Each triple costs at least 3 encoded bytes, so a hostile count
-    // can't force an allocation larger than the body itself.
-    let capacity = usize::try_from(triple_count)
-        .unwrap_or(0)
-        .min(section.len() / 3);
-    let mut decoded: Vec<Triple> = Vec::with_capacity(capacity);
-    let dict_len = dict.len() as u64;
-    let mut prev_subject: i64 = 0;
-    for _ in 0..triple_count {
-        if s.failed {
-            return None;
-        }
-        prev_subject = prev_subject.wrapping_add(s.i64());
-        let subject_idx = prev_subject as u64; // negative wraps huge → caught below
-        if subject_idx >= dict_len {
-            return None;
-        }
-        let subject = IriId(dict[subject_idx as usize]);
-        let predicate_idx = s.u64();
-        if predicate_idx >= dict_len {
-            return None;
-        }
-        let predicate = IriId(dict[predicate_idx as usize]);
-        let mut lookup_failed = false;
-        let mut lookup = |index: u64| -> StrId {
-            if index < dict_len {
-                dict[index as usize]
-            } else {
-                lookup_failed = true;
-                StrId(0)
-            }
-        };
-        let object: Term = match s.u8() {
-            tag::IRI => Term::Iri(IriId(lookup(s.u64()))),
-            tag::STR => Literal::Str(lookup(s.u64())).into(),
-            tag::LANG_STR => Literal::LangStr {
-                value: lookup(s.u64()),
-                lang: lookup(s.u64()),
-            }
-            .into(),
-            tag::INTEGER => Literal::Integer(s.i64()).into(),
-            tag::FLOAT => Literal::Float(FloatBits::new(f64::from_bits(s.u64()))).into(),
-            tag::BOOLEAN_FALSE => Literal::Boolean(false).into(),
-            tag::BOOLEAN_TRUE => Literal::Boolean(true).into(),
-            tag::DATE => {
-                let year = s.i64();
-                let month = s.u8();
-                let day = s.u8();
-                match i32::try_from(year)
-                    .ok()
-                    .and_then(|y| Date::new(y, month, day).ok())
-                {
-                    Some(date) => Literal::Date(date).into(),
-                    None => return None,
-                }
-            }
-            _ => return None,
-        };
-        if lookup_failed {
-            return None;
-        }
-        decoded.push(Triple::new(subject, predicate, object));
-    }
-    if s.failed || s.pos != section.len() {
-        return None;
-    }
-    Some(decoded)
-}
-
-/// The careful, error-reporting decode of the triple section. Only runs
-/// after [`decode_triples_fast`] has bailed, to say precisely what is
-/// wrong with the input.
-fn decode_triples_precise(section: &[u8], dict: &[StrId]) -> Result<Vec<Triple>, CodecError> {
-    let mut r = Reader::new(section);
-    let dict_count = dict.len();
     let lookup = |index: u64| -> Result<StrId, CodecError> {
         // Comparing in u64 first makes the cast lossless on every target.
         if index < dict_count as u64 {
@@ -388,13 +218,17 @@ fn decode_triples_precise(section: &[u8], dict: &[StrId]) -> Result<Vec<Triple>,
         }
     };
     let triple_count = r.read_u64()?;
+    // Each triple costs at least 3 encoded bytes, so a hostile count
+    // can't force an allocation larger than the body itself.
     let capacity = usize::try_from(triple_count)
         .unwrap_or(0)
-        .min(section.len() / 3);
+        .min(r.remaining() / 3);
     let mut decoded: Vec<Triple> = Vec::with_capacity(capacity);
     let mut prev_subject: i64 = 0;
     for n in 0..triple_count {
-        let subject_idx = prev_subject + r.read_i64()?;
+        let subject_idx = prev_subject
+            .checked_add(r.read_i64()?)
+            .ok_or_else(|| CodecError::Corrupt(format!("subject index overflows at triple {n}")))?;
         prev_subject = subject_idx;
         let subject_idx = u64::try_from(subject_idx)
             .map_err(|_| CodecError::Corrupt(format!("negative subject index at triple {n}")))?;
@@ -436,7 +270,7 @@ fn decode_triples_precise(section: &[u8], dict: &[StrId]) -> Result<Vec<Triple>,
             r.remaining()
         )));
     }
-    Ok(decoded)
+    Ok(Store::from_triples(Arc::clone(interner), decoded))
 }
 
 /// Errors loading a snapshot file: I/O or decoding.
@@ -686,6 +520,29 @@ mod tests {
         let mut b = bytes.clone();
         b.push(0);
         assert!(decode_store(&b, &fresh).is_err());
+    }
+
+    #[test]
+    fn subject_index_overflow_is_corrupt_not_a_panic() {
+        // Two entries, then subject deltas 1 and i64::MAX: the second sum
+        // overflows i64, which must be reported, not trapped or wrapped.
+        let mut body = Vec::new();
+        write_u64(&mut body, 2);
+        for s in ["a", "b"] {
+            write_u64(&mut body, 1);
+            body.extend_from_slice(s.as_bytes());
+        }
+        write_u64(&mut body, 2);
+        for delta in [1, i64::MAX] {
+            write_i64(&mut body, delta);
+            write_u64(&mut body, 0);
+            body.push(tag::BOOLEAN_TRUE);
+        }
+        let err = decode_store(&seal(&body), &Interner::new_shared()).unwrap_err();
+        assert_eq!(
+            err,
+            CodecError::Corrupt("subject index overflows at triple 1".into())
+        );
     }
 
     #[test]

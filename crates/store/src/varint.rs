@@ -73,11 +73,6 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
-    /// The not-yet-consumed tail of the input.
-    pub fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&mut self) -> Result<u8, CodecError> {

@@ -5,8 +5,8 @@
 
 use alex_rdf::{Date, FloatBits, Interner, Literal, Store, Term, Triple};
 use alex_store::{
-    decode_record, decode_store, encode_record, encode_store, scan_frames, store_fingerprint,
-    write_frame, WalRecord,
+    crc32, decode_record, decode_store, encode_record, encode_store, scan_frames,
+    store_fingerprint, write_frame, write_i64, write_u64, WalRecord, STORE_MAGIC, STORE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -89,8 +89,7 @@ proptest! {
     }
 
     /// Decoding is total: arbitrary bytes either decode or error, but
-    /// never panic. (The sticky-fault fast path and the precise fallback
-    /// must both reject the same inputs.)
+    /// never panic.
     #[test]
     fn snapshot_decoding_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let fresh = Interner::new_shared();
@@ -108,6 +107,91 @@ proptest! {
             let fresh = Interner::new_shared();
             prop_assert!(decode_store(&bytes[..cut], &fresh).is_err());
         }
+    }
+}
+
+/// A triple-section field: a valid dictionary index (twice as likely),
+/// any value, or one at either end of the `i64` range.
+fn arb_field() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        0i64..4,
+        0i64..4,
+        any::<i64>(),
+        (i64::MAX - 3)..=i64::MAX,
+        i64::MIN..=(i64::MIN + 3),
+    ]
+}
+
+/// Triple-section bytes shaped like the format: a triple count (true or
+/// arbitrary), then per triple a subject delta, a predicate, an object tag
+/// (0–8; 8 is unknown) and that tag's fields, then a few arbitrary bytes.
+fn arb_triple_section() -> impl Strategy<Value = Vec<u8>> {
+    let triple = (arb_field(), arb_field(), 0u8..9, arb_field(), arb_field());
+    (
+        proptest::collection::vec(triple, 0..8),
+        (any::<bool>(), any::<u64>()),
+        proptest::collection::vec(any::<u8>(), 0..4),
+    )
+        .prop_map(|(triples, (true_count, count), tail)| {
+            let mut out = Vec::new();
+            write_u64(
+                &mut out,
+                if true_count {
+                    triples.len() as u64
+                } else {
+                    count
+                },
+            );
+            for (delta, predicate, tag, a, b) in triples {
+                write_i64(&mut out, delta);
+                write_u64(&mut out, predicate as u64);
+                out.push(tag);
+                match tag {
+                    0 | 1 | 4 => write_u64(&mut out, a as u64),
+                    2 => {
+                        write_u64(&mut out, a as u64);
+                        write_u64(&mut out, b as u64);
+                    }
+                    3 => write_i64(&mut out, a),
+                    7 => {
+                        write_i64(&mut out, a);
+                        out.extend_from_slice(&[b as u8, (b >> 8) as u8]);
+                    }
+                    _ => {}
+                }
+            }
+            out.extend_from_slice(&tail);
+            out
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The triple decoder is total too: a valid header and a four-entry
+    /// dictionary, then triple-section bytes either well-formed or
+    /// arbitrary, decode or error but never panic. Run it in a debug
+    /// build, where integer overflow traps instead of wrapping.
+    #[test]
+    fn triple_section_decoding_never_panics(
+        section in prop_oneof![
+            arb_triple_section(),
+            proptest::collection::vec(any::<u8>(), 0..64),
+        ]
+    ) {
+        let mut body = Vec::new();
+        write_u64(&mut body, 4);
+        for s in ["a", "b", "c", "d"] {
+            write_u64(&mut body, 1);
+            body.extend_from_slice(s.as_bytes());
+        }
+        body.extend_from_slice(&section);
+        let mut bytes = STORE_MAGIC.to_vec();
+        bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        let _ = decode_store(&bytes, &Interner::new_shared());
     }
 }
 

@@ -88,15 +88,6 @@ impl TraceMode {
             },
         }
     }
-
-    /// The canonical config string this mode parses from.
-    pub fn as_config_str(&self) -> String {
-        match self {
-            TraceMode::Off => "off".into(),
-            TraceMode::Ring => "ring".into(),
-            TraceMode::Jsonl(p) => format!("jsonl:{p}"),
-        }
-    }
 }
 
 /// Runtime settings for the recorder.
@@ -256,11 +247,6 @@ impl Recorder {
             }
         }
         Ok(())
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Relaxed)
     }
 
     /// Allocates a fresh trace id (starting at 1).
@@ -624,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_parses_and_round_trips() {
+    fn mode_parses() {
         assert_eq!(TraceMode::parse("off").unwrap(), TraceMode::Off);
         assert_eq!(TraceMode::parse("ring").unwrap(), TraceMode::Ring);
         assert_eq!(
@@ -633,13 +619,6 @@ mod tests {
         );
         assert!(TraceMode::parse("martian").is_err());
         assert!(TraceMode::parse("jsonl:").is_err());
-        for m in [
-            TraceMode::Off,
-            TraceMode::Ring,
-            TraceMode::Jsonl("x.jsonl".into()),
-        ] {
-            assert_eq!(TraceMode::parse(&m.as_config_str()).unwrap(), m);
-        }
     }
 
     #[test]
@@ -749,7 +728,8 @@ mod tests {
             ring_capacity: 64,
         });
         assert!(err.is_err());
-        assert!(!r.is_enabled());
+        r.record(1, 1, 0, msg(1));
+        assert_eq!(r.written(), 0);
     }
 
     #[test]
