@@ -1,9 +1,11 @@
 //! Tracing overhead microbenchmark: proves the disabled flight recorder
 //! is free. Measures ns/op for a fixed arithmetic workload (a) bare,
 //! (b) with a `trace::emit` call while tracing is off, (c) with the ring
-//! recorder on, and (d) with the JSONL sink on. Writes `BENCH_trace.json`
-//! and exits non-zero when the disabled path costs more than 5% over the
-//! bare baseline — the zero-allocation no-op claim, enforced.
+//! recorder on, and (d) with the JSONL sink on; and (e) the cost of one
+//! span open and close while tracing is off, which spans always pay for
+//! the stage table. Writes `BENCH_trace.json` and exits non-zero when the
+//! disabled path costs more than 5% over the bare baseline — the
+//! zero-allocation no-op claim, enforced — or a span costs more than 1 µs.
 //!
 //! ```sh
 //! cargo run --release -p alex-bench --bin exp_trace_overhead \
@@ -19,6 +21,9 @@ use serde::Serialize;
 /// The disabled emit path may cost at most this fraction over baseline.
 const MAX_DISABLED_OVERHEAD: f64 = 0.05;
 
+/// A span open and close with tracing off may cost at most this, in ns.
+const MAX_SPAN_NS: f64 = 1000.0;
+
 #[derive(Serialize)]
 struct Report {
     iters: u64,
@@ -31,6 +36,10 @@ struct Report {
     ring_ns: f64,
     /// ns/op with the JSONL sink on (event serialized and written).
     jsonl_ns: f64,
+    /// ns per span open and close with tracing off (two clock reads and
+    /// a stage-table update) — gated at `max_span_ns`.
+    span_ns: f64,
+    max_span_ns: f64,
     disabled_overhead_pct: f64,
     max_disabled_overhead_pct: f64,
     pass: bool,
@@ -119,6 +128,13 @@ fn main() {
     // atomic load and a branch.
     let disabled_ns = measure(iters, reps, emitting);
 
+    // (e) A span open and close with tracing off: what every stage pays
+    // for its stage-table entry.
+    let span_ns = measure(iters.min(1_000_000), reps, |i| {
+        drop(trace::span("bench.span"));
+        i
+    });
+
     // (c) Ring recorder on: the payload is built and pushed into a shard.
     configure(TraceMode::Ring);
     let ring_span = trace::root_span("bench.ring");
@@ -135,7 +151,7 @@ fn main() {
     let _ = std::fs::remove_file(&jsonl_path);
 
     let overhead = (disabled_ns - baseline_ns) / baseline_ns;
-    let pass = overhead <= MAX_DISABLED_OVERHEAD;
+    let pass = overhead <= MAX_DISABLED_OVERHEAD && span_ns <= MAX_SPAN_NS;
     let report = Report {
         iters,
         reps,
@@ -143,13 +159,15 @@ fn main() {
         disabled_ns,
         ring_ns,
         jsonl_ns,
+        span_ns,
+        max_span_ns: MAX_SPAN_NS,
         disabled_overhead_pct: overhead * 100.0,
         max_disabled_overhead_pct: MAX_DISABLED_OVERHEAD * 100.0,
         pass,
     };
     println!(
         "baseline {baseline_ns:.2} ns/op | disabled {disabled_ns:.2} ns/op ({:+.2}%) | \
-         ring {ring_ns:.2} ns/op | jsonl {jsonl_ns:.2} ns/op",
+         ring {ring_ns:.2} ns/op | jsonl {jsonl_ns:.2} ns/op | span {span_ns:.1} ns",
         overhead * 100.0
     );
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
@@ -157,7 +175,8 @@ fn main() {
     println!("wrote {out_path}");
     if !pass {
         eprintln!(
-            "FAIL: disabled tracing costs {:.2}% over baseline (budget {:.0}%)",
+            "FAIL: disabled tracing costs {:.2}% over baseline (budget {:.0}%), a span \
+             {span_ns:.1} ns (budget {MAX_SPAN_NS} ns)",
             overhead * 100.0,
             MAX_DISABLED_OVERHEAD * 100.0
         );

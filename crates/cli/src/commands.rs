@@ -260,19 +260,19 @@ pub fn compact(args: &[String]) -> Result<(), String> {
     }
 
     let interner = Interner::new_shared();
-    let parse_started = std::time::Instant::now();
+    let parse_span = alex_core::trace::span("cli.compact_parse");
     let store = load_store(input, &interner)?;
-    let parse_seconds = parse_started.elapsed().as_secs_f64();
+    let parse_seconds = parse_span.finish();
     write_store_file(std::path::Path::new(output), &store)
         .map_err(|e| format!("writing {output}: {e}"))?;
 
     // Trust nothing: read the file back through the decoder and require
     // the exact same content before declaring the conversion good.
     let verify_interner = Interner::new_shared();
-    let load_started = std::time::Instant::now();
+    let load_span = alex_core::trace::span("cli.compact_load");
     let back = read_store_file(std::path::Path::new(output), &verify_interner)
         .map_err(|e| format!("verifying {output}: {e}"))?;
-    let load_seconds = load_started.elapsed().as_secs_f64();
+    let load_seconds = load_span.finish();
     if store_fingerprint(&store) != store_fingerprint(&back) {
         return Err(format!(
             "verification failed: {output} does not decode to the same store as {input}"
@@ -338,20 +338,10 @@ pub fn recover(args: &[String]) -> Result<(), String> {
         if r.policy_mismatch {
             println!("  WARNING: policy cross-check failed (RNG stream diverged on replay)");
         }
-        let t = &recovered.timings;
         match &r.space_rebuilt {
             None => println!("  spaces: loaded from the space file"),
             Some(why) => println!("  spaces: rebuilt ({why})"),
         }
-        println!(
-            "  phases: decode {:.1} ms, spaces {:.1} ms, restore {:.1} ms, WAL open {:.1} ms, \
-             replay {:.1} ms",
-            t.decode_s * 1e3,
-            t.space_s * 1e3,
-            t.restore_s * 1e3,
-            t.wal_open_s * 1e3,
-            t.replay_s * 1e3
-        );
     }
     for (id, why) in &outcome.failures {
         println!("session {id}: NOT RECOVERABLE — {why}");
@@ -361,6 +351,14 @@ pub fn recover(args: &[String]) -> Result<(), String> {
         outcome.sessions.len(),
         outcome.failures.len()
     );
+    println!("{:<28} {:>6} {:>11}", "stage", "count", "total ms");
+    for (stage, h) in alex_core::trace::stages() {
+        println!(
+            "{stage:<28} {:>6} {:>11.1}",
+            h.count(),
+            h.sum().as_secs_f64() * 1e3
+        );
+    }
     Ok(())
 }
 

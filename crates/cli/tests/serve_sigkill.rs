@@ -148,16 +148,22 @@ fn sigkilled_server_resumes_sessions_from_wal_replay() {
         "metrics missing recovery count: {metrics}"
     );
     // Both sessions loaded their spaces from the space file, and boot
-    // recovery's wall time is recorded once.
+    // recovery ran once. `space.load` also times a load that fails its
+    // checks; the restarted server creates no sessions, so only such a
+    // failure (and the rebuild after it) could build a space here.
     for series in [
-        "alex_stage_seconds_count{stage=\"space_load\"} 2",
-        "alex_stage_seconds_count{stage=\"recover\"} 1",
+        "alex_stage_seconds_count{stage=\"space.load\"} 2",
+        "alex_stage_seconds_count{stage=\"store.recover_state_dir\"} 1",
     ] {
         assert!(
             metrics.contains(series),
             "metrics missing {series}: {metrics}"
         );
     }
+    assert!(
+        !metrics.contains("alex_stage_seconds_count{stage=\"driver.space_build\"}"),
+        "a recovered session rebuilt its spaces: {metrics}"
+    );
 
     // The resumed session keeps working: another feedback batch lands.
     let (status, body) = request(

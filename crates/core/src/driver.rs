@@ -15,7 +15,6 @@
 //! depend on the worker count.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 use alex_rdf::hash::FastSet;
 use alex_rdf::{IriId, Link, Store};
@@ -106,8 +105,7 @@ fn build_spaces(
     cfg: &AlexConfig,
     executor: &Executor,
 ) -> (Vec<ExplorationSpace>, SpaceBuildStats) {
-    let build_start = Instant::now();
-    let _span = alex_trace::span("driver.space_build");
+    let span = alex_trace::span("driver.space_build");
     let table = ValueTable::from_stores(cfg.sim, left, right);
     let spaces: Vec<ExplorationSpace> = parts
         .iter()
@@ -124,7 +122,7 @@ fn build_spaces(
         })
         .collect();
     let stats = SpaceBuildStats {
-        seconds: build_start.elapsed().as_secs_f64(),
+        seconds: span.finish(),
         pairs: spaces.iter().map(|s| s.len()).sum(),
         threads: executor.workers(),
         cache: table.stats(),
@@ -386,7 +384,7 @@ impl AlexDriver {
     pub fn step(&mut self, oracle: &dyn FeedbackOracle) -> PartitionEpisodeStats {
         let items = self.allot_items();
         let mut totals = PartitionEpisodeStats::default();
-        for (stats, _) in self.run_partitions(&items, oracle) {
+        for (stats, _) in self.run_partitions(&items, oracle).0 {
             totals.merge(&stats);
         }
         totals
@@ -395,32 +393,33 @@ impl AlexDriver {
     /// Runs one episode on every partition, `items[k]` feedback items on
     /// partition `k`, under one `rl.episode` span. Returns each
     /// partition's counters and wall-clock milliseconds in partition
-    /// order.
+    /// order, and the whole episode's milliseconds.
     fn run_partitions(
         &mut self,
         items: &[usize],
         oracle: &dyn FeedbackOracle,
-    ) -> Vec<(PartitionEpisodeStats, f64)> {
+    ) -> (Vec<(PartitionEpisodeStats, f64)>, f64) {
         let episode_span = alex_trace::span("rl.episode");
         let ctx = episode_span.ctx();
         let mut work: Vec<(&mut PartitionEngine, usize)> =
             self.engines.iter_mut().zip(items.iter().copied()).collect();
-        self.executor
+        let results = self
+            .executor
             .map_chunks_mut(&mut work, |chunk| {
                 let _guard = alex_trace::attach(ctx);
                 chunk
                     .iter_mut()
                     .map(|(engine, count)| {
-                        let _span = alex_trace::span("rl.partition");
-                        let t = Instant::now();
+                        let span = alex_trace::span("rl.partition");
                         let stats = engine.run_episode(*count, oracle);
-                        (stats, t.elapsed().as_secs_f64() * 1000.0)
+                        (stats, span.finish() * 1000.0)
                     })
                     .collect::<Vec<_>>()
             })
             .into_iter()
             .flatten()
-            .collect()
+            .collect();
+        (results, episode_span.finish() * 1000.0)
     }
 
     /// Runs episodes until convergence or the episode cap, evaluating
@@ -476,9 +475,7 @@ impl AlexDriver {
             if items.iter().all(|&i| i == 0) {
                 break; // nothing left to give feedback on
             }
-            let episode_start = Instant::now();
-            let results = self.run_partitions(&items, oracle);
-            let episode_ms = episode_start.elapsed().as_secs_f64() * 1000.0;
+            let (results, episode_ms) = self.run_partitions(&items, oracle);
 
             let mut totals = PartitionEpisodeStats::default();
             for (k, (stats, ms)) in results.iter().enumerate() {

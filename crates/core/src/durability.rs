@@ -51,7 +51,6 @@
 //! replay skips them.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use alex_rdf::Interner;
 use alex_store::{read_store_file, write_store_file, Wal, WalOptions, WalRecord, WalStats};
@@ -259,22 +258,6 @@ pub struct SessionRecoveryReport {
     pub space_rebuilt: Option<String>,
 }
 
-/// Where one session's recovery spent its time, in seconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RecoveryTimings {
-    /// Decoding the dataset snapshots and parsing the checkpoint.
-    pub decode_s: f64,
-    /// Loading the space file, or rebuilding the spaces when it could
-    /// not be used.
-    pub space_s: f64,
-    /// Restoring the driver from the checkpoint, spaces excluded.
-    pub restore_s: f64,
-    /// Opening (and repairing) the WAL.
-    pub wal_open_s: f64,
-    /// Replaying the WAL suffix.
-    pub replay_s: f64,
-}
-
 /// One successfully recovered session, ready to serve requests.
 pub struct RecoveredSession {
     /// The session id (parsed from the directory name).
@@ -283,8 +266,6 @@ pub struct RecoveredSession {
     pub session: LiveSession,
     /// What recovery found.
     pub report: SessionRecoveryReport,
-    /// Where recovery spent its time.
-    pub timings: RecoveryTimings,
 }
 
 /// The result of scanning a whole state directory.
@@ -309,6 +290,7 @@ pub fn recover_state_dir(
     opts: WalOptions,
     compact_after: u64,
 ) -> std::io::Result<RecoveryOutcome> {
+    let _span = trace::span("store.recover_state_dir");
     let mut outcome = RecoveryOutcome {
         sessions: Vec::new(),
         failures: Vec::new(),
@@ -369,12 +351,10 @@ pub fn recover_session(
     if !checkpoint_path.exists() {
         return Err("no checkpoint (session creation never completed)".into());
     }
-    let mut timings = RecoveryTimings::default();
-
     // Left then right decode into one fresh interner, reproducing the
     // id-sharing the live session had (shared literals compare equal
     // across the pair).
-    let t = Instant::now();
+    let decode_span = trace::span("store.decode");
     let interner = Interner::new_shared();
     let left = read_store_file(&dir.join("left.alexdb"), &interner)
         .map_err(|e| format!("left dataset snapshot: {e}"))?;
@@ -384,11 +364,11 @@ pub fn recover_session(
         .map_err(|e| format!("reading checkpoint: {e}"))?;
     let snapshot =
         SessionSnapshot::from_json(&checkpoint_text).map_err(|e| format!("checkpoint: {e}"))?;
-    timings.decode_s = t.elapsed().as_secs_f64();
+    drop(decode_span);
 
-    // The spaces come from the space file; when it is missing, damaged or
-    // written for something else, restore rebuilds them.
-    let t = Instant::now();
+    // The spaces come from the space file (under the `space.load` span);
+    // when it is missing, damaged or written for something else, restore
+    // rebuilds them (under `driver.space_build`).
     let (spaces, space_rebuilt) =
         match read_space_file(&dir.join(SPACE_FILE), &left, &right, &snapshot.config) {
             Ok(spaces) => (Some(spaces), None),
@@ -400,24 +380,21 @@ pub fn recover_session(
                 (None, Some(e.to_string()))
             }
         };
-    let load_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
+    let restore_span = trace::span("store.restore");
     let driver = snapshot
         .restore_with_spaces(&left, &right, spaces)
         .map_err(|e| format!("restoring driver: {e}"))?;
-    let build_s = driver.build_stats().seconds;
-    timings.space_s = load_s + build_s;
-    timings.restore_s = t.elapsed().as_secs_f64() - build_s;
+    drop(restore_span);
     let mut session = LiveSession::new(left, right, driver);
     session.restore_counters(&snapshot);
 
     // Reopen the WAL for writing: this truncates any torn tail and hands
     // back everything before it.
-    let t = Instant::now();
+    let wal_open_span = trace::span("store.wal_open");
     let (mut wal, records, wal_report) =
         Wal::open(&wal_dir(&dir), opts).map_err(|e| format!("opening WAL: {e}"))?;
     wal.resume_after(snapshot.applied_wal_seq);
-    timings.wal_open_s = t.elapsed().as_secs_f64();
+    drop(wal_open_span);
 
     let mut report = SessionRecoveryReport {
         id: id.to_string(),
@@ -444,7 +421,6 @@ pub fn recover_session(
         );
     }
 
-    let t = Instant::now();
     let replay_span = trace::span("store.wal_replay");
     for sequenced in records {
         if sequenced.seq <= snapshot.applied_wal_seq {
@@ -468,7 +444,6 @@ pub fn recover_session(
         );
     }
     drop(replay_span);
-    timings.replay_s = t.elapsed().as_secs_f64();
 
     trace::emit(|| Payload::WalReplay {
         session: id.to_string(),
@@ -492,7 +467,6 @@ pub fn recover_session(
         id: id.to_string(),
         session,
         report,
-        timings,
     })
 }
 

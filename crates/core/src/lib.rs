@@ -89,7 +89,7 @@ pub use config::{AlexConfig, DurabilityConfig};
 pub use driver::{AlexDriver, RunOutcome, SpaceBuildStats};
 pub use durability::{
     recover_session, recover_state_dir, session_dir, validate_session_id, write_atomic,
-    RecoveredSession, RecoveryOutcome, RecoveryTimings, SessionRecoveryReport,
+    RecoveredSession, RecoveryOutcome, SessionRecoveryReport,
 };
 pub use engine::{EngineDiagnostics, PartitionEngine, PartitionEpisodeStats};
 pub use feature::{Feature, FeatureKey, FeatureSet};

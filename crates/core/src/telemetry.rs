@@ -7,17 +7,22 @@
 //!
 //! * [`Counter`] — monotonically increasing event count (lock-free).
 //! * [`Gauge`] — a value that can go up and down (queue depth, sessions).
-//! * [`Histogram`] — latency distribution over exponential buckets.
+//! * [`Histogram`] — latency distribution over log buckets (the
+//!   `alex-trace` type that also backs the stage table).
 //!
 //! [`MetricsRegistry::render`] emits the whole registry in the plain-text
 //! exposition format (`name{labels} value` lines, `# TYPE` comments), so a
-//! scrape endpoint can serve it directly. Instruments are identified by
-//! their full name *including* any `{label="…"}` suffix; the registry
-//! interns each name once and hands out shared handles.
+//! scrape endpoint can serve it directly, followed by the process-wide
+//! stage table as `alex_stage_seconds{stage="<span name>"}`. Instruments
+//! are identified by their full name *including* any `{label="…"}`
+//! suffix; the registry interns each name once and hands out shared
+//! handles.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+use alex_trace::Histogram;
 
 /// Counter name: probe retries against federated query sources (one per
 /// re-attempt after a retryable failure).
@@ -109,105 +114,6 @@ impl FloatGauge {
     }
 }
 
-/// Number of exponential buckets. The first bucket's upper bound is
-/// [`Histogram::FIRST_BOUND`]; each subsequent bound is ×[`Histogram::GROWTH`],
-/// spanning ~10 µs to ~10 minutes of latency with bounded memory.
-const BUCKETS: usize = 64;
-
-/// Every `EXPOSITION_STEP`-th internal bucket bound becomes a `le=` bound
-/// in the rendered exposition: 16 bounds spanning ~25 µs to ~27 minutes,
-/// each ×~3.3 apart — enough resolution for latency dashboards without
-/// 64 lines per histogram.
-const EXPOSITION_STEP: usize = 4;
-
-#[derive(Debug)]
-struct HistogramInner {
-    counts: [u64; BUCKETS],
-    count: u64,
-    sum: f64,
-}
-
-/// A latency histogram over fixed exponential buckets.
-///
-/// Values are recorded in **seconds**. Quantiles are estimated by walking
-/// the cumulative bucket counts and interpolating within the crossing
-/// bucket, which bounds the error by the bucket's relative width (~40%).
-#[derive(Debug)]
-pub struct Histogram {
-    inner: Mutex<HistogramInner>,
-}
-
-impl Histogram {
-    /// Upper bound of the first bucket, in seconds.
-    pub const FIRST_BOUND: f64 = 10e-6;
-    /// Geometric growth factor between bucket bounds.
-    pub const GROWTH: f64 = 1.35;
-
-    fn new() -> Self {
-        Histogram {
-            inner: Mutex::new(HistogramInner {
-                counts: [0; BUCKETS],
-                count: 0,
-                sum: 0.0,
-            }),
-        }
-    }
-
-    fn bucket_bound(i: usize) -> f64 {
-        Self::FIRST_BOUND * Self::GROWTH.powi(i as i32)
-    }
-
-    /// Records one observation (seconds).
-    pub fn record(&self, seconds: f64) {
-        let v = if seconds.is_finite() && seconds >= 0.0 {
-            seconds
-        } else {
-            0.0
-        };
-        let mut idx = 0;
-        while idx + 1 < BUCKETS && v > Self::bucket_bound(idx) {
-            idx += 1;
-        }
-        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        g.counts[idx] += 1;
-        g.count += 1;
-        g.sum += v;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .count
-    }
-
-    /// Sum of all observations, in seconds.
-    pub fn sum(&self) -> f64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .sum
-    }
-
-    /// Cumulative bucket counts at the exposition bounds: every
-    /// `EXPOSITION_STEP`-th internal bound, as `(upper_bound_seconds,
-    /// observations ≤ bound)` pairs. The final `+Inf` bucket is implicit —
-    /// its count is [`Histogram::count`].
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = Vec::with_capacity(BUCKETS / EXPOSITION_STEP);
-        let mut cumulative = 0u64;
-        for (i, &c) in g.counts.iter().enumerate() {
-            cumulative += c;
-            if (i + 1) % EXPOSITION_STEP == 0 {
-                out.push((Self::bucket_bound(i), cumulative));
-            }
-        }
-        out
-    }
-}
-
 /// A process-wide registry of named instruments.
 ///
 /// Names follow the usual conventions (`snake_case`, unit suffix) and may
@@ -255,14 +161,12 @@ impl MetricsRegistry {
             .histograms
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
+        Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// Renders every instrument in Prometheus text exposition format,
-    /// sorted by name.
+    /// sorted by name, then one `alex_stage_seconds{stage="…"}` histogram
+    /// per span name in the stage table ([`alex_trace::stages`]).
     ///
     /// Counters and gauges emit one `name value` line. Histograms emit the
     /// standard Prometheus histogram series: cumulative
@@ -313,21 +217,36 @@ impl MetricsRegistry {
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
         {
-            out.push_str(&format!("# TYPE {} histogram\n", base_name(name)));
-            let (base, labels) = split_labels(name);
-            let bucket_line = |le: &str, count: u64| {
-                let series = with_label(&format!("{base}_bucket{labels}"), &format!("le=\"{le}\""));
-                format!("{series} {count}\n")
-            };
-            for (bound, cumulative) in h.cumulative_buckets() {
-                out.push_str(&bucket_line(&format!("{bound}"), cumulative));
-            }
-            out.push_str(&bucket_line("+Inf", h.count()));
-            out.push_str(&format!("{base}_sum{labels} {}\n", h.sum()));
-            out.push_str(&format!("{base}_count{labels} {}\n", h.count()));
+            render_histogram(&mut out, name, h);
+        }
+        for (stage, h) in alex_trace::stages() {
+            render_histogram(
+                &mut out,
+                &format!("alex_stage_seconds{{stage=\"{stage}\"}}"),
+                h,
+            );
         }
         out
     }
+}
+
+/// Appends one histogram's `# TYPE` line, cumulative buckets, sum and count.
+fn render_histogram(out: &mut String, name: &str, h: &Histogram) {
+    out.push_str(&format!("# TYPE {} histogram\n", base_name(name)));
+    let (base, labels) = split_labels(name);
+    let buckets = h.cumulative_buckets();
+    // Read after the buckets, so `+Inf` is never below a finite bucket.
+    let count = h.count();
+    let bucket_line = |le: &str, count: u64| {
+        let series = with_label(&format!("{base}_bucket{labels}"), &format!("le=\"{le}\""));
+        format!("{series} {count}\n")
+    };
+    for (bound, cumulative) in buckets {
+        out.push_str(&bucket_line(&format!("{bound}"), cumulative));
+    }
+    out.push_str(&bucket_line("+Inf", count));
+    out.push_str(&format!("{base}_sum{labels} {}\n", h.sum().as_secs_f64()));
+    out.push_str(&format!("{base}_count{labels} {count}\n"));
 }
 
 /// `name{...}` → `name`.
@@ -380,16 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_sums_observations() {
-        let h = Histogram::new();
-        for i in 1..=100 {
-            h.record(i as f64 / 1000.0); // 1ms .. 100ms
-        }
-        assert_eq!(h.count(), 100);
-        assert!((h.sum() - 5.05).abs() < 1e-9);
-    }
-
-    #[test]
     fn render_covers_all_instrument_kinds() {
         let reg = MetricsRegistry::new();
         reg.counter("http_requests_total{route=\"/healthz\",status=\"200\"}")
@@ -397,6 +306,7 @@ mod tests {
         reg.gauge("sessions_active").set(2);
         reg.histogram("request_seconds{route=\"/query\"}")
             .record(0.003);
+        drop(alex_trace::span("test.render_stage"));
         let text = reg.render();
         assert!(text.contains("# TYPE http_requests_total counter"));
         assert!(text.contains("http_requests_total{route=\"/healthz\",status=\"200\"} 1"));
@@ -405,6 +315,7 @@ mod tests {
         assert!(text.contains("request_seconds_bucket{route=\"/query\",le=\"+Inf\"} 1"));
         assert!(text.contains("request_seconds_count{route=\"/query\"} 1"));
         assert!(text.contains("request_seconds_sum{route=\"/query\"} 0.003"));
+        assert!(text.contains("alex_stage_seconds_count{stage=\"test.render_stage\"} 1"));
     }
 
     /// Locks the Prometheus histogram exposition format: cumulative

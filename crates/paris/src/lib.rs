@@ -53,8 +53,6 @@ pub mod blocking;
 pub mod equivalence;
 pub mod functionality;
 
-use std::time::Instant;
-
 use alex_core::parallel::Executor;
 use alex_rdf::{Link, ScoredLink, Store};
 use alex_sim::{CacheStats, SimConfig, ValueTable};
@@ -171,30 +169,24 @@ impl ParisLinker {
         let fun_left = functionality::FunctionalityTable::build(left);
         let fun_right = functionality::FunctionalityTable::build(right);
 
-        let t = Instant::now();
         let blocking_span = alex_trace::span("paris.blocking");
         let candidates = blocking::candidate_pairs_with(left, right, cfg.max_block_size, &executor);
-        drop(blocking_span);
-        let blocking_seconds = t.elapsed().as_secs_f64();
+        let blocking_seconds = blocking_span.finish();
 
         let mut eqv = equivalence::EquivalenceTable::new(candidates.clone());
         let mut align = alignment::AlignmentTable::uniform(cfg.initial_alignment);
         let mut equivalence_seconds = 0.0;
         let mut alignment_seconds = 0.0;
         for _round in 0..cfg.iterations.max(1) {
-            let t = Instant::now();
             let eq_span = alex_trace::span("paris.equivalence");
             eqv.update_with(
                 left, right, &align, &fun_left, &fun_right, cfg, &executor, &table,
             );
-            drop(eq_span);
-            equivalence_seconds += t.elapsed().as_secs_f64();
-            let t = Instant::now();
+            equivalence_seconds += eq_span.finish();
             let align_span = alex_trace::span("paris.alignment");
             align =
                 alignment::AlignmentTable::estimate_with(left, right, &eqv, cfg, &executor, &table);
-            drop(align_span);
-            alignment_seconds += t.elapsed().as_secs_f64();
+            alignment_seconds += align_span.finish();
         }
 
         let links = eqv.assign(cfg.mutual_best);

@@ -245,17 +245,13 @@ fn create_session(state: &AppState, req: &Request) -> Response {
     let left_triples = left.len();
     let right_triples = right.len();
 
-    // Pre-processing observability: space-build wall time and value-table
-    // work, exported through /metrics. The table has no memo, so the
-    // counter names keep their old spelling with a new meaning:
-    // `alex_sim_cache_hits_total` counts similarity evaluations served
-    // from prebuilt forms, `alex_sim_cache_misses_total` the distinct
-    // values whose forms were built.
+    // Pre-processing observability: value-table work, exported through
+    // /metrics (the build's wall time is the `driver.space_build` stage).
+    // The table has no memo, so the counter names keep their old spelling
+    // with a new meaning: `alex_sim_cache_hits_total` counts similarity
+    // evaluations served from prebuilt forms, `alex_sim_cache_misses_total`
+    // the distinct values whose forms were built.
     let build = driver.build_stats();
-    state
-        .metrics
-        .histogram("alex_stage_seconds{stage=\"space_build\"}")
-        .record(build.seconds);
     state
         .metrics
         .counter("alex_sim_cache_hits_total")

@@ -9,7 +9,7 @@
 //! 32 KiB of headers, 16 MiB of body. Requests with larger framing are
 //! rejected before the body is read.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use serde_json::Value;
 
@@ -19,7 +19,7 @@ pub const MAX_HEAD_BYTES: usize = 32 * 1024;
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// One parsed HTTP request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Upper-case method, e.g. `GET`.
     pub method: String,
@@ -148,15 +148,15 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Reads one request from `reader` (a buffered socket with a read
 /// timeout installed). Blocks until a full request, EOF, or timeout.
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    let mut head = Vec::new();
+    let mut head_len = 0;
     // Request line.
-    let first = read_line(reader, &mut head, false)?;
+    let first = read_line(reader, &mut head_len, false)?;
     let (method, path_q, http11) = parse_request_line(&first)?;
 
     // Headers until the blank line.
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader, &mut head, true)?;
+        let line = read_line(reader, &mut head_len, true)?;
         if line.is_empty() {
             break;
         }
@@ -241,27 +241,32 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
     })
 }
 
-/// Reads one CRLF-terminated line, appending raw bytes to `head` for the
-/// size cap. `started` is whether earlier request bytes already arrived
-/// (distinguishes idle-timeout from mid-request timeout, and clean close
-/// from truncation).
+/// Reads one CRLF-terminated line, adding its raw length to `head_len`
+/// for the size cap. The read stops one byte past the head budget still
+/// left, so a line with no newline cannot make it consume (or buffer) more
+/// than [`MAX_HEAD_BYTES`] in all. `started` is whether earlier request
+/// bytes already arrived (distinguishes idle-timeout from mid-request
+/// timeout, and clean close from truncation).
 fn read_line<R: BufRead>(
     reader: &mut R,
-    head: &mut Vec<u8>,
+    head_len: &mut usize,
     started: bool,
 ) -> Result<String, HttpError> {
     let mut line = Vec::new();
-    match reader.read_until(b'\n', &mut line) {
+    // `head_len` never exceeds the cap between calls: a line that takes
+    // it past is an error.
+    let budget = (MAX_HEAD_BYTES + 1 - *head_len) as u64;
+    match reader.take(budget).read_until(b'\n', &mut line) {
         Ok(0) => {
-            if started || !head.is_empty() {
+            if started || *head_len > 0 {
                 Err(HttpError::Malformed("unexpected end of stream".into()))
             } else {
                 Err(HttpError::Closed)
             }
         }
         Ok(_) => {
-            head.extend_from_slice(&line);
-            if head.len() > MAX_HEAD_BYTES {
+            *head_len += line.len();
+            if *head_len > MAX_HEAD_BYTES {
                 return Err(HttpError::TooLarge("headers"));
             }
             while line.last() == Some(&b'\n') || line.last() == Some(&b'\r') {
@@ -270,7 +275,7 @@ fn read_line<R: BufRead>(
             String::from_utf8(line).map_err(|_| HttpError::Malformed("non-UTF-8 header".into()))
         }
         Err(e) if is_timeout(&e) => Err(HttpError::Timeout {
-            started: started || !head.is_empty(),
+            started: started || *head_len > 0,
         }),
         Err(e) => Err(HttpError::Io(e)),
     }
@@ -545,6 +550,40 @@ mod tests {
             parse(&huge_header),
             Err(HttpError::TooLarge("headers"))
         ));
+    }
+
+    /// A 4 MiB request line with no newline, counting what is read.
+    struct LongLine {
+        remaining: usize,
+        consumed: usize,
+    }
+
+    impl Read for LongLine {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.remaining);
+            buf[..n].fill(b'a');
+            self.remaining -= n;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_unterminated_line_is_refused_within_the_head_budget() {
+        let mut reader = BufReader::new(LongLine {
+            remaining: 4 << 20,
+            consumed: 0,
+        });
+        let capacity = reader.capacity();
+        assert!(matches!(
+            read_request(&mut reader),
+            Err(HttpError::TooLarge("headers"))
+        ));
+        let consumed = reader.get_ref().consumed;
+        assert!(
+            consumed <= MAX_HEAD_BYTES + capacity,
+            "read {consumed} bytes for a {MAX_HEAD_BYTES}-byte head budget"
+        );
     }
 
     #[test]

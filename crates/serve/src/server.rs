@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use alex_core::telemetry::{
     RECOVERED_RECORDS_TOTAL, RECOVERIES_TOTAL, WAL_APPENDS_TOTAL, WAL_BYTES_TOTAL, WAL_FSYNCS_TOTAL,
@@ -192,7 +192,6 @@ fn recover_sessions(
     opts: alex_core::store::WalOptions,
     compact_after: u64,
 ) {
-    let start = std::time::Instant::now();
     let outcome = match alex_core::recover_state_dir(dir, opts, compact_after) {
         Ok(o) => o,
         Err(e) => {
@@ -203,20 +202,7 @@ fn recover_sessions(
             return;
         }
     };
-    state
-        .metrics
-        .histogram("alex_stage_seconds{stage=\"recover\"}")
-        .record(start.elapsed().as_secs_f64());
     for recovered in outcome.sessions {
-        let stage = if recovered.report.space_rebuilt.is_none() {
-            "space_load"
-        } else {
-            "space_build"
-        };
-        state
-            .metrics
-            .histogram(&format!("alex_stage_seconds{{stage=\"{stage}\"}}"))
-            .record(recovered.timings.space_s);
         state.metrics.counter(RECOVERIES_TOTAL).inc();
         state
             .metrics
@@ -368,7 +354,6 @@ fn handle_connection(
     loop {
         match read_request(&mut reader) {
             Ok(req) => {
-                let started = Instant::now();
                 // Propagate the client's request id (or assign one); the
                 // id is echoed back as `X-Request-Id` and keys this
                 // request's trace for `GET /debug/trace/{id}`.
@@ -388,13 +373,12 @@ fn handle_connection(
                     route: route_label.to_string(),
                     status: u64::from(resp.status),
                 });
-                drop(span);
+                let elapsed = span.finish();
                 resp.extra_headers.push(("X-Request-Id", request_id));
                 // During shutdown, finish this response but don't linger
                 // for another request on the connection.
                 let keep =
                     req.wants_keep_alive() && !resp.close && !shutdown.load(Ordering::SeqCst);
-                let elapsed = started.elapsed().as_secs_f64();
                 state
                     .metrics
                     .counter(&format!(

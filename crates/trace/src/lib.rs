@@ -2,18 +2,25 @@
 //!
 //! The tracing subsystem, re-exported as `alex_core::trace`:
 //! [`Span`]s with ids/parents and monotonic timestamps, typed [`Event`]s,
-//! a lock-sharded bounded ring buffer (the "flight recorder"), and a
-//! JSON-lines exporter.
+//! a lock-sharded bounded ring buffer (the "flight recorder"), a
+//! JSON-lines exporter, and the stage table ([`stages`]): every span's
+//! duration aggregated by span name into a [`Histogram`], the process's
+//! one stage clock.
 //!
 //! ## Cost model
 //!
-//! The disabled path is a single relaxed atomic load and a branch —
-//! [`emit`] takes a closure so payloads (and their string allocations) are
-//! only ever built when recording is on, and `exp_trace_overhead` gates
-//! the disabled path at <5% over a no-tracing baseline. When enabled,
-//! events always land in the ring (so `/debug/*` and `alex trace` work in
-//! every mode) and `jsonl:<path>` additionally streams each event to a
-//! file as it is recorded.
+//! With recording off, [`emit`] is a single relaxed atomic load and a
+//! branch: it takes a closure so payloads (and their string allocations)
+//! are only ever built when recording is on, and `exp_trace_overhead`
+//! gates that path at <5% over a no-tracing baseline. A [`Span`] is not
+//! free even then: it reads the clock when it opens and when it closes,
+//! then takes a short lock to find its name's stage-table entry and adds
+//! to it with relaxed atomics, allocating nothing after the name's first
+//! close. `exp_trace_overhead` gates that at 1 µs per span, so spans mark
+//! stages (a request, a query, an episode, a build phase), never per-item
+//! work. When enabled, events always land in the ring (so `/debug/*` and
+//! `alex trace` work in every mode) and `jsonl:<path>` additionally
+//! streams each event to a file as it is recorded.
 //!
 //! ## Context propagation
 //!
@@ -31,9 +38,11 @@
 
 mod event;
 mod render;
+mod stage;
 
 pub use event::{parse_jsonl, to_jsonl, Event, Payload};
 pub use render::render_tree;
+pub use stage::{stages, Histogram};
 
 use std::cell::Cell;
 use std::fs::File;
@@ -446,92 +455,114 @@ pub fn emit(f: impl FnOnce() -> Payload) {
     recorder().record(ctx.trace, ctx.span, 0, f());
 }
 
-/// A RAII span: emits `span_start` on creation and `span_end` (with
-/// elapsed wall time) on drop, maintaining the thread-local context in
-/// between. A disabled recorder yields an inert, allocation-free span.
+/// A RAII span. It reads the clock when it opens and again when it
+/// closes (on drop or [`Span::finish`]), adds the duration to the stage
+/// table ([`stages`]) under its name, and, while recording is on and its
+/// trace is sampled, emits `span_start`/`span_end` events and maintains
+/// the thread-local context in between.
 pub struct Span {
-    inner: Option<SpanInner>,
+    name: &'static str,
+    /// `None` once the span has closed.
+    start: Option<Instant>,
+    /// The recorded half; `None` when recording is off or the parent
+    /// trace is suppressed.
+    recorded: Option<Recorded>,
 }
 
-struct SpanInner {
+struct Recorded {
     prev: Ctx,
     trace: u64,
     id: u64,
     parent: u64,
-    name: &'static str,
-    start: Instant,
 }
 
 impl Span {
-    const NOOP: Span = Span { inner: None };
-
-    /// The span's trace id (`0` when inert).
+    /// The span's trace id (`0` when not recorded).
     pub fn trace_id(&self) -> u64 {
-        match &self.inner {
-            Some(i) if i.trace != SUPPRESSED => i.trace,
+        match &self.recorded {
+            Some(r) if r.trace != SUPPRESSED => r.trace,
             _ => 0,
         }
     }
 
     /// The context this span establishes, for cross-thread [`attach`].
     pub fn ctx(&self) -> Ctx {
-        match &self.inner {
-            Some(i) => Ctx {
-                trace: i.trace,
-                span: i.id,
+        match &self.recorded {
+            Some(r) => Ctx {
+                trace: r.trace,
+                span: r.id,
             },
             None => current(),
         }
+    }
+
+    /// Closes the span and returns its duration in seconds: the same
+    /// clock read the stage table and the `span_end` event get.
+    pub fn finish(mut self) -> f64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> f64 {
+        let Some(start) = self.start.take() else {
+            return 0.0;
+        };
+        let elapsed = start.elapsed();
+        stage::observe(self.name, elapsed);
+        if let Some(r) = self.recorded.take() {
+            if r.trace != SUPPRESSED {
+                recorder().record(
+                    r.trace,
+                    r.id,
+                    r.parent,
+                    Payload::SpanEnd {
+                        name: self.name.to_string(),
+                        elapsed_us: elapsed.as_micros() as u64,
+                    },
+                );
+            }
+            CTX.set(r.prev);
+        }
+        elapsed.as_secs_f64()
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(i) = self.inner.take() {
-            if i.trace != SUPPRESSED {
-                recorder().record(
-                    i.trace,
-                    i.id,
-                    i.parent,
-                    Payload::SpanEnd {
-                        name: i.name.to_string(),
-                        elapsed_us: i.start.elapsed().as_micros() as u64,
-                    },
-                );
-            }
-            CTX.set(i.prev);
-        }
+        self.close();
     }
 }
 
 fn open_span(name: &'static str, force_root: bool) -> Span {
-    if !enabled() {
-        return Span::NOOP;
+    Span {
+        name,
+        recorded: enabled().then(|| record_start(name, force_root)).flatten(),
+        start: Some(Instant::now()),
     }
+}
+
+/// The recorded half of opening a span: allocates ids, emits
+/// `span_start` and installs the span's context.
+fn record_start(name: &'static str, force_root: bool) -> Option<Recorded> {
     let cur = current();
     if cur.trace == SUPPRESSED && !force_root {
-        return Span::NOOP;
+        return None;
     }
     let r = recorder();
     let (trace, parent) = if cur.trace == 0 || force_root {
         let t = r.alloc_trace();
         if !r.sampled(t) {
             // Mark the whole trace suppressed: children skip themselves
-            // via the context; drop restores the previous context.
+            // via the context; closing restores the previous context.
             let prev = CTX.replace(Ctx {
                 trace: SUPPRESSED,
                 span: 0,
             });
-            return Span {
-                inner: Some(SpanInner {
-                    prev,
-                    trace: SUPPRESSED,
-                    id: 0,
-                    parent: 0,
-                    name,
-                    start: Instant::now(),
-                }),
-            };
+            return Some(Recorded {
+                prev,
+                trace: SUPPRESSED,
+                id: 0,
+                parent: 0,
+            });
         }
         (t, 0)
     } else {
@@ -547,16 +578,12 @@ fn open_span(name: &'static str, force_root: bool) -> Span {
             name: name.to_string(),
         },
     );
-    Span {
-        inner: Some(SpanInner {
-            prev,
-            trace,
-            id,
-            parent,
-            name,
-            start: Instant::now(),
-        }),
-    }
+    Some(Recorded {
+        prev,
+        trace,
+        id,
+        parent,
+    })
 }
 
 /// Opens a span as a child of the current context, or as a new (sampled)
@@ -760,6 +787,99 @@ mod tests {
         assert_eq!(s.mode, TraceMode::Off);
         assert_eq!(s.sample, 1.0);
         assert_eq!(s.ring_capacity, DEFAULT_RING_CAPACITY);
+    }
+
+    /// Serializes the tests that reconfigure the global recorder.
+    static GLOBAL_RECORDER: Mutex<()> = Mutex::new(());
+
+    fn stage_of(name: &str) -> &'static Histogram {
+        stages()
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, h)| h)
+            .expect("stage recorded")
+    }
+
+    #[test]
+    fn span_closed_with_the_recorder_off_is_counted() {
+        let _lock = GLOBAL_RECORDER.lock().unwrap();
+        configure(&TraceSettings::default()).unwrap();
+        for _ in 0..3 {
+            let span = span("test.stage_off");
+            assert_eq!(span.trace_id(), 0);
+        }
+        assert_eq!(stage_of("test.stage_off").count(), 3);
+    }
+
+    #[test]
+    fn sampled_out_span_is_counted() {
+        let _lock = GLOBAL_RECORDER.lock().unwrap();
+        configure(&TraceSettings {
+            mode: TraceMode::Ring,
+            sample: 0.0,
+            ring_capacity: 64,
+        })
+        .unwrap();
+        let written = recorder().written();
+        {
+            let root = root_span("test.sampled_out");
+            assert_eq!(root.trace_id(), 0, "the trace is sampled out");
+            drop(span("test.sampled_out_child"));
+        }
+        assert_eq!(recorder().written(), written, "nothing recorded");
+        configure(&TraceSettings::default()).unwrap();
+        assert_eq!(stage_of("test.sampled_out").count(), 1);
+        assert_eq!(stage_of("test.sampled_out_child").count(), 1);
+    }
+
+    #[test]
+    fn finish_returns_the_stage_sum_increment() {
+        let span = span("test.finish");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let seconds = span.finish();
+        let h = stage_of("test.finish");
+        assert_eq!(h.count(), 1, "finish closes the span once");
+        assert_eq!(h.sum().as_secs_f64(), seconds);
+        assert!(seconds >= 0.002);
+    }
+
+    #[test]
+    fn concurrent_closes_add_up_to_the_exact_count() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 2_000;
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..PER_THREAD {
+                        drop(span("test.concurrent"));
+                    }
+                });
+            }
+        });
+        let h = stage_of("test.concurrent");
+        assert_eq!(h.count(), (THREADS * PER_THREAD) as u64);
+    }
+
+    #[test]
+    fn histogram_buckets_are_powers_of_two_nanoseconds() {
+        let h = Histogram::new();
+        for i in 1..=100 {
+            h.record(i as f64 / 1000.0); // 1ms .. 100ms
+        }
+        assert_eq!(h.count(), 100);
+        assert_eq!(h.sum(), std::time::Duration::from_millis(5050));
+        // 2^20 ns ≈ 1.05 ms holds the 1 ms observation only; 2^28 ns ≈
+        // 268 ms holds them all.
+        let buckets = h.cumulative_buckets();
+        assert_eq!(buckets.len(), 16);
+        assert!(buckets.contains(&((1u64 << 20) as f64 / 1e9, 1)));
+        assert!(buckets.contains(&((1u64 << 28) as f64 / 1e9, 100)));
+        h.record(-1.0);
+        h.record(f64::NAN);
+        assert_eq!(h.count(), 102);
+        assert_eq!(h.sum(), std::time::Duration::from_millis(5050));
     }
 
     #[test]

@@ -265,6 +265,14 @@ fn figure1_loop_over_tcp_query_feedback_link_change() {
     ));
     assert!(text.contains("alex_http_request_seconds_count{route=\"/sessions/{id}/query\"} 2"));
     assert!(text.contains("alex_connections_total"));
+    // Stage times come from the spans; the table is process-wide, so
+    // other tests' closes may add to these counts.
+    for stage in ["query.federated", "http.request", "driver.space_build"] {
+        assert!(
+            text.contains(&format!("alex_stage_seconds_count{{stage=\"{stage}\"}}")),
+            "missing stage {stage}: {text}"
+        );
+    }
 
     server.shutdown();
 }
