@@ -3,7 +3,10 @@
 //! through one value table. Writes `BENCH_scaling.json` so future PRs have
 //! a perf trajectory, and verifies that every thread count produces output
 //! bit-identical to the serial run (the determinism guarantee of
-//! `alex-core::parallel`) — a mismatch exits non-zero.
+//! `alex-core::parallel`) — a mismatch exits non-zero. It also prints
+//! FNV-1a digests of the serial run's space and PARIS output as
+//! `fingerprint space <hex>` and `fingerprint paris <hex>`, which CI diffs
+//! against `crates/bench/golden/exp_scaling_fingerprints.txt`.
 //!
 //! ```sh
 //! cargo run --release -p alex-bench --bin exp_scaling \
@@ -13,7 +16,7 @@
 use std::time::Instant;
 
 use alex_core::parallel::{Executor, THREADS_ENV};
-use alex_core::{ExplorationSpace, DEFAULT_MAX_BLOCK};
+use alex_core::{ExplorationSpace, RightIndex, DEFAULT_MAX_BLOCK};
 use alex_datagen::{generate, PaperPair};
 use alex_paris::{ParisConfig, ParisLinker, ParisOutput};
 use alex_rdf::IriId;
@@ -25,10 +28,16 @@ const THETA: f64 = 0.3;
 #[derive(Serialize)]
 struct ThreadResult {
     threads: usize,
-    /// Value-table build plus space build, as the driver times it.
+    /// Value-table and right-index build plus space build, as the driver
+    /// times it.
     space_build_ms: f64,
     /// Serial space-build time / this thread count's time.
     space_speedup: f64,
+    /// `space_build_ms` per pair kept, in microseconds: the build's cost
+    /// per unit of output.
+    space_us_per_pair: f64,
+    /// Similarity evaluations per pair kept.
+    space_evaluations_per_pair: f64,
     blocking_ms: f64,
     equivalence_ms: f64,
     alignment_ms: f64,
@@ -73,6 +82,18 @@ fn space_fingerprint(space: &ExplorationSpace) -> Vec<u64> {
         }
     }
     out
+}
+
+/// FNV-1a over the little-endian bytes of `words`: a short, stable
+/// digest of a fingerprint, printed as `fingerprint <name> <hex>` so CI
+/// can diff it against a golden file.
+fn fnv1a(words: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Ids and score bits of the final PARIS links, in output order.
@@ -145,15 +166,8 @@ fn main() {
         let executor = Executor::new(t);
         let t0 = Instant::now();
         let table = ValueTable::from_stores(SimConfig::default(), &pair.left, &pair.right);
-        let space = ExplorationSpace::build_with(
-            &pair.left,
-            &pair.right,
-            &subjects,
-            THETA,
-            DEFAULT_MAX_BLOCK,
-            &executor,
-            &table,
-        );
+        let index = RightIndex::new(&pair.right, &table, DEFAULT_MAX_BLOCK);
+        let space = ExplorationSpace::build_with(&pair.left, &subjects, THETA, &executor, &index);
         let space_build_ms = t0.elapsed().as_secs_f64() * 1000.0;
         let space_stats = table.stats();
         let space_fp = space_fingerprint(&space);
@@ -194,6 +208,8 @@ fn main() {
             threads: t,
             space_build_ms,
             space_speedup: baseline_space_ms / space_build_ms.max(1e-9),
+            space_us_per_pair: space_build_ms * 1000.0 / space.len().max(1) as f64,
+            space_evaluations_per_pair: space_stats.hits as f64 / space.len().max(1) as f64,
             blocking_ms: s.blocking_seconds * 1000.0,
             equivalence_ms: s.equivalence_seconds * 1000.0,
             alignment_ms: s.alignment_seconds * 1000.0,
@@ -206,6 +222,9 @@ fn main() {
             identical_to_serial: identical,
         });
     }
+
+    println!("fingerprint space {:016x}", fnv1a(&baseline_space_fp));
+    println!("fingerprint paris {:016x}", fnv1a(&baseline_paris_fp));
 
     let report = Report {
         scenario: kind.label().to_string(),

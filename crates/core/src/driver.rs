@@ -26,7 +26,7 @@ use crate::metrics::{EpisodeReport, Quality};
 use crate::oracle::FeedbackOracle;
 use crate::parallel::Executor;
 use crate::partition::round_robin;
-use crate::space::{ExplorationSpace, DEFAULT_MAX_BLOCK};
+use crate::space::{ExplorationSpace, RightIndex, DEFAULT_MAX_BLOCK};
 
 /// Observability for the pre-processing stage: how long the exploration
 /// spaces took to build and how much scoring the value table served.
@@ -96,8 +96,9 @@ impl RunOutcome {
 
 /// Builds one space per partition, one partition after another, each
 /// parallelized internally over its subjects (one executor, so the
-/// machine is never oversubscribed) and scoring through one value table —
-/// entities in different partitions repeat the same literals.
+/// machine is never oversubscribed), all scoring through one value table
+/// against one right index — entities in different partitions repeat the
+/// same literals and share the whole right dataset.
 fn build_spaces(
     left: &Store,
     right: &Store,
@@ -107,19 +108,10 @@ fn build_spaces(
 ) -> (Vec<ExplorationSpace>, SpaceBuildStats) {
     let span = alex_trace::span("driver.space_build");
     let table = ValueTable::from_stores(cfg.sim, left, right);
+    let index = RightIndex::new(right, &table, DEFAULT_MAX_BLOCK);
     let spaces: Vec<ExplorationSpace> = parts
         .iter()
-        .map(|p| {
-            ExplorationSpace::build_with(
-                left,
-                right,
-                p,
-                cfg.theta,
-                DEFAULT_MAX_BLOCK,
-                executor,
-                &table,
-            )
-        })
+        .map(|p| ExplorationSpace::build_with(left, p, cfg.theta, executor, &index))
         .collect();
     let stats = SpaceBuildStats {
         seconds: span.finish(),

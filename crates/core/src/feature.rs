@@ -8,7 +8,7 @@
 //! maxima) are kept, one feature per attribute of the larger entity.
 
 use alex_rdf::{Entity, Interner, IriId};
-use alex_sim::{value_similarity, Scorer, SimConfig, ValueId};
+use alex_sim::{value_similarity, SimConfig};
 
 /// A feature identifier: a predicate of the left entity paired with a
 /// predicate of the right entity.
@@ -48,8 +48,8 @@ pub struct FeatureSet {
 
 impl FeatureSet {
     /// Builds the feature set for the pair `(left, right)`, scoring with
-    /// the plain [`value_similarity`] — the reference
-    /// [`FeatureSet::build_from_table`] is tested against.
+    /// the plain [`value_similarity`] — the reference the space build is
+    /// tested against.
     ///
     /// Returns `None` when no feature survives the θ filter — such pairs
     /// are dropped from the search space entirely (§6.1).
@@ -71,22 +71,10 @@ impl FeatureSet {
         })
     }
 
-    /// Like [`FeatureSet::build`], over entities given as `(predicate,
-    /// value id)` attribute lists of a [`alex_sim::ValueTable`] (see
-    /// [`alex_sim::ValueTable::attributes`]), scoring through `scorer`.
-    /// Bit-identical to `build` with the table's config.
-    pub fn build_from_table(
-        left: &[(IriId, ValueId)],
-        right: &[(IriId, ValueId)],
-        scorer: &Scorer<'_>,
-        theta: f64,
-    ) -> Option<Self> {
-        Self::build_with_sim(left, right, theta, |a, b| scorer.similarity(a, b))
-    }
-
-    /// The shared matrix-reduction logic, generic over how attribute
-    /// values are represented and scored.
-    fn build_with_sim<V: Copy>(
+    /// The matrix reduction of [`FeatureSet::build`], generic over how
+    /// attribute values are represented and scored: `sim(l, r)` scores a
+    /// left value against a right one.
+    pub(crate) fn build_with_sim<V: Copy>(
         left: &[(IriId, V)],
         right: &[(IriId, V)],
         theta: f64,

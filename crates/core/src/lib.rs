@@ -101,4 +101,4 @@ pub use session::{
     EngineStateSnapshot, EpisodeOutcome, LiveSession, SessionError, SessionHandle, SessionSnapshot,
     SNAPSHOT_VERSION,
 };
-pub use space::{ExplorationSpace, DEFAULT_MAX_BLOCK};
+pub use space::{ExplorationSpace, RightIndex, DEFAULT_MAX_BLOCK};

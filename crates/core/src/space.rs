@@ -13,6 +13,15 @@
 //! with no shared key almost never reach θ = 0.3 under the default hybrid
 //! metric; DESIGN.md records this as an engineering substitution.
 //!
+//! The index is a [`RightIndex`], built once per value table and shared by
+//! every partition. Its blocking keys are `u32` ids: each distinct value of
+//! the table gets its keys once, interned so that equal strings collide
+//! across values (the integer `1984` and the token `"1984"`). Scoring is per
+//! left entity: its distinct values are scored once against the distinct
+//! values of all its candidates, into one matrix, and each candidate's
+//! feature set is read from the matrix, so a value that several candidates
+//! share is scored once for the entity, not once per candidate.
+//!
 //! For every surviving feature key the space keeps a score-sorted list of
 //! pairs, so an ALEX action — "find all links whose value for this feature
 //! lies within ±step of the approved link's value" (§4.2) — is two binary
@@ -25,11 +34,12 @@
 //! mask of the keys its pair has, so the scan rejects a pair that cannot
 //! share enough of the state's features without touching the arena.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use alex_rdf::hash::FastMap;
-use alex_rdf::{IriId, Link, Literal, Store, Term};
+use alex_rdf::{Interner, IriId, Link, Literal, Store, Term};
 use alex_sim::{string::tokens, SimConfig, ValueId, ValueTable};
 
 use crate::feature::{Feature, FeatureKey, FeatureSet};
@@ -76,39 +86,143 @@ pub struct ExplorationSpace {
     total_possible: usize,
 }
 
-fn literal_keys(store: &Store, term: &Term, out: &mut Vec<String>) {
-    match term {
-        Term::Iri(id) => {
-            let iri = store.iri_str(*id);
-            let local = alex_sim::iri_local_name(&iri).to_lowercase();
-            if !local.is_empty() {
-                for t in tokens(&local) {
-                    if t.len() >= 3 {
-                        out.push(t);
-                    }
-                }
-                out.push(local);
-            }
+/// Appends the blocking keys of `term`: a lowercased IRI local name or
+/// string literal together with its tokens of at least 3 bytes, or the
+/// lexical form of a number or date. Booleans have none.
+fn literal_keys(interner: &Interner, term: &Term, out: &mut Vec<String>) {
+    let text = match term {
+        Term::Iri(id) => alex_sim::iri_local_name(&interner.resolve(id.0)).to_lowercase(),
+        Term::Literal(lit @ (Literal::Str(_) | Literal::LangStr { .. })) => {
+            lit.lexical(interner).to_lowercase()
         }
-        Term::Literal(lit) => match lit {
-            Literal::Str(_) | Literal::LangStr { .. } => {
-                let text = lit.lexical(store.interner()).to_lowercase();
-                if text.is_empty() {
-                    return;
-                }
-                for t in tokens(&text) {
-                    if t.len() >= 3 {
-                        out.push(t);
-                    }
-                }
-                out.push(text);
-            }
-            Literal::Integer(_) | Literal::Float(_) | Literal::Date(_) => {
-                out.push(lit.lexical(store.interner()).to_string());
-            }
-            Literal::Boolean(_) => {}
-        },
+        Term::Literal(lit @ (Literal::Integer(_) | Literal::Float(_) | Literal::Date(_))) => {
+            out.push(lit.lexical(interner).to_string());
+            return;
+        }
+        Term::Literal(Literal::Boolean(_)) => return,
+    };
+    if !text.is_empty() {
+        out.extend(tokens(&text).into_iter().filter(|t| t.len() >= 3));
+        out.push(text);
     }
+}
+
+/// The right dataset as the space build reads it, built once per value
+/// table and shared by every partition's build: each value's blocking key
+/// ids, an inverted index from key id to the right entities with that key,
+/// and each right entity's `(predicate, value id)` row.
+///
+/// Keys are computed once per distinct value of the table and interned,
+/// so equal key strings collide whichever values they come from (the
+/// integer `1984` and the text token `"1984"`).
+#[derive(Debug)]
+pub struct RightIndex<'t> {
+    table: &'t ValueTable,
+    /// Value `v`'s key ids are `value_keys[slot(&key_offsets, v)]`.
+    key_offsets: Vec<u32>,
+    value_keys: Vec<u32>,
+    /// Key `k`'s right entities, ascending, are
+    /// `postings[slot(&posting_offsets, k)]`; none for keys no right
+    /// entity has and for buckets larger than `max_block`.
+    posting_offsets: Vec<u32>,
+    postings: Vec<u32>,
+    /// Right subjects, ascending; an entity is its index here.
+    subjects: Vec<IriId>,
+    /// Entity `e`'s attributes, in store order, are
+    /// `rows[slot(&row_offsets, e)]`.
+    row_offsets: Vec<u32>,
+    rows: Vec<(IriId, ValueId)>,
+}
+
+/// Item `i`'s range in a flat array split by `offsets`.
+fn slot(offsets: &[u32], i: usize) -> Range<usize> {
+    offsets[i] as usize..offsets[i + 1] as usize
+}
+
+/// `n` as a `u32` offset or id.
+fn id32(n: usize) -> u32 {
+    u32::try_from(n).expect("right index ids fit u32")
+}
+
+impl<'t> RightIndex<'t> {
+    /// Indexes every entity of `right`, whose values `table` (built from
+    /// both stores) holds. Key buckets with more than `max_block` entities
+    /// are dropped as stop-word-like.
+    pub fn new(right: &Store, table: &'t ValueTable, max_block: usize) -> Self {
+        let _span = alex_trace::span("space.index_right");
+        let mut ids: FastMap<String, u32> = FastMap::default();
+        let mut key_offsets = vec![0];
+        let mut value_keys = Vec::new();
+        let mut keys = Vec::new();
+        for term in table.terms() {
+            literal_keys(right.interner(), term, &mut keys);
+            for k in keys.drain(..) {
+                let next = id32(ids.len());
+                value_keys.push(*ids.entry(k).or_insert(next));
+            }
+            key_offsets.push(id32(value_keys.len()));
+        }
+        // The key strings are needed only to intern; free them before
+        // the postings are built.
+        let key_count = ids.len();
+        drop(ids);
+
+        let mut subjects: Vec<IriId> = right.subjects().collect();
+        subjects.sort_unstable();
+        let mut row_offsets = vec![0];
+        let mut rows = Vec::new();
+        // `(key, entity)` for every key of every right entity.
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        for (e, &subject) in subjects.iter().enumerate() {
+            let start = rows.len();
+            rows.extend(table.attributes(&right.entity(subject)));
+            for &(_, v) in &rows[start..] {
+                let keys = &value_keys[slot(&key_offsets, v as usize)];
+                entries.extend(keys.iter().map(|&k| (k, id32(e))));
+            }
+            row_offsets.push(id32(rows.len()));
+        }
+        entries.sort_unstable();
+        entries.dedup();
+        let mut posting_offsets = vec![0];
+        let mut postings = Vec::new();
+        let mut buckets = entries.chunk_by(|a, b| a.0 == b.0).peekable();
+        for k in 0..id32(key_count) {
+            if let Some(bucket) = buckets.next_if(|b| b[0].0 == k) {
+                if bucket.len() <= max_block {
+                    postings.extend(bucket.iter().map(|&(_, e)| e));
+                }
+            }
+            posting_offsets.push(id32(postings.len()));
+        }
+        Self {
+            table,
+            key_offsets,
+            value_keys,
+            posting_offsets,
+            postings,
+            subjects,
+            row_offsets,
+            rows,
+        }
+    }
+
+    /// The right entities sharing a blocking key with value `v`, per key.
+    fn candidates(&self, v: ValueId) -> impl Iterator<Item = &[u32]> {
+        self.value_keys[slot(&self.key_offsets, v as usize)]
+            .iter()
+            .map(|&k| &self.postings[slot(&self.posting_offsets, k as usize)])
+    }
+
+    /// The `(predicate, value id)` attributes of right entity `e`.
+    fn row(&self, e: u32) -> &[(IriId, ValueId)] {
+        &self.rows[slot(&self.row_offsets, e as usize)]
+    }
+}
+
+/// The index of `v` in the sorted, distinct `values`.
+fn position(values: &[ValueId], v: ValueId) -> usize {
+    values.binary_search(&v).expect("value is listed")
 }
 
 impl ExplorationSpace {
@@ -117,7 +231,8 @@ impl ExplorationSpace {
     ///
     /// Honors `ALEX_THREADS` (see [`crate::parallel`]): this is a thin
     /// wrapper over [`ExplorationSpace::build_with`] with a resolved
-    /// executor and a value table over both stores.
+    /// executor, a value table over both stores and a [`RightIndex`] over
+    /// it, none of which outlive the call.
     pub fn build(
         left: &Store,
         right: &Store,
@@ -126,20 +241,26 @@ impl ExplorationSpace {
         theta: f64,
         max_block: usize,
     ) -> Self {
+        let table = ValueTable::from_stores(*sim, left, right);
         Self::build_with(
             left,
-            right,
             left_subjects,
             theta,
-            max_block,
             &Executor::resolve(0),
-            &ValueTable::from_stores(*sim, left, right),
+            &RightIndex::new(right, &table, max_block),
         )
     }
 
-    /// Builds the space on an explicit [`Executor`], scoring values
-    /// through `table` (its [`SimConfig`] is the one used), which must be
-    /// built from `left` and `right`.
+    /// Builds the space on an explicit [`Executor`] against a prebuilt
+    /// [`RightIndex`], scoring values through the index's table (its
+    /// [`SimConfig`] is the one used), which must hold `left`'s values.
+    ///
+    /// Each left entity's candidates are the right entities sharing one of
+    /// its blocking keys. The entity's distinct values are scored once
+    /// against the distinct values of all its candidates, into a matrix
+    /// reused from entity to entity, and every candidate's feature set is
+    /// read from that matrix: a value pair that several candidates share
+    /// is evaluated once, and scratch memory is one entity's matrix.
     ///
     /// Left subjects are sharded into contiguous chunks; each chunk
     /// computes its `(link, feature set)` list independently, and the
@@ -148,80 +269,70 @@ impl ExplorationSpace {
     /// count.
     pub fn build_with(
         left: &Store,
-        right: &Store,
         left_subjects: &[IriId],
         theta: f64,
-        max_block: usize,
         executor: &Executor,
-        table: &ValueTable,
+        right: &RightIndex<'_>,
     ) -> Self {
         let _span = alex_trace::span("space.build");
-        // Inverted index over the right dataset.
-        let index_span = alex_trace::span("space.index_right");
-        let mut right_index: HashMap<String, Vec<IriId>> = HashMap::new();
-        let mut right_entities: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
-        let mut keys = Vec::new();
-        for subject in right.subjects() {
-            let entity = right.entity(subject);
-            let mut seen: HashSet<String> = HashSet::new();
-            for attr in &entity.attributes {
-                keys.clear();
-                literal_keys(right, &attr.object, &mut keys);
-                for k in keys.drain(..) {
-                    if seen.insert(k.clone()) {
-                        right_index.entry(k).or_default().push(subject);
-                    }
-                }
-            }
-            right_entities.insert(subject, table.attributes(&entity));
-        }
-        right_index.retain(|_, v| v.len() <= max_block);
-        drop(index_span);
+        let table = right.table;
 
         // Parallel map: each chunk of left subjects produces its scored
         // pairs in deterministic (subject order, then sorted candidate)
         // order, plus the feature keys it saw, so the merge can number the
         // keys without another pass over the pairs. All cross-thread state
-        // is read-only, the table included.
+        // is read-only, the table and the index included.
         let score_span = alex_trace::span("space.score_pairs");
         let chunk_results = executor.map_chunks(left_subjects, |chunk| {
             let scorer = table.scorer();
             let mut out: Vec<(Link, FeatureSet)> = Vec::new();
             let mut chunk_keys = BTreeSet::new();
-            let mut keys = Vec::new();
+            // Per-entity scratch: the distinct left values (matrix rows),
+            // the candidates, their distinct values (matrix columns), the
+            // row-major matrix, and attribute rows as `(predicate, offset
+            // into the matrix)` — a left offset plus a right one addresses
+            // a cell.
+            let (mut lvals, mut cands, mut rvals) = (Vec::new(), Vec::new(), Vec::new());
+            let mut matrix: Vec<f64> = Vec::new();
+            let (mut lrow, mut rrow) = (Vec::new(), Vec::new());
             for &ls in chunk {
-                let left_entity = left.entity(ls);
-                if left_entity.is_empty() {
-                    continue;
+                let attrs = table.attributes(&left.entity(ls));
+                lvals.clear();
+                lvals.extend(attrs.iter().map(|&(_, v)| v));
+                lvals.sort_unstable();
+                lvals.dedup();
+                cands.clear();
+                for &v in &lvals {
+                    right.candidates(v).for_each(|es| cands.extend(es));
                 }
-                // Candidate rights: union over this entity's keys.
-                let mut cands: HashSet<IriId> = HashSet::new();
-                let mut seen_keys: HashSet<String> = HashSet::new();
-                for attr in &left_entity.attributes {
-                    keys.clear();
-                    literal_keys(left, &attr.object, &mut keys);
-                    for k in keys.drain(..) {
-                        if seen_keys.insert(k.clone()) {
-                            if let Some(rs) = right_index.get(&k) {
-                                cands.extend(rs.iter().copied());
-                            }
-                        }
-                    }
-                }
-                let mut cands: Vec<IriId> = cands.into_iter().collect();
                 cands.sort_unstable();
-                let left_attrs = table.attributes(&left_entity);
-                for rs in cands {
-                    let Some(fs) = FeatureSet::build_from_table(
-                        &left_attrs,
-                        &right_entities[&rs],
-                        &scorer,
-                        theta,
-                    ) else {
+                cands.dedup();
+                rvals.clear();
+                for &e in &cands {
+                    rvals.extend(right.row(e).iter().map(|&(_, v)| v));
+                }
+                rvals.sort_unstable();
+                rvals.dedup();
+                matrix.clear();
+                for &l in &lvals {
+                    matrix.extend(rvals.iter().map(|&r| scorer.similarity(l, r)));
+                }
+                lrow.clear();
+                lrow.extend(
+                    attrs
+                        .iter()
+                        .map(|&(p, v)| (p, position(&lvals, v) * rvals.len())),
+                );
+                for &e in &cands {
+                    rrow.clear();
+                    rrow.extend(right.row(e).iter().map(|&(p, v)| (p, position(&rvals, v))));
+                    let Some(fs) =
+                        FeatureSet::build_with_sim(&lrow, &rrow, theta, |l, r| matrix[l + r])
+                    else {
                         continue;
                     };
                     chunk_keys.extend(fs.keys());
-                    out.push((Link::new(ls, rs), fs));
+                    out.push((Link::new(ls, right.subjects[e as usize]), fs));
                 }
             }
             (out, chunk_keys)
@@ -239,7 +350,7 @@ impl ExplorationSpace {
         let space = Self::assemble(
             keys.into_iter().collect(),
             chunk_results.into_iter().flat_map(|(pairs, _)| pairs),
-            left_subjects.len() * right.subject_count(),
+            left_subjects.len() * right.subjects.len(),
         );
         drop(merge_span);
         space
@@ -632,6 +743,90 @@ mod tests {
         assert!(space.is_empty());
         assert_eq!(space.total_possible(), 0);
         assert_eq!(space.links().count(), 0);
+    }
+
+    /// Each left entity's distinct values are scored once against the
+    /// distinct values of all its candidates, so a value two candidates
+    /// share (here a year and a type IRI) costs one evaluation, not one
+    /// per candidate.
+    #[test]
+    fn build_scores_each_value_pair_once_per_left_entity() {
+        let interner = Interner::new_shared();
+        let mut left = Store::new(interner.clone());
+        let mut right = Store::new(interner.clone());
+        let (name, year, kind) = (
+            left.intern_iri("p/name"),
+            left.intern_iri("p/year"),
+            left.intern_iri("p/type"),
+        );
+        let player = left.intern_iri("t/Player");
+        let people = [
+            ("LeBron James", 1984),
+            ("Kobe Bryant", 1978),
+            ("Chris Paul", 1984),
+        ];
+        let mut subjects = Vec::new();
+        for (store, prefix) in [(&mut left, "l"), (&mut right, "r")] {
+            for (i, &(n, y)) in people.iter().enumerate() {
+                let s = store.intern_iri(&format!("{prefix}/e{i}"));
+                store.insert_literal(s, name, Literal::str(&interner, n));
+                store.insert_literal(s, year, Literal::Integer(y));
+                store.insert_iri(s, kind, player);
+                if prefix == "l" {
+                    subjects.push(s);
+                }
+            }
+        }
+        let table = ValueTable::from_stores(SimConfig::default(), &left, &right);
+        let index = RightIndex::new(&right, &table, DEFAULT_MAX_BLOCK);
+        let space = ExplorationSpace::build_with(&left, &subjects, 0.3, &Executor::new(1), &index);
+        assert!(space.len() >= people.len());
+
+        // The shared type IRI makes every right entity a candidate of
+        // every left entity.
+        let distinct = |store: &Store, subjects: &[IriId]| -> usize {
+            let mut values: Vec<ValueId> = subjects
+                .iter()
+                .flat_map(|&s| table.attributes(&store.entity(s)))
+                .map(|(_, v)| v)
+                .collect();
+            values.sort_unstable();
+            values.dedup();
+            values.len()
+        };
+        let rights: Vec<IriId> = right.subjects().collect();
+        let right_values = distinct(&right, &rights);
+        let exact: usize = subjects
+            .iter()
+            .map(|&s| distinct(&left, &[s]) * right_values)
+            .sum();
+        let per_pair: usize = subjects
+            .iter()
+            .flat_map(|&l| rights.iter().map(move |&r| (l, r)))
+            .map(|(l, r)| left.entity(l).attributes.len() * right.entity(r).attributes.len())
+            .sum();
+        assert_eq!(table.stats().hits, exact as u64);
+        assert!(
+            exact < per_pair,
+            "{exact} evaluations vs {per_pair} per pair"
+        );
+    }
+
+    /// Blocking keys are interned strings, so an integer value and an
+    /// equal token of a text value propose the pair.
+    #[test]
+    fn integer_and_equal_text_token_share_a_key() {
+        let interner = Interner::new_shared();
+        let mut left = Store::new(interner.clone());
+        let mut right = Store::new(interner.clone());
+        let l = left.intern_iri("l/e0");
+        let year = left.intern_iri("l/year");
+        left.insert_literal(l, year, Literal::Integer(1984));
+        let r = right.intern_iri("r/e0");
+        let note = right.intern_iri("r/note");
+        right.insert_literal(r, note, Literal::str(&interner, "born 1984"));
+        let space = build(&left, &right, &[l]);
+        assert!(space.contains(Link::new(l, r)));
     }
 
     #[test]

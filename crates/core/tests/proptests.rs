@@ -7,7 +7,7 @@ use alex_core::space_file::{decode_spaces, encode_spaces, SpaceFileError};
 use alex_core::store::{decode_store, encode_store};
 use alex_core::{
     round_robin, AlexConfig, AlexDriver, CandidateSet, ExplorationSpace, FeatureKey, FeatureSet,
-    Policy, QTable, Quality, DEFAULT_MAX_BLOCK,
+    Policy, QTable, Quality, RightIndex, DEFAULT_MAX_BLOCK,
 };
 use alex_rdf::{Interner, IriId, Link, Literal, Store};
 use alex_sim::{SimConfig, ValueTable};
@@ -376,13 +376,15 @@ proptest! {
     #[test]
     fn parallel_space_build_matches_serial(names in arb_names(), theta in 0.1f64..0.9) {
         let (left, right, subjects) = build_world(&names);
+        let table = ValueTable::from_stores(SimConfig::default(), &left, &right);
         let serial = ExplorationSpace::build_with(
-            &left, &right, &subjects, theta, DEFAULT_MAX_BLOCK,
-            &Executor::new(1), &ValueTable::from_stores(SimConfig::default(), &left, &right),
+            &left, &subjects, theta, &Executor::new(1),
+            &RightIndex::new(&right, &table, DEFAULT_MAX_BLOCK),
         );
+        let table = ValueTable::from_stores(SimConfig::default(), &left, &right);
         let parallel = ExplorationSpace::build_with(
-            &left, &right, &subjects, theta, DEFAULT_MAX_BLOCK,
-            &Executor::new(4), &ValueTable::from_stores(SimConfig::default(), &left, &right),
+            &left, &subjects, theta, &Executor::new(4),
+            &RightIndex::new(&right, &table, DEFAULT_MAX_BLOCK),
         );
         prop_assert_eq!(serial.len(), parallel.len());
         prop_assert_eq!(serial.feature_key_count(), parallel.feature_key_count());
@@ -411,7 +413,8 @@ proptest! {
         );
         let table = ValueTable::from_stores(SimConfig::default(), &left, &right);
         let cached = ExplorationSpace::build_with(
-            &left, &right, &subjects, theta, DEFAULT_MAX_BLOCK, &Executor::new(2), &table,
+            &left, &subjects, theta, &Executor::new(2),
+            &RightIndex::new(&right, &table, DEFAULT_MAX_BLOCK),
         );
         prop_assert_eq!(plain.len(), cached.len());
         for (l, l2) in plain.links().zip(cached.links()) {
@@ -423,6 +426,27 @@ proptest! {
                 prop_assert_eq!(fa.key, fb.key);
                 prop_assert_eq!(fa.score.to_bits(), fb.score.to_bits());
             }
+        }
+    }
+
+    /// Every partition space of a driver, all built over the driver's one
+    /// shared value table and right index, equals the space built for that
+    /// partition alone.
+    #[test]
+    fn shared_index_partition_spaces_match_standalone_builds(
+        names in proptest::collection::vec("[a-c]{3} [a-c]{3}", 2..15),
+        theta in 0.2f64..0.8,
+        partitions in 1usize..4,
+    ) {
+        let (left, right, _) = build_world(&names);
+        let cfg = AlexConfig { theta, partitions, ..AlexConfig::default() };
+        let subjects: Vec<IriId> = left.subjects().collect();
+        let parts = round_robin(&subjects, partitions);
+        let spaces = session_spaces(&left, &right, &cfg);
+        prop_assert_eq!(spaces.len(), partitions);
+        for (space, part) in spaces.iter().zip(&parts) {
+            let alone = ExplorationSpace::build(&left, &right, part, &cfg.sim, theta, DEFAULT_MAX_BLOCK);
+            prop_assert_eq!(space.fingerprint(), alone.fingerprint());
         }
     }
 

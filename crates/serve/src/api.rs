@@ -245,20 +245,18 @@ fn create_session(state: &AppState, req: &Request) -> Response {
     let left_triples = left.len();
     let right_triples = right.len();
 
-    // Pre-processing observability: value-table work, exported through
-    // /metrics (the build's wall time is the `driver.space_build` stage).
-    // The table has no memo, so the counter names keep their old spelling
-    // with a new meaning: `alex_sim_cache_hits_total` counts similarity
-    // evaluations served from prebuilt forms, `alex_sim_cache_misses_total`
-    // the distinct values whose forms were built.
+    // Pre-processing observability, exported through /metrics (the
+    // build's wall time is the `driver.space_build` stage): the similarity
+    // evaluations the space build made and the distinct values of its
+    // value table, summed over session creates.
     let build = driver.build_stats();
     state
         .metrics
-        .counter("alex_sim_cache_hits_total")
+        .counter("alex_space_similarity_evaluations_total")
         .add(build.cache.hits);
     state
         .metrics
-        .counter("alex_sim_cache_misses_total")
+        .counter("alex_space_values_total")
         .add(build.cache.misses);
 
     let mut session = LiveSession::new(left, right, driver);

@@ -200,6 +200,11 @@ impl ValueTable {
         self.terms[id as usize]
     }
 
+    /// Every distinct term, in id order.
+    pub fn terms(&self) -> &[Term] {
+        &self.terms
+    }
+
     /// `(predicate, value id)` for every attribute of `entity`, in order.
     ///
     /// # Panics

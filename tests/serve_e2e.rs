@@ -265,6 +265,17 @@ fn figure1_loop_over_tcp_query_feedback_link_change() {
     ));
     assert!(text.contains("alex_http_request_seconds_count{route=\"/sessions/{id}/query\"} 2"));
     assert!(text.contains("alex_connections_total"));
+    // The space build's work, under names that say what they count.
+    for counter in [
+        "alex_space_similarity_evaluations_total",
+        "alex_space_values_total",
+    ] {
+        let value: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(counter)?.trim().parse().ok())
+            .unwrap_or(0);
+        assert!(value > 0, "{counter} missing or zero: {text}");
+    }
     // Stage times come from the spans; the table is process-wide, so
     // other tests' closes may add to these counts.
     for stage in ["query.federated", "http.request", "driver.space_build"] {
