@@ -13,10 +13,8 @@
 //!     [--scale S] [--threads 1,2,4,8] [--data-seed N] [--out FILE]
 //! ```
 
-use std::time::Instant;
-
 use alex_core::parallel::{Executor, THREADS_ENV};
-use alex_core::{ExplorationSpace, RightIndex, DEFAULT_MAX_BLOCK};
+use alex_core::{trace, ExplorationSpace, RightIndex, DEFAULT_MAX_BLOCK};
 use alex_datagen::{generate, PaperPair};
 use alex_paris::{ParisConfig, ParisLinker, ParisOutput};
 use alex_rdf::IriId;
@@ -164,11 +162,11 @@ fn main() {
 
     for &t in &threads {
         let executor = Executor::new(t);
-        let t0 = Instant::now();
+        let span = trace::span("exp.space_build");
         let table = ValueTable::from_stores(SimConfig::default(), &pair.left, &pair.right);
         let index = RightIndex::new(&pair.right, &table, DEFAULT_MAX_BLOCK);
         let space = ExplorationSpace::build_with(&pair.left, &subjects, THETA, &executor, &index);
-        let space_build_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let space_build_ms = span.finish() * 1000.0;
         let space_stats = table.stats();
         let space_fp = space_fingerprint(&space);
 
@@ -176,9 +174,9 @@ fn main() {
             threads: t,
             ..Default::default()
         };
-        let t0 = Instant::now();
+        let span = trace::span("exp.paris");
         let out = ParisLinker::new(paris_cfg).run(&pair.left, &pair.right);
-        let paris_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let paris_ms = span.finish() * 1000.0;
         let paris_fp = paris_fingerprint(&out);
 
         if t == 1 && baseline_space_fp.is_empty() {

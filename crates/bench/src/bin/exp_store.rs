@@ -21,9 +21,9 @@
 //! ```
 
 use std::path::Path;
-use std::time::Instant;
 
 use alex_core::store::{read_store_file, store_fingerprint, write_store_file};
+use alex_core::trace;
 use alex_datagen::PaperPair;
 use alex_rdf::{ntriples, Interner, Store};
 use serde::Serialize;
@@ -67,12 +67,12 @@ fn best_of_interleaved<A, B>(
     let mut best_binary = f64::INFINITY;
     let mut last = None;
     for _ in 0..iters.max(1) {
-        let started = Instant::now();
+        let span = trace::span("exp.text_load");
         let a = text();
-        best_text = best_text.min(started.elapsed().as_secs_f64());
-        let started = Instant::now();
+        best_text = best_text.min(span.finish());
+        let span = trace::span("exp.binary_load");
         let b = binary();
-        best_binary = best_binary.min(started.elapsed().as_secs_f64());
+        best_binary = best_binary.min(span.finish());
         last = Some((a, b));
     }
     let (a, b) = last.expect("at least one iteration");

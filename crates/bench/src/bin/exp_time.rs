@@ -8,6 +8,7 @@
 
 use alex_bench::runner::{build_env, RunParams};
 use alex_bench::table::print_paper_vs_measured;
+use alex_core::trace;
 use alex_datagen::PaperPair;
 
 fn main() {
@@ -15,9 +16,9 @@ fn main() {
 
     // Batch mode.
     let env = build_env(PaperPair::DbpediaNytimes, params, |_| {});
-    let t0 = std::time::Instant::now();
+    let span = trace::span("exp.batch_run");
     let batch = env.run_exact();
-    let batch_total = t0.elapsed().as_secs_f64() * 1000.0;
+    let batch_total = span.finish() * 1000.0;
     let batch_episodes = (batch.reports.len() - 1).max(1);
 
     println!(
@@ -42,9 +43,9 @@ fn main() {
 
     // Specific-domain mode.
     let env_sd = build_env(PaperPair::DbpediaNbaNytimes, params, |c| c.partitions = 4);
-    let t0 = std::time::Instant::now();
+    let span = trace::span("exp.domain_run");
     let domain = env_sd.run_exact();
-    let domain_total = t0.elapsed().as_secs_f64() * 1000.0;
+    let domain_total = span.finish() * 1000.0;
     let domain_episodes = (domain.reports.len() - 1).max(1);
 
     println!(

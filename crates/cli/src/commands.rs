@@ -312,7 +312,7 @@ pub fn recover(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("scanning {dir}: {e}"))?;
 
     if outcome.sessions.is_empty() && outcome.failures.is_empty() {
-        println!("no durable sessions found in {dir}");
+        println!("no sessions found in {dir}");
         return Ok(());
     }
     for recovered in &outcome.sessions {
@@ -366,7 +366,7 @@ pub fn recover(args: &[String]) -> Result<(), String> {
 /// [--request-timeout SECS] [--state-dir DIR] [--wal] [--fsync POLICY]
 /// [--fsync-every-n N] [--wal-segment-bytes N] [--compact-after N]` —
 /// run the HTTP curation server until SIGINT/SIGTERM, then drain and
-/// snapshot sessions.
+/// checkpoint sessions.
 pub fn serve(args: &[String]) -> Result<(), String> {
     let parse_usize = |flag: &str, default: usize| -> Result<usize, String> {
         flag_value(args, flag)
@@ -442,9 +442,9 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         match outcome {
             Ok(path) => alex_core::trace::diag(
                 "info",
-                &format!("saved session snapshot {}", path.display()),
+                &format!("saved session checkpoint {}", path.display()),
             ),
-            Err(e) => alex_core::trace::diag("error", &format!("snapshot error: {e}")),
+            Err(e) => alex_core::trace::diag("error", &format!("checkpoint error: {e}")),
         }
     }
     Ok(())

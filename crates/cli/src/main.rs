@@ -61,8 +61,10 @@ COMMANDS:
     serve    Run the interactive curation HTTP server (sessions, federated
              queries with provenance, answer feedback, /metrics, and —
              when ALEX_TRACE is on — /debug/trace/{request_id} and
-             /debug/events). Ctrl-C drains in-flight requests and, with
-             --state-dir, saves every session as a restorable snapshot.
+             /debug/events). With --state-dir, every session lives in a
+             session-<id>/ directory there: Ctrl-C drains in-flight
+             requests and checkpoints each one, and the next start on
+             the same directory restores them all.
              --wal turns on per-session write-ahead logging: every
              mutation is logged (and fsynced per --fsync) before it is
              acknowledged, sessions are checkpointed every
@@ -72,7 +74,7 @@ COMMANDS:
              .alexdb snapshot once; later loads of the .alexdb skip the
              text parser entirely. Verifies the round trip before
              reporting success.
-    recover  Replay the durable sessions in a serve --state-dir and
+    recover  Restore the sessions in a serve --state-dir and
              print what a restart would restore (repairing torn WAL
              tails in place), without starting a server.
     trace    Inspect flight-recorder output: pretty-print a JSONL event

@@ -1,8 +1,9 @@
-//! Durable sessions: the write-ahead log glued to the curation driver.
+//! Session directories: checkpoints and the write-ahead log glued to the
+//! curation driver.
 //!
 //! The `alex-store` crate moves bytes (frames, segments, snapshots); this
 //! module gives those bytes meaning. A `DurableSession` owns one
-//! session's on-disk state:
+//! session's on-disk state, the one persisted form of a server session:
 //!
 //! ```text
 //! <state_dir>/session-<id>/
@@ -10,8 +11,13 @@
 //!     right.alexdb      binary snapshot of the right dataset (write-once)
 //!     spaces.alexspace  every partition's exploration space (write-once)
 //!     checkpoint.json   v4 SessionSnapshot + the WAL sequence it covers
-//!     wal/seg-*.wal     records appended since that checkpoint
+//!     wal/seg-*.wal     records appended since that checkpoint (only
+//!                       when the session logs)
 //! ```
+//!
+//! A session without `wal/` changes on disk only when it is checkpointed
+//! (at shutdown), so after a crash it comes back at its last checkpoint —
+//! still a prefix of its acknowledged history.
 //!
 //! **Boot cost.** Recovery loads the partition spaces from
 //! `spaces.alexspace` ([`crate::space_file`]) instead of rescoring every
@@ -64,7 +70,7 @@ use crate::space_file::{read_space_file, write_space_file, SPACE_FILE};
 /// from HTTP clients, so this is a security boundary: anything that could
 /// traverse out of the state directory (separators, `..`, empty or
 /// non-portable characters) is rejected.
-pub fn validate_session_id(id: &str) -> Result<(), String> {
+pub(crate) fn validate_session_id(id: &str) -> Result<(), String> {
     if id.is_empty() {
         return Err("session id must not be empty".into());
     }
@@ -97,7 +103,7 @@ fn wal_dir(dir: &Path) -> PathBuf {
 /// Writes `bytes` to `path` atomically: a `*.tmp` sibling is written,
 /// fsynced, and renamed over the target, so a crash leaves either the old
 /// file or the new one — never a torn mix.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         use std::io::Write;
@@ -114,27 +120,29 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One session's durable storage: dataset snapshots, checkpoint, WAL.
-/// Its [`LiveSession`] owns it and is the only writer.
+/// One session's durable storage: dataset snapshots, checkpoint and, when
+/// the session logs, a WAL. Its [`LiveSession`] owns it and is the only
+/// writer.
 pub(crate) struct DurableSession {
     id: String,
     dir: PathBuf,
-    wal: Wal,
+    wal: Option<Wal>,
     records_since_checkpoint: u64,
     compact_after: u64,
 }
 
 impl DurableSession {
     /// Creates the on-disk layout for a new session: the directory, the
-    /// two dataset snapshots, the space file, and an empty WAL. The caller
-    /// must follow up with [`DurableSession::checkpoint`] before
-    /// acknowledging the session to a client — a directory without a
-    /// checkpoint is treated as an aborted creation by recovery.
+    /// two dataset snapshots, the space file, and an empty WAL when `opts`
+    /// is given. The caller must follow up with
+    /// [`DurableSession::checkpoint`] before acknowledging the session to
+    /// a client — a directory without a checkpoint is treated as an
+    /// aborted creation by recovery.
     pub(crate) fn create(
         root: &Path,
         id: &str,
         session: &LiveSession,
-        opts: WalOptions,
+        opts: Option<WalOptions>,
         compact_after: u64,
     ) -> Result<Self, String> {
         validate_session_id(id)?;
@@ -152,8 +160,9 @@ impl DurableSession {
             session.driver.engines().iter().map(|e| e.space()),
         )
         .map_err(|e| format!("writing the space file: {e}"))?;
-        let (wal, _, _) = Wal::open(&wal_dir(&dir), opts)
-            .map_err(|e| format!("opening WAL for session {id}: {e}"))?;
+        let wal = (opts.map(|opts| Wal::open(&wal_dir(&dir), opts)).transpose())
+            .map_err(|e| format!("opening WAL for session {id}: {e}"))?
+            .map(|(wal, _, _)| wal);
         Ok(Self {
             id: id.to_string(),
             dir,
@@ -170,14 +179,17 @@ impl DurableSession {
 
     /// Appends a batch of records (group commit: one fsync decision for
     /// the whole batch), emits the matching trace events, and adds the
-    /// batch's WAL counters to `logged`. On `Ok` the records are logged;
-    /// only then may the mutation be acknowledged.
+    /// batch's WAL counters to `logged`. On `Ok` the records are logged
+    /// (or there is no log); only then may the mutation be acknowledged.
     pub(crate) fn log(
         &mut self,
         records: &[WalRecord],
         logged: &mut WalStats,
     ) -> std::io::Result<()> {
-        let out = self.wal.append_batch(records)?;
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        let out = wal.append_batch(records)?;
         self.records_since_checkpoint += records.len() as u64;
         logged.appends += records.len() as u64;
         logged.fsyncs += u64::from(out.synced);
@@ -203,6 +215,11 @@ impl DurableSession {
         self.compact_after > 0 && self.records_since_checkpoint >= self.compact_after
     }
 
+    /// Whether the session logs its mutations to a WAL.
+    pub(crate) fn logs(&self) -> bool {
+        self.wal.is_some()
+    }
+
     /// Durably writes `snapshot` as the session's checkpoint (returning
     /// its path), stamps it with the WAL high-water mark, then deletes the WAL segments it
     /// covers. Crash-ordering: the checkpoint reaches disk (atomic
@@ -212,10 +229,15 @@ impl DurableSession {
         &mut self,
         snapshot: &mut SessionSnapshot,
     ) -> std::io::Result<PathBuf> {
-        snapshot.applied_wal_seq = self.wal.next_seq() - 1;
+        if let Some(wal) = &self.wal {
+            snapshot.applied_wal_seq = wal.next_seq() - 1;
+        }
         let path = self.dir.join("checkpoint.json");
         write_atomic(&path, snapshot.to_json().as_bytes())?;
-        let removed = self.wal.truncate_after_checkpoint()?;
+        let Some(wal) = &mut self.wal else {
+            return Ok(path);
+        };
+        let removed = wal.truncate_after_checkpoint()?;
         self.records_since_checkpoint = 0;
         trace::emit(|| Payload::WalCompact {
             session: self.id.clone(),
@@ -281,9 +303,10 @@ pub struct RecoveryOutcome {
 /// Scans `root` for `session-<id>/` directories and recovers each one:
 /// dataset snapshots are decoded into a fresh shared interner, the space
 /// file supplies the partition spaces, the checkpoint restores the driver
-/// and its learned state, and the WAL tail replays through the
-/// session's own write path. Torn WAL tails are truncated in place (the
-/// logs are reopened for writing). Sessions recover concurrently on
+/// and its learned state, and, when the directory has a `wal/`, the WAL
+/// tail replays through the session's own write path (opened with
+/// `opts`). Torn WAL tails are truncated in place (the logs are reopened
+/// for writing). Sessions recover concurrently on
 /// [`Executor::resolve`]`(0)` and are returned in session-id order.
 pub fn recover_state_dir(
     root: &Path,
@@ -388,13 +411,17 @@ pub fn recover_session(
     let mut session = LiveSession::new(left, right, driver);
     session.restore_counters(&snapshot);
 
-    // Reopen the WAL for writing: this truncates any torn tail and hands
-    // back everything before it.
-    let wal_open_span = trace::span("store.wal_open");
-    let (mut wal, records, wal_report) =
-        Wal::open(&wal_dir(&dir), opts).map_err(|e| format!("opening WAL: {e}"))?;
-    wal.resume_after(snapshot.applied_wal_seq);
-    drop(wal_open_span);
+    // Reopen the WAL, if the session logs, for writing: this truncates
+    // any torn tail and hands back everything before it.
+    let (wal, records, wal_report) = if wal_dir(&dir).is_dir() {
+        let _span = trace::span("store.wal_open");
+        let (mut wal, records, report) =
+            Wal::open(&wal_dir(&dir), opts).map_err(|e| format!("opening WAL: {e}"))?;
+        wal.resume_after(snapshot.applied_wal_seq);
+        (Some(wal), records, report)
+    } else {
+        Default::default()
+    };
 
     let mut report = SessionRecoveryReport {
         id: id.to_string(),
@@ -598,7 +625,7 @@ mod tests {
         let root = tmp_root("roundtrip");
         let (mut session, links) = live_session();
         session
-            .make_durable(&root, "s1", WalOptions::default(), 0)
+            .make_durable(&root, "s1", Some(WalOptions::default()), 0)
             .unwrap();
         let batch: Vec<(Link, bool)> = links.iter().skip(3).take(4).map(|&l| (l, true)).collect();
         let episode = session.feedback_episode(&batch).unwrap();
@@ -627,7 +654,7 @@ mod tests {
         let root = tmp_root("compact");
         let (mut session, links) = live_session();
         session
-            .make_durable(&root, "s1", WalOptions::default(), 3)
+            .make_durable(&root, "s1", Some(WalOptions::default()), 3)
             .unwrap();
         let batch: Vec<(Link, bool)> = links.iter().skip(3).take(4).map(|&l| (l, true)).collect();
         session.feedback_episode(&batch).unwrap();
@@ -651,8 +678,8 @@ mod tests {
         let root = tmp_root("aborted");
         let (session, _) = live_session();
         // Create writes the snapshots but the checkpoint never lands.
-        let _ =
-            DurableSession::create(&root, "halfway", &session, WalOptions::default(), 0).unwrap();
+        let _ = DurableSession::create(&root, "halfway", &session, Some(WalOptions::default()), 0)
+            .unwrap();
         let outcome = recover_state_dir(&root, WalOptions::default(), 0).unwrap();
         assert!(outcome.sessions.is_empty());
         assert_eq!(outcome.failures.len(), 1);
@@ -666,7 +693,7 @@ mod tests {
         let root = tmp_root("stale");
         let (mut session, links) = live_session();
         session
-            .make_durable(&root, "s1", WalOptions::default(), 0)
+            .make_durable(&root, "s1", Some(WalOptions::default()), 0)
             .unwrap();
         let batch: Vec<(Link, bool)> = links.iter().skip(3).take(2).map(|&l| (l, true)).collect();
         session.feedback_episode(&batch).unwrap();
@@ -674,7 +701,7 @@ mod tests {
         // crash between the two steps of `checkpoint()`.
         let durable = session.durable.as_ref().unwrap();
         let mut snap = session.snapshot();
-        snap.applied_wal_seq = durable.wal.next_seq() - 1;
+        snap.applied_wal_seq = durable.wal.as_ref().unwrap().next_seq() - 1;
         write_atomic(
             &durable.dir.join("checkpoint.json"),
             snap.to_json().as_bytes(),
@@ -697,9 +724,17 @@ mod tests {
             segment_bytes: 1,
             ..WalOptions::default()
         };
-        session.make_durable(&root, "s1", opts, 0).unwrap();
+        session.make_durable(&root, "s1", Some(opts), 0).unwrap();
         let wal = session_dir(&root, "s1").join("wal");
-        let next = session.durable.as_ref().unwrap().wal.segment_index() + 1;
+        let next = session
+            .durable
+            .as_ref()
+            .unwrap()
+            .wal
+            .as_ref()
+            .unwrap()
+            .segment_index()
+            + 1;
         let blocker = wal.join(format!("seg-{next:06}.wal"));
         std::fs::create_dir(&blocker).unwrap();
 
@@ -746,7 +781,7 @@ mod tests {
         let root = tmp_root("audit-new");
         let (mut session, links) = live_session();
         session
-            .make_durable(&root, "s1", WalOptions::default(), 0)
+            .make_durable(&root, "s1", Some(WalOptions::default()), 0)
             .unwrap();
         for batch in episodes(&links) {
             session.feedback_episode(&batch).unwrap();
@@ -758,7 +793,7 @@ mod tests {
         let old_root = tmp_root("audit-old");
         let (mut fresh, _) = live_session();
         fresh
-            .make_durable(&old_root, "s1", WalOptions::default(), 0)
+            .make_durable(&old_root, "s1", Some(WalOptions::default()), 0)
             .unwrap();
         drop(fresh);
         let old_wal = session_dir(&old_root, "s1").join("wal");

@@ -88,8 +88,8 @@ pub use candidates::CandidateSet;
 pub use config::{AlexConfig, DurabilityConfig};
 pub use driver::{AlexDriver, RunOutcome, SpaceBuildStats};
 pub use durability::{
-    recover_session, recover_state_dir, session_dir, validate_session_id, write_atomic,
-    RecoveredSession, RecoveryOutcome, SessionRecoveryReport,
+    recover_session, recover_state_dir, session_dir, RecoveredSession, RecoveryOutcome,
+    SessionRecoveryReport,
 };
 pub use engine::{EngineDiagnostics, PartitionEngine, PartitionEpisodeStats};
 pub use feature::{Feature, FeatureKey, FeatureSet};

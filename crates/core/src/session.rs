@@ -646,7 +646,8 @@ pub struct LiveSession {
     pub degraded_queries: u64,
     /// Total skipped-source incidents across degraded queries.
     pub source_skips: u64,
-    /// The session's checkpoint and write-ahead log, when it has them.
+    /// The session's directory (checkpoint and, when it logs, write-ahead
+    /// log), when it has one.
     pub(crate) durable: Option<DurableSession>,
     /// Feedback records whose `EpisodeEnd` has not been applied yet;
     /// recovery drops what is left after replay.
@@ -679,18 +680,19 @@ impl LiveSession {
         }
     }
 
-    /// Lays down the session's durable state under `root` (see
-    /// [`crate::durability`]), so that from then on every mutation is
-    /// logged before it is applied. Call it before acknowledging the
-    /// session to a client.
+    /// Lays down the session's directory under `root` (see
+    /// [`crate::durability`]) with its initial checkpoint. With `wal`,
+    /// from then on every mutation is logged before it is applied;
+    /// without, the directory changes only at [`LiveSession::checkpoint`].
+    /// Call it before acknowledging the session to a client.
     pub fn make_durable(
         &mut self,
         root: &Path,
         id: &str,
-        opts: WalOptions,
+        wal: Option<WalOptions>,
         compact_after: u64,
     ) -> Result<(), String> {
-        let mut durable = DurableSession::create(root, id, self, opts, compact_after)?;
+        let mut durable = DurableSession::create(root, id, self, wal, compact_after)?;
         (durable.checkpoint(&mut self.snapshot()))
             .map_err(|e| format!("writing the initial checkpoint: {e}"))?;
         self.durable = Some(durable);
@@ -699,7 +701,7 @@ impl LiveSession {
 
     /// Whether the session logs its mutations to a write-ahead log.
     pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
+        self.durable.as_ref().is_some_and(DurableSession::logs)
     }
 
     /// The curation driver, read-only: the session changes only through
@@ -874,8 +876,9 @@ impl LiveSession {
         Ok(None)
     }
 
-    /// Folds a durable session's log into a fresh checkpoint, returning
-    /// the checkpoint's path; `None` when the session is not durable.
+    /// Writes a fresh checkpoint into the session's directory (folding its
+    /// log, if it has one), returning the checkpoint's path; `None` when
+    /// the session has no directory.
     pub fn checkpoint(&mut self) -> Option<io::Result<PathBuf>> {
         let mut snap = self.durable.as_ref().map(|_| self.snapshot())?;
         Some(self.durable.as_mut()?.checkpoint(&mut snap))

@@ -1,6 +1,6 @@
 //! The exploration-space file: every partition's [`ExplorationSpace`],
-//! written once when a durable session is created and loaded on recovery
-//! instead of rebuilt.
+//! written once into a session's directory when the session is created
+//! and loaded on recovery instead of rebuilt.
 //!
 //! A space depends only on the two datasets and the configuration, and
 //! since its layout is flat (links, an arena of `(key id, score)` columns,

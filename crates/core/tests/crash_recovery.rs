@@ -321,7 +321,7 @@ fn uninterrupted_run(root: PathBuf, seed: u64, passes: usize, compact_after: u64
     let (mut session, links) = live_session(seed);
     let script = build_script(&session, &links, passes);
     session
-        .make_durable(&root, "s1", OPTS, compact_after)
+        .make_durable(&root, "s1", Some(OPTS), compact_after)
         .unwrap();
     let mut oracle = vec![capture(&session)];
     for step in &script {
@@ -519,7 +519,7 @@ fn concurrent_recovery_matches_one_at_a_time() {
     for (i, id) in ["a1", "b2", "c3", "d4"].iter().enumerate() {
         let (mut session, links) = live_session(11 + i as u64);
         let script = build_script(&session, &links, 1 + i % 2);
-        session.make_durable(&root, id, OPTS, 0).unwrap();
+        session.make_durable(&root, id, Some(OPTS), 0).unwrap();
         for step in &script[..script.len() - i] {
             take(&mut session, step);
         }

@@ -1,13 +1,15 @@
 //! Property-based tests for ALEX's core data structures and invariants.
 
 use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 use alex_core::parallel::Executor;
 use alex_core::space_file::{decode_spaces, encode_spaces, SpaceFileError};
-use alex_core::store::{decode_store, encode_store};
+use alex_core::store::{decode_store, encode_store, WalOptions};
 use alex_core::{
-    round_robin, AlexConfig, AlexDriver, CandidateSet, ExplorationSpace, FeatureKey, FeatureSet,
-    Policy, QTable, Quality, RightIndex, DEFAULT_MAX_BLOCK,
+    recover_session, round_robin, session_dir, AlexConfig, AlexDriver, CandidateSet,
+    ExplorationSpace, FeatureKey, FeatureSet, LiveSession, Policy, QTable, Quality, RightIndex,
+    SessionSnapshot, DEFAULT_MAX_BLOCK,
 };
 use alex_rdf::{Interner, IriId, Link, Literal, Store};
 use alex_sim::{SimConfig, ValueTable};
@@ -627,6 +629,88 @@ proptest! {
             let (left2, right2, _) = build_world(&other);
             prop_assert!(stale(decode_spaces(&bytes, &left2, &right2, &cfg)));
         }
+    }
+}
+
+// --------------------------------------------------------------- checkpoint
+
+/// Lays down a checkpoint-only session directory `root/session-s1` over
+/// `names` and checkpoints it after one approved link; returns the live
+/// session (whose stores `restore` runs against) and the checkpoint text.
+fn checkpointed_session(root: &Path, names: &[String]) -> (LiveSession, String) {
+    let _ = std::fs::remove_dir_all(root);
+    let (left, right, _) = build_world(names);
+    let cfg = AlexConfig::default();
+    let links: Vec<Link> = session_spaces(&left, &right, &cfg)
+        .iter()
+        .flat_map(|s| s.links().collect::<Vec<_>>())
+        .collect();
+    let driver = AlexDriver::new(&left, &right, &links[..links.len().min(1)], cfg).unwrap();
+    let mut session = LiveSession::new(left, right, driver);
+    session.make_durable(root, "s1", None, 0).unwrap();
+    if let Some(&link) = links.get(1) {
+        session.feedback_episode(&[(link, true)]).unwrap();
+    }
+    let path = session.checkpoint().unwrap().unwrap();
+    let text = std::fs::read_to_string(path).unwrap();
+    (session, text)
+}
+
+fn scratch_root(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("alex-core-proptest-{tag}-{}", std::process::id()))
+}
+
+/// Feeds `bytes` to every reader of `checkpoint.json`: the parser, then
+/// `restore` of whatever parses, then boot recovery of the directory with
+/// `bytes` as its checkpoint. Each returns `Ok` or `Err` (a panic fails
+/// the test); returns whether the text parsed and whether recovery
+/// succeeded, and recovery may only succeed when the bytes parse.
+fn read_checkpoint(root: &Path, session: &LiveSession, bytes: &[u8]) -> (bool, bool) {
+    let parsed = std::str::from_utf8(bytes)
+        .ok()
+        .and_then(|text| SessionSnapshot::from_json(text).ok());
+    if let Some(snap) = &parsed {
+        let _ = snap.restore(&session.left, &session.right);
+    }
+    let _ = SessionSnapshot::from_json(&String::from_utf8_lossy(bytes));
+    std::fs::write(session_dir(root, "s1").join("checkpoint.json"), bytes).unwrap();
+    let recovered = recover_session(root, "s1", WalOptions::default(), 0).is_ok();
+    assert!(
+        parsed.is_some() || !recovered,
+        "recovered from a checkpoint that does not parse"
+    );
+    (parsed.is_some(), recovered)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes as `checkpoint.json` are a typed error at every
+    /// reader, never a panic, and the session is reported unrecoverable.
+    #[test]
+    fn checkpoint_arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        let root = scratch_root("checkpoint-bytes");
+        let (session, _) = checkpointed_session(&root, &["alpha beta".to_string(), "gamma delta".to_string()]);
+        let (_, recovered) = read_checkpoint(&root, &session, &bytes);
+        prop_assert!(!recovered);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Every truncation of a real checkpoint is an error, and a single-byte
+    /// flip is either an error or a checkpoint that still restores; no
+    /// reader panics on either.
+    #[test]
+    fn checkpoint_truncations_and_flips_never_panic(names in arb_names(), cut in any::<u64>(), flip in any::<u64>(), x in 1u8..=255) {
+        let root = scratch_root("checkpoint-cuts");
+        let (session, text) = checkpointed_session(&root, &names);
+        let bytes = text.trim_end().as_bytes();
+        prop_assert_eq!(read_checkpoint(&root, &session, bytes), (true, true));
+        let cut = (cut % bytes.len() as u64) as usize;
+        prop_assert_eq!(read_checkpoint(&root, &session, &bytes[..cut]), (false, false));
+        let mut flipped = bytes.to_vec();
+        flipped[(flip % bytes.len() as u64) as usize] ^= x;
+        read_checkpoint(&root, &session, &flipped);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 

@@ -261,23 +261,27 @@ fn create_session(state: &AppState, req: &Request) -> Response {
 
     let mut session = LiveSession::new(left, right, driver);
 
-    // Durability: lay down the session's on-disk state (dataset
-    // snapshots + initial checkpoint + empty WAL) *before* acknowledging
-    // the session — a crash after the 201 must be able to bring it back.
-    if durability.wal {
-        let Some(dir) = &state.state_dir else {
+    // Persistence: lay down the session's directory (dataset snapshots,
+    // space file, initial checkpoint and, when it logs, an empty WAL)
+    // *before* acknowledging the session — a crash after the 201 must be
+    // able to bring it back.
+    let wal = match durability.wal.then(|| durability.to_options()).transpose() {
+        Ok(wal) => wal,
+        Err(e) => return Response::error(400, format!("config.durability: {e}")),
+    };
+    match &state.state_dir {
+        Some(dir) => {
+            if let Err(e) = session.make_durable(dir, &id, wal, durability.compact_after_records) {
+                return Response::error(500, format!("creating session storage: {e}"));
+            }
+        }
+        None if wal.is_some() => {
             return Response::error(
                 400,
                 "durability.wal requires the server to run with a state directory",
-            );
-        };
-        let opts = match durability.to_options() {
-            Ok(o) => o,
-            Err(e) => return Response::error(400, format!("config.durability: {e}")),
-        };
-        if let Err(e) = session.make_durable(dir, &id, opts, durability.compact_after_records) {
-            return Response::error(500, format!("creating durable session storage: {e}"));
+            )
         }
+        None => {}
     }
     let durable_on = session.is_durable();
 
@@ -999,16 +1003,27 @@ mod tests {
                     truth: None,
                 },
             );
+        // Shutdown checkpoints through the session's own directory, named
+        // by the id it was created with; the table key never becomes a
+        // path.
         let results = state.persist_sessions();
-        let errors: Vec<&String> = results.iter().filter_map(|r| r.as_ref().err()).collect();
-        assert_eq!(errors.len(), 1, "{results:?}");
-        assert!(errors[0].contains("refusing to persist"), "{}", errors[0]);
-        // Nothing was written outside the state directory, and the
-        // honest session still persisted inside it.
-        assert!(dir.join(format!("session-{id}.json")).exists());
+        let checkpoint = dir.join(format!("session-{id}")).join("checkpoint.json");
+        assert_eq!(results.len(), 2, "{results:?}");
+        for written in &results {
+            assert_eq!(written.as_ref().unwrap(), &checkpoint);
+        }
+        // Nothing was written outside the state directory, and inside it
+        // only the honest session's directory.
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(entries, [format!("session-{id}")]);
         let parent = dir.parent().unwrap();
-        assert!(!parent.join("escape.json").exists());
-        assert!(!parent.parent().unwrap().join("escape.json").exists());
+        for escape in ["escape", "escape.json"] {
+            assert!(!parent.join(escape).exists());
+            assert!(!parent.parent().unwrap().join(escape).exists());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,7 +10,8 @@
 //! and closes — backpressure is explicit and immediate, never an unbounded
 //! backlog. Shutdown sets the flag, joins the acceptor, drops the sender
 //! (workers drain what was already queued, then exit), joins the workers,
-//! and finally snapshots every session to the state directory.
+//! and finally checkpoints every session into its directory under the
+//! state directory.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,12 +43,14 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-connection socket read/write timeout.
     pub request_timeout: Duration,
-    /// Where shutdown persists session snapshots (`session-<id>.json`).
+    /// Where every session lives as a `session-<id>/` directory: written
+    /// at creation, checkpointed at shutdown, and restored at boot before
+    /// the listener accepts traffic (replaying the session's WAL when it
+    /// has one).
     pub state_dir: Option<PathBuf>,
     /// Server-wide durability defaults: whether sessions write a WAL,
-    /// the fsync policy, and the compaction threshold. With `wal` on and
-    /// a `state_dir` configured, boot replays every per-session WAL found
-    /// there before the listener accepts traffic.
+    /// the fsync policy, and the compaction threshold. Boot recovery opens
+    /// every WAL it finds with these options.
     pub durability: DurabilityConfig,
 }
 
@@ -104,13 +107,11 @@ impl Server {
             // from the first scrape on.
             state.metrics.counter(name).add(0);
         }
-        // Boot recovery: replay every per-session WAL found in the state
-        // directory before the listener starts accepting traffic, so a
-        // client that reconnects right away sees its sessions back.
-        if cfg.durability.wal {
-            if let Some(dir) = &cfg.state_dir {
-                recover_sessions(&state, dir, wal_opts, cfg.durability.compact_after_records);
-            }
+        // Boot recovery: restore every session directory found in the
+        // state directory before the listener starts accepting traffic,
+        // so a client that reconnects right away sees its sessions back.
+        if let Some(dir) = &cfg.state_dir {
+            recover_sessions(&state, dir, wal_opts, cfg.durability.compact_after_records);
         }
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
@@ -164,9 +165,10 @@ impl Server {
     }
 
     /// Gracefully stops: no new connections, in-flight and queued
-    /// requests finish, then every session is snapshotted to the state
-    /// directory. Returns the snapshot files written (empty without a
-    /// state dir).
+    /// requests finish, then every session is checkpointed into its
+    /// `session-<id>/` directory, which the next start on the same state
+    /// directory restores. Returns the checkpoint files written (empty
+    /// without a state dir).
     pub fn shutdown(mut self) -> Vec<Result<PathBuf, String>> {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
@@ -181,11 +183,13 @@ impl Server {
     }
 }
 
-/// Replays every `session-<id>/` directory under `dir` into the session
+/// Restores every `session-<id>/` directory under `dir` into the session
 /// table: dataset snapshots decode, the checkpoint restores the learned
-/// policy, and the WAL tail replays through the deterministic feedback
-/// path. Failures (aborted creations, damaged snapshots) are diagnosed
-/// and skipped — one broken session must not keep the server down.
+/// policy, and the WAL tail, if any, replays through the deterministic
+/// feedback path. Failures (aborted creations, damaged snapshots) are
+/// diagnosed and skipped — one broken session must not keep the server
+/// down — but their ids stay reserved, so no new session overwrites
+/// their directories.
 fn recover_sessions(
     state: &AppState,
     dir: &std::path::Path,
@@ -202,6 +206,9 @@ fn recover_sessions(
             return;
         }
     };
+    for (id, _) in &outcome.failures {
+        state.advance_ids_past(id);
+    }
     for recovered in outcome.sessions {
         state.metrics.counter(RECOVERIES_TOTAL).inc();
         state

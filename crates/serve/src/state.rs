@@ -6,15 +6,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
 use alex_core::telemetry::MetricsRegistry;
-use alex_core::{validate_session_id, write_atomic, DurabilityConfig, SessionHandle};
+use alex_core::{DurabilityConfig, SessionHandle};
 use alex_rdf::Link;
 
 /// One server-side session: the shared curation handle plus optional
 /// ground-truth links (when the client supplied them at creation time,
 /// precision/recall gauges are updated after every feedback episode).
 pub struct SessionEntry {
-    /// The thread-safe curation session (with its durable storage, when
-    /// it runs with the write-ahead log).
+    /// The thread-safe curation session (with its session directory, when
+    /// the server has a state directory).
     pub handle: SessionHandle,
     /// Optional ground truth for quality gauges.
     pub truth: Option<HashSet<Link>>,
@@ -27,7 +27,9 @@ pub struct AppState {
     pub sessions: RwLock<HashMap<String, SessionEntry>>,
     /// Process-wide metrics, served at `GET /metrics`.
     pub metrics: MetricsRegistry,
-    /// Where shutdown persists session snapshots, if anywhere.
+    /// Where every session keeps its `session-<id>/` directory, if
+    /// anywhere: written at creation, checkpointed at shutdown, and
+    /// restored at boot.
     pub state_dir: Option<PathBuf>,
     /// Server-wide durability defaults; sessions may override via
     /// `config.durability` at creation time.
@@ -55,7 +57,8 @@ impl AppState {
     }
 
     /// Makes sure freshly allocated ids never collide with `id` — called
-    /// for every session recovered from the state directory at boot.
+    /// at boot for every session directory found in the state directory,
+    /// recovered or not.
     pub fn advance_ids_past(&self, id: &str) {
         if let Some(n) = id.strip_prefix('s').and_then(|n| n.parse::<u64>().ok()) {
             self.next_id
@@ -69,40 +72,20 @@ impl AppState {
         format!("r{}", self.next_request_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Persists every session to the state directory. Durable sessions
-    /// get a final checkpoint (folding their WAL); the rest are
-    /// snapshotted to `state_dir/session-<id>.json` (the raw
-    /// [`alex_core::SessionSnapshot`] JSON, restorable with
-    /// `SessionSnapshot::from_json(...).restore(...)`). All writes are
-    /// atomic (`*.tmp` + rename), so a crash mid-shutdown can never leave
-    /// a torn snapshot. Returns the files written; empty when no
-    /// `state_dir` is configured. Errors are reported per file rather
-    /// than aborting the remaining sessions.
+    /// Checkpoints every session into its `session-<id>/` directory
+    /// (folding its WAL, if it has one), in id order. Checkpoints are
+    /// written atomically (`*.tmp` + rename), so a crash mid-shutdown can
+    /// never leave a torn one. Returns the checkpoint files written; empty
+    /// when no `state_dir` is configured. Errors are reported per session
+    /// rather than aborting the remaining ones.
     pub fn persist_sessions(&self) -> Vec<Result<PathBuf, String>> {
-        let Some(dir) = &self.state_dir else {
-            return Vec::new();
-        };
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return vec![Err(format!("creating {}: {e}", dir.display()))];
-        }
         let sessions = self.sessions.read().unwrap_or_else(PoisonError::into_inner);
         let mut ids: Vec<&String> = sessions.keys().collect();
         ids.sort();
-        ids.into_iter()
-            .map(|id| {
-                // Ids are server-generated today, but this is the one
-                // place they become filenames — never let a hostile id
-                // escape the state directory.
-                validate_session_id(id)
-                    .map_err(|e| format!("refusing to persist session {id:?}: {e}"))?;
-                let mut session = sessions[id].handle.write();
-                if let Some(written) = session.checkpoint() {
-                    return written.map_err(|e| format!("checkpointing session {id}: {e}"));
-                }
-                let path = dir.join(format!("session-{id}.json"));
-                write_atomic(&path, session.snapshot().to_json().as_bytes())
-                    .map(|_| path.clone())
-                    .map_err(|e| format!("writing {}: {e}", path.display()))
+        (ids.into_iter())
+            .filter_map(|id| {
+                let written = sessions[id].handle.write().checkpoint()?;
+                Some(written.map_err(|e| format!("checkpointing session {id}: {e}")))
             })
             .collect()
     }

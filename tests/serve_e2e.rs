@@ -1,10 +1,13 @@
 //! End-to-end tests for `alex-serve` over real TCP sockets: the Figure-1
 //! loop (query → answer feedback → link change) through the HTTP API,
-//! saturation backpressure (503), request timeouts (408), and graceful
-//! shutdown persisting restorable session snapshots.
+//! saturation backpressure (503), request timeouts (408), and the
+//! session directories a `state_dir` server restores after a graceful
+//! shutdown or a crash.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use alex::serve::{ServeConfig, Server};
@@ -99,6 +102,11 @@ fn local(overrides: impl FnOnce(&mut ServeConfig)) -> ServeConfig {
 /// Creates the Figure-1 session (one correct link, one wrong link) and
 /// returns its id.
 fn create_session(addr: &str) -> String {
+    create_session_with(addr, Vec::new())
+}
+
+/// [`create_session`] with extra `config` keys.
+fn create_session_with(addr: &str, config: Vec<(&str, Value)>) -> String {
     let (left, right) = figure1_world();
     let body = obj(vec![
         ("left_data", s(&left)),
@@ -112,17 +120,78 @@ fn create_session(addr: &str) -> String {
         ),
         (
             "config",
-            obj(vec![
+            obj([
                 ("partitions", Value::Number(serde_json::Number::U64(1))),
                 ("epsilon", Value::Number(serde_json::Number::F64(0.0))),
                 ("seed", Value::Number(serde_json::Number::U64(7))),
-            ]),
+            ]
+            .into_iter()
+            .chain(config)
+            .collect()),
         ),
     ]);
     let (status, v) = http(addr, "POST", "/sessions", Some(&body));
     assert_eq!(status, 201, "session create failed: {v:?}");
     assert_eq!(v.get("candidates").unwrap().as_u64(), Some(2));
     v.get("id").unwrap().as_str().unwrap().to_string()
+}
+
+/// One feedback episode: rejects the Figure-1 session's wrong link.
+fn reject_wrong_link(addr: &str, id: &str) {
+    let (status, v) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{id}/feedback"),
+        Some(&obj(vec![(
+            "items",
+            Value::Array(vec![obj(vec![
+                ("left", s("http://db/player0")),
+                ("right", s("http://ny/person1")),
+                ("approve", Value::Bool(false)),
+            ])]),
+        )])),
+    );
+    assert_eq!(status, 200, "feedback failed: {v:?}");
+}
+
+/// Sorted `(left, right)` IRI pairs.
+type Pairs = Vec<(String, String)>;
+
+/// Everything a restart must bring back of session `id`: candidates,
+/// blacklist, episode and feedback counters, and every engine's
+/// `state_fingerprint`.
+fn session_state(server: &Server, id: &str) -> (Pairs, Pairs, u64, u64, Vec<u64>) {
+    let sessions = server.state().sessions.read().unwrap();
+    let session = sessions
+        .get(id)
+        .unwrap_or_else(|| panic!("no session {id:?}"))
+        .handle
+        .read();
+    let (candidates, blacklist) = session.link_pairs();
+    let engines = session.driver().engines().iter();
+    let fingerprints = engines.map(|e| e.state_fingerprint()).collect();
+    let (episodes, items) = (session.episodes, session.feedback_items);
+    (candidates, blacklist, episodes, items, fingerprints)
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("alex-serve-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every file under `dir`, by path, with its bytes.
+fn files_under(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
 }
 
 const MVP_QUERY: &str = "SELECT ?article WHERE { \
@@ -393,31 +462,24 @@ fn saturated_queue_answers_503_and_stalled_requests_408() {
 
 #[test]
 fn graceful_shutdown_persists_restorable_snapshots() {
-    let dir = std::env::temp_dir().join(format!("alex-serve-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (server, addr) = start(local(|cfg| cfg.state_dir = Some(dir.clone())));
+    let dir = fresh_dir("graceful");
+    let cfg = || local(|cfg| cfg.state_dir = Some(dir.clone()));
+    let (server, addr) = start(cfg());
 
     let id = create_session(&addr);
     // One feedback episode so the persisted state differs from the input.
-    let (status, _) = http(
-        &addr,
-        "POST",
-        &format!("/sessions/{id}/feedback"),
-        Some(&obj(vec![(
-            "items",
-            Value::Array(vec![obj(vec![
-                ("left", s("http://db/player0")),
-                ("right", s("http://ny/person1")),
-                ("approve", Value::Bool(false)),
-            ])]),
-        )])),
-    );
-    assert_eq!(status, 200);
+    reject_wrong_link(&addr, &id);
+    let before = session_state(&server, &id);
+    assert!(!before.0.iter().any(|(_, r)| r == "http://ny/person1"));
+    assert_eq!((before.2, before.3), (1, 1));
 
     let written = server.shutdown();
     assert_eq!(written.len(), 1);
-    let path = written[0].as_ref().expect("snapshot written").clone();
-    assert_eq!(path, dir.join(format!("session-{id}.json")));
+    let path = written[0].as_ref().expect("checkpoint written").clone();
+    assert_eq!(
+        path,
+        dir.join(format!("session-{id}")).join("checkpoint.json")
+    );
 
     // The server is really gone: new connections are refused.
     assert!(
@@ -425,12 +487,8 @@ fn graceful_shutdown_persists_restorable_snapshots() {
         "listener still accepting after shutdown"
     );
 
-    // A fresh process can restore the snapshot against reloaded datasets.
+    // The checkpoint is a snapshot that restores against reloaded datasets.
     let snap = SessionSnapshot::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert!(!snap
-        .candidates
-        .iter()
-        .any(|(_, r)| r == "http://ny/person1"));
     let (left_text, right_text) = figure1_world();
     let interner = Interner::new_shared();
     let mut left = Store::new(interner.clone());
@@ -440,6 +498,74 @@ fn graceful_shutdown_persists_restorable_snapshots() {
     let driver = snap.restore(&left, &right).expect("snapshot restores");
     assert_eq!(driver.candidate_links().len(), snap.candidates.len());
 
+    // A new server on the same directory has the session back exactly,
+    // and allocates ids past it.
+    let (server, addr) = start(cfg());
+    assert_eq!(session_state(&server, &id), before);
+    assert_ne!(create_session(&addr), id);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_per_session_wal_survives_a_crash_without_server_wal() {
+    let dir = fresh_dir("crash");
+    let cfg = || local(|cfg| cfg.state_dir = Some(dir.clone()));
+    let (server, addr) = start(cfg());
+    let logged = create_session_with(
+        &addr,
+        vec![("durability", obj(vec![("wal", Value::Bool(true))]))],
+    );
+    let unlogged = create_session(&addr);
+    let unlogged_at_creation = session_state(&server, &unlogged);
+    reject_wrong_link(&addr, &logged);
+    reject_wrong_link(&addr, &unlogged);
+    let before = session_state(&server, &logged);
+    assert_eq!((before.2, before.3), (1, 1));
+    assert_ne!(session_state(&server, &unlogged), unlogged_at_creation);
+
+    // A crash: no shutdown path, so nothing is checkpointed.
+    drop(server);
+    let (server, _) = start(cfg());
+    // The logged session replays its episode; the other comes back at its
+    // last checkpoint, taken when it was created.
+    assert_eq!(session_state(&server, &logged), before);
+    assert_eq!(session_state(&server, &unlogged), unlogged_at_creation);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn boot_reserves_the_ids_of_sessions_it_cannot_recover() {
+    let dir = fresh_dir("unrecoverable");
+    let cfg = || {
+        local(|cfg| {
+            cfg.state_dir = Some(dir.clone());
+            cfg.durability.wal = true;
+        })
+    };
+    let (server, addr) = start(cfg());
+    assert_eq!(create_session(&addr), "s1");
+    reject_wrong_link(&addr, "s1");
+    drop(server);
+
+    // The checkpoint is damaged, so `s1` cannot be recovered; its log
+    // still holds the acknowledged episode.
+    let session = dir.join("session-s1");
+    std::fs::write(session.join("checkpoint.json"), b"{ not a checkpoint").unwrap();
+    let files = files_under(&session);
+    assert!(
+        files
+            .iter()
+            .any(|(p, bytes)| p.starts_with(session.join("wal")) && !bytes.is_empty()),
+        "{:?}",
+        files.keys()
+    );
+
+    let (server, addr) = start(cfg());
+    assert_eq!(create_session(&addr), "s2");
+    assert!(files_under(&session) == files, "session-s1/ was modified");
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -275,7 +275,7 @@ fn live_query_index_answers_like_a_rebuilt_one_through_episodes_and_recovery() {
     let root = std::env::temp_dir().join(format!("alex-live-index-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     session
-        .make_durable(&root, "s1", WalOptions::default(), 0)
+        .make_durable(&root, "s1", Some(WalOptions::default()), 0)
         .unwrap();
 
     let (changed, crossed) = curate_and_compare(&mut session, &truth, 20, "live");
