@@ -3,14 +3,37 @@
 //! sets pinned to each figure's starting quality; this binary shows what
 //! our rebuilt PARIS itself achieves on the same data).
 //!
+//! After the table it prints one `fingerprint <pair> <hex>` line per pair:
+//! FNV-1a over every link's `left right score-bits` row in `(left, right)`
+//! order, then the learned alignment weights' bits in `(left, right)`
+//! order. CI diffs those lines against
+//! `crates/bench/golden/exp_paris_fingerprints.txt` at 1 and 4 threads.
+//!
 //! ```sh
 //! cargo run --release -p alex-bench --bin exp_paris [--scale S]
 //! ```
 
-use alex_bench::runner::RunParams;
+use alex_bench::{fnv1a, runner::RunParams};
 use alex_core::Quality;
 use alex_datagen::{generate, PaperPair};
-use alex_paris::{ParisConfig, ParisLinker};
+use alex_paris::{ParisConfig, ParisLinker, ParisOutput};
+
+/// Every link row and alignment weight of a run, as FNV-1a input.
+fn fingerprint(out: &ParisOutput) -> Vec<u64> {
+    let mut rows: Vec<_> = out.links.iter().collect();
+    rows.sort_unstable_by_key(|s| s.link);
+    let mut words = Vec::new();
+    for s in rows {
+        words.extend([
+            u64::from(s.link.left.0 .0),
+            u64::from(s.link.right.0 .0),
+            s.score.to_bits(),
+        ]);
+    }
+    // `iter` yields learned alignments in ascending `(left, right)` order.
+    words.extend(out.alignments.iter().map(|(_, _, w)| w.to_bits()));
+    words
+}
 
 fn main() {
     let params = RunParams::from_args();
@@ -19,6 +42,7 @@ fn main() {
         "pair", "GT", "links", "P", "R", "F"
     );
     println!("{}", "-".repeat(78));
+    let mut fingerprints = Vec::new();
     for kind in PaperPair::ALL {
         let pair = generate(&kind.spec(params.scale, params.data_seed));
         let out = ParisLinker::new(ParisConfig::default()).run(&pair.left, &pair.right);
@@ -33,10 +57,14 @@ fn main() {
             q.recall,
             q.f1
         );
+        fingerprints.push((kind.label(), fnv1a(&fingerprint(&out))));
     }
     println!(
         "\nPARIS links what shares near-exact literal evidence; the per-figure starting\n\
          regimes (e.g. Fig 2(a)'s P 0.85 / R 0.2) are instead synthesized by the degrader\n\
-         so every figure starts exactly where the paper's does (DESIGN.md §3)."
+         so every figure starts exactly where the paper's does (DESIGN.md §3).\n"
     );
+    for (label, hash) in fingerprints {
+        println!("fingerprint {label} {hash:016x}");
+    }
 }

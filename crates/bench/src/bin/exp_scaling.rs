@@ -13,6 +13,7 @@
 //!     [--scale S] [--threads 1,2,4,8] [--data-seed N] [--out FILE]
 //! ```
 
+use alex_bench::fnv1a;
 use alex_core::parallel::{Executor, THREADS_ENV};
 use alex_core::{trace, ExplorationSpace, RightIndex, DEFAULT_MAX_BLOCK};
 use alex_datagen::{generate, PaperPair};
@@ -37,6 +38,8 @@ struct ThreadResult {
     /// Similarity evaluations per pair kept.
     space_evaluations_per_pair: f64,
     blocking_ms: f64,
+    /// Evidence-table build: every attribute pair scored once.
+    evidence_ms: f64,
     equivalence_ms: f64,
     alignment_ms: f64,
     paris_ms: f64,
@@ -45,7 +48,8 @@ struct ThreadResult {
     space_evaluations: u64,
     /// Distinct values in the space build's table.
     space_values: u64,
-    /// Similarity evaluations PARIS scored from its table, all rounds.
+    /// Similarity evaluations PARIS scored from its table (all in the
+    /// evidence build).
     paris_evaluations: u64,
     /// Distinct values in PARIS's table.
     paris_values: u64,
@@ -80,18 +84,6 @@ fn space_fingerprint(space: &ExplorationSpace) -> Vec<u64> {
         }
     }
     out
-}
-
-/// FNV-1a over the little-endian bytes of `words`: a short, stable
-/// digest of a fingerprint, printed as `fingerprint <name> <hex>` so CI
-/// can diff it against a golden file.
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Ids and score bits of the final PARIS links, in output order.
@@ -147,8 +139,16 @@ fn main() {
         subjects.len()
     );
     println!(
-        "{:>7} | {:>12} | {:>7} | {:>10} | {:>10} | {:>10} | {:>8} | {:>9}",
-        "threads", "space ms", "speedup", "block ms", "eqv ms", "align ms", "paris ms", "identical"
+        "{:>7} | {:>12} | {:>7} | {:>10} | {:>10} | {:>10} | {:>10} | {:>8} | {:>9}",
+        "threads",
+        "space ms",
+        "speedup",
+        "block ms",
+        "evid ms",
+        "eqv ms",
+        "align ms",
+        "paris ms",
+        "identical"
     );
 
     let mut baseline_space_ms = 0.0;
@@ -192,11 +192,12 @@ fn main() {
 
         let s = out.stats;
         println!(
-            "{:>7} | {:>12.1} | {:>6.2}x | {:>10.1} | {:>10.1} | {:>10.1} | {:>8.1} | {:>9}",
+            "{:>7} | {:>12.1} | {:>6.2}x | {:>10.1} | {:>10.1} | {:>10.1} | {:>10.1} | {:>8.1} | {:>9}",
             t,
             space_build_ms,
             baseline_space_ms / space_build_ms.max(1e-9),
             s.blocking_seconds * 1000.0,
+            s.evidence_seconds * 1000.0,
             s.equivalence_seconds * 1000.0,
             s.alignment_seconds * 1000.0,
             paris_ms,
@@ -209,6 +210,7 @@ fn main() {
             space_us_per_pair: space_build_ms * 1000.0 / space.len().max(1) as f64,
             space_evaluations_per_pair: space_stats.hits as f64 / space.len().max(1) as f64,
             blocking_ms: s.blocking_seconds * 1000.0,
+            evidence_ms: s.evidence_seconds * 1000.0,
             equivalence_ms: s.equivalence_seconds * 1000.0,
             alignment_ms: s.alignment_seconds * 1000.0,
             paris_ms,

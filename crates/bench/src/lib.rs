@@ -10,3 +10,15 @@
 
 pub mod runner;
 pub mod table;
+
+/// FNV-1a over the little-endian bytes of `words`: a short, stable digest
+/// of an output fingerprint, printed as `fingerprint <name> <hex>` so CI
+/// can diff it against a golden file.
+pub fn fnv1a(words: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}

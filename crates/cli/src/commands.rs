@@ -77,9 +77,10 @@ pub fn link(args: &[String]) -> Result<(), String> {
     // The value table has no memo: "hits" are similarity evaluations
     // served from prebuilt forms, "misses" the distinct values built.
     eprintln!(
-        "stages: blocking {:.3}s, equivalence {:.3}s, alignment {:.3}s ({} thread{}); \
-         value table: {} similarity evaluations over {} distinct values",
+        "stages: blocking {:.3}s, evidence {:.3}s, equivalence {:.3}s, alignment {:.3}s \
+         ({} thread{}); value table: {} similarity evaluations over {} distinct values",
         s.blocking_seconds,
+        s.evidence_seconds,
         s.equivalence_seconds,
         s.alignment_seconds,
         s.threads,

@@ -14,14 +14,12 @@
 //! beliefs exist, a uniform prior ([`AlignmentTable::uniform`]) lets the
 //! first equivalence round bootstrap from literal evidence alone.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use alex_core::parallel::Executor;
-use alex_rdf::{IriId, Store};
-use alex_sim::{ValueId, ValueTable};
+use alex_rdf::IriId;
 
-use crate::equivalence::{object_eq, EquivalenceTable};
-use crate::ParisConfig;
+use crate::equivalence::EquivalenceTable;
+use crate::evidence::Evidence;
 
 /// Pairs below this belief carry no weight in alignment estimation.
 ///
@@ -42,8 +40,12 @@ pub struct AlignmentTable {
 enum Mode {
     /// Every predicate pair gets the same prior score.
     Uniform(f64),
-    /// Learned scores; unseen pairs score zero.
-    Learned(HashMap<(IriId, IriId), f64>),
+    /// Learned scores by predicate pair id of the [`Evidence`] they were
+    /// estimated from; `None` (unseen) pairs score zero.
+    Learned {
+        pairs: Arc<[(IriId, IriId)]>,
+        weights: Vec<Option<f64>>,
+    },
 }
 
 impl AlignmentTable {
@@ -58,16 +60,27 @@ impl AlignmentTable {
     pub fn get(&self, left: IriId, right: IriId) -> f64 {
         match &self.mode {
             Mode::Uniform(p) => *p,
-            Mode::Learned(m) => m.get(&(left, right)).copied().unwrap_or(0.0),
+            Mode::Learned { pairs, weights } => pairs
+                .binary_search(&(left, right))
+                .ok()
+                .and_then(|pp| weights[pp])
+                .unwrap_or(0.0),
+        }
+    }
+
+    /// Alignment of predicate pair `pp` of the [`Evidence`] this table was
+    /// estimated from (any id for a uniform table).
+    #[inline]
+    pub(crate) fn weight(&self, pp: u32) -> f64 {
+        match &self.mode {
+            Mode::Uniform(p) => *p,
+            Mode::Learned { weights, .. } => weights[pp as usize].unwrap_or(0.0),
         }
     }
 
     /// Number of learned predicate pairs (0 for a uniform table).
     pub fn len(&self) -> usize {
-        match &self.mode {
-            Mode::Uniform(_) => 0,
-            Mode::Learned(m) => m.len(),
-        }
+        self.iter().count()
     }
 
     /// Whether no alignments have been learned.
@@ -75,131 +88,64 @@ impl AlignmentTable {
         self.len() == 0
     }
 
-    /// Iterates over learned `(left, right, score)` alignments.
+    /// Iterates over learned `(left, right, score)` alignments in
+    /// ascending `(left, right)` order (none for a uniform table).
     pub fn iter(&self) -> impl Iterator<Item = (IriId, IriId, f64)> + '_ {
         let learned = match &self.mode {
             Mode::Uniform(_) => None,
-            Mode::Learned(m) => Some(m),
+            Mode::Learned { pairs, weights } => Some(pairs.iter().zip(weights)),
         };
-        learned.into_iter().flatten().map(|(&(l, r), &s)| (l, r, s))
+        learned
+            .into_iter()
+            .flatten()
+            .filter_map(|(&(l, r), w)| w.map(|w| (l, r, w)))
     }
 
-    /// Estimates alignments from the current equivalence beliefs.
+    /// Estimates alignments from the current equivalence beliefs, reading
+    /// the attribute pairs of `evidence` (built over `eqv`'s pairs).
     ///
-    /// Honors `ALEX_THREADS`: a thin wrapper over
-    /// [`AlignmentTable::estimate_with`] with a resolved executor and a
-    /// value table over both stores.
-    pub fn estimate(
-        left: &Store,
-        right: &Store,
-        eqv: &EquivalenceTable,
-        cfg: &ParisConfig,
-    ) -> Self {
-        Self::estimate_with(
-            left,
-            right,
-            eqv,
-            cfg,
-            &Executor::resolve(0),
-            &ValueTable::from_stores(cfg.sim, left, right),
-        )
-    }
-
-    /// Estimates alignments on an explicit [`Executor`], scoring literals
-    /// through `table` (pass a table built from `cfg.sim` and both stores).
-    ///
-    /// Candidate pairs are sharded into contiguous chunks; each chunk
-    /// emits its numerator/denominator *contributions* as ordered lists,
-    /// and the contributions are replayed serially in input order into the
-    /// accumulators. Every accumulator key therefore receives its additions
-    /// in exactly the serial order (one addition per pair-attribute, sorted
-    /// by right predicate within an attribute), making the estimate
-    /// bit-identical for any worker count.
-    pub fn estimate_with(
-        left: &Store,
-        right: &Store,
-        eqv: &EquivalenceTable,
-        cfg: &ParisConfig,
-        executor: &Executor,
-        table: &ValueTable,
-    ) -> Self {
-        // Prefetch the entities of qualifying pairs once, serially.
-        let mut left_cache: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
-        let mut right_cache: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
-        for &(l, r) in eqv.pairs() {
-            if eqv.score(l, r) < MATCH_CUTOFF {
+    /// The walk is serial, in candidate order: every numerator and
+    /// denominator receives its additions in one fixed sequence (pairs in
+    /// order, then left attributes in store order), so the estimate does
+    /// not depend on the worker count that built the beliefs.
+    pub fn estimate_with(eqv: &EquivalenceTable, evidence: &Evidence) -> Self {
+        let mut numer: Vec<Option<f64>> = vec![None; evidence.predicate_pairs().len()];
+        let mut denom: Vec<f64> = vec![0.0; evidence.left_predicates()];
+        let beliefs = eqv.beliefs();
+        for (pair, &belief) in evidence.pairs().iter().zip(beliefs) {
+            if belief < MATCH_CUTOFF {
                 continue;
             }
-            left_cache
-                .entry(l)
-                .or_insert_with(|| table.attributes(&left.entity(l)));
-            right_cache
-                .entry(r)
-                .or_insert_with(|| table.attributes(&right.entity(r)));
-        }
-
-        type Contribs = (Vec<(IriId, f64)>, Vec<((IriId, IriId), f64)>);
-        let left_cache = &left_cache;
-        let right_cache = &right_cache;
-        let chunk_results: Vec<Contribs> = executor.map_chunks(eqv.pairs(), |chunk| {
-            let scorer = table.scorer();
-            let mut denom_adds: Vec<(IriId, f64)> = Vec::new();
-            let mut numer_adds: Vec<((IriId, IriId), f64)> = Vec::new();
-            for &(l, r) in chunk {
-                let belief = eqv.score(l, r);
-                if belief < MATCH_CUTOFF {
-                    continue;
-                }
-                let w = belief * belief;
-                let el = &left_cache[&l];
-                let er = &right_cache[&r];
-                for &(lp, ly) in el {
-                    denom_adds.push((lp, w));
-                    // Best matching value per right predicate.
-                    let mut best: HashMap<IriId, f64> = HashMap::new();
-                    for &(rp, ry) in er {
-                        let eq = object_eq(ly, ry, eqv.scores(), cfg, &scorer);
-                        if eq > 0.0 {
-                            let slot = best.entry(rp).or_insert(0.0);
-                            if eq > *slot {
-                                *slot = eq;
-                            }
-                        }
-                    }
-                    // Sorted by right predicate so the contribution list
-                    // does not depend on HashMap iteration order.
-                    let mut best: Vec<(IriId, f64)> = best.into_iter().collect();
-                    best.sort_unstable_by_key(|&(rp, _)| rp);
-                    for (rp, eq) in best {
-                        numer_adds.push(((lp, rp), w * eq));
-                    }
-                }
+            let w = belief * belief;
+            for &lp in evidence.left_row(pair) {
+                denom[lp as usize] += w;
             }
-            (denom_adds, numer_adds)
-        });
-
-        // Serial replay in input order: each key's additions happen in the
-        // same sequence the single-threaded loop would produce.
-        let mut numer: HashMap<(IriId, IriId), f64> = HashMap::new();
-        let mut denom: HashMap<IriId, f64> = HashMap::new();
-        for (denom_adds, numer_adds) in chunk_results {
-            for (p, w) in denom_adds {
-                *denom.entry(p).or_insert(0.0) += w;
-            }
-            for (k, v) in numer_adds {
-                *numer.entry(k).or_insert(0.0) += v;
+            // Entries are sorted by `(pp, attr)`: per left attribute and
+            // right predicate the best matching value counts once.
+            for group in evidence
+                .entries_of(pair)
+                .chunk_by(|a, b| (a.pp, a.attr) == (b.pp, b.attr))
+            {
+                let eq = group.iter().map(|e| e.eq.get(beliefs)).fold(0.0, f64::max);
+                if eq > 0.0 {
+                    *numer[group[0].pp as usize].get_or_insert(0.0) += w * eq;
+                }
             }
         }
 
-        let learned = numer
+        let weights = numer
             .into_iter()
-            .filter_map(|((lp, rp), n)| {
-                let d = denom.get(&lp).copied().unwrap_or(0.0);
-                (d > 0.0).then(|| ((lp, rp), (n / d).clamp(0.0, 1.0)))
+            .zip(0..)
+            .map(|(n, pp)| {
+                let d = denom[evidence.pair_left(pp) as usize];
+                n.filter(|_| d > 0.0).map(|n| (n / d).clamp(0.0, 1.0))
             })
             .collect();
         Self {
-            mode: Mode::Learned(learned),
+            mode: Mode::Learned {
+                pairs: evidence.predicate_pairs().clone(),
+                weights,
+            },
         }
     }
 }
@@ -207,7 +153,30 @@ impl AlignmentTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alex_rdf::{Interner, Literal};
+    use crate::functionality::FunctionalityTable;
+    use crate::ParisConfig;
+    use alex_core::parallel::Executor;
+    use alex_rdf::{Interner, Literal, Store};
+    use alex_sim::ValueTable;
+
+    /// One equivalence round from the uniform prior, then one estimate.
+    fn one_round(left: &Store, right: &Store, pairs: Vec<(IriId, IriId)>) -> AlignmentTable {
+        let cfg = ParisConfig::default();
+        let table = ValueTable::from_stores(cfg.sim, left, right);
+        let evidence = Evidence::build(
+            left,
+            right,
+            &table,
+            &pairs,
+            &FunctionalityTable::build(left),
+            &FunctionalityTable::build(right),
+            cfg.literal_threshold,
+            &Executor::new(1),
+        );
+        let mut eqv = EquivalenceTable::new(pairs);
+        eqv.update_with(&evidence, &AlignmentTable::uniform(0.1), &Executor::new(1));
+        AlignmentTable::estimate_with(&eqv, &evidence)
+    }
 
     #[test]
     fn uniform_table_returns_prior() {
@@ -240,20 +209,8 @@ mod tests {
             right.insert_literal(r, other_r, Literal::str(&interner, "metropolis"));
             pairs.push((l, r));
         }
-
-        let cfg = ParisConfig::default();
-        let mut eqv = EquivalenceTable::new(pairs);
-        let fun_l = crate::functionality::FunctionalityTable::build(&left);
-        let fun_r = crate::functionality::FunctionalityTable::build(&right);
-        eqv.update(
-            &left,
-            &right,
-            &AlignmentTable::uniform(0.1),
-            &fun_l,
-            &fun_r,
-            &cfg,
-        );
-        let t = AlignmentTable::estimate(&left, &right, &eqv, &cfg);
+        pairs.sort_unstable();
+        let t = one_round(&left, &right, pairs);
 
         let good = t.get(name_l, name_r);
         let bad = t.get(name_l, other_r);
@@ -263,6 +220,8 @@ mod tests {
             "name/city alignment should be near zero, got {bad}"
         );
         assert!(!t.is_empty());
+        // Unknown predicates score zero.
+        assert_eq!(t.get(name_r, name_l), 0.0);
     }
 
     #[test]
@@ -270,8 +229,38 @@ mod tests {
         let interner = Interner::new_shared();
         let left = Store::new(interner.clone());
         let right = Store::new(interner);
-        let eqv = EquivalenceTable::new(vec![]);
-        let t = AlignmentTable::estimate(&left, &right, &eqv, &ParisConfig::default());
+        let t = one_round(&left, &right, vec![]);
         assert!(t.is_empty());
+    }
+
+    /// Learned alignments iterate in ascending `(left, right)` order.
+    #[test]
+    fn iter_is_ascending() {
+        let interner = Interner::new_shared();
+        let mut left = Store::new(interner.clone());
+        let mut right = Store::new(interner.clone());
+        // Interned in descending string order, so id order differs from
+        // any order a string sort would give.
+        let preds_l = [left.intern_iri("l/z"), left.intern_iri("l/a")];
+        let preds_r = [right.intern_iri("r/y"), right.intern_iri("r/b")];
+        let mut pairs = Vec::new();
+        for i in 0..4 {
+            let l = left.intern_iri(&format!("l/e{i}"));
+            let r = right.intern_iri(&format!("r/e{i}"));
+            for (k, (&pl, &pr)) in preds_l.iter().zip(&preds_r).enumerate() {
+                let v = format!("value {k} of entity {i}");
+                left.insert_literal(l, pl, Literal::str(&interner, &v));
+                right.insert_literal(r, pr, Literal::str(&interner, &v));
+            }
+            pairs.push((l, r));
+        }
+        pairs.sort_unstable();
+        let t = one_round(&left, &right, pairs);
+        let learned: Vec<(IriId, IriId, f64)> = t.iter().collect();
+        assert!(learned.len() >= 2, "learned {learned:?}");
+        assert_eq!(learned.len(), t.len());
+        for w in learned.windows(2) {
+            assert!((w[0].0, w[0].1) < (w[1].0, w[1].1), "{learned:?}");
+        }
     }
 }

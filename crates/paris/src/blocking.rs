@@ -8,11 +8,13 @@
 //! years, `owl:Thing`-style categoricals) are dropped — they would
 //! contribute quadratic noise and no identification evidence.
 
-use std::collections::{HashMap, HashSet};
-
 use alex_core::parallel::Executor;
-use alex_rdf::{IriId, Literal, Store, Term};
+use alex_rdf::hash::FastMap;
+use alex_rdf::{Interner, IriId, Literal, Store, Term};
 use alex_sim::string::tokens;
+use alex_sim::ValueTable;
+
+use crate::{id32, slot};
 
 /// A blocking key: either a whole normalized literal or one token of it.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -21,97 +23,141 @@ enum Key {
     Token(String),
 }
 
-fn keys_of(store: &Store, term: &Term) -> Vec<Key> {
+fn keys_of(interner: &Interner, term: &Term, out: &mut Vec<Key>) {
     let lit = match term {
         Term::Literal(l) => l,
         // IRIs contribute their local name as a whole-value key; linked
         // datasets frequently reuse readable local names.
         Term::Iri(id) => {
-            let iri = store.iri_str(*id);
-            let local = alex_sim::iri_local_name(&iri).to_lowercase();
-            if local.is_empty() {
-                return Vec::new();
+            let local = alex_sim::iri_local_name(&interner.resolve(id.0)).to_lowercase();
+            if !local.is_empty() {
+                out.push(Key::Whole(local));
             }
-            return vec![Key::Whole(local)];
+            return;
         }
     };
     match lit {
         Literal::Str(_) | Literal::LangStr { .. } => {
-            let text = lit.lexical(store.interner()).to_lowercase();
+            let text = lit.lexical(interner).to_lowercase();
             if text.is_empty() {
-                return Vec::new();
+                return;
             }
-            let mut keys = vec![Key::Whole(text.clone())];
-            for tok in tokens(&text) {
-                if tok.len() >= 3 {
-                    keys.push(Key::Token(tok));
-                }
-            }
-            keys
+            out.extend(
+                tokens(&text)
+                    .into_iter()
+                    .filter(|tok| tok.len() >= 3)
+                    .map(Key::Token),
+            );
+            out.push(Key::Whole(text));
         }
         // Exact-value keys for non-strings: sharing a number/date is weak
         // alone but combined with other evidence it seeds the fixpoint.
         Literal::Integer(_) | Literal::Float(_) | Literal::Date(_) => {
-            vec![Key::Whole(lit.lexical(store.interner()).to_string())]
+            out.push(Key::Whole(lit.lexical(interner).to_string()));
         }
         // Booleans partition the world in two; useless as keys.
-        Literal::Boolean(_) => Vec::new(),
+        Literal::Boolean(_) => {}
     }
 }
 
-fn index(store: &Store, max_block_size: usize) -> HashMap<Key, Vec<IriId>> {
-    let mut idx: HashMap<Key, HashSet<IriId>> = HashMap::new();
-    for t in store.iter() {
-        for key in keys_of(store, &t.object) {
-            idx.entry(key).or_default().insert(t.subject);
+/// Every value's interned key ids: value `v`'s keys are
+/// `value_keys[slot(&offsets, v)]`.
+struct ValueKeys {
+    offsets: Vec<u32>,
+    value_keys: Vec<u32>,
+    count: usize,
+}
+
+impl ValueKeys {
+    fn new(table: &ValueTable, interner: &Interner) -> Self {
+        let mut ids: FastMap<Key, u32> = FastMap::default();
+        let mut offsets = vec![0];
+        let mut value_keys = Vec::new();
+        let mut keys = Vec::new();
+        for term in table.terms() {
+            keys_of(interner, term, &mut keys);
+            for k in keys.drain(..) {
+                let next = id32(ids.len());
+                value_keys.push(*ids.entry(k).or_insert(next));
+            }
+            offsets.push(id32(value_keys.len()));
+        }
+        Self {
+            offsets,
+            value_keys,
+            count: ids.len(),
         }
     }
-    idx.into_iter()
-        .filter(|(_, v)| v.len() <= max_block_size)
-        .map(|(k, v)| {
-            let mut v: Vec<IriId> = v.into_iter().collect();
-            v.sort_unstable();
-            (k, v)
-        })
-        .collect()
+}
+
+/// One side's inverted index: key `k`'s subjects, ascending and distinct,
+/// are `subjects[slot(&offsets, k)]`; empty for buckets larger than
+/// `max_block_size`.
+struct Postings {
+    offsets: Vec<u32>,
+    subjects: Vec<IriId>,
+}
+
+impl Postings {
+    fn new(store: &Store, table: &ValueTable, keys: &ValueKeys, max_block_size: usize) -> Self {
+        let mut entries: Vec<(u32, IriId)> = Vec::new();
+        for t in store.iter() {
+            let v = table
+                .id(&t.object)
+                .expect("objects come from the stores the table was built from");
+            let ks = &keys.value_keys[slot(&keys.offsets, v as usize)];
+            entries.extend(ks.iter().map(|&k| (k, t.subject)));
+        }
+        entries.sort_unstable();
+        entries.dedup();
+        let mut offsets = vec![0];
+        let mut subjects = Vec::new();
+        let mut buckets = entries.chunk_by(|a, b| a.0 == b.0).peekable();
+        for k in 0..id32(keys.count) {
+            if let Some(bucket) = buckets.next_if(|b| b[0].0 == k) {
+                if bucket.len() <= max_block_size {
+                    subjects.extend(bucket.iter().map(|&(_, s)| s));
+                }
+            }
+            offsets.push(id32(subjects.len()));
+        }
+        Self { offsets, subjects }
+    }
+
+    fn get(&self, key: u32) -> &[IriId] {
+        &self.subjects[slot(&self.offsets, key as usize)]
+    }
 }
 
 /// Generates candidate `(left entity, right entity)` pairs from shared
-/// blocking keys. Output is sorted and duplicate-free, so downstream
-/// iteration is deterministic.
+/// blocking keys, on an explicit [`Executor`]. `table` must be built from
+/// both stores (which share one interner). Output is sorted and
+/// duplicate-free, so downstream iteration is deterministic.
 ///
-/// Honors `ALEX_THREADS`: a thin wrapper over [`candidate_pairs_with`]
-/// with a resolved executor.
-pub fn candidate_pairs(left: &Store, right: &Store, max_block_size: usize) -> Vec<(IriId, IriId)> {
-    candidate_pairs_with(left, right, max_block_size, &Executor::resolve(0))
-}
-
-/// [`candidate_pairs`] on an explicit [`Executor`].
-///
-/// The two inverted indexes are built serially; the quadratic part —
-/// expanding every shared key's `left block × right block` — is sharded
-/// over the left index's blocks. The merged result is sorted and
-/// deduplicated, so it is identical (bit-for-bit, it is a list of interned
-/// id pairs) for any worker count.
+/// Keys are computed once per distinct value of `table` and interned to
+/// ids, and each side's inverted index is a flat array of subjects per
+/// key id, built serially. The quadratic part — expanding every shared
+/// key's `left block × right block` — is sharded over the shared keys. The
+/// merged result is sorted and deduplicated, so it is identical
+/// (bit-for-bit, it is a list of interned id pairs) for any worker count.
 pub fn candidate_pairs_with(
     left: &Store,
     right: &Store,
+    table: &ValueTable,
     max_block_size: usize,
     executor: &Executor,
 ) -> Vec<(IriId, IriId)> {
-    let left_idx = index(left, max_block_size);
-    let right_idx = index(right, max_block_size);
-    let left_blocks: Vec<(&Key, &Vec<IriId>)> = left_idx.iter().collect();
-    let right_idx = &right_idx;
-    let chunk_pairs: Vec<Vec<(IriId, IriId)>> = executor.map_chunks(&left_blocks, |chunk| {
+    let keys = ValueKeys::new(table, left.interner());
+    let left_idx = Postings::new(left, table, &keys, max_block_size);
+    let right_idx = Postings::new(right, table, &keys, max_block_size);
+    let shared: Vec<u32> = (0..id32(keys.count))
+        .filter(|&k| !left_idx.get(k).is_empty() && !right_idx.get(k).is_empty())
+        .collect();
+    let chunk_pairs: Vec<Vec<(IriId, IriId)>> = executor.map_chunks(&shared, |chunk| {
         let mut out: Vec<(IriId, IriId)> = Vec::new();
-        for (key, ls) in chunk {
-            if let Some(rs) = right_idx.get(*key) {
-                for &l in *ls {
-                    for &r in rs {
-                        out.push((l, r));
-                    }
-                }
+        for &k in chunk {
+            for &l in left_idx.get(k) {
+                out.extend(right_idx.get(k).iter().map(|&r| (l, r)));
             }
         }
         out
@@ -125,7 +171,11 @@ pub fn candidate_pairs_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alex_rdf::Interner;
+
+    fn candidate_pairs(l: &Store, r: &Store, max_block_size: usize) -> Vec<(IriId, IriId)> {
+        let table = ValueTable::from_stores(Default::default(), l, r);
+        candidate_pairs_with(l, r, &table, max_block_size, &Executor::new(1))
+    }
 
     fn pair_stores() -> (Store, Store) {
         let interner = Interner::new_shared();

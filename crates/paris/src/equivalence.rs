@@ -11,68 +11,33 @@
 //! ```
 //!
 //! Per predicate pair only the best `(y, y')` match counts, so multi-valued
-//! predicates do not inflate the score.
-
-use std::collections::HashMap;
+//! predicates do not inflate the score. The attribute pairs and their
+//! `eq(y, y')` come from the run's [`Evidence`] table; a round only reads
+//! the current beliefs and alignments.
 
 use alex_core::parallel::Executor;
-use alex_rdf::{IriId, Link, ScoredLink, Store, Term};
-use alex_sim::{Scorer, ValueId, ValueTable};
+use alex_rdf::hash::FastMap;
+use alex_rdf::{IriId, Link, ScoredLink};
 
 use crate::alignment::AlignmentTable;
-use crate::functionality::FunctionalityTable;
-use crate::ParisConfig;
+use crate::evidence::Evidence;
 
 /// Equivalence beliefs over the candidate pairs produced by blocking.
 #[derive(Clone, Debug)]
 pub struct EquivalenceTable {
     pairs: Vec<(IriId, IriId)>,
-    scores: HashMap<(IriId, IriId), f64>,
-}
-
-/// Similarity of two objects under the current beliefs: literal pairs use
-/// value similarity (zeroed below the configured threshold), resource pairs
-/// use the current equivalence score (1.0 on identity).
-///
-/// Objects are ids of the run's [`ValueTable`]; literal similarities are
-/// scored from its prebuilt forms. Belief lookups (IRI pairs) change every
-/// round and come from `scores`.
-pub(crate) fn object_eq(
-    y: ValueId,
-    y2: ValueId,
-    scores: &HashMap<(IriId, IriId), f64>,
-    cfg: &ParisConfig,
-    scorer: &Scorer<'_>,
-) -> f64 {
-    let table = scorer.table();
-    match (table.term(y), table.term(y2)) {
-        (Term::Iri(a), Term::Iri(b)) => {
-            if a == b {
-                1.0
-            } else {
-                scores
-                    .get(&(a, b))
-                    .copied()
-                    .unwrap_or_else(|| scores.get(&(b, a)).copied().unwrap_or(0.0))
-            }
-        }
-        _ => {
-            let s = scorer.similarity(y, y2);
-            if s >= cfg.literal_threshold {
-                s
-            } else {
-                0.0
-            }
-        }
-    }
+    /// Belief per candidate pair, in `pairs` order; zero where no evidence
+    /// holds, positive otherwise.
+    beliefs: Vec<f64>,
 }
 
 impl EquivalenceTable {
-    /// Creates a table over `pairs` with all beliefs at zero.
+    /// Creates a table over `pairs` (sorted and distinct, as blocking
+    /// returns them) with all beliefs at zero.
     pub fn new(pairs: Vec<(IriId, IriId)>) -> Self {
         Self {
+            beliefs: vec![0.0; pairs.len()],
             pairs,
-            scores: HashMap::new(),
         }
     }
 
@@ -83,125 +48,71 @@ impl EquivalenceTable {
 
     /// Current belief that `left ≡ right`; 0 for non-candidates.
     pub fn score(&self, left: IriId, right: IriId) -> f64 {
-        self.scores.get(&(left, right)).copied().unwrap_or(0.0)
+        self.pairs
+            .binary_search(&(left, right))
+            .map_or(0.0, |i| self.beliefs[i])
     }
 
-    /// Read-only view of all current scores.
-    pub(crate) fn scores(&self) -> &HashMap<(IriId, IriId), f64> {
-        &self.scores
+    /// Current beliefs, indexed like [`EquivalenceTable::pairs`].
+    pub(crate) fn beliefs(&self) -> &[f64] {
+        &self.beliefs
     }
 
-    /// One round of the noisy-OR update over every candidate pair.
+    /// One noisy-OR round on an explicit [`Executor`], reading `evidence`
+    /// (built over this table's pairs).
     ///
-    /// Honors `ALEX_THREADS`: a thin wrapper over
-    /// [`EquivalenceTable::update_with`] with a resolved executor and a
-    /// value table over both stores.
-    pub fn update(
-        &mut self,
-        left: &Store,
-        right: &Store,
-        align: &AlignmentTable,
-        fun_left: &FunctionalityTable,
-        fun_right: &FunctionalityTable,
-        cfg: &ParisConfig,
-    ) {
-        self.update_with(
-            left,
-            right,
-            align,
-            fun_left,
-            fun_right,
-            cfg,
-            &Executor::resolve(0),
-            &ValueTable::from_stores(cfg.sim, left, right),
-        );
-    }
-
-    /// One noisy-OR round on an explicit [`Executor`], scoring literals
-    /// through `table` (its config is the one used — pass a table built
-    /// from `cfg.sim` and both stores).
+    /// A pair's evidence entries are sorted by predicate pair; per
+    /// predicate pair only the best `eq` counts, and the noisy-OR product
+    /// runs in ascending predicate-pair order (predicate pair ids follow
+    /// [`IriId`] order). Candidate pairs are sharded into contiguous
+    /// chunks; every chunk reads the *previous* round's beliefs (a
+    /// synchronous Jacobi update) and each pair's new belief touches only
+    /// its own slot, so the result is bit-identical for any worker count.
     ///
-    /// Candidate pairs are sharded into contiguous chunks; every chunk
-    /// reads the *previous* round's beliefs (a synchronous Jacobi update,
-    /// which is also what the serial loop computes, since `self.scores` is
-    /// only replaced at the end). Each pair's new belief touches only its
-    /// own key, so merging the chunks is order-independent; within a pair
-    /// the noisy-OR product is evaluated in sorted predicate-pair order,
-    /// making the result bit-identical for any worker count.
-    #[allow(clippy::too_many_arguments)]
+    /// # Panics
+    ///
+    /// If `evidence` covers a different number of pairs.
     pub fn update_with(
         &mut self,
-        left: &Store,
-        right: &Store,
+        evidence: &Evidence,
         align: &AlignmentTable,
-        fun_left: &FunctionalityTable,
-        fun_right: &FunctionalityTable,
-        cfg: &ParisConfig,
         executor: &Executor,
-        table: &ValueTable,
     ) {
-        let mut left_entities: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
-        let mut right_entities: HashMap<IriId, Vec<(IriId, ValueId)>> = HashMap::new();
-        for &(l, r) in &self.pairs {
-            left_entities
-                .entry(l)
-                .or_insert_with(|| table.attributes(&left.entity(l)));
-            right_entities
-                .entry(r)
-                .or_insert_with(|| table.attributes(&right.entity(r)));
-        }
-
-        let prev_scores = &self.scores;
-        let left_entities = &left_entities;
-        let right_entities = &right_entities;
-        let chunk_results: Vec<Vec<((IriId, IriId), f64)>> =
-            executor.map_chunks(&self.pairs, |chunk| {
-                let scorer = table.scorer();
-                let mut out: Vec<((IriId, IriId), f64)> = Vec::new();
-                // Reused per pair: best evidence seen for each predicate pair.
-                let mut best: HashMap<(IriId, IriId), f64> = HashMap::new();
-                for &(l, r) in chunk {
-                    let el = &left_entities[&l];
-                    let er = &right_entities[&r];
-                    best.clear();
-                    for &(lp, ly) in el {
-                        for &(rp, ry) in er {
-                            let a = align.get(lp, rp);
-                            if a <= 0.0 {
-                                continue;
-                            }
-                            let eq = object_eq(ly, ry, prev_scores, cfg, &scorer);
-                            if eq <= 0.0 {
-                                continue;
-                            }
-                            let ident = fun_left.ifun(lp).max(fun_right.ifun(rp));
-                            let evidence = a * ident * eq;
-                            let slot = best.entry((lp, rp)).or_insert(0.0);
-                            if evidence > *slot {
-                                *slot = evidence;
-                            }
+        assert_eq!(
+            evidence.pairs().len(),
+            self.pairs.len(),
+            "evidence of other pairs"
+        );
+        let prev = &self.beliefs;
+        let chunks: Vec<Vec<f64>> = executor.map_chunks(evidence.pairs(), |chunk| {
+            chunk
+                .iter()
+                .map(|pair| {
+                    let mut miss = 1.0;
+                    for group in evidence.entries_of(pair).chunk_by(|a, b| a.pp == b.pp) {
+                        let pp = group[0].pp;
+                        let a = align.weight(pp);
+                        if a <= 0.0 {
+                            continue;
                         }
+                        let eq = group.iter().map(|e| e.eq.get(prev)).fold(0.0, f64::max);
+                        if eq <= 0.0 {
+                            continue;
+                        }
+                        // Rounding is monotone, so scaling the best `eq`
+                        // equals the best of the scaled ones.
+                        miss *= 1.0 - a * evidence.ident(pp) * eq;
                     }
-                    // Noisy-OR over the evidence in sorted key order: float
-                    // multiplication is not associative, and HashMap
-                    // iteration order varies per process, so an unsorted
-                    // product would differ run to run.
-                    let mut evidence: Vec<((IriId, IriId), f64)> = best.drain().collect();
-                    evidence.sort_unstable_by_key(|&(k, _)| k);
-                    let miss: f64 = evidence.iter().map(|&(_, e)| 1.0 - e).product();
                     let p = 1.0 - miss;
                     if p > 0.0 {
-                        out.push(((l, r), p));
+                        p
+                    } else {
+                        0.0
                     }
-                }
-                out
-            });
-
-        let mut new_scores: HashMap<(IriId, IriId), f64> = HashMap::with_capacity(self.pairs.len());
-        for (k, p) in chunk_results.into_iter().flatten() {
-            new_scores.insert(k, p);
-        }
-        self.scores = new_scores;
+                })
+                .collect()
+        });
+        self.beliefs = chunks.into_iter().flatten().collect();
     }
 
     /// Extracts the final link assignment: each left entity keeps its
@@ -209,11 +120,9 @@ impl EquivalenceTable {
     /// the best for the right entity. Ties break toward the smaller id so
     /// runs are deterministic. Output is sorted by descending score.
     pub fn assign(&self, mutual_best: bool) -> Vec<ScoredLink> {
-        let mut best_left: HashMap<IriId, (IriId, f64)> = HashMap::new();
-        let mut best_right: HashMap<IriId, (IriId, f64)> = HashMap::new();
-        let mut ordered: Vec<(&(IriId, IriId), &f64)> = self.scores.iter().collect();
-        ordered.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        for (&(l, r), &s) in ordered {
+        let mut best_left: FastMap<IriId, (IriId, f64)> = FastMap::default();
+        let mut best_right: FastMap<IriId, (IriId, f64)> = FastMap::default();
+        for (&(l, r), &s) in self.pairs.iter().zip(&self.beliefs) {
             if s <= 0.0 {
                 continue;
             }
@@ -246,7 +155,7 @@ impl EquivalenceTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alex_rdf::{Interner, Literal};
+    use alex_rdf::{Interner, Store};
 
     fn iri(store: &Store, s: &str) -> IriId {
         store.intern_iri(s)
@@ -259,9 +168,12 @@ mod tests {
         let l1 = iri(&store, "l1");
         let l2 = iri(&store, "l2");
         let r1 = iri(&store, "r1");
-        let mut t = EquivalenceTable::new(vec![(l1, r1), (l2, r1)]);
-        t.scores.insert((l1, r1), 0.9);
-        t.scores.insert((l2, r1), 0.7);
+        let mut pairs = vec![(l1, r1), (l2, r1)];
+        pairs.sort_unstable();
+        let mut t = EquivalenceTable::new(pairs);
+        for (i, &(l, _)) in t.pairs.iter().enumerate() {
+            t.beliefs[i] = if l == l1 { 0.9 } else { 0.7 };
+        }
 
         // Without mutuality both lefts keep their best right.
         let links = t.assign(false);
@@ -272,49 +184,7 @@ mod tests {
         let links = t.assign(true);
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].link, Link::new(l1, r1));
-    }
-
-    #[test]
-    fn object_eq_thresholds_literals() {
-        let interner = Interner::new_shared();
-        let cfg = ParisConfig::default();
-        let scores = HashMap::new();
-        let a: Term = Literal::str(&interner, "LeBron James").into();
-        let b: Term = Literal::str(&interner, "LeBron James").into();
-        let c: Term = Literal::str(&interner, "zzz qqq").into();
-        let table = ValueTable::new(cfg.sim, &interner, [a, b, c]);
-        let id = |t: &Term| table.id(t).unwrap();
-        {
-            let scorer = table.scorer();
-            assert_eq!(object_eq(id(&a), id(&b), &scores, &cfg, &scorer), 1.0);
-            assert_eq!(object_eq(id(&a), id(&c), &scores, &cfg, &scorer), 0.0);
-            // Repeating the comparison scores from the same forms.
-            assert_eq!(object_eq(id(&a), id(&c), &scores, &cfg, &scorer), 0.0);
-        }
-        assert!(table.stats().hits >= 1);
-    }
-
-    #[test]
-    fn object_eq_uses_current_beliefs_for_resources() {
-        let interner = Interner::new_shared();
-        let store = Store::new(interner.clone());
-        let cfg = ParisConfig::default();
-        let a = iri(&store, "a");
-        let b = iri(&store, "b");
-        let mut scores = HashMap::new();
-        scores.insert((a, b), 0.6);
-        let ta: Term = a.into();
-        let tb: Term = b.into();
-        let table = ValueTable::new(cfg.sim, &interner, [ta, tb]);
-        let (ia, ib) = (table.id(&ta).unwrap(), table.id(&tb).unwrap());
-        {
-            let scorer = table.scorer();
-            assert_eq!(object_eq(ia, ib, &scores, &cfg, &scorer), 0.6);
-            assert_eq!(object_eq(ib, ia, &scores, &cfg, &scorer), 0.6); // symmetric lookup
-            assert_eq!(object_eq(ia, ia, &scores, &cfg, &scorer), 1.0);
-        }
-        // Beliefs are never scored by the table — they change every round.
-        assert_eq!(table.stats().hits, 0);
+        assert_eq!(t.score(l2, r1), 0.7);
     }
 
     #[test]

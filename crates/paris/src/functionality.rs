@@ -8,14 +8,13 @@
 //! high inverse functionality (an ISBN, a full name) nearly identifies its
 //! subject, so sharing its value is strong evidence of equivalence.
 
-use std::collections::{HashMap, HashSet};
-
+use alex_rdf::hash::{FastMap, FastSet};
 use alex_rdf::{IriId, Store, Term};
 
 /// Per-predicate functionality and inverse functionality for one dataset.
 #[derive(Clone, Debug, Default)]
 pub struct FunctionalityTable {
-    entries: HashMap<IriId, Entry>,
+    entries: FastMap<IriId, Entry>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -29,15 +28,15 @@ impl FunctionalityTable {
     /// Computes functionalities for every predicate of `store`.
     pub fn build(store: &Store) -> Self {
         struct Acc {
-            subjects: HashSet<IriId>,
-            objects: HashSet<Term>,
+            subjects: FastSet<IriId>,
+            objects: FastSet<Term>,
             triples: usize,
         }
-        let mut acc: HashMap<IriId, Acc> = HashMap::new();
+        let mut acc: FastMap<IriId, Acc> = FastMap::default();
         for t in store.iter() {
             let e = acc.entry(t.predicate).or_insert_with(|| Acc {
-                subjects: HashSet::new(),
-                objects: HashSet::new(),
+                subjects: FastSet::default(),
+                objects: FastSet::default(),
                 triples: 0,
             });
             e.subjects.insert(t.subject);

@@ -14,9 +14,13 @@
 //! 2. **Blocking** ([`blocking`]) — candidate entity pairs are generated
 //!    from shared literal keys (exact normalized values and tokens), so the
 //!    fixpoint never touches the full cross product.
-//! 3. **Relation alignment** ([`alignment`]) — cross-dataset predicate
+//! 3. **Evidence** ([`evidence`]) — built once per run: for every candidate
+//!    pair, the attribute pairs that can ever contribute, each literal pair
+//!    scored once. Similarity evaluations therefore happen once per
+//!    attribute pair of the run, not once per round.
+//! 4. **Relation alignment** ([`alignment`]) — cross-dataset predicate
 //!    alignment scores estimated from currently-believed instance matches.
-//! 4. **Instance equivalence** ([`equivalence`]) — the noisy-OR fixpoint
+//! 5. **Instance equivalence** ([`equivalence`]) — the noisy-OR fixpoint
 //!    `P(x≡x') = 1 − Π (1 − align(r,r')·ifun·eq(y,y'))`, alternating with
 //!    relation alignment for a configured number of rounds.
 //!
@@ -51,7 +55,10 @@
 pub mod alignment;
 pub mod blocking;
 pub mod equivalence;
+pub mod evidence;
 pub mod functionality;
+
+use std::ops::Range;
 
 use alex_core::parallel::Executor;
 use alex_rdf::{Link, ScoredLink, Store};
@@ -98,6 +105,9 @@ impl Default for ParisConfig {
 pub struct ParisStats {
     /// Wall-clock seconds generating candidate pairs (blocking).
     pub blocking_seconds: f64,
+    /// Wall-clock seconds building the evidence table: entity rows, and
+    /// every attribute pair of every candidate pair scored or resolved.
+    pub evidence_seconds: f64,
     /// Wall-clock seconds in equivalence updates, summed over rounds.
     pub equivalence_seconds: f64,
     /// Wall-clock seconds in alignment estimation, summed over rounds.
@@ -105,9 +115,12 @@ pub struct ParisStats {
     /// Worker threads the run used.
     pub threads: usize,
     /// Value-table counters for the whole run: `hits` = similarity
-    /// evaluations served from prebuilt forms over all rounds, `misses` =
-    /// distinct values whose forms were built. The table has no memo, so
-    /// this is not a cache hit rate.
+    /// evaluations served from prebuilt forms, `misses` = distinct values
+    /// whose forms were built. The evidence build scores each attribute
+    /// pair of the run once and no round scores again, so `hits` does not
+    /// grow with [`ParisConfig::iterations`], and a ratio such as
+    /// `hits / (hits + misses)` is lower than when every round re-scored.
+    /// The table has no memo, so that ratio is not a cache hit rate.
     pub cache: CacheStats,
 }
 
@@ -154,12 +167,14 @@ impl ParisLinker {
 
     /// Runs the full PARIS pipeline on two datasets sharing an interner.
     ///
-    /// One executor and one value table are shared across all stages and
-    /// fixpoint rounds: every object of both stores gets its string forms
-    /// built once, so no round re-tokenizes or re-lowercases a literal.
-    /// The thread count
-    /// comes from [`ParisConfig::threads`] / `ALEX_THREADS`, and the output
-    /// is bit-identical at every thread count.
+    /// One executor and one value table are shared across all stages:
+    /// every object of both stores gets its string forms built once, and
+    /// blocking keys are computed once per distinct value. After blocking,
+    /// one [`evidence::Evidence`] table scores every attribute pair of the
+    /// candidate pairs once; every fixpoint round then reads it, so no
+    /// round re-scores a literal. The thread count comes from
+    /// [`ParisConfig::threads`] / `ALEX_THREADS`, and the output is
+    /// bit-identical at every thread count.
     pub fn run(&self, left: &Store, right: &Store) -> ParisOutput {
         let _span = alex_trace::span("paris.run");
         let cfg = &self.config;
@@ -170,32 +185,45 @@ impl ParisLinker {
         let fun_right = functionality::FunctionalityTable::build(right);
 
         let blocking_span = alex_trace::span("paris.blocking");
-        let candidates = blocking::candidate_pairs_with(left, right, cfg.max_block_size, &executor);
+        let candidates =
+            blocking::candidate_pairs_with(left, right, &table, cfg.max_block_size, &executor);
         let blocking_seconds = blocking_span.finish();
 
-        let mut eqv = equivalence::EquivalenceTable::new(candidates.clone());
+        let evidence_span = alex_trace::span("paris.evidence");
+        let evidence = evidence::Evidence::build(
+            left,
+            right,
+            &table,
+            &candidates,
+            &fun_left,
+            &fun_right,
+            cfg.literal_threshold,
+            &executor,
+        );
+        let evidence_seconds = evidence_span.finish();
+
+        let candidates_examined = candidates.len();
+        let mut eqv = equivalence::EquivalenceTable::new(candidates);
         let mut align = alignment::AlignmentTable::uniform(cfg.initial_alignment);
         let mut equivalence_seconds = 0.0;
         let mut alignment_seconds = 0.0;
         for _round in 0..cfg.iterations.max(1) {
             let eq_span = alex_trace::span("paris.equivalence");
-            eqv.update_with(
-                left, right, &align, &fun_left, &fun_right, cfg, &executor, &table,
-            );
+            eqv.update_with(&evidence, &align, &executor);
             equivalence_seconds += eq_span.finish();
             let align_span = alex_trace::span("paris.alignment");
-            align =
-                alignment::AlignmentTable::estimate_with(left, right, &eqv, cfg, &executor, &table);
+            align = alignment::AlignmentTable::estimate_with(&eqv, &evidence);
             alignment_seconds += align_span.finish();
         }
 
         let links = eqv.assign(cfg.mutual_best);
         ParisOutput {
             links,
-            candidates_examined: candidates.len(),
+            candidates_examined,
             alignments: align,
             stats: ParisStats {
                 blocking_seconds,
+                evidence_seconds,
                 equivalence_seconds,
                 alignment_seconds,
                 threads: executor.workers(),
@@ -203,6 +231,16 @@ impl ParisLinker {
             },
         }
     }
+}
+
+/// Item `i`'s range in a flat array split by `offsets`.
+pub(crate) fn slot(offsets: &[u32], i: usize) -> Range<usize> {
+    offsets[i] as usize..offsets[i + 1] as usize
+}
+
+/// `n` as a `u32` offset or id.
+pub(crate) fn id32(n: usize) -> u32 {
+    u32::try_from(n).expect("PARIS ids and offsets fit u32")
 }
 
 #[cfg(test)]
