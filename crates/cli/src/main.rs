@@ -59,7 +59,8 @@ COMMANDS:
              and write the curated links. --session saves a resumable
              snapshot (and resumes from it if the file exists).
     serve    Run the interactive curation HTTP server (sessions, federated
-             queries with provenance, answer feedback, /metrics, and —
+             queries with provenance, answer feedback, link explanations,
+             /metrics, and —
              when ALEX_TRACE is on — /debug/trace/{request_id} and
              /debug/events). With --state-dir, every session lives in a
              session-<id>/ directory there: Ctrl-C drains in-flight
@@ -77,12 +78,12 @@ COMMANDS:
     recover  Restore the sessions in a serve --state-dir and
              print what a restart would restore (repairing torn WAL
              tails in place), without starting a server.
-    trace    Inspect flight-recorder output: pretty-print a JSONL event
-             log as a span tree (--input), or run a generated scenario
-             and replay the decision audit trail that produced one link
-             (--explain <link|auto>): the triggering feedback, the
-             ε-greedy decision with its Q-values, the explored feature,
-             and the candidate pair it surfaced."
+    trace    Pretty-print a JSONL event log as a span tree (--input), or
+             run a generated scenario and explain one link of the result
+             (--explain <link|auto>) as the JSON GET
+             /sessions/{id}/explain serves: candidacy, blacklist and
+             negatives, and each state-action pair that generated it with
+             the feature's scores and the pair's Q estimate."
 }
 
 fn main() -> ExitCode {

@@ -21,7 +21,7 @@ use alex_rdf::{IriId, Link, Store};
 use alex_sim::{CacheStats, ValueTable};
 
 use crate::config::AlexConfig;
-use crate::engine::{EngineDiagnostics, PartitionEngine, PartitionEpisodeStats};
+use crate::engine::{EngineDiagnostics, LinkExplanation, PartitionEngine, PartitionEpisodeStats};
 use crate::metrics::{EpisodeReport, Quality};
 use crate::oracle::FeedbackOracle;
 use crate::parallel::Executor;
@@ -271,6 +271,12 @@ impl AlexDriver {
         self.engines[self.partition_of(link)]
             .candidates()
             .contains(link)
+    }
+
+    /// What the partition owning `link` holds about it
+    /// ([`PartitionEngine::explain`]).
+    pub fn explain(&self, link: Link) -> Option<LinkExplanation> {
+        self.engines[self.partition_of(link)].explain(link)
     }
 
     /// The partition owning `link`: that of its left entity, or 0 for a
@@ -859,9 +865,10 @@ mod tests {
         let run = |cfg: AlexConfig| {
             let mut d = AlexDriver::new(&left, &right, &links[..4], cfg).unwrap();
             let oracle = ExactOracle::new(truth.clone());
-            d.run(&oracle, &truth).final_links
+            let outcome = d.run(&oracle, &truth);
+            (d, outcome)
         };
-        let baseline = run(cfg.clone());
+        let (_, baseline) = run(cfg.clone());
 
         alex_trace::configure(&TraceSettings {
             mode: TraceMode::Ring,
@@ -871,12 +878,15 @@ mod tests {
         .unwrap();
         let span = alex_trace::root_span("test.traced_run");
         let trace_id = span.trace_id();
-        let traced = run(cfg);
+        let (driver, traced) = run(cfg);
         drop(span);
         let events = alex_trace::recorder().trace_events(trace_id);
         alex_trace::configure(&TraceSettings::default()).unwrap();
 
-        assert_eq!(baseline, traced, "tracing must not change link output");
+        assert_eq!(
+            baseline.final_links, traced.final_links,
+            "tracing must not change link output"
+        );
         let has = |pred: &dyn Fn(&Payload) -> bool| events.iter().any(|e| pred(&e.payload));
         assert!(has(&|p| matches!(p, Payload::Feedback { .. })));
         assert!(has(&|p| matches!(p, Payload::LinkAdded { .. })));
@@ -905,6 +915,45 @@ mod tests {
                 "missing span {name}"
             );
         }
+
+        // The audit trail agrees with the explanations: a final
+        // candidate's last addition is one of its generating pairs, score
+        // bits included, and a candidate never added is an initial one.
+        let mut last_added = HashMap::new();
+        for e in &events {
+            if let Payload::LinkAdded {
+                link,
+                state,
+                feature,
+                score,
+            } = &e.payload
+            {
+                last_added.insert(link.clone(), (state.clone(), feature.clone(), *score));
+            }
+        }
+        let added: usize = traced.reports.iter().map(|r| r.links_added).sum();
+        let recorded = events
+            .iter()
+            .filter(|e| matches!(e.payload, Payload::LinkAdded { .. }))
+            .count();
+        assert_eq!(recorded, added, "the ring lost link_added events");
+        let mut explored = 0;
+        for l in driver.candidates() {
+            let x = driver.explain(l).expect("every candidate is explained");
+            explored += usize::from(x.origin == "explored");
+            match last_added.get(&format!("{}\t{}", x.left, x.right)) {
+                Some((state, feature, score)) => assert!(
+                    x.generated_by.iter().any(|g| {
+                        g.state.join("\t") == *state
+                            && g.feature.join("\t") == *feature
+                            && g.score.map(f64::to_bits) == Some(score.to_bits())
+                    }),
+                    "last addition ({state:?}, {feature:?}, {score}) missing from {x:?}"
+                ),
+                None => assert_eq!(x.origin, "initial", "{x:?}"),
+            }
+        }
+        assert!(explored > 0, "no final candidate came from exploration");
     }
 
     #[test]

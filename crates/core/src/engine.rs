@@ -15,6 +15,7 @@ use alex_rdf::{Interner, IriId, Link};
 use alex_trace::{self as trace, Payload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::Serialize;
 
 use crate::candidates::CandidateSet;
 use crate::config::AlexConfig;
@@ -79,6 +80,55 @@ impl EngineDiagnostics {
     }
 }
 
+/// What an engine holds about one link: "why is this link here?"
+/// answered from the learner's own state. IRIs are rendered through the
+/// engine's interner (`#<id>` without one).
+#[derive(Clone, Debug, PartialEq, Serialize)]
+pub struct LinkExplanation {
+    /// The left entity's IRI.
+    pub left: String,
+    /// The right entity's IRI.
+    pub right: String,
+    /// Whether the link is in the candidate set.
+    pub candidate: bool,
+    /// Whether the link has positive feedback (rollback spares it).
+    pub approved: bool,
+    /// Whether the link is blacklisted.
+    pub blacklisted: bool,
+    /// Negative feedback on the link since its last approval (counted
+    /// only with the blacklist on).
+    pub negatives: usize,
+    /// `"initial"` when no state-action pair generated the link,
+    /// `"explored"` otherwise.
+    pub origin: &'static str,
+    /// The state-action pairs that generated the link, in recorded order.
+    pub generated_by: Vec<GeneratingAction>,
+}
+
+/// One state-action pair that generated a link ("Returns(s, a) that led
+/// to s'", Algorithm 1 line 14), as the engine sees it now.
+#[derive(Clone, Debug, PartialEq, Serialize)]
+pub struct GeneratingAction {
+    /// The approved link whose feedback triggered the action.
+    pub state: [String; 2],
+    /// The explored feature, as its two predicates.
+    pub feature: [String; 2],
+    /// The feature's score on the state: the centre of the action's range.
+    pub state_score: Option<f64>,
+    /// The feature's score on the explained link.
+    pub score: Option<f64>,
+    /// The pair's current Q estimate, if it has any return.
+    pub q: Option<f64>,
+    /// Returns behind `q`.
+    pub observations: u32,
+    /// Whether the policy's greedy action at the state is this feature.
+    pub greedy: bool,
+    /// Whether rollback has pinned the pair bad.
+    pub rolled_back: bool,
+    /// Negative feedback on links the pair generated; rollback clears it.
+    pub negatives: usize,
+}
+
 /// The feedback bookkeeping of one engine that later episodes read
 /// besides the learned policy: which state-action pairs generated each
 /// link, and the counters behind the blacklist and rollback (§6.3). Every
@@ -138,8 +188,9 @@ pub struct PartitionEngine {
     cfg: AlexConfig,
     /// Partition index reported in trace events (0 until identified).
     trace_partition: u64,
-    /// Interner for rendering IRIs in trace events; engines constructed
-    /// directly in tests have none and fall back to `#<id>` rendering.
+    /// Interner for rendering IRIs in trace events and explanations;
+    /// engines constructed directly in tests have none and fall back to
+    /// `#<id>` rendering.
     interner: Option<Arc<Interner>>,
 }
 
@@ -176,8 +227,9 @@ impl PartitionEngine {
     }
 
     /// Identifies this engine for tracing: its partition index and the
-    /// interner used to render IRIs in events. Purely observational — has
-    /// no effect on exploration.
+    /// interner used to render IRIs in events and in
+    /// [`PartitionEngine::explain`]. Purely observational — has no effect
+    /// on exploration.
     pub fn set_trace_identity(&mut self, partition: usize, interner: Arc<Interner>) {
         self.trace_partition = partition as u64;
         self.interner = Some(interner);
@@ -406,6 +458,49 @@ impl PartitionEngine {
         );
         section("rng", vec![format!("{:?}", self.rng.state())]);
         h.finish()
+    }
+
+    /// Everything the engine holds about `link`: candidacy, approval,
+    /// blacklist and negatives, and each state-action pair that generated
+    /// it with its scores, Q estimate and rollback state. `None` when the
+    /// engine holds nothing about the link.
+    pub fn explain(&self, link: Link) -> Option<LinkExplanation> {
+        let candidate = self.candidates.contains(link);
+        let approved = self.approved.contains(&link);
+        let blacklisted = self.blacklist.contains(&link);
+        let negatives = self.negatives_on_link.get(&link).copied().unwrap_or(0);
+        let parents = self.provenance.get(&link).map_or(&[][..], Vec::as_slice);
+        if !(candidate || approved || blacklisted || negatives > 0 || !parents.is_empty()) {
+            return None;
+        }
+        let generated_by: Vec<GeneratingAction> = parents
+            .iter()
+            .map(|&(s, a)| GeneratingAction {
+                state: [self.iri(s.left), self.iri(s.right)],
+                feature: [self.iri(a.left), self.iri(a.right)],
+                state_score: self.space.score_of(s, a),
+                score: self.space.score_of(link, a),
+                q: self.q.q(s, a),
+                observations: self.q.observations(s, a),
+                greedy: self.policy.greedy_action(s) == Some(a),
+                rolled_back: self.banned_actions.contains(&(s, a)),
+                negatives: self.negative_by_action.get(&(s, a)).copied().unwrap_or(0),
+            })
+            .collect();
+        Some(LinkExplanation {
+            left: self.iri(link.left),
+            right: self.iri(link.right),
+            candidate,
+            approved,
+            blacklisted,
+            negatives,
+            origin: if generated_by.is_empty() {
+                "initial"
+            } else {
+                "explored"
+            },
+            generated_by,
+        })
     }
 
     /// Snapshots the engine's learning state.
@@ -925,6 +1020,67 @@ mod tests {
         a.merge(&a.clone());
         assert_eq!(a.feedback_items, 2);
         assert_eq!(a.rollbacks, 10);
+    }
+
+    /// The invariants an explanation rests on, under random feedback at
+    /// several seeds: every candidate is explained; `origin` is
+    /// `"initial"` exactly for the candidates without provenance; every
+    /// generating score lies in its action's range, computed as
+    /// `ExplorationSpace::range` computes it; and each recorded pair still
+    /// lists the link among those it generated, or has been rolled back
+    /// (rollback keeps an approved link's provenance).
+    #[test]
+    fn explanations_agree_with_the_bookkeeping() {
+        use rand::Rng;
+        let w = world();
+        let mut space_links: Vec<Link> = w.space.links().collect();
+        space_links.sort();
+        let mut kept_past_rollback = 0;
+        for seed in 0..8u64 {
+            let cfg = AlexConfig {
+                epsilon: 0.3,
+                rollback_threshold: 2,
+                ..Default::default()
+            };
+            let step = cfg.step_size;
+            let mut e = PartitionEngine::new(w.space.clone(), w.links[..2].to_vec(), cfg, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xE7);
+            for item in 0..400 {
+                let link = match e.candidates().sample(&mut rng) {
+                    Some(l) if rng.gen_bool(0.7) => l,
+                    _ => space_links[rng.gen_range(0..space_links.len())],
+                };
+                let positive = w.truth.contains(&link) != rng.gen_bool(0.15);
+                e.process_feedback(link, positive);
+                if item % 20 == 19 {
+                    e.end_episode();
+                }
+
+                for l in e.candidates().iter() {
+                    let x = e.explain(l).expect("every candidate is explained");
+                    assert_eq!(x.origin == "initial", !e.provenance.contains_key(&l));
+                }
+                for (l, parents) in &e.provenance {
+                    let x = e.explain(*l).expect("a generated link is explained");
+                    assert_eq!(x.origin, "explored");
+                    assert_eq!(x.generated_by.len(), parents.len());
+                    for (sa, g) in parents.iter().zip(&x.generated_by) {
+                        let center = g.state_score.expect("the state has the feature");
+                        let score = g.score.expect("the link has the feature");
+                        let (lo, hi) = (center - step, center + step);
+                        assert!(lo <= score && score <= hi, "{score} outside [{lo}, {hi}]");
+                        let listed = e.generated.get(sa).is_some_and(|ls| ls.contains(l));
+                        assert!(listed || e.banned_actions.contains(sa), "{l:?} <- {sa:?}");
+                        assert_eq!(g.rolled_back, e.banned_actions.contains(sa));
+                        kept_past_rollback += usize::from(!listed);
+                    }
+                }
+            }
+        }
+        assert!(
+            kept_past_rollback > 0,
+            "no approved link outlived its generating pair's rollback"
+        );
     }
 
     #[test]

@@ -91,7 +91,9 @@ pub use durability::{
     recover_session, recover_state_dir, session_dir, RecoveredSession, RecoveryOutcome,
     SessionRecoveryReport,
 };
-pub use engine::{EngineDiagnostics, PartitionEngine, PartitionEpisodeStats};
+pub use engine::{
+    EngineDiagnostics, GeneratingAction, LinkExplanation, PartitionEngine, PartitionEpisodeStats,
+};
 pub use feature::{Feature, FeatureKey, FeatureSet};
 pub use metrics::{EpisodeReport, Quality};
 pub use oracle::{ExactOracle, FeedbackOracle, NoisyOracle, ReluctantOracle};

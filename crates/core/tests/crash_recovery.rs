@@ -18,8 +18,9 @@
 //!    the same final state as the uninterrupted run (continued curation
 //!    is indistinguishable from never having crashed).
 //!
-//! States compare candidates, counters, RNG streams and every engine's
-//! state fingerprint, and every captured session's query index must hold
+//! States compare candidates, counters, RNG streams, every engine's
+//! state fingerprint and the explanation of every candidate and
+//! blacklisted link, and every captured session's query index must hold
 //! exactly its candidates. Variants of the same trials compact the WAL into a
 //! checkpoint at seeded record counts (so recovery restores engine state
 //! from a checkpoint, not only from the log), damage the session's space
@@ -30,13 +31,13 @@
 //! `ALEX_TEST_SEED` (decimal or `0x`-hex) so a CI failure is replayable
 //! bit for bit.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use alex_core::durability::{recover_session, recover_state_dir, session_dir};
 use alex_core::space_file::SPACE_FILE;
 use alex_core::store::{encode_record, replay_dir, write_frame, SyncPolicy, WalOptions, WalRecord};
-use alex_core::{AlexConfig, AlexDriver, LiveSession};
+use alex_core::{AlexConfig, AlexDriver, LinkExplanation, LiveSession};
 use alex_rdf::{Interner, Link, Literal, Store};
 
 /// splitmix64: tiny, seedable, and good enough to pick fault offsets.
@@ -106,7 +107,7 @@ fn live_session(seed: u64) -> (LiveSession, Vec<Link>) {
 }
 
 /// Everything recovery must reproduce, in interner-independent form.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 struct OracleState {
     feedback_items: u64,
     episodes: u64,
@@ -115,6 +116,8 @@ struct OracleState {
     candidates: BTreeSet<(String, String)>,
     rng: Vec<[u64; 4]>,
     engines: Vec<u64>,
+    /// The explanation of every candidate and blacklisted link, by pair.
+    explanations: BTreeMap<(String, String), LinkExplanation>,
 }
 
 fn capture(session: &LiveSession) -> OracleState {
@@ -147,6 +150,20 @@ fn capture(session: &LiveSession) -> OracleState {
             .engines()
             .iter()
             .map(|e| e.state_fingerprint())
+            .collect(),
+        explanations: (driver.candidates())
+            .chain(
+                driver
+                    .engines()
+                    .iter()
+                    .flat_map(|e| e.blacklist().iter().copied()),
+            )
+            .map(|l| {
+                (
+                    pair(l),
+                    driver.explain(l).expect("every listed link is explained"),
+                )
+            })
             .collect(),
     }
 }
@@ -328,6 +345,11 @@ fn uninterrupted_run(root: PathBuf, seed: u64, passes: usize, compact_after: u64
         take(&mut session, step);
         oracle.push(capture(&session));
     }
+    let last = &oracle.last().unwrap().explanations;
+    assert!(
+        last.values().any(|x| !x.generated_by.is_empty()),
+        "the script never explored a link"
+    );
     // The records after the last checkpoint, and where each one's frame
     // ends in the concatenated log.
     let dir = session_dir(&root, "s1");

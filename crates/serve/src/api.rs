@@ -9,6 +9,7 @@
 //! | `POST /sessions/{id}/query` | federated SPARQL; answers carry sameAs provenance |
 //! | `POST /sessions/{id}/feedback` | approve/reject links → one feedback episode |
 //! | `GET  /sessions/{id}/links` | current candidate links and blacklist |
+//! | `GET  /sessions/{id}/explain?left=…&right=…` | why a link is here: candidacy, blacklist, negatives, generating state-action pairs |
 //! | `GET  /healthz`             | liveness (text `ok`) |
 //! | `GET  /metrics`             | metrics in text exposition format |
 //!
@@ -51,6 +52,7 @@ pub fn route(state: &AppState, req: &Request) -> (&'static str, Response) {
             ("/sessions/{id}/feedback", feedback(state, id, req))
         }
         ("GET", ["sessions", id, "links"]) => ("/sessions/{id}/links", links(state, id)),
+        ("GET", ["sessions", id, "explain"]) => ("/sessions/{id}/explain", explain(state, id, req)),
         ("GET", ["debug", "events"]) => ("/debug/events", debug_events(req)),
         ("GET", ["debug", "trace", rid]) => ("/debug/trace/{request_id}", debug_trace(rid, req)),
         // Known paths with the wrong method get a 405 rather than a 404.
@@ -62,7 +64,7 @@ pub fn route(state: &AppState, req: &Request) -> (&'static str, Response) {
             "(method)",
             Response::error(405, format!("method {} not allowed here", req.method)),
         ),
-        (_, ["sessions", _, "query" | "feedback" | "links"]) => (
+        (_, ["sessions", _, "query" | "feedback" | "links" | "explain"]) => (
             "(method)",
             Response::error(405, format!("method {} not allowed here", req.method)),
         ),
@@ -640,6 +642,35 @@ fn links(state: &AppState, id: &str) -> Response {
     )
 }
 
+/// `GET /sessions/{id}/explain?left=<iri>&right=<iri>` — what the owning
+/// engine holds about one link ([`alex_core::LinkExplanation`]), read
+/// under the session's read lock. 404 for an unknown IRI or a link the
+/// engine holds nothing about.
+fn explain(state: &AppState, id: &str, req: &Request) -> Response {
+    let handle = match session_handle(state, id) {
+        Ok(h) => h,
+        Err(resp) => return resp,
+    };
+    let params = req.query_params();
+    let param = |name: &str| params.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let (Some(l), Some(r)) = (param("left"), param("right")) else {
+        return Response::error(400, "explain needs ?left=<iri>&right=<iri>");
+    };
+    let session = handle.read();
+    let interner = session.left.interner();
+    let (Some(lid), Some(rid)) = (interner.get(l), interner.get(r)) else {
+        return Response::error(
+            404,
+            format!("unknown IRI (not in either dataset): {l} / {r}"),
+        );
+    };
+    let link = Link::new(alex_rdf::IriId(lid), alex_rdf::IriId(rid));
+    match session.driver().explain(link) {
+        Some(x) => Response::json(200, &serde_json::to_value(&x).unwrap_or(Value::Null)),
+        None => Response::error(404, format!("session {id:?} holds nothing about {l} / {r}")),
+    }
+}
+
 /// Renders events as JSON lines (one event per line, oldest first).
 fn events_as_jsonl(events: &[trace::Event]) -> Response {
     let mut body = String::new();
@@ -787,6 +818,68 @@ mod tests {
         assert!(!flat("links").contains(&"http://r/e1".to_string()));
         assert!(flat("links").contains(&"http://r/e0".to_string()));
         assert!(flat("blacklist").contains(&"http://r/e1".to_string()));
+    }
+
+    #[test]
+    fn explain_reads_the_engine_and_reports_every_status() {
+        let state = AppState::new(None);
+        // An entity IRI with `#` and `+`, which a query string must escape.
+        let body = create_body().replace("http://l/e3", "http://l/e3#x+y");
+        let (_, resp) = route(&state, &request("POST", "/sessions", &body));
+        assert_eq!(resp.status, 201, "{}", String::from_utf8_lossy(&resp.body));
+        let fb = r#"{"items": [{"left": "http://l/e0", "right": "http://r/e0", "approve": true}]}"#;
+        let (_, resp) = route(&state, &request("POST", "/sessions/s1/feedback", fb));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+
+        let explain = |method: &str, id: &str, query: &str| {
+            let req = Request {
+                query: Some(query.into()),
+                ..request(method, &format!("/sessions/{id}/explain"), "")
+            };
+            let (label, resp) = route(&state, &req);
+            let text = String::from_utf8(resp.body).unwrap();
+            (
+                label,
+                resp.status,
+                serde_json::parse_value_str(&text).unwrap(),
+            )
+        };
+
+        // An explored link, named through percent escapes.
+        let encoded = "left=http%3A%2F%2Fl%2Fe3%23x%2By&right=http%3A%2F%2Fr%2Fe3";
+        let (label, status, v) = explain("GET", "s1", encoded);
+        assert_eq!((label, status), ("/sessions/{id}/explain", 200), "{v:?}");
+        assert_eq!(v.get("left").unwrap().as_str(), Some("http://l/e3#x+y"));
+        assert_eq!(v.get("candidate").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("origin").unwrap().as_str(), Some("explored"));
+        let by = v.get("generated_by").unwrap().as_array().unwrap();
+        assert_eq!(by.len(), 1);
+        let state_iris: Vec<&str> = (by[0].get("state").unwrap().as_array().unwrap())
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(state_iris, ["http://l/e0", "http://r/e0"]);
+        assert_eq!(by[0].get("rolled_back").unwrap().as_bool(), Some(false));
+        // The approved state itself is an initial candidate.
+        let (_, status, v) = explain("GET", "s1", "left=http://l/e0&right=http://r/e0");
+        assert_eq!(status, 200);
+        assert_eq!(v.get("origin").unwrap().as_str(), Some("initial"));
+        assert_eq!(v.get("approved").unwrap().as_bool(), Some(true));
+
+        // A missing parameter is a 400.
+        assert_eq!(explain("GET", "s1", "left=http://l/e0").1, 400);
+        // Unknown session, unknown IRI (an unescaped `+` decodes to a
+        // space), and two known IRIs the engine holds nothing about: 404.
+        assert_eq!(explain("GET", "s9", encoded).1, 404);
+        let raw = "left=http://l/e3%23x+y&right=http://r/e3";
+        assert_eq!(explain("GET", "s1", raw).1, 404);
+        assert_eq!(
+            explain("GET", "s1", "left=http://l/e0&right=http://l/e1").1,
+            404
+        );
+        // Any other method: 405.
+        assert_eq!(explain("POST", "s1", encoded).1, 405);
+        assert_eq!(explain("DELETE", "s1", encoded).1, 405);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`http`] — hand-rolled HTTP/1.1 parsing and response framing with
 //!   keep-alive and per-connection timeouts.
 //! * [`api`] — the JSON routes (`/sessions`, `…/query`, `…/feedback`,
-//!   `…/links`, `/healthz`, `/metrics`).
+//!   `…/links`, `…/explain`, `/healthz`, `/metrics`).
 //! * [`state`] — the shared session table ([`alex_core::SessionHandle`]
 //!   per session) and metrics registry.
 //! * [`server`] — acceptor + bounded-queue worker pool (`503` when

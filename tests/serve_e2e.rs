@@ -136,8 +136,8 @@ fn create_session_with(addr: &str, config: Vec<(&str, Value)>) -> String {
     v.get("id").unwrap().as_str().unwrap().to_string()
 }
 
-/// One feedback episode: rejects the Figure-1 session's wrong link.
-fn reject_wrong_link(addr: &str, id: &str) {
+/// One feedback episode on the Figure-1 link player0 ≡ `right`.
+fn judge(addr: &str, id: &str, right: &str, approve: bool) -> Value {
     let (status, v) = http(
         addr,
         "POST",
@@ -146,12 +146,39 @@ fn reject_wrong_link(addr: &str, id: &str) {
             "items",
             Value::Array(vec![obj(vec![
                 ("left", s("http://db/player0")),
-                ("right", s("http://ny/person1")),
-                ("approve", Value::Bool(false)),
+                ("right", s(right)),
+                ("approve", Value::Bool(approve)),
             ])]),
         )])),
     );
     assert_eq!(status, 200, "feedback failed: {v:?}");
+    v
+}
+
+/// One feedback episode: rejects the Figure-1 session's wrong link.
+fn reject_wrong_link(addr: &str, id: &str) {
+    judge(addr, id, "http://ny/person1", false);
+}
+
+/// One feedback episode: approves the Figure-1 session's correct link,
+/// which explores the name feature and adds the other players' links.
+fn approve_correct_link(addr: &str, id: &str) {
+    let v = judge(addr, id, "http://ny/person0", true);
+    assert!(v.get("links_added").unwrap().as_u64().unwrap() > 0, "{v:?}");
+}
+
+/// The explanation of the link player1 ≡ person1, which approving the
+/// correct link explores.
+fn explain_explored_link(addr: &str, id: &str) -> Value {
+    let (status, v) = http(
+        addr,
+        "GET",
+        &format!("/sessions/{id}/explain?left=http://db/player1&right=http://ny/person1"),
+        None,
+    );
+    assert_eq!(status, 200, "explain failed: {v:?}");
+    assert_eq!(v.get("origin").unwrap().as_str(), Some("explored"), "{v:?}");
+    v
 }
 
 /// Sorted `(left, right)` IRI pairs.
@@ -467,11 +494,16 @@ fn graceful_shutdown_persists_restorable_snapshots() {
     let (server, addr) = start(cfg());
 
     let id = create_session(&addr);
-    // One feedback episode so the persisted state differs from the input.
+    // Two feedback episodes so the persisted state differs from the input
+    // and holds an explored link.
     reject_wrong_link(&addr, &id);
+    approve_correct_link(&addr, &id);
     let before = session_state(&server, &id);
-    assert!(!before.0.iter().any(|(_, r)| r == "http://ny/person1"));
-    assert_eq!((before.2, before.3), (1, 1));
+    assert!(!before
+        .0
+        .contains(&("http://db/player0".into(), "http://ny/person1".into())));
+    assert_eq!((before.2, before.3), (2, 2));
+    let explained = explain_explored_link(&addr, &id);
 
     let written = server.shutdown();
     assert_eq!(written.len(), 1);
@@ -502,6 +534,7 @@ fn graceful_shutdown_persists_restorable_snapshots() {
     // and allocates ids past it.
     let (server, addr) = start(cfg());
     assert_eq!(session_state(&server, &id), before);
+    assert_eq!(explain_explored_link(&addr, &id), explained);
     assert_ne!(create_session(&addr), id);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -519,17 +552,20 @@ fn a_per_session_wal_survives_a_crash_without_server_wal() {
     let unlogged = create_session(&addr);
     let unlogged_at_creation = session_state(&server, &unlogged);
     reject_wrong_link(&addr, &logged);
+    approve_correct_link(&addr, &logged);
     reject_wrong_link(&addr, &unlogged);
     let before = session_state(&server, &logged);
-    assert_eq!((before.2, before.3), (1, 1));
+    assert_eq!((before.2, before.3), (2, 2));
+    let explained = explain_explored_link(&addr, &logged);
     assert_ne!(session_state(&server, &unlogged), unlogged_at_creation);
 
     // A crash: no shutdown path, so nothing is checkpointed.
     drop(server);
-    let (server, _) = start(cfg());
-    // The logged session replays its episode; the other comes back at its
-    // last checkpoint, taken when it was created.
+    let (server, addr) = start(cfg());
+    // The logged session replays its episodes; the other comes back at
+    // its last checkpoint, taken when it was created.
     assert_eq!(session_state(&server, &logged), before);
+    assert_eq!(explain_explored_link(&addr, &logged), explained);
     assert_eq!(session_state(&server, &unlogged), unlogged_at_creation);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
