@@ -128,10 +128,9 @@ pub struct AlexConfig {
     pub rollback_threshold: usize,
     /// Number of equal-size partitions (§6.2). Paper default: 27.
     pub partitions: usize,
-    /// Similarity configuration used when building feature sets. Not
-    /// serialized (it has no serde support by design); deserialized configs
-    /// get the default.
-    #[serde(skip)]
+    /// Similarity configuration used when building feature sets:
+    /// `{"numeric": "half_life" | "ratio"}`. Configs without it load the
+    /// default.
     pub sim: SimConfig,
     /// Worker threads for exploration-space construction and for running
     /// the partitions of each feedback episode (`0` = auto: honor

@@ -1175,6 +1175,57 @@ mod tests {
         assert_eq!(state(&with_trace), state(&plain));
     }
 
+    /// A session with the ratio numeric mode restores with it: the mode is
+    /// part of the snapshot, so the restored spaces are the original ones.
+    #[test]
+    fn numeric_mode_survives_the_snapshot() {
+        use alex_sim::{NumericSim, SimConfig};
+        let (mut left, mut right, truth) = world();
+        // Years 4 apart: the ratio mode scores them above θ, the default
+        // half-life mode below it.
+        let (born_l, born_r) = (left.intern_iri("l/born"), right.intern_iri("r/born"));
+        for i in 0..10 {
+            let l = left.intern_iri(&format!("http://l/e{i}"));
+            let r = right.intern_iri(&format!("http://r/e{i}"));
+            left.insert_literal(l, born_l, Literal::Integer(1900 + 10 * i));
+            right.insert_literal(r, born_r, Literal::Integer(1904 + 10 * i));
+        }
+        let fingerprints = |d: &AlexDriver| -> Vec<u64> {
+            d.engines()
+                .iter()
+                .map(|e| e.space().fingerprint())
+                .collect()
+        };
+        let initial: Vec<Link> = truth.iter().take(3).copied().collect();
+        let cfg = AlexConfig {
+            sim: SimConfig {
+                numeric: NumericSim::Ratio,
+            },
+            ..small_cfg()
+        };
+        let mut driver = AlexDriver::new(&left, &right, &initial, cfg).unwrap();
+        let default = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
+        assert_ne!(fingerprints(&driver), fingerprints(&default));
+        driver.run(&ExactOracle::new(truth.clone()), &truth);
+
+        let json = SessionSnapshot::capture(&driver, &left, &right).to_json();
+        assert!(json.contains(r#""sim":{"numeric":"ratio"}"#), "{json}");
+        let restored = SessionSnapshot::from_json(&json)
+            .unwrap()
+            .restore(&left, &right)
+            .unwrap();
+        assert_eq!(restored.config().sim, driver.config().sim);
+        assert_eq!(fingerprints(&restored), fingerprints(&driver));
+
+        // An unknown mode is a typed error; a config without `sim` loads
+        // the default.
+        let bad = json.replace(r#""numeric":"ratio""#, r#""numeric":"cosine""#);
+        assert!(SessionSnapshot::from_json(&bad).is_err());
+        let absent = json.replace(r#""sim":{"numeric":"ratio"},"#, "");
+        let back = SessionSnapshot::from_json(&absent).unwrap();
+        assert_eq!(back.config.sim, SimConfig::default());
+    }
+
     #[test]
     fn out_of_range_engine_references_are_errors() {
         let (left, right, truth) = world();

@@ -157,12 +157,12 @@ mod tests {
     use crate::ParisConfig;
     use alex_core::parallel::Executor;
     use alex_rdf::{Interner, Literal, Store};
-    use alex_sim::ValueTable;
+    use alex_sim::{SimConfig, ValueTable};
 
     /// One equivalence round from the uniform prior, then one estimate.
     fn one_round(left: &Store, right: &Store, pairs: Vec<(IriId, IriId)>) -> AlignmentTable {
         let cfg = ParisConfig::default();
-        let table = ValueTable::from_stores(cfg.sim, left, right);
+        let table = ValueTable::from_stores(SimConfig::default(), left, right);
         let evidence = Evidence::build(
             left,
             right,

@@ -79,8 +79,6 @@ pub struct ParisConfig {
     pub max_block_size: usize,
     /// Keep only mutually-best matches (both directions agree).
     pub mutual_best: bool,
-    /// Value similarity configuration.
-    pub sim: SimConfig,
     /// Worker threads (`0` = auto: honor `ALEX_THREADS`, else available
     /// parallelism). Output is bit-identical at every thread count.
     pub threads: usize,
@@ -94,7 +92,6 @@ impl Default for ParisConfig {
             initial_alignment: 0.1,
             max_block_size: 50,
             mutual_best: true,
-            sim: SimConfig::default(),
             threads: 0,
         }
     }
@@ -179,7 +176,7 @@ impl ParisLinker {
         let _span = alex_trace::span("paris.run");
         let cfg = &self.config;
         let executor = Executor::resolve(cfg.threads);
-        let table = ValueTable::from_stores(cfg.sim, left, right);
+        let table = ValueTable::from_stores(SimConfig::default(), left, right);
 
         let fun_left = functionality::FunctionalityTable::build(left);
         let fun_right = functionality::FunctionalityTable::build(right);

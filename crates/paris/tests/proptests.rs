@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use alex_core::parallel::Executor;
 use alex_paris::{blocking, functionality::FunctionalityTable, ParisConfig, ParisLinker};
 use alex_rdf::{Interner, IriId, Literal, Store};
-use alex_sim::ValueTable;
+use alex_sim::{SimConfig, ValueTable};
 use proptest::prelude::*;
 
 /// How a team's IRIs appear in the two stores, which decides the path an
@@ -336,7 +336,7 @@ mod reference {
     /// [`ParisLinker::run`]'s links and learned alignments, computed by
     /// the per-round loop.
     pub fn run(left: &Store, right: &Store, cfg: &ParisConfig) -> Bits {
-        let table = ValueTable::from_stores(cfg.sim, left, right);
+        let table = ValueTable::from_stores(SimConfig::default(), left, right);
         let fun_left = FunctionalityTable::build(left);
         let fun_right = FunctionalityTable::build(right);
         let pairs = candidate_pairs(left, right, cfg.max_block_size);

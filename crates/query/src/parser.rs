@@ -41,12 +41,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of `(` and `!` a filter may have. Each level is a few
+/// stack frames, so an unbounded `((((…` would overflow the stack.
+const MAX_FILTER_DEPTH: usize = 64;
+
 /// Parses one query.
 pub fn parse(input: &str) -> Result<Query, ParseError> {
     Parser {
         input,
         pos: 0,
         prefixes: HashMap::new(),
+        depth: 0,
     }
     .parse_query()
 }
@@ -55,6 +60,8 @@ struct Parser<'a> {
     input: &'a str,
     pos: usize,
     prefixes: HashMap<String, String>,
+    /// Filter nesting of the expression being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -85,10 +92,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances past the longest prefix of the rest whose chars satisfy
+    /// `keep`, one whole char at a time.
+    fn skip_while(&mut self, keep: impl Fn(char) -> bool) {
+        let r = self.rest();
+        self.pos += r.find(|c: char| !keep(c)).unwrap_or(r.len());
+    }
+
     fn eat_keyword(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let r = self.rest();
-        if r.len() >= kw.len() && r[..kw.len()].eq_ignore_ascii_case(kw) {
+        // Compare bytes: `r[..kw.len()]` may end inside a multi-byte char.
+        // An ASCII keyword only matches ASCII bytes, so a match ends on a
+        // char boundary.
+        let head = r.as_bytes().get(..kw.len());
+        if head.is_some_and(|h| h.eq_ignore_ascii_case(kw.as_bytes())) {
             // Keywords must not run into identifier characters.
             let after = r[kw.len()..].chars().next();
             if after.is_none_or(|c| !c.is_alphanumeric() && c != '_') {
@@ -323,21 +341,12 @@ impl<'a> Parser<'a> {
     fn parse_prefix(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
         let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '-')
-        {
-            self.pos += 1;
-        }
+        self.skip_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
         let name = self.input[start..self.pos].to_owned();
         self.expect_symbol(":")?;
         self.expect_symbol("<")?;
         let iri_start = self.pos;
-        while self.rest().chars().next().is_some_and(|c| c != '>') {
-            self.pos += 1;
-        }
+        self.skip_while(|c| c != '>');
         let iri = self.input[iri_start..self.pos].to_owned();
         self.expect_symbol(">")?;
         self.prefixes.insert(name, iri);
@@ -351,14 +360,7 @@ impl<'a> Parser<'a> {
         }
         self.pos += 1;
         let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_')
-        {
-            self.pos += 1;
-        }
+        self.skip_while(|c| c.is_alphanumeric() || c == '_');
         if self.pos == start {
             return Err(self.err("empty variable name"));
         }
@@ -374,9 +376,7 @@ impl<'a> Parser<'a> {
         if r.starts_with('<') {
             self.pos += 1;
             let start = self.pos;
-            while self.rest().chars().next().is_some_and(|c| c != '>') {
-                self.pos += 1;
-            }
+            self.skip_while(|c| c != '>');
             let iri = self.input[start..self.pos].to_owned();
             self.expect_symbol(">")?;
             return Ok(PatternTerm::Iri(iri));
@@ -398,26 +398,12 @@ impl<'a> Parser<'a> {
         }
         // prefixed name: prefix:local
         let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '-')
-        {
-            self.pos += 1;
-        }
+        self.skip_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
         if self.rest().starts_with(':') {
             let prefix = self.input[start..self.pos].to_owned();
             self.pos += 1;
             let local_start = self.pos;
-            while self
-                .rest()
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.')
-            {
-                self.pos += 1;
-            }
+            self.skip_while(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.');
             let local = &self.input[local_start..self.pos];
             let base = self
                 .prefixes
@@ -457,14 +443,7 @@ impl<'a> Parser<'a> {
         if self.rest().starts_with('@') {
             self.pos += 1;
             let start = self.pos;
-            while self
-                .rest()
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '-')
-            {
-                self.pos += 1;
-            }
+            self.skip_while(|c| c.is_ascii_alphanumeric() || c == '-');
             let lang = self.input[start..self.pos].to_ascii_lowercase();
             if lang.is_empty() {
                 return Err(self.err("empty language tag"));
@@ -537,14 +516,7 @@ impl<'a> Parser<'a> {
     fn parse_unsigned(&mut self) -> Result<usize, ParseError> {
         self.skip_ws();
         let start = self.pos;
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_digit())
-        {
-            self.pos += 1;
-        }
+        self.skip_while(|c| c.is_ascii_digit());
         self.input[start..self.pos]
             .parse()
             .map_err(|_| self.err("expected unsigned integer"))
@@ -569,6 +541,16 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_unary_expr(&mut self) -> Result<FilterExpr, ParseError> {
+        if self.depth == MAX_FILTER_DEPTH {
+            return Err(self.err("filter nested too deeply"));
+        }
+        self.depth += 1;
+        let expr = self.parse_unary_operand();
+        self.depth -= 1;
+        expr
+    }
+
+    fn parse_unary_operand(&mut self) -> Result<FilterExpr, ParseError> {
         self.skip_ws();
         if self.rest().starts_with('!') && !self.rest().starts_with("!=") {
             self.pos += 1;

@@ -21,6 +21,10 @@ use crate::store::Store;
 use crate::term::{IriId, Literal, Term, Triple};
 use crate::vocab;
 
+/// Deepest nesting of `[ … ]` property lists. Each level is a few stack
+/// frames, so unbounded `[ p [ p [ …` would overflow the stack.
+const MAX_BLANK_DEPTH: usize = 64;
+
 /// Parses a Turtle document into `store`. Returns the number of *new*
 /// triples inserted.
 pub fn read_str(input: &str, store: &mut Store) -> crate::Result<usize> {
@@ -31,6 +35,7 @@ pub fn read_str(input: &str, store: &mut Store) -> crate::Result<usize> {
         base: String::new(),
         prefixes: std::collections::HashMap::new(),
         blank_counter: 0,
+        blank_depth: 0,
         inserted: 0,
     };
     p.parse_document(store)?;
@@ -44,6 +49,8 @@ struct TurtleParser<'a> {
     base: String,
     prefixes: std::collections::HashMap<String, String>,
     blank_counter: usize,
+    /// `[ … ]` lists open around the current position.
+    blank_depth: usize,
     inserted: usize,
 }
 
@@ -119,7 +126,11 @@ impl<'a> TurtleParser<'a> {
     fn eat_keyword_ci(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let r = self.rest();
-        if r.len() >= kw.len() && r[..kw.len()].eq_ignore_ascii_case(kw) {
+        // Compare bytes: `r[..kw.len()]` may end inside a multi-byte char.
+        // An ASCII keyword only matches ASCII bytes, so a match ends on a
+        // char boundary.
+        let head = r.as_bytes().get(..kw.len());
+        if head.is_some_and(|h| h.eq_ignore_ascii_case(kw.as_bytes())) {
             let next = r[kw.len()..].chars().next();
             if next.is_none_or(|c| c.is_whitespace() || c == '<' || c == ':') {
                 self.pos += kw.len();
@@ -230,11 +241,17 @@ impl<'a> TurtleParser<'a> {
     /// property list.
     fn parse_anon_blank(&mut self, store: &mut Store) -> crate::Result<IriId> {
         self.expect('[')?;
+        if self.blank_depth == MAX_BLANK_DEPTH {
+            return Err(self.err("blank node property lists nested too deeply"));
+        }
         self.blank_counter += 1;
         let node = store.intern_iri(&format!("_:anon{}", self.blank_counter));
         self.skip_ws();
         if self.peek() != Some(']') {
-            self.parse_predicate_object_list(node, store)?;
+            self.blank_depth += 1;
+            let list = self.parse_predicate_object_list(node, store);
+            self.blank_depth -= 1;
+            list?;
         }
         self.expect(']')?;
         Ok(node)

@@ -6,14 +6,14 @@
 //! depends on the type of the attributes to be compared (string, integer,
 //! float, date, etc.)". This crate is that function:
 //!
-//! * [`string`] — edit-distance and token-based string metrics
-//!   (normalized Levenshtein on a bit-parallel kernel, Jaro, Jaro-Winkler,
-//!   token Jaccard, trigram Jaccard);
-//! * [`numeric`] — ratio similarity for numbers and a distance-decay
+//! * [`string`] — the two string metrics the similarity combines:
+//!   normalized Levenshtein (on a bit-parallel kernel) and token Jaccard;
+//! * [`numeric`] — ratio and half-life similarity for numbers and a distance-decay
 //!   similarity for calendar dates;
 //! * [`value_similarity`] — the type-dispatching function over RDF
-//!   [`alex_rdf::Term`]s, configurable via [`SimConfig`], and the
-//!   reference the table below is tested against;
+//!   [`alex_rdf::Term`]s, and the reference the table below is tested
+//!   against. Strings score `max(Levenshtein, TokenJaccard)`,
+//!   case-insensitively; [`SimConfig`] picks only the numeric mode;
 //! * [`ValueTable`] — a read-only table built once per pipeline from the
 //!   values of both stores: dense ids, string forms computed once per
 //!   distinct string, and lock-free scoring equal to [`value_similarity`]
@@ -33,4 +33,4 @@ mod table;
 mod value;
 
 pub use table::{CacheStats, Scorer, ValueId, ValueTable};
-pub use value::{iri_local_name, value_similarity, NumericSim, SimConfig, StringMetric};
+pub use value::{iri_local_name, value_similarity, NumericSim, SimConfig};

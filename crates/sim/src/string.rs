@@ -1,8 +1,8 @@
-//! String similarity metrics, all normalized to `[0, 1]`.
+//! The two string metrics the value similarity combines, normalized
+//! Levenshtein and token Jaccard, both normalized to `[0, 1]`.
 //!
-//! All metrics operate on Unicode scalar values (not bytes), compare
-//! case-insensitively where noted, and cost `O(|a|·|b|)` or better — fine
-//! for attribute values, which are short.
+//! Both operate on Unicode scalar values (not bytes) and cost
+//! `O(|a|·|b|)` or better — fine for attribute values, which are short.
 
 /// Levenshtein edit distance between two strings, counted over chars.
 pub fn levenshtein(a: &str, b: &str) -> usize {
@@ -121,76 +121,6 @@ pub fn levenshtein_similarity_chars(a: &[char], b: &[char]) -> f64 {
     1.0 - levenshtein_chars(a, b) as f64 / max_len as f64
 }
 
-/// Jaro similarity, in `[0, 1]`.
-pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    jaro_chars(&a, &b)
-}
-
-/// [`jaro`] over pre-collected char slices.
-pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_taken = vec![false; b.len()];
-    let mut matches: Vec<char> = Vec::new();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_taken[j] && b[j] == ca {
-                b_taken[j] = true;
-                matches.push(ca);
-                break;
-            }
-        }
-    }
-    let m = matches.len();
-    if m == 0 {
-        return 0.0;
-    }
-    // Transpositions: compare matched sequences in order.
-    let b_matches: Vec<char> = b
-        .iter()
-        .zip(&b_taken)
-        .filter(|(_, &t)| t)
-        .map(|(&c, _)| c)
-        .collect();
-    let t = matches
-        .iter()
-        .zip(&b_matches)
-        .filter(|(x, y)| x != y)
-        .count() as f64
-        / 2.0;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
-}
-
-/// Jaro-Winkler similarity with the standard prefix scale `p = 0.1` and a
-/// prefix cap of 4, in `[0, 1]`.
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    jaro_winkler_chars(&a, &b)
-}
-
-/// [`jaro_winkler`] over pre-collected char slices.
-pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
-    let j = jaro_chars(a, b);
-    let prefix = a
-        .iter()
-        .zip(b.iter())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
-    (j + prefix * 0.1 * (1.0 - j)).min(1.0)
-}
-
 /// Splits a string into lowercase alphanumeric tokens.
 pub fn tokens(s: &str) -> Vec<String> {
     s.split(|c: char| !c.is_alphanumeric())
@@ -245,94 +175,6 @@ pub fn token_jaccard_sorted<T: Ord>(ta: &[T], tb: &[T]) -> f64 {
     }
 }
 
-/// The sorted, deduplicated trigram set of a string (lowercased, with
-/// `^`/`$` padding) — the precomputed form [`trigram_jaccard_sorted`]
-/// consumes.
-pub fn trigram_set(s: &str) -> Vec<[char; 3]> {
-    let padded: Vec<char> = std::iter::once('^')
-        .chain(s.to_lowercase().chars())
-        .chain(std::iter::once('$'))
-        .collect();
-    let mut grams: Vec<[char; 3]> = padded.windows(3).map(|w| [w[0], w[1], w[2]]).collect();
-    grams.sort_unstable();
-    grams.dedup();
-    grams
-}
-
-/// Jaccard similarity over lowercase character trigrams (with `^`/`$`
-/// padding so short strings still produce grams).
-pub fn trigram_jaccard(a: &str, b: &str) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    trigram_jaccard_sorted(&trigram_set(a), &trigram_set(b))
-}
-
-/// [`trigram_jaccard`] over precomputed trigram sets of two **non-empty**
-/// strings (the empty-string cases are decided on the raw strings before
-/// grams exist; callers with precomputed forms handle them the same way).
-pub fn trigram_jaccard_sorted(ga: &[[char; 3]], gb: &[[char; 3]]) -> f64 {
-    let mut inter = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ga.len() && j < gb.len() {
-        match ga[i].cmp(&gb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = ga.len() + gb.len() - inter;
-    if union == 0 {
-        1.0
-    } else {
-        inter as f64 / union as f64
-    }
-}
-
-/// Monge-Elkan similarity: for each token of the shorter side, take its
-/// best match (by normalized Levenshtein) among the other side's tokens,
-/// and average. Symmetrized by evaluating both directions and taking the
-/// mean. Strong on multi-token names where individual tokens carry typos.
-pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    monge_elkan_tokens(&token_chars(a), &token_chars(b))
-}
-
-/// The chars of each of [`tokens`], in order — the precomputed form
-/// [`monge_elkan_tokens`] consumes.
-pub fn token_chars(s: &str) -> Vec<Vec<char>> {
-    tokens(s).iter().map(|t| t.chars().collect()).collect()
-}
-
-/// [`monge_elkan`] over precomputed *ordered* token char lists
-/// (duplicates preserved — the directed averages weight repeated tokens).
-pub fn monge_elkan_tokens<T: AsRef<[char]>>(ta: &[T], tb: &[T]) -> f64 {
-    if ta.is_empty() && tb.is_empty() {
-        return 1.0;
-    }
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-    fn directed<T: AsRef<[char]>>(xs: &[T], ys: &[T]) -> f64 {
-        let total: f64 = xs
-            .iter()
-            .map(|x| {
-                ys.iter()
-                    .map(|y| levenshtein_similarity_chars(x.as_ref(), y.as_ref()))
-                    .fold(0.0f64, f64::max)
-            })
-            .sum();
-        total / xs.len() as f64
-    }
-    (directed(ta, tb) + directed(tb, ta)) / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,24 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn jaro_known_values() {
-        close(jaro("martha", "marhta"), 0.944_444_444_444_444_4);
-        close(jaro("dixon", "dicksonx"), 0.766_666_666_666_666_7);
-        close(jaro("", ""), 1.0);
-        close(jaro("a", ""), 0.0);
-        close(jaro("abc", "abc"), 1.0);
-        close(jaro("abc", "xyz"), 0.0);
-    }
-
-    #[test]
-    fn jaro_winkler_known_values() {
-        close(jaro_winkler("martha", "marhta"), 0.961_111_111_111_111_1);
-        close(jaro_winkler("dixon", "dicksonx"), 0.813_333_333_333_333_3);
-        // Prefix bonus never exceeds 1.
-        close(jaro_winkler("same", "same"), 1.0);
-    }
-
-    #[test]
     fn tokenization() {
         assert_eq!(
             tokens("LeBron James, 2013 NBA-MVP!"),
@@ -410,24 +234,6 @@ mod tests {
         close(token_jaccard("", ""), 1.0);
         close(token_jaccard("a", ""), 0.0);
         close(token_jaccard("...", "..."), 1.0); // both tokenless
-    }
-
-    #[test]
-    fn monge_elkan_behaviour() {
-        close(monge_elkan("LeBron James", "lebron james"), 1.0);
-        // Per-token typo: stays high where token jaccard collapses.
-        let me = monge_elkan("lebrn james", "lebron james");
-        assert!(me > 0.85, "{me}");
-        assert!(token_jaccard("lebrn james", "lebron james") < 0.5);
-        // Unrelated names score low.
-        assert!(monge_elkan("prandel korth", "zyx wvu") < 0.5);
-        close(monge_elkan("", ""), 1.0);
-        close(monge_elkan("a", ""), 0.0);
-        // Symmetric.
-        close(
-            monge_elkan("alpha beta gamma", "beta alpha"),
-            monge_elkan("beta alpha", "alpha beta gamma"),
-        );
     }
 
     #[test]
@@ -447,34 +253,9 @@ mod tests {
                 levenshtein_similarity_chars(&ca, &cb).to_bits()
             );
             assert_eq!(
-                jaro_winkler(a, b).to_bits(),
-                jaro_winkler_chars(&ca, &cb).to_bits()
-            );
-            assert_eq!(
                 token_jaccard(a, b).to_bits(),
                 token_jaccard_sorted(&token_set(a), &token_set(b)).to_bits()
             );
-            assert_eq!(
-                monge_elkan(a, b).to_bits(),
-                monge_elkan_tokens(&token_chars(a), &token_chars(b)).to_bits()
-            );
-            if !a.is_empty() && !b.is_empty() {
-                assert_eq!(
-                    trigram_jaccard(a, b).to_bits(),
-                    trigram_jaccard_sorted(&trigram_set(a), &trigram_set(b)).to_bits()
-                );
-            }
         }
-    }
-
-    #[test]
-    fn trigram_jaccard_behaviour() {
-        close(trigram_jaccard("abc", "abc"), 1.0);
-        assert!(trigram_jaccard("night", "nacht") > 0.0);
-        assert!(trigram_jaccard("night", "nacht") < 0.5);
-        close(trigram_jaccard("", ""), 1.0);
-        close(trigram_jaccard("", "x"), 0.0);
-        // Case-insensitive.
-        close(trigram_jaccard("ABC", "abc"), 1.0);
     }
 }

@@ -8,7 +8,7 @@
 //! local name or lexical form, its numeric parse, the lowercase chars, the
 //! sorted token ids — are computed once per distinct string. A similarity
 //! evaluation is then a pure function of two ids over immutable data: no
-//! lock, no allocation on the default metric, and no per-pair state.
+//! lock, no allocation, and no per-pair state.
 //!
 //! Ids are assigned in ascending [`Term`] order, so the canonical
 //! `(min, max)` order of two ids is the canonical order of their terms,
@@ -24,8 +24,8 @@ use alex_rdf::{Entity, Interner, IriId, Literal, Store, Term};
 
 use crate::numeric::date_similarity;
 use crate::string;
-use crate::value::numeric_sim;
-use crate::{SimConfig, StringMetric};
+use crate::value::{numeric_sim, DATE_HALF_LIFE_DAYS};
+use crate::SimConfig;
 
 /// Dense id of a value in a [`ValueTable`].
 pub type ValueId = u32;
@@ -64,59 +64,36 @@ struct Value {
     form: u32,
 }
 
-/// The precomputed forms of one distinct string; forms the configured
-/// metric does not read stay empty.
-#[derive(Debug, Default)]
+/// The precomputed forms of one distinct string.
+#[derive(Debug)]
 struct Form {
     /// `raw.trim().parse::<f64>()`, the numeric shortcut of string comparison.
     numeric: Option<f64>,
-    /// Whether the raw string is empty (trigram metrics decide empties up front).
-    empty: bool,
-    /// Chars of the lowercased string (edit-distance metrics).
+    /// Chars of the lowercased string (Levenshtein).
     chars: Box<[char]>,
     /// Sorted, deduplicated lowercase token ids (token Jaccard).
     token_set: Box<[u32]>,
-    /// Chars of each lowercase token, in order, duplicates kept (Monge-Elkan).
-    tokens: Vec<Vec<char>>,
-    /// Sorted, deduplicated padded trigrams (trigram Jaccard).
-    trigrams: Box<[[char; 3]]>,
 }
 
 impl Form {
-    fn build(raw: &str, metric: StringMetric, token_ids: &mut HashMap<String, u32>) -> Self {
+    fn build(raw: &str, token_ids: &mut HashMap<String, u32>) -> Self {
         let lower = raw.to_lowercase();
-        let mut form = Form {
+        // Token ids are first-seen order, not string order; Jaccard only
+        // counts the intersection, which any consistent order gives.
+        let mut ids: Vec<u32> = string::tokens(&lower)
+            .into_iter()
+            .map(|t| {
+                let next = u32::try_from(token_ids.len()).expect("token ids fit in u32");
+                *token_ids.entry(t).or_insert(next)
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        Form {
             numeric: raw.trim().parse::<f64>().ok(),
-            empty: raw.is_empty(),
-            ..Form::default()
-        };
-        if matches!(
-            metric,
-            StringMetric::Levenshtein | StringMetric::JaroWinkler | StringMetric::Hybrid
-        ) {
-            form.chars = lower.chars().collect();
+            chars: lower.chars().collect(),
+            token_set: ids.into(),
         }
-        if matches!(metric, StringMetric::TokenJaccard | StringMetric::Hybrid) {
-            // Token ids are first-seen order, not string order; Jaccard only
-            // counts the intersection, which any consistent order gives.
-            let mut ids: Vec<u32> = string::tokens(&lower)
-                .into_iter()
-                .map(|t| {
-                    let next = u32::try_from(token_ids.len()).expect("token ids fit in u32");
-                    *token_ids.entry(t).or_insert(next)
-                })
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            form.token_set = ids.into();
-        }
-        if metric == StringMetric::MongeElkan {
-            form.tokens = string::token_chars(&lower);
-        }
-        if metric == StringMetric::TrigramJaccard {
-            form.trigrams = string::trigram_set(&lower).into();
-        }
-        form
     }
 }
 
@@ -175,7 +152,7 @@ impl ValueTable {
                     }
                 };
                 let form = *form_ids.entry(raw).or_insert_with_key(|raw| {
-                    forms.push(Form::build(raw, cfg.string_metric, &mut token_ids));
+                    forms.push(Form::build(raw, &mut token_ids));
                     u32::try_from(forms.len() - 1).expect("forms fit in u32")
                 });
                 Value { kind, form }
@@ -250,10 +227,8 @@ impl ValueTable {
             (Kind::Iri, Kind::Iri) | (Kind::Text, Kind::Text) => self.string_sim(x.form, y.form),
             // IRI vs literal compares local name with lexical form; a string
             // vs another literal family compares lexical forms. In canonical
-            // order the IRI always comes first. Without coercion both score 0.
-            (Kind::Iri, _) | (_, Kind::Iri) | (Kind::Text, _) | (_, Kind::Text)
-                if self.cfg.coerce_lexical =>
-            {
+            // order the IRI always comes first.
+            (Kind::Iri, _) | (_, Kind::Iri) | (Kind::Text, _) | (_, Kind::Text) => {
                 self.string_sim(x.form, y.form)
             }
             (Kind::Int(p), Kind::Int(q)) => numeric_sim(&self.cfg, p as f64, q as f64),
@@ -261,15 +236,16 @@ impl ValueTable {
                 numeric_sim(&self.cfg, p as f64, q)
             }
             (Kind::Float(p), Kind::Float(q)) => numeric_sim(&self.cfg, p, q),
-            (Kind::Date(p), Kind::Date(q)) => date_similarity(p, q, self.cfg.date_half_life_days),
+            (Kind::Date(p), Kind::Date(q)) => date_similarity(p, q, DATE_HALF_LIFE_DAYS),
             (Kind::Bool(p), Kind::Bool(q)) if p == q => 1.0,
             _ => 0.0,
         }
     }
 
     /// String comparison over two forms: equality (equal forms share an
-    /// index), the numeric shortcut, then the configured metric on the
-    /// lowercased forms — the decision ladder of the plain string path.
+    /// index), the numeric shortcut, then `max(Levenshtein, TokenJaccard)`
+    /// on the lowercased forms — the decision ladder of the plain string
+    /// path.
     fn string_sim(&self, fa: u32, fb: u32) -> f64 {
         if fa == fb {
             return 1.0;
@@ -278,23 +254,8 @@ impl ValueTable {
         if let (Some(x), Some(y)) = (a.numeric, b.numeric) {
             return numeric_sim(&self.cfg, x, y);
         }
-        match self.cfg.string_metric {
-            StringMetric::Levenshtein => string::levenshtein_similarity_chars(&a.chars, &b.chars),
-            StringMetric::JaroWinkler => string::jaro_winkler_chars(&a.chars, &b.chars),
-            StringMetric::TokenJaccard => string::token_jaccard_sorted(&a.token_set, &b.token_set),
-            StringMetric::TrigramJaccard => {
-                if a.empty && b.empty {
-                    1.0
-                } else if a.empty || b.empty {
-                    0.0
-                } else {
-                    string::trigram_jaccard_sorted(&a.trigrams, &b.trigrams)
-                }
-            }
-            StringMetric::MongeElkan => string::monge_elkan_tokens(&a.tokens, &b.tokens),
-            StringMetric::Hybrid => string::levenshtein_similarity_chars(&a.chars, &b.chars)
-                .max(string::token_jaccard_sorted(&a.token_set, &b.token_set)),
-        }
+        string::levenshtein_similarity_chars(&a.chars, &b.chars)
+            .max(string::token_jaccard_sorted(&a.token_set, &b.token_set))
     }
 }
 
@@ -334,15 +295,6 @@ mod tests {
     use super::*;
     use crate::{value_similarity, NumericSim};
     use alex_rdf::{Date, IriId};
-
-    const METRICS: [StringMetric; 6] = [
-        StringMetric::Levenshtein,
-        StringMetric::JaroWinkler,
-        StringMetric::TokenJaccard,
-        StringMetric::TrigramJaccard,
-        StringMetric::MongeElkan,
-        StringMetric::Hybrid,
-    ];
 
     /// Every term kind, plus strings that reach the numeric shortcut, the
     /// empty-string cases, non-ASCII chars and the >64-char edit-distance
@@ -397,26 +349,12 @@ mod tests {
         out
     }
 
-    fn configs() -> Vec<SimConfig> {
-        let mut out = Vec::new();
-        for string_metric in METRICS {
-            for numeric in [NumericSim::Ratio, NumericSim::HalfLife] {
-                for coerce_lexical in [true, false] {
-                    out.push(SimConfig {
-                        string_metric,
-                        numeric,
-                        coerce_lexical,
-                        ..SimConfig::default()
-                    });
-                }
-            }
-        }
-        out
+    fn configs() -> [SimConfig; 2] {
+        [NumericSim::Ratio, NumericSim::HalfLife].map(|numeric| SimConfig { numeric })
     }
 
     /// The table score equals the plain function on the canonical order,
-    /// for every metric, numeric mode and coercion setting, over every
-    /// pair of term kinds.
+    /// for both numeric modes, over every pair of term kinds.
     #[test]
     fn table_matches_value_similarity_in_canonical_order() {
         let interner = Interner::new_shared();

@@ -1,49 +1,17 @@
 //! The type-dispatching value similarity function (paper §4.1).
 
 use alex_rdf::{Interner, Literal, Term};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::numeric::{date_similarity, half_life_similarity, numeric_similarity};
 use crate::string;
 
-/// Which string metric [`value_similarity`] uses for string-ish values.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum StringMetric {
-    /// Normalized Levenshtein similarity.
-    Levenshtein,
-    /// Jaro-Winkler similarity.
-    JaroWinkler,
-    /// Jaccard over lowercase tokens.
-    TokenJaccard,
-    /// Jaccard over character trigrams.
-    TrigramJaccard,
-    /// Symmetrized Monge-Elkan over tokens (best-match token averaging).
-    MongeElkan,
-    /// `max(Levenshtein, TokenJaccard)` — robust to both typos (edit
-    /// distance stays high) and word reorderings (token overlap stays
-    /// high), the two dominant noise modes in linked-data labels, while
-    /// unrelated strings score low on *both* components and are θ-filtered.
-    /// (Jaro-Winkler is deliberately not part of the default: it rarely
-    /// drops below ~0.5 even for unrelated same-length strings, which
-    /// would defeat the paper's θ-filter.)
-    #[default]
-    Hybrid,
-}
+/// Half-difference of the `HalfLife` numeric mode: numbers this far apart
+/// score 0.5.
+const NUMERIC_HALF_DIFF: f64 = 2.0;
 
-impl StringMetric {
-    /// Applies the metric to two strings.
-    pub fn apply(self, a: &str, b: &str) -> f64 {
-        match self {
-            StringMetric::Levenshtein => string::levenshtein_similarity(a, b),
-            StringMetric::JaroWinkler => string::jaro_winkler(a, b),
-            StringMetric::TokenJaccard => string::token_jaccard(a, b),
-            StringMetric::TrigramJaccard => string::trigram_jaccard(a, b),
-            StringMetric::MongeElkan => string::monge_elkan(a, b),
-            StringMetric::Hybrid => {
-                string::levenshtein_similarity(a, b).max(string::token_jaccard(a, b))
-            }
-        }
-    }
-}
+/// Half-life, in days, of the date-similarity decay.
+pub(crate) const DATE_HALF_LIFE_DAYS: f64 = 365.0;
 
 /// Which numeric comparison [`value_similarity`] uses.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -51,46 +19,57 @@ pub enum NumericSim {
     /// Scale-relative ratio similarity (`1 − |a−b| / max(|a|,|b|)`). Good
     /// for measurements; useless for identifiers like years.
     Ratio,
-    /// Difference-relative exponential decay with the given half-difference
-    /// (see [`crate::numeric::half_life_similarity`]). The default, with a
-    /// half-difference of 2.0 — sharp enough that most numeric attribute
-    /// pairs fall below the paper's θ = 0.3 filter, as §6.1 requires.
+    /// Difference-relative exponential decay with a half-difference of 2.0
+    /// (see [`crate::numeric::half_life_similarity`]). The default: sharp
+    /// enough that most numeric attribute pairs fall below the paper's
+    /// θ = 0.3 filter, as §6.1 requires.
     #[default]
     HalfLife,
 }
 
-/// Configuration for [`value_similarity`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SimConfig {
-    /// Metric used for string-vs-string comparisons.
-    pub string_metric: StringMetric,
-    /// Numeric comparison mode.
-    pub numeric: NumericSim,
-    /// Half-difference of the `HalfLife` numeric mode.
-    pub numeric_half_diff: f64,
-    /// Half-life (days) of the date-similarity decay.
-    pub date_half_life_days: f64,
-    /// Whether to compare string literals against the lexical form of
-    /// non-string literals (useful because real knowledge bases frequently
-    /// store numbers and dates as plain strings on one side).
-    pub coerce_lexical: bool,
+/// Serialized as `"ratio"` or `"half_life"`.
+impl Serialize for NumericSim {
+    fn to_value(&self) -> Value {
+        let name = match self {
+            NumericSim::Ratio => "ratio",
+            NumericSim::HalfLife => "half_life",
+        };
+        Value::String(name.to_owned())
+    }
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self {
-            string_metric: StringMetric::default(),
-            numeric: NumericSim::default(),
-            numeric_half_diff: 2.0,
-            date_half_life_days: 365.0,
-            coerce_lexical: true,
+impl Deserialize for NumericSim {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        match v.as_str() {
+            Some("ratio") => Ok(NumericSim::Ratio),
+            Some("half_life") => Ok(NumericSim::HalfLife),
+            _ => Err(serde::Error::new(format!(
+                "expected \"ratio\" or \"half_life\", got {}",
+                v.to_json_string(false)
+            ))),
         }
     }
 }
 
-/// Case-insensitive string comparison entry point used for all string-ish
-/// pairs (lowercasing first makes every configured metric case-insensitive,
-/// matching how links in LOD ground truths treat labels).
+/// Configuration for [`value_similarity`]: the numeric mode, the one
+/// setting an experiment varies (the ablation's D1 row runs `Ratio`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
+pub struct SimConfig {
+    /// Numeric comparison mode.
+    pub numeric: NumericSim,
+}
+
+/// Case-insensitive string comparison, used for all string-ish pairs:
+/// equal strings score 1, numbers written as strings compare numerically,
+/// and anything else scores `max(Levenshtein, TokenJaccard)` over the
+/// lowercased strings.
+///
+/// The maximum is robust to both typos (edit distance stays high) and
+/// word reorderings (token overlap stays high), the two dominant noise
+/// modes in linked-data labels, while unrelated strings score low on
+/// *both* components and are θ-filtered. Lowercasing matches how links
+/// in LOD ground truths treat labels.
 pub(crate) fn string_sim(cfg: &SimConfig, a: &str, b: &str) -> f64 {
     if a == b {
         return 1.0;
@@ -102,7 +81,7 @@ pub(crate) fn string_sim(cfg: &SimConfig, a: &str, b: &str) -> f64 {
         return numeric_sim(cfg, x, y);
     }
     let (a, b) = (a.to_lowercase(), b.to_lowercase());
-    cfg.string_metric.apply(&a, &b)
+    string::levenshtein_similarity(&a, &b).max(string::token_jaccard(&a, &b))
 }
 
 /// Extracts the "local name" of an IRI: the segment after the last `#` or
@@ -120,14 +99,16 @@ pub fn iri_local_name(iri: &str) -> &str {
 /// * IRI vs IRI — `1.0` on identity, otherwise string similarity of the
 ///   local names (resources with equal local names in different namespaces
 ///   are *similar*, not equal).
-/// * string vs string (plain or language-tagged) — the configured metric,
-///   case-insensitive.
+/// * string vs string (plain or language-tagged) — case-insensitive
+///   `max(Levenshtein, TokenJaccard)`, with a numeric shortcut for numbers
+///   written as strings.
 /// * integer/float vs integer/float — the configured numeric mode
 ///   (difference-relative half-life decay by default).
-/// * date vs date — exponential day-distance decay.
+/// * date vs date — exponential day-distance decay (half-life 365 days).
 /// * boolean vs boolean — exact.
-/// * string vs any literal (when [`SimConfig::coerce_lexical`]) — the
-///   configured metric over lexical forms.
+/// * string vs any literal, and IRI vs literal — string similarity over
+///   lexical forms (real knowledge bases often store numbers, dates and
+///   resources as plain strings on one side).
 /// * anything else — `0.0`.
 pub fn value_similarity(a: &Term, b: &Term, interner: &Interner, cfg: &SimConfig) -> f64 {
     match (a, b) {
@@ -141,17 +122,13 @@ pub fn value_similarity(a: &Term, b: &Term, interner: &Interner, cfg: &SimConfig
             }
         }
         (Term::Literal(x), Term::Literal(y)) => literal_similarity(x, y, interner, cfg),
-        // IRI vs literal: compare local name against lexical form when
-        // coercion is on; heterogeneous KBs often use a string where the
-        // other uses a resource.
+        // IRI vs literal: compare local name against lexical form;
+        // heterogeneous KBs often use a string where the other uses a
+        // resource.
         (Term::Iri(x), Term::Literal(y)) | (Term::Literal(y), Term::Iri(x)) => {
-            if cfg.coerce_lexical {
-                let sx = interner.resolve(x.0);
-                let sy = y.lexical(interner);
-                string_sim(cfg, iri_local_name(&sx), &sy)
-            } else {
-                0.0
-            }
+            let sx = interner.resolve(x.0);
+            let sy = y.lexical(interner);
+            string_sim(cfg, iri_local_name(&sx), &sy)
         }
     }
 }
@@ -159,7 +136,7 @@ pub fn value_similarity(a: &Term, b: &Term, interner: &Interner, cfg: &SimConfig
 pub(crate) fn numeric_sim(cfg: &SimConfig, a: f64, b: f64) -> f64 {
     match cfg.numeric {
         NumericSim::Ratio => numeric_similarity(a, b),
-        NumericSim::HalfLife => half_life_similarity(a, b, cfg.numeric_half_diff),
+        NumericSim::HalfLife => half_life_similarity(a, b, NUMERIC_HALF_DIFF),
     }
 }
 
@@ -185,7 +162,7 @@ fn literal_similarity(a: &Literal, b: &Literal, interner: &Interner, cfg: &SimCo
         (Integer(x), Integer(y)) => numeric_sim(cfg, *x as f64, *y as f64),
         (Integer(x), Float(y)) | (Float(y), Integer(x)) => numeric_sim(cfg, *x as f64, y.get()),
         (Float(x), Float(y)) => numeric_sim(cfg, x.get(), y.get()),
-        (Date(x), Date(y)) => date_similarity(*x, *y, cfg.date_half_life_days),
+        (Date(x), Date(y)) => date_similarity(*x, *y, DATE_HALF_LIFE_DAYS),
         (Boolean(x), Boolean(y)) => {
             if x == y {
                 1.0
@@ -193,10 +170,10 @@ fn literal_similarity(a: &Literal, b: &Literal, interner: &Interner, cfg: &SimCo
                 0.0
             }
         }
-        // Cross-family: coerce through lexical forms if configured.
+        // Cross-family: coerce through lexical forms when one side is a string.
         (x, y) => {
             let stringish = |l: &Literal| matches!(l, Str(_) | LangStr { .. });
-            if cfg.coerce_lexical && (stringish(x) || stringish(y)) {
+            if stringish(x) || stringish(y) {
                 string_sim(cfg, &x.lexical(interner), &y.lexical(interner))
             } else {
                 0.0
@@ -314,18 +291,16 @@ mod tests {
 
     #[test]
     fn lexical_coercion_bridges_types() {
-        let (i, mut cfg) = setup();
+        let (i, cfg) = setup();
         let n: Term = Literal::Integer(1984).into();
         let st = s(&i, "1984");
         assert_eq!(value_similarity(&n, &st, &i, &cfg), 1.0);
-        cfg.coerce_lexical = false;
-        assert_eq!(value_similarity(&n, &st, &i, &cfg), 0.0);
     }
 
     #[test]
     fn incompatible_without_coercion_anchor() {
         let (i, cfg) = setup();
-        // bool vs date: neither side is stringish, always 0 even with coercion.
+        // bool vs date: neither side is stringish, so no coercion applies.
         let b: Term = Literal::Boolean(true).into();
         let d: Term = Literal::Date(Date::new(2000, 1, 1).unwrap()).into();
         assert_eq!(value_similarity(&b, &d, &i, &cfg), 0.0);

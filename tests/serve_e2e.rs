@@ -605,6 +605,26 @@ fn boot_reserves_the_ids_of_sessions_it_cannot_recover() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A query the parser rejects is a 400 envelope, and the worker that read
+/// it lives on: with two workers, three non-ASCII queries (each of which
+/// once panicked the worker it reached) and one nested past the filter
+/// depth limit leave the server answering `/healthz` and valid queries.
+#[test]
+fn unparsable_queries_are_400s_and_workers_survive() {
+    let (server, addr) = start(local(|cfg| cfg.workers = 2));
+    let id = create_session(&addr);
+    let path = format!("/sessions/{id}/query");
+    let deep = format!("SELECT ?x WHERE {{ ?x ?p ?o FILTER({}", "(".repeat(100_000));
+    for query in ["lang ⽆", "lang ⽆", "lang ⽆", &deep] {
+        let (status, v) = http(&addr, "POST", &path, Some(&obj(vec![("query", s(query))])));
+        assert_eq!(status, 400, "{v:?}");
+        assert!(v.get("error").and_then(Value::as_str).is_some(), "{v:?}");
+    }
+    assert_eq!(http(&addr, "GET", "/healthz", None).0, 200);
+    assert_eq!(run_query(&addr, &id).len(), 2, "both links still answer");
+    server.shutdown();
+}
+
 #[test]
 fn protocol_probes_get_clean_errors() {
     let (server, addr) = start(local(|cfg| cfg.request_timeout = Duration::from_secs(2)));
