@@ -77,7 +77,8 @@ COMMANDS:
              reporting success.
     recover  Restore the sessions in a serve --state-dir and
              print what a restart would restore (repairing torn WAL
-             tails in place), without starting a server.
+             tails and rewriting unusable space files in place),
+             without starting a server.
     trace    Pretty-print a JSONL event log as a span tree (--input), or
              run a generated scenario and explain one link of the result
              (--explain <link|auto>) as the JSON GET

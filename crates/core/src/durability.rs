@@ -21,8 +21,10 @@
 //!
 //! **Boot cost.** Recovery loads the partition spaces from
 //! `spaces.alexspace` ([`crate::space_file`]) instead of rescoring every
-//! pair; a missing, damaged or stale file is diagnosed and the spaces are
-//! rebuilt, and nothing is written back. Sessions recover concurrently on
+//! pair; a missing, damaged or stale file is diagnosed, the spaces are
+//! rebuilt, and the rebuilt spaces are written back (a `*.tmp` sibling
+//! renamed over the file), so the next boot loads them. A failed write-back
+//! is only a warning. Sessions recover concurrently on
 //! a [`crate::parallel::Executor`] (`ALEX_THREADS=1` recovers them one
 //! after another) and come back in session-id order.
 //!
@@ -360,6 +362,29 @@ pub fn recover_state_dir(
     Ok(outcome)
 }
 
+/// Replaces the session's space file with its spaces: written to a
+/// `*.tmp` sibling and renamed over the file, so a reader never sees a
+/// half-written one. Like the file written at creation, it is not
+/// fsynced (see [`write_space_file`]).
+fn rewrite_space_file(dir: &Path, session: &LiveSession) -> std::io::Result<()> {
+    let path = dir.join(SPACE_FILE);
+    let tmp = path.with_extension("tmp");
+    let written = write_space_file(
+        &tmp,
+        &session.left,
+        &session.right,
+        session.driver.config(),
+        session.driver.engines().iter().map(|e| e.space()),
+    );
+    match written.and_then(|()| std::fs::rename(&tmp, &path)) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}
+
 /// Rebuilds one session from its directory. See [`recover_state_dir`].
 pub fn recover_session(
     root: &Path,
@@ -410,6 +435,14 @@ pub fn recover_session(
     drop(restore_span);
     let mut session = LiveSession::new(left, right, driver);
     session.restore_counters(&snapshot);
+    if space_rebuilt.is_some() {
+        if let Err(e) = rewrite_space_file(&dir, &session) {
+            trace::diag(
+                "warn",
+                &format!("session {id}: writing back {SPACE_FILE}: {e}"),
+            );
+        }
+    }
 
     // Reopen the WAL, if the session logs, for writing: this truncates
     // any torn tail and hands back everything before it.
@@ -646,6 +679,36 @@ mod tests {
         // session makes the same next exploration choice the live one
         // would.
         assert_eq!(state(&recovered.session), state(&session));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A space file recovery could not use is rebuilt once: the first
+    /// boot writes the rebuilt spaces back and the next one loads them,
+    /// with the same recovered state either way.
+    #[test]
+    fn recovery_writes_back_a_rebuilt_space_file() {
+        let root = tmp_root("space-writeback");
+        let (mut session, links) = live_session();
+        session
+            .make_durable(&root, "s1", Some(WalOptions::default()), 0)
+            .unwrap();
+        let batch: Vec<(Link, bool)> = links.iter().skip(3).take(4).map(|&l| (l, true)).collect();
+        session.feedback_episode(&batch).unwrap();
+        let path = session_dir(&root, "s1").join(SPACE_FILE);
+        for damage in [None, Some(b"not a space file".as_slice())] {
+            match damage {
+                None => std::fs::remove_file(&path).unwrap(),
+                Some(bytes) => std::fs::write(&path, bytes).unwrap(),
+            }
+            let first = recover_one(&root);
+            assert!(first.report.space_rebuilt.is_some(), "{damage:?}");
+            let first = state(&first.session);
+            let second = recover_one(&root);
+            assert_eq!(second.report.space_rebuilt, None, "{damage:?}");
+            assert_eq!(state(&second.session), first);
+            assert_eq!(first, state(&session));
+            assert!(!path.with_extension("tmp").exists());
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 

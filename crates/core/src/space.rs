@@ -22,17 +22,24 @@
 //! feature set is read from the matrix, so a value that several candidates
 //! share is scored once for the entity, not once per candidate.
 //!
-//! For every surviving feature key the space keeps a score-sorted list of
-//! pairs, so an ALEX action — "find all links whose value for this feature
-//! lies within ±step of the approved link's value" (§4.2) — is two binary
-//! searches and a contiguous scan.
+//! For every surviving feature key the space keeps its pairs sorted by
+//! that key's score, so an ALEX action — "find all links whose value for
+//! this feature lies within ±step of the approved link's value" (§4.2) —
+//! is answered by binary searches, not by a scan of the space.
 //!
 //! Storage is flat. Feature keys get dense per-space ids in `FeatureKey`
 //! order, so a pair's features sorted by id are in `FeatureSet` order.
 //! All features of all pairs live in one arena of `(key id, score)`
-//! columns, indexed by per-pair offsets. Each range entry carries a bit
-//! mask of the keys its pair has, so the scan rejects a pair that cannot
-//! share enough of the state's features without touching the arena.
+//! columns, indexed by per-pair offsets. A pair's exact set of key ids is
+//! its *subset*; subsets are interned. Each key keeps its pairs in score
+//! order (its *ranked* list, the order results come in) and, beside it,
+//! the same entries regrouped into one run per subset, each run sorted by
+//! score, an entry holding its score and its rank in the ranked list.
+//! Every pair of a run has the same keys at the same arena slots, so a
+//! query decides once per run whether its pairs can share enough of the
+//! state's features, skips the runs that cannot, and inside the others
+//! reads each shared feature's score at a slot known in advance. The
+//! ranks it keeps are marked in a bitset and read back in rank order.
 
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -49,21 +56,51 @@ use crate::parallel::Executor;
 /// stop-word-like and proposed pairs from them are noise.
 pub const DEFAULT_MAX_BLOCK: usize = 100;
 
-/// One entry of a feature key's score-sorted range list. The mask fills
-/// the bytes a `(f64, u32)` pair would spend on padding.
+/// One pair of a feature key's list while the space is assembled. The
+/// sort compares scores only, and std's unstable sort may break ties
+/// differently for an element of another size, so this stays a 16-byte
+/// `Copy` entry: the result order, ties included, depends on it.
 #[derive(Clone, Copy, Debug)]
 struct RangeEntry {
     score: f64,
     pair: u32,
-    /// Bit `k` is set when the pair has the key with id `k`; keys with
-    /// ids past the mask width have no bit (see [`mask_bit`]).
-    key_mask: u32,
+    subset: u32,
 }
 
-/// The presence bit of key id `k` in a [`RangeEntry::key_mask`], or `None`
-/// when `k` is past the mask width.
-fn mask_bit(k: u32) -> Option<u32> {
-    1u32.checked_shl(k)
+/// The index of one feature key: the pairs that have it, in score order,
+/// and the same pairs regrouped into one run per subset.
+#[derive(Clone, Debug, Default)]
+struct KeyIndex {
+    /// The pairs, sorted by their score for the key (ties in the order
+    /// the sort leaves them): results come in this order.
+    ranked: Vec<u32>,
+    /// The runs' entries: entry `i` has score `scores[i]` and is pair
+    /// `ranked[ranks[i]]`; each run is sorted by score.
+    scores: Vec<f64>,
+    ranks: Vec<u32>,
+    /// Each run as `(subset, end)`: it ends at entry `end` and starts
+    /// where the previous run ends.
+    runs: Vec<(u32, u32)>,
+}
+
+impl KeyIndex {
+    /// The runs as `(subset, entry range)`.
+    fn runs(&self) -> impl Iterator<Item = (u32, Range<usize>)> + '_ {
+        let mut start = 0;
+        self.runs.iter().map(move |&(subset, end)| {
+            let run = start..end as usize;
+            start = run.end;
+            (subset, run)
+        })
+    }
+
+    /// The entries of `run` with score in `[center − step, center + step]`.
+    fn in_range(&self, run: Range<usize>, center: f64, step: f64) -> Range<usize> {
+        let scores = &self.scores[run.clone()];
+        let start = scores.partition_point(|&s| s < center - step);
+        let end = scores.partition_point(|&s| s <= center + step);
+        run.start + start..run.start + end
+    }
 }
 
 /// The filtered link search space of one partition, with per-feature
@@ -80,8 +117,12 @@ pub struct ExplorationSpace {
     offsets: Vec<u32>,
     feature_keys: Vec<u32>,
     feature_scores: Vec<f64>,
-    /// Per key id: the pairs with that key, sorted by its score.
-    ranges: Vec<Vec<RangeEntry>>,
+    /// Subset `s`'s key ids, ascending, are
+    /// `subset_keys[slot(&subset_offsets, s)]`.
+    subset_offsets: Vec<u32>,
+    subset_keys: Vec<u32>,
+    /// Per key id: its index.
+    index: Vec<KeyIndex>,
     /// `|partition| × |other dataset|`: the unfiltered pair count (Fig 5a).
     total_possible: usize,
 }
@@ -358,7 +399,8 @@ impl ExplorationSpace {
 
     /// Assembles a space from scored pairs, in pair order: numbers `keys`
     /// (ascending, distinct, covering every pair's keys) densely, fills
-    /// the arena and the range lists, and sorts each range list by score.
+    /// the arena, interns each pair's subset, sorts each key's list by
+    /// score and regroups it into per-subset runs.
     /// [`ExplorationSpace::build_with`] and the space file loader
     /// ([`crate::space_file`]) share it, so a loaded space has the pair
     /// order, key ids and range tie order a rebuild in the same process
@@ -368,13 +410,16 @@ impl ExplorationSpace {
         pairs: impl IntoIterator<Item = (Link, FeatureSet)>,
         total_possible: usize,
     ) -> Self {
+        let mut lists: Vec<Vec<RangeEntry>> = vec![Vec::new(); keys.len()];
         let mut space = Self {
-            ranges: vec![Vec::new(); keys.len()],
+            index: vec![KeyIndex::default(); keys.len()],
             keys,
             offsets: vec![0],
+            subset_offsets: vec![0],
             total_possible,
             ..Self::default()
         };
+        let mut subsets: FastMap<Vec<u32>, u32> = FastMap::default();
         for (link, fs) in pairs {
             let pair = u32::try_from(space.links.len()).expect("space overflow");
             let start = space.feature_keys.len();
@@ -384,15 +429,21 @@ impl ExplorationSpace {
                 space.feature_scores.push(f.score);
             }
             let ids = &space.feature_keys[start..];
-            let key_mask = ids
-                .iter()
-                .filter_map(|&k| mask_bit(k))
-                .fold(0, |m, b| m | b);
+            let subset = match subsets.get(ids) {
+                Some(&s) => s,
+                None => {
+                    let s = id32(subsets.len());
+                    subsets.insert(ids.to_vec(), s);
+                    space.subset_keys.extend_from_slice(ids);
+                    space.subset_offsets.push(id32(space.subset_keys.len()));
+                    s
+                }
+            };
             for (&id, &score) in ids.iter().zip(&space.feature_scores[start..]) {
-                space.ranges[id as usize].push(RangeEntry {
+                lists[id as usize].push(RangeEntry {
                     score,
                     pair,
-                    key_mask,
+                    subset,
                 });
             }
             let end = u32::try_from(space.feature_keys.len()).expect("space overflow");
@@ -400,8 +451,36 @@ impl ExplorationSpace {
             space.pair_index.insert(link, pair);
             space.links.push(link);
         }
-        for list in &mut space.ranges {
+        // Per subset: its entry count in one key's list, then the next
+        // free entry of its run.
+        let mut next = vec![0u32; subsets.len()];
+        drop(subsets);
+        // One key at a time, each list freed once its index is built.
+        for (mut list, index) in lists.into_iter().zip(&mut space.index) {
             list.sort_unstable_by(|a, b| a.score.partial_cmp(&b.score).expect("scores are finite"));
+            next.fill(0);
+            for e in &list {
+                next[e.subset as usize] += 1;
+            }
+            let mut end = 0;
+            for (subset, slot) in next.iter_mut().enumerate() {
+                if *slot > 0 {
+                    let start = end;
+                    end += *slot;
+                    *slot = start;
+                    index.runs.push((id32(subset), end));
+                }
+            }
+            // A counting sort by subset keeps each run in score order.
+            index.scores = vec![0.0; list.len()];
+            index.ranks = vec![0; list.len()];
+            for (rank, e) in list.iter().enumerate() {
+                let slot = &mut next[e.subset as usize];
+                index.scores[*slot as usize] = e.score;
+                index.ranks[*slot as usize] = id32(rank);
+                *slot += 1;
+            }
+            index.ranked = list.iter().map(|e| e.pair).collect();
         }
         space
     }
@@ -412,9 +491,9 @@ impl ExplorationSpace {
     }
 
     /// An order-sensitive hash of the whole index: keys, links, offsets,
-    /// the feature arena, every range list with its masks, and the
-    /// unfiltered pair count. Equal spaces hash equal, and spaces that
-    /// answer some query differently (or in another order) differ in
+    /// the feature arena, the subsets, every key's ranked pairs and runs,
+    /// and the unfiltered pair count. Equal spaces hash equal, and spaces
+    /// that answer some query differently (or in another order) differ in
     /// what is hashed. Ids are process-local, so compare only spaces of
     /// one process.
     pub fn fingerprint(&self) -> u64 {
@@ -426,11 +505,15 @@ impl ExplorationSpace {
         for s in &self.feature_scores {
             s.to_bits().hash(&mut h);
         }
-        for list in &self.ranges {
-            list.len().hash(&mut h);
-            for e in list {
-                (e.score.to_bits(), e.pair, e.key_mask).hash(&mut h);
+        self.subset_offsets.hash(&mut h);
+        self.subset_keys.hash(&mut h);
+        for index in &self.index {
+            index.ranked.hash(&mut h);
+            for s in &index.scores {
+                s.to_bits().hash(&mut h);
             }
+            index.ranks.hash(&mut h);
+            index.runs.hash(&mut h);
         }
         self.pair_index.len().hash(&mut h);
         self.total_possible.hash(&mut h);
@@ -505,18 +588,28 @@ impl ExplorationSpace {
         self.keys.len()
     }
 
-    /// The entries of `key`'s range list with score in
-    /// `[center − step, center + step]`, in list order.
-    fn range(&self, key: FeatureKey, center: f64, step: f64) -> &[RangeEntry] {
-        let Some(id) = self.key_id(key) else {
-            return &[];
+    /// The links of the pairs `index` ranks at `ranks` (distinct), in
+    /// rank order.
+    fn in_rank_order(&self, index: &KeyIndex, ranks: &[u32]) -> Vec<Link> {
+        let (Some(&lo), Some(&hi)) = (ranks.iter().min(), ranks.iter().max()) else {
+            return Vec::new();
         };
-        let list = &self.ranges[id as usize];
-        let lo = center - step;
-        let hi = center + step;
-        let start = list.partition_point(|e| e.score < lo);
-        let end = list.partition_point(|e| e.score <= hi);
-        &list[start..end]
+        // A bit per rank from `lo` to `hi`: reading the set bits in order
+        // sorts the ranks in time linear in their count and span / 64.
+        let mut seen = vec![0u64; (hi - lo) as usize / 64 + 1];
+        for &rank in ranks {
+            let i = (rank - lo) as usize;
+            seen[i / 64] |= 1 << (i % 64);
+        }
+        let mut links = Vec::with_capacity(ranks.len());
+        for (w, mut bits) in seen.into_iter().enumerate() {
+            while bits != 0 {
+                let rank = lo as usize + w * 64 + bits.trailing_zeros() as usize;
+                links.push(self.links[index.ranked[rank] as usize]);
+                bits &= bits - 1;
+            }
+        }
+        links
     }
 
     /// Executes an action (§4.2): all links whose score for `key` lies in
@@ -525,9 +618,21 @@ impl ExplorationSpace {
     /// [`ExplorationSpace::explore_from`], which applies the full action
     /// feature set.
     pub fn explore(&self, key: FeatureKey, center: f64, step: f64) -> Vec<Link> {
-        self.range(key, center, step)
+        let Some(id) = self.key_id(key) else {
+            return Vec::new();
+        };
+        // The ranked list is in score order, so its in-range pairs are one
+        // stretch of it: after the entries below the range in every run.
+        let index = &self.index[id as usize];
+        let (mut start, mut end) = (0, 0);
+        for (_, run) in index.runs() {
+            let in_range = index.in_range(run.clone(), center, step);
+            start += in_range.start - run.start;
+            end += in_range.end - run.start;
+        }
+        index.ranked[start..end]
             .iter()
-            .map(|e| self.links[e.pair as usize])
+            .map(|&pair| self.links[pair as usize])
             .collect()
     }
 
@@ -557,65 +662,54 @@ impl ExplorationSpace {
     /// the order of [`ExplorationSpace::explore`], of which they are a
     /// subsequence.
     pub fn explore_from(&self, state: &FeatureSet, key: FeatureKey, step: f64) -> Vec<Link> {
-        let Some(center) = state.score_of(key) else {
+        let (Some(center), Some(explored)) = (state.score_of(key), self.key_id(key)) else {
             return Vec::new();
         };
         let n = state.len();
         let required = n.div_ceil(2).max(2.min(n));
-        // The state's other features as (key id, lowest accepted score),
-        // ascending by id. A key no pair has is shared by no candidate.
-        let mut bounds: Vec<(u32, f64)> = Vec::with_capacity(n);
-        let mut state_mask = 0u32;
-        // Shared features the mask cannot see: the explored one, which
-        // every entry of its list has, and state keys past the mask width.
-        let mut unmasked = 1usize;
-        for f in state.features() {
-            if f.key == key {
-                continue;
-            }
-            let Some(id) = self.key_id(f.key) else {
-                continue;
-            };
-            bounds.push((id, f.score - step));
-            match mask_bit(id) {
-                Some(bit) => state_mask |= bit,
-                None => unmasked += 1,
+        // Per key id: the lowest score accepted for it, for the state's
+        // other features. A key no pair has is shared by no candidate.
+        let mut bounds: Vec<Option<f64>> = vec![None; self.keys.len()];
+        for f in state.features().iter().filter(|f| f.key != key) {
+            if let Some(id) = self.key_id(f.key) {
+                bounds[id as usize] = Some(f.score - step);
             }
         }
-        self.range(key, center, step)
-            .iter()
-            // An upper bound on the shared count: rejects without reading
-            // the pair's features.
-            .filter(|e| (e.key_mask & state_mask).count_ones() as usize + unmasked >= required)
-            .filter(|e| {
-                let (ids, scores) = self.pair_features(e.pair);
-                let mut shared = 1usize; // the explored feature, in range
-                let mut j = 0;
-                for &(id, min) in &bounds {
-                    while j < ids.len() && ids[j] < id {
-                        j += 1;
-                    }
-                    if j == ids.len() {
-                        break;
-                    }
-                    if ids[j] == id {
-                        if scores[j] < min {
-                            return false; // shared but much worse
-                        }
-                        shared += 1;
-                    }
+        // Per run: the arena slot of each shared feature, with its bound.
+        let mut checks: Vec<(usize, f64)> = Vec::with_capacity(n);
+        let mut hits = Vec::new();
+        let index = &self.index[explored as usize];
+        for (subset, run) in index.runs() {
+            let keys = &self.subset_keys[slot(&self.subset_offsets, subset as usize)];
+            checks.clear();
+            for (at, &id) in keys.iter().enumerate() {
+                if let Some(min) = bounds[id as usize] {
+                    checks.push((at, min));
                 }
-                shared >= required
-            })
-            .map(|e| self.links[e.pair as usize])
-            .collect()
+            }
+            // The explored feature is shared too.
+            if checks.len() + 1 < required {
+                continue;
+            }
+            hits.extend(
+                index.ranks[index.in_range(run, center, step)]
+                    .iter()
+                    .copied()
+                    .filter(|&rank| {
+                        let pair = index.ranked[rank as usize] as usize;
+                        let scores = &self.feature_scores[self.offsets[pair] as usize..];
+                        checks.iter().all(|&(at, min)| scores[at] >= min)
+                    }),
+            );
+        }
+        self.in_rank_order(index, &hits)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alex_rdf::Interner;
+    use alex_rdf::{Interner, StrId};
 
     /// Left: 3 players; right: 3 players + 1 unrelated. Names overlap.
     fn stores() -> (Store, Store, Vec<IriId>) {
@@ -827,6 +921,80 @@ mod tests {
         right.insert_literal(r, note, Literal::str(&interner, "born 1984"));
         let space = build(&left, &right, &[l]);
         assert!(space.contains(Link::new(l, r)));
+    }
+
+    /// One key whose list holds five subsets with interleaved and tied
+    /// scores: `explore` keeps the score order with the sort's ties, and
+    /// `explore_from` is its ordered filter by the documented predicate
+    /// (every shared feature within `step` below the state's score, at
+    /// least `⌈n/2⌉` and 2 of the state's `n` features shared), so the
+    /// per-run results merge back in rank order.
+    #[test]
+    fn explore_from_merges_runs_in_list_order() {
+        let ids = |n: usize| -> Vec<IriId> { (0..n).map(|i| IriId(StrId(i as u32))).collect() };
+        let (l, r) = (ids(40), ids(80));
+        let keys: Vec<FeatureKey> = (0..4).map(|i| FeatureKey::new(l[i], r[i])).collect();
+        let subsets: [&[usize]; 5] = [&[0], &[0, 1], &[0, 2], &[0, 1, 2], &[0, 1, 2, 3]];
+        let pairs: Vec<(Link, FeatureSet)> = (0..40)
+            .map(|i| {
+                let features = subsets[i % 5]
+                    .iter()
+                    .map(|&k| Feature {
+                        key: keys[k],
+                        // Key 0 has four distinct scores, so every subset
+                        // ties with the others; the rest vary more.
+                        score: 0.5 + 0.05 * ((i * (k + 1) * 7) % if k == 0 { 4 } else { 9 }) as f64,
+                    })
+                    .collect();
+                (
+                    Link::new(l[i], r[40 + i]),
+                    FeatureSet::from_sorted(features),
+                )
+            })
+            .collect();
+        let space = ExplorationSpace::assemble(keys.clone(), pairs, 40 * 40);
+        assert_eq!(space.index[0].runs.len(), 5);
+
+        let qualifies = |state: &FeatureSet, cand: &FeatureSet, key: FeatureKey, step: f64| {
+            let n = state.len();
+            let mut shared = 0;
+            for f in state.features() {
+                match cand.score_of(f.key) {
+                    _ if f.key == key => shared += 1,
+                    Some(c) if c >= f.score - step => shared += 1,
+                    Some(_) => return false,
+                    None => {}
+                }
+            }
+            shared >= n.div_ceil(2).max(2.min(n))
+        };
+        for state_link in space.links() {
+            let state = space.feature_set(state_link).unwrap();
+            for f in state.features() {
+                for step in [0.0, 0.05, 0.1, 0.5] {
+                    let all = space.explore(f.key, f.score, step);
+                    let scores: Vec<f64> = all
+                        .iter()
+                        .map(|&c| space.score_of(c, f.key).unwrap())
+                        .collect();
+                    assert!(scores.windows(2).all(|w| w[0] <= w[1]));
+                    let in_range = space
+                        .links()
+                        .filter(|&c| {
+                            space
+                                .score_of(c, f.key)
+                                .is_some_and(|v| (f.score - step..=f.score + step).contains(&v))
+                        })
+                        .count();
+                    assert_eq!(all.len(), in_range);
+                    let want: Vec<Link> = all
+                        .into_iter()
+                        .filter(|&c| qualifies(&state, &space.feature_set(c).unwrap(), f.key, step))
+                        .collect();
+                    assert_eq!(space.explore_from(&state, f.key, step), want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! * a score is its raw `f64` bits.
 //!
 //! Loading skips scoring and runs only assembly
-//! (`ExplorationSpace::assemble`): key numbering, the arena, the masks,
-//! the range sort and the pair index, fed the pairs in the order the build
-//! would produce them (by left ordinal, then right id). A loaded space is
-//! therefore identical to a rebuild in the loading process.
+//! (`ExplorationSpace::assemble`): key numbering, the arena, the subsets,
+//! the range sort, the runs and the pair index, fed the pairs in the
+//! order the build would produce them (by left ordinal, then right id). A
+//! loaded space is therefore identical to a rebuild in the loading
+//! process.
 //!
 //! Layout: a sequence of `alex-store` frames (length, CRC-32, payload).
 //!

@@ -99,14 +99,19 @@ impl<'a> Parser<'a> {
         self.pos += r.find(|c: char| !keep(c)).unwrap_or(r.len());
     }
 
+    /// Whether the rest starts with the ASCII keyword `kw`, ignoring ASCII
+    /// case. Compares bytes: `r[..kw.len()]` may end inside a multi-byte
+    /// char, while an ASCII keyword only matches ASCII bytes, so a match
+    /// ends on a char boundary.
+    fn at_keyword(&self, kw: &str) -> bool {
+        let head = self.rest().as_bytes().get(..kw.len());
+        head.is_some_and(|h| h.eq_ignore_ascii_case(kw.as_bytes()))
+    }
+
     fn eat_keyword(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let r = self.rest();
-        // Compare bytes: `r[..kw.len()]` may end inside a multi-byte char.
-        // An ASCII keyword only matches ASCII bytes, so a match ends on a
-        // char boundary.
-        let head = r.as_bytes().get(..kw.len());
-        if head.is_some_and(|h| h.eq_ignore_ascii_case(kw.as_bytes())) {
+        if self.at_keyword(kw) {
             // Keywords must not run into identifier characters.
             let after = r[kw.len()..].chars().next();
             if after.is_none_or(|c| !c.is_alphanumeric() && c != '_') {
@@ -316,7 +321,7 @@ impl<'a> Parser<'a> {
                 let _ = self.eat_symbol(".");
                 continue;
             }
-            if self.rest().starts_with('{') || self.rest().to_uppercase().starts_with("OPTIONAL") {
+            if self.rest().starts_with('{') || self.at_keyword("OPTIONAL") {
                 return Err(self.err("nested groups are not supported"));
             }
             let subject = self.parse_term()?;
@@ -799,5 +804,22 @@ mod tests {
             parse("SELECT ?x WHERE { { ?x <p> ?y } }").is_err(),
             "lone group needs UNION"
         );
+        for q in [
+            "SELECT ?x WHERE { ?x <p> ?y OPTIONAL { ?x <q> ?z . optional { ?x <r> ?w } } }",
+            "SELECT ?x WHERE { ?x <p> ?y OPTIONAL { ?x <q> ?z OpTiOnAl { ?x <r> ?w } } }",
+        ] {
+            let err = parse(q).unwrap_err();
+            assert!(err.message.contains("nested groups"), "{q}: {err}");
+        }
+    }
+
+    #[test]
+    fn group_term_starting_with_a_multibyte_char_is_an_error() {
+        for q in [
+            "SELECT ?x WHERE { ?x <p> ?y OPTIONAL { ⽆ <q> ?z } }",
+            "SELECT ?x WHERE { { ?x <p> ?y . éOPTIONAL } UNION { ?x <q> ?y } }",
+        ] {
+            assert!(parse(q).is_err(), "{q}");
+        }
     }
 }
