@@ -81,17 +81,13 @@ fn measure(iters: u64, reps: usize, mut f: impl FnMut(u64) -> u64) -> f64 {
 }
 
 fn emitting(i: u64) -> u64 {
-    trace::emit(|| Payload::Decision {
-        state: format!("l/{i}\tr/{i}"),
-        epsilon: 0.1,
-        explored: i.is_multiple_of(10),
-        chosen: "l/name\tr/label".to_string(),
-        greedy: String::new(),
-        q: 0.5,
-        q_defined: true,
-        observations: i,
-        actions: 17,
-        space: 1000,
+    trace::emit(|| Payload::SourceAttempt {
+        source: format!("l/{i}\tr/{i}"),
+        attempt: i % 4 + 1,
+        outcome: "timeout".to_string(),
+        wait_ms: i,
+        backoff_ms: 17,
+        breaker: "closed".to_string(),
     });
     work(i)
 }

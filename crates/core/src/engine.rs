@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use alex_rdf::hash::{FastMap, FastSet};
 use alex_rdf::{Interner, IriId, Link};
-use alex_trace::{self as trace, Payload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -37,6 +36,11 @@ pub struct PartitionEpisodeStats {
     pub links_removed: usize,
     /// Rollbacks triggered.
     pub rollbacks: usize,
+    /// ε-greedy choices the ε coin made at random (§4.4).
+    pub explored: usize,
+    /// ε-greedy choices that took the greedy (or, at a state without
+    /// one, an arbitrary) action.
+    pub exploited: usize,
 }
 
 impl PartitionEpisodeStats {
@@ -47,6 +51,8 @@ impl PartitionEpisodeStats {
         self.links_added += other.links_added;
         self.links_removed += other.links_removed;
         self.rollbacks += other.rollbacks;
+        self.explored += other.explored;
+        self.exploited += other.exploited;
     }
 }
 
@@ -186,9 +192,7 @@ pub struct PartitionEngine {
     stats: PartitionEpisodeStats,
     rng: StdRng,
     cfg: AlexConfig,
-    /// Partition index reported in trace events (0 until identified).
-    trace_partition: u64,
-    /// Interner for rendering IRIs in trace events and explanations;
+    /// Interner for rendering IRIs in explanations and fingerprints;
     /// engines constructed directly in tests have none and fall back to
     /// `#<id>` rendering.
     interner: Option<Arc<Interner>>,
@@ -221,17 +225,14 @@ impl PartitionEngine {
             stats: PartitionEpisodeStats::default(),
             rng: StdRng::seed_from_u64(seed),
             cfg,
-            trace_partition: 0,
             interner: None,
         }
     }
 
-    /// Identifies this engine for tracing: its partition index and the
-    /// interner used to render IRIs in events and in
-    /// [`PartitionEngine::explain`]. Purely observational — has no effect
-    /// on exploration.
-    pub fn set_trace_identity(&mut self, partition: usize, interner: Arc<Interner>) {
-        self.trace_partition = partition as u64;
+    /// Sets the interner that renders IRIs in [`PartitionEngine::explain`]
+    /// and [`PartitionEngine::state_fingerprint`]. Purely observational —
+    /// has no effect on exploration.
+    pub fn set_interner(&mut self, interner: Arc<Interner>) {
         self.interner = Some(interner);
     }
 
@@ -242,8 +243,8 @@ impl PartitionEngine {
         }
     }
 
-    /// Renders a link as `left<TAB>right` for trace events (the tab never
-    /// occurs inside an IRI, so the pair splits back unambiguously).
+    /// Renders a link as `left<TAB>right` (the tab never occurs inside an
+    /// IRI, so the pair splits back unambiguously).
     fn link_str(&self, l: Link) -> String {
         format!("{}\t{}", self.iri(l.left), self.iri(l.right))
     }
@@ -539,10 +540,6 @@ impl PartitionEngine {
 
     /// Processes one feedback item on `link` (Algorithm 1, lines 11–22).
     pub fn process_feedback(&mut self, link: Link, positive: bool) {
-        trace::emit(|| Payload::Feedback {
-            link: self.link_str(link),
-            positive,
-        });
         self.stats.feedback_items += 1;
         if !positive {
             self.stats.negative_feedback += 1;
@@ -582,31 +579,18 @@ impl PartitionEngine {
             return;
         };
         self.states_this_episode.insert(state);
-        let Some(choice) =
-            self.policy
-                .choose_explained(state, &features, self.cfg.epsilon, &mut self.rng)
+        let Some(choice) = self
+            .policy
+            .choose(state, &features, self.cfg.epsilon, &mut self.rng)
         else {
             return;
         };
+        if choice.explored {
+            self.stats.explored += 1;
+        } else {
+            self.stats.exploited += 1;
+        }
         let action = choice.chosen;
-        trace::emit(|| {
-            let q = self.q.q(state, action);
-            Payload::Decision {
-                state: self.link_str(state),
-                epsilon: self.cfg.epsilon,
-                explored: choice.explored,
-                chosen: self.feature_str(action),
-                greedy: choice
-                    .greedy
-                    .map(|g| self.feature_str(g))
-                    .unwrap_or_default(),
-                q: q.unwrap_or(0.0),
-                q_defined: q.is_some(),
-                observations: u64::from(self.q.observations(state, action)),
-                actions: choice.actions as u64,
-                space: self.space.len() as u64,
-            }
-        });
         if self.banned_actions.contains(&(state, action)) {
             return;
         }
@@ -620,12 +604,6 @@ impl PartitionEngine {
             if self.candidates.insert(f) {
                 self.stats.links_added += 1;
                 self.touched_this_episode.push(f);
-                trace::emit(|| Payload::LinkAdded {
-                    link: self.link_str(f),
-                    state: self.link_str(state),
-                    feature: self.feature_str(action),
-                    score: self.space.score_of(f, action).unwrap_or(0.0),
-                });
                 self.provenance.entry(f).or_default().push((state, action));
                 self.generated.entry((state, action)).or_default().push(f);
             }
@@ -641,25 +619,12 @@ impl PartitionEngine {
             self.stats.links_removed += 1;
             self.touched_this_episode.push(link);
         }
-        let mut blacklisted = false;
         if self.cfg.blacklist {
             let count = self.negatives_on_link.entry(link).or_insert(0);
             *count += 1;
             if *count >= self.cfg.blacklist_threshold {
                 self.blacklist.insert(link);
-                blacklisted = true;
             }
-        }
-        if removed {
-            trace::emit(|| Payload::LinkRemoved {
-                link: self.link_str(link),
-                reason: if blacklisted {
-                    "blacklisted"
-                } else {
-                    "rejected"
-                }
-                .into(),
-            });
         }
         self.approved.remove(&link);
 
@@ -683,7 +648,6 @@ impl PartitionEngine {
         };
         self.stats.rollbacks += 1;
         self.banned_actions.insert(sa);
-        let mut removed_here = 0u64;
         for l in links {
             if self.approved.contains(&l) {
                 continue;
@@ -691,11 +655,6 @@ impl PartitionEngine {
             if self.candidates.remove(l) {
                 self.stats.links_removed += 1;
                 self.touched_this_episode.push(l);
-                removed_here += 1;
-                trace::emit(|| Payload::LinkRemoved {
-                    link: self.link_str(l),
-                    reason: "rollback".into(),
-                });
             }
             if let Some(parents) = self.provenance.get_mut(&l) {
                 parents.retain(|p| *p != sa);
@@ -704,11 +663,6 @@ impl PartitionEngine {
                 }
             }
         }
-        trace::emit(|| Payload::Rollback {
-            state: self.link_str(sa.0),
-            feature: self.feature_str(sa.1),
-            removed: removed_here,
-        });
         self.negative_by_action.remove(&sa);
     }
 
@@ -730,14 +684,7 @@ impl PartitionEngine {
         }
         self.visited_this_episode.clear();
         self.touched_this_episode.clear();
-        let stats = std::mem::take(&mut self.stats);
-        trace::emit(|| Payload::EpisodeEnd {
-            partition: self.trace_partition,
-            feedback: stats.feedback_items as u64,
-            added: stats.links_added as u64,
-            removed: stats.links_removed as u64,
-        });
-        stats
+        std::mem::take(&mut self.stats)
     }
 }
 
@@ -1016,10 +963,13 @@ mod tests {
             links_added: 3,
             links_removed: 4,
             rollbacks: 5,
+            explored: 6,
+            exploited: 7,
         };
         a.merge(&a.clone());
         assert_eq!(a.feedback_items, 2);
         assert_eq!(a.rollbacks, 10);
+        assert_eq!((a.explored, a.exploited), (12, 14));
     }
 
     /// The invariants an explanation rests on, under random feedback at

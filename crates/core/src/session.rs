@@ -141,6 +141,12 @@ pub struct SessionSnapshot {
     /// Total feedback items processed across episodes (since version 3).
     #[serde(default)]
     pub feedback_items: u64,
+    /// ε-greedy choices the ε coin made at random, across episodes.
+    #[serde(default)]
+    pub explored: u64,
+    /// ε-greedy choices that exploited, across episodes.
+    #[serde(default)]
+    pub exploited: u64,
     /// The highest WAL sequence number this snapshot covers (since
     /// version 3). Recovery replays only records *after* this point; `0`
     /// means the snapshot predates the WAL or the session has no log.
@@ -506,6 +512,8 @@ impl SessionSnapshot {
             source_skips: 0,
             episodes: 0,
             feedback_items: 0,
+            explored: 0,
+            exploited: 0,
             applied_wal_seq: 0,
         }
     }
@@ -641,6 +649,10 @@ pub struct LiveSession {
     pub episodes: u64,
     /// Total feedback items processed across episodes.
     pub feedback_items: u64,
+    /// ε-greedy choices the ε coin made at random, across episodes.
+    pub explored: u64,
+    /// ε-greedy choices that exploited, across episodes.
+    pub exploited: u64,
     /// Queries answered with a degraded (partial) answer set because one
     /// or more federated sources had to be skipped.
     pub degraded_queries: u64,
@@ -673,6 +685,8 @@ impl LiveSession {
             federation: OnceLock::new(),
             episodes: 0,
             feedback_items: 0,
+            explored: 0,
+            exploited: 0,
             degraded_queries: 0,
             source_skips: 0,
             durable: None,
@@ -845,6 +859,8 @@ impl LiveSession {
                 };
                 self.episodes += 1;
                 self.feedback_items += batch.len() as u64;
+                self.explored += stats.explored as u64;
+                self.exploited += stats.exploited as u64;
                 let replayed = (self.episodes, self.feedback_items);
                 (self.episodes, self.feedback_items) = (*episode, *feedback_items);
                 if replayed != (*episode, *feedback_items) {
@@ -892,6 +908,8 @@ impl LiveSession {
         snap.source_skips = self.source_skips;
         snap.episodes = self.episodes;
         snap.feedback_items = self.feedback_items;
+        snap.explored = self.explored;
+        snap.exploited = self.exploited;
         snap
     }
 
@@ -914,6 +932,8 @@ impl LiveSession {
         self.source_skips = snap.source_skips;
         self.episodes = snap.episodes;
         self.feedback_items = snap.feedback_items;
+        self.explored = snap.explored;
+        self.exploited = snap.exploited;
     }
 }
 
@@ -1279,11 +1299,13 @@ mod tests {
         let mut session = LiveSession::new(left, right, driver);
         session.episodes = 4;
         session.feedback_items = 80;
+        (session.explored, session.exploited) = (7, 61);
 
         let mut snap = session.snapshot();
         assert_eq!(snap.version, SNAPSHOT_VERSION);
         assert_eq!(snap.episodes, 4);
         assert_eq!(snap.feedback_items, 80);
+        assert_eq!((snap.explored, snap.exploited), (7, 61));
         snap.applied_wal_seq = 123;
         let back = SessionSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back.applied_wal_seq, 123);
@@ -1293,8 +1315,10 @@ mod tests {
         resumed.restore_counters(&back);
         assert_eq!(resumed.episodes, 4);
         assert_eq!(resumed.feedback_items, 80);
+        assert_eq!((resumed.explored, resumed.exploited), (7, 61));
 
-        // Version-2 files (no episode counters) load with zeros.
+        // Version-2 files (no episode counters) and files written before
+        // the choice counters load with zeros.
         let mut value = serde_json::to_value(&snap).unwrap();
         let serde::Value::Object(fields) = &mut value else {
             panic!("snapshot serializes as an object");
@@ -1302,11 +1326,12 @@ mod tests {
         fields.retain(|(k, _)| {
             !matches!(
                 k.as_str(),
-                "episodes" | "feedback_items" | "applied_wal_seq"
+                "episodes" | "feedback_items" | "explored" | "exploited" | "applied_wal_seq"
             )
         });
         let v2 = SessionSnapshot::from_json(&value.to_json_string(true)).unwrap();
         assert_eq!(v2.episodes, 0);
+        assert_eq!((v2.explored, v2.exploited), (0, 0));
         assert_eq!(v2.applied_wal_seq, 0);
     }
 

@@ -21,7 +21,9 @@
 //! States compare candidates, counters, RNG streams, every engine's
 //! state fingerprint and the explanation of every candidate and
 //! blacklisted link, and every captured session's query index must hold
-//! exactly its candidates. Variants of the same trials compact the WAL into a
+//! exactly its candidates, and the learning-health gauges a server
+//! reports must equal the counters recomputed from the surviving log
+//! alone. Variants of the same trials compact the WAL into a
 //! checkpoint at seeded record counts (so recovery restores engine state
 //! from a checkpoint, not only from the log), damage the session's space
 //! file (so recovery rebuilds the exploration spaces), and recover several
@@ -89,6 +91,12 @@ fn world() -> (Store, Store, Vec<Link>) {
 }
 
 fn live_session(seed: u64) -> (LiveSession, Vec<Link>) {
+    let (left, right, links, driver) = fresh_driver(seed);
+    (LiveSession::new(left, right, driver), links)
+}
+
+/// The scripted session's datasets, links and driver before any feedback.
+fn fresh_driver(seed: u64) -> (Store, Store, Vec<Link>, AlexDriver) {
     let (left, right, links) = world();
     let initial: Vec<Link> = links.iter().take(3).copied().collect();
     let cfg = AlexConfig {
@@ -103,7 +111,7 @@ fn live_session(seed: u64) -> (LiveSession, Vec<Link>) {
         ..Default::default()
     };
     let driver = AlexDriver::new(&left, &right, &initial, cfg).unwrap();
-    (LiveSession::new(left, right, driver), links)
+    (left, right, links, driver)
 }
 
 /// Everything recovery must reproduce, in interner-independent form.
@@ -111,6 +119,8 @@ fn live_session(seed: u64) -> (LiveSession, Vec<Link>) {
 struct OracleState {
     feedback_items: u64,
     episodes: u64,
+    explored: u64,
+    exploited: u64,
     degraded_queries: u64,
     source_skips: u64,
     candidates: BTreeSet<(String, String)>,
@@ -142,6 +152,8 @@ fn capture(session: &LiveSession) -> OracleState {
     OracleState {
         feedback_items: session.feedback_items,
         episodes: session.episodes,
+        explored: session.explored,
+        exploited: session.exploited,
         degraded_queries: session.degraded_queries,
         source_skips: session.source_skips,
         candidates,
@@ -555,6 +567,110 @@ fn concurrent_recovery_matches_one_at_a_time() {
         assert_eq!(recovered.report, serial.report);
         assert_eq!(capture(&recovered.session), capture(&serial.session));
         assert!(recovered.report.space_rebuilt.is_none());
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The learning-health gauges `/metrics` reports for a session, read as
+/// the server reads them: explore and exploit choices, rollbacks (the
+/// banned pairs), Q-table entries and blacklisted links.
+fn gauges(session: &LiveSession) -> [u64; 5] {
+    let health = session.driver().diagnostics();
+    [
+        session.explored,
+        session.exploited,
+        health.banned_actions as u64,
+        health.q_entries as u64,
+        health.blacklisted as u64,
+    ]
+}
+
+/// The same five numbers recomputed from log records alone: a fresh
+/// driver takes each logged episode's feedback, and the choice and
+/// rollback counts are the sums of the episodes' own counters.
+fn recomputed(records: &[WalRecord], seed: u64) -> [u64; 5] {
+    let (left, right, _, mut driver) = fresh_driver(seed);
+    let (mut pending, mut explored, mut exploited, mut rollbacks) = (Vec::new(), 0, 0, 0);
+    for record in records {
+        match record {
+            WalRecord::Feedback {
+                left: l,
+                right: r,
+                positive,
+            } => {
+                let link = Link::new(left.intern_iri(l), right.intern_iri(r));
+                pending.push((link, *positive));
+            }
+            WalRecord::EpisodeEnd { .. } => {
+                for (link, positive) in pending.drain(..) {
+                    driver.process_feedback(link, positive);
+                }
+                let stats = driver.end_episode();
+                explored += stats.explored as u64;
+                exploited += stats.exploited as u64;
+                rollbacks += stats.rollbacks as u64;
+            }
+            _ => {}
+        }
+    }
+    let health = driver.diagnostics();
+    [
+        explored,
+        exploited,
+        rollbacks,
+        health.q_entries as u64,
+        health.blacklisted as u64,
+    ]
+}
+
+/// After a WAL fault at a seeded offset, the recovered session's gauges
+/// equal the counters recomputed from the records that survived it, and
+/// the uninterrupted session's equal those of its whole log.
+#[test]
+fn learning_gauges_equal_counters_recomputed_from_the_wal() {
+    let mut rng = SplitMix64(seed_from_env() ^ 0x6A_0635);
+    let base = scratch_base("gauges");
+    let (mut session, links) = live_session(7);
+    let script = build_script(&session, &links, 3);
+    let root = base.join("full");
+    session.make_durable(&root, "s1", Some(OPTS), 0).unwrap();
+    for step in &script {
+        take(&mut session, step);
+    }
+    let wal = |root: &Path| session_dir(root, "s1").join("wal");
+    let (records, _) = replay_dir(&wal(&root)).unwrap();
+    let records: Vec<WalRecord> = records.into_iter().map(|r| r.record).collect();
+    let full = gauges(&session);
+    assert_eq!(full, recomputed(&records, 7));
+    assert!(
+        full[0] > 0 && full[1] > 0 && full[2] > 0,
+        "the script explored, exploited and rolled back: {full:?}"
+    );
+    drop(session);
+
+    let total_bytes: u64 = wal_segments(&session_dir(&root, "s1"))
+        .iter()
+        .map(|(_, len)| len)
+        .sum();
+    for trial in 0..8u64 {
+        let offset = rng.next() % total_bytes;
+        let fault = if trial % 2 == 0 {
+            Fault::Truncate(offset)
+        } else {
+            Fault::Flip(offset, (rng.next() % 255) as u8 + 1)
+        };
+        let trial_root = base.join(format!("trial-{trial}"));
+        copy_dir(&root, &trial_root);
+        inject(&session_dir(&trial_root, "s1"), &fault);
+        let (survivors, _) = replay_dir(&wal(&trial_root)).unwrap();
+        let survivors: Vec<WalRecord> = survivors.into_iter().map(|r| r.record).collect();
+        let outcome = recover_state_dir(&trial_root, OPTS, 0).unwrap();
+        assert_eq!(
+            gauges(&outcome.sessions[0].session),
+            recomputed(&survivors, 7),
+            "seed {:#x} trial {trial} (fault at {offset})",
+            seed_from_env()
+        );
     }
     let _ = std::fs::remove_dir_all(&base);
 }

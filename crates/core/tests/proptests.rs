@@ -182,8 +182,8 @@ const WIDE_RIGHT_PREDICATES: usize = 13;
 
 /// A world whose entities have one attribute per `WIDE_WORDS` entry, with
 /// the right-side predicate of each value rotated per entity, so the pairs
-/// carry up to 8 × 13 = 104 distinct predicate pairs: more key ids than a
-/// range entry's key mask has bits.
+/// carry up to 8 × 13 = 104 distinct predicate pairs: many key ids, and
+/// key subsets wider than a machine word.
 fn build_wide_world(names: &[String]) -> (Store, Store, Vec<IriId>) {
     let interner = Interner::new_shared();
     let mut left = Store::new(interner.clone());
@@ -319,9 +319,9 @@ proptest! {
         check_explore_from_filters_explore(&space, step);
     }
 
-    /// The same, over a space with more feature keys than the range
-    /// entries' key mask has bits, so states hold keys the mask cannot
-    /// see and the prefilter must count them as possibly shared.
+    /// The same, over a space with more feature keys than a machine word
+    /// has bits, so states and pairs hold wide key subsets and the skip
+    /// test over each key's per-subset runs must count every shared key.
     #[test]
     fn explore_from_past_the_key_mask_width(
         names in proptest::collection::vec("[a-z]{3,8} [a-z]{3,8}", 13..18),
@@ -466,7 +466,7 @@ proptest! {
         let policy = Policy::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..30 {
-            let a = policy.choose(state_link, &fs, eps, &mut rng).unwrap();
+            let a = policy.choose(state_link, &fs, eps, &mut rng).unwrap().chosen;
             prop_assert!(keys.contains(&a));
         }
     }
@@ -558,8 +558,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A loaded space equals the space the loading process would build:
-    /// same fingerprint (keys, links, offsets, arena, ranges with masks,
-    /// unfiltered count) and the same `explore_from` results in the same
+    /// same fingerprint (keys, links, offsets, arena, key subsets, each
+    /// key's ranked pairs and per-subset runs, unfiltered count) and the same `explore_from` results in the same
     /// order — also when the loading process numbers IRIs differently.
     #[test]
     fn space_file_load_equals_rebuild(

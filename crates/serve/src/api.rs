@@ -315,8 +315,10 @@ fn create_session(state: &AppState, req: &Request) -> Response {
     )
 }
 
-/// Refreshes the per-session gauges (and quality gauges when ground
-/// truth is known). Also called by boot recovery in `server.rs`.
+/// Refreshes the per-session gauges, all read from session state: size,
+/// progress and learning health (ε-greedy choices by how the ε coin fell,
+/// rollbacks, Q-table entries, blacklist), and quality when ground truth
+/// is known. Also called by boot recovery in `server.rs`.
 pub(crate) fn update_session_gauges(
     state: &AppState,
     id: &str,
@@ -324,14 +326,22 @@ pub(crate) fn update_session_gauges(
     truth: Option<&HashSet<Link>>,
 ) {
     let session = handle.read();
-    state
-        .metrics
-        .gauge(&format!("alex_session_candidates{{session=\"{id}\"}}"))
-        .set(session.driver().candidate_count() as i64);
-    state
-        .metrics
-        .gauge(&format!("alex_session_episodes{{session=\"{id}\"}}"))
-        .set(session.episodes as i64);
+    let set = |name: &str, labels: &str, value: u64| {
+        (state.metrics)
+            .gauge(&format!("{name}{{session=\"{id}\"{labels}}}"))
+            .set(value as i64);
+    };
+    let health = session.driver().diagnostics();
+    let (explore, exploit) = (",choice=\"explore\"", ",choice=\"exploit\"");
+    set("alex_session_candidates", "", health.candidates as u64);
+    set("alex_session_episodes", "", session.episodes);
+    set("alex_session_choices", explore, session.explored);
+    set("alex_session_choices", exploit, session.exploited);
+    // A rolled-back pair is banned and never taken again, so the banned
+    // pairs are the rollbacks.
+    set("alex_session_rollbacks", "", health.banned_actions as u64);
+    set("alex_session_q_entries", "", health.q_entries as u64);
+    set("alex_session_blacklisted", "", health.blacklisted as u64);
     state
         .metrics
         .counter(&format!("alex_session_feedback_total{{session=\"{id}\"}}"));

@@ -216,6 +216,12 @@ fn recover_sessions(
             .counter(RECOVERED_RECORDS_TOTAL)
             .add(recovered.report.replayed_records);
         state.advance_ids_past(&recovered.id);
+        (state.metrics)
+            .counter(&format!(
+                "alex_session_feedback_total{{session=\"{}\"}}",
+                recovered.id
+            ))
+            .add(recovered.session.feedback_items);
         let handle = SessionHandle::new(recovered.session);
         api::update_session_gauges(state, &recovered.id, &handle, None);
         state

@@ -1,13 +1,15 @@
 //! End-to-end tracing through a live server: a real TCP client issues a
 //! federated query with an `X-Request-Id`, then reads that request's
 //! trace back through `GET /debug/trace/{id}` and checks it against the
-//! source accounting the query response itself reported.
+//! source accounting the query response itself reported, and that the
+//! trace is still there after feedback episodes on the same worker.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::Duration;
 
-use alex_core::trace::{self, Payload, TraceMode, TraceSettings};
+use alex_core::trace::{self, Payload, TraceMode, TraceSettings, DEFAULT_RING_CAPACITY};
 use alex_serve::{ServeConfig, Server};
 
 /// One HTTP/1.0-style exchange on a fresh connection (`Connection:
@@ -53,10 +55,15 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn session_body() -> String {
+/// The flight recorder is process-global: each test holds this lock
+/// while it configures the recorder and reads it back.
+static RECORDER: Mutex<()> = Mutex::new(());
+
+/// A session of `n` entity pairs named alike, starting from two links.
+fn session_body(n: usize) -> String {
     let mut left = String::new();
     let mut right = String::new();
-    for i in 0..4 {
+    for i in 0..n {
         left.push_str(&format!(
             "<http://l/e{i}> <http://l/name> \\\"player number {i}\\\" .\\n"
         ));
@@ -71,10 +78,9 @@ fn session_body() -> String {
     )
 }
 
-// One sequential test: the flight recorder is process-global, so the
-// disabled-path check and the ring-mode flow must not run concurrently.
 #[test]
 fn request_trace_matches_query_report_source_accounting() {
+    let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     // With tracing off, the debug endpoints refuse rather than serve an
     // empty trace.
     {
@@ -108,7 +114,7 @@ fn request_trace_matches_query_report_source_accounting() {
 
     // Create a session; the server assigns a request id when the client
     // brings none.
-    let (status, headers, body) = exchange(addr, "POST", "/sessions", "", &session_body());
+    let (status, headers, body) = exchange(addr, "POST", "/sessions", "", &session_body(4));
     assert_eq!(status, 201, "{body}");
     assert!(
         header(&headers, "x-request-id").is_some_and(|id| id.starts_with('r')),
@@ -186,6 +192,81 @@ fn request_trace_matches_query_report_source_accounting() {
     // Unknown request ids are a 404, not an empty 200.
     let (status, _, _) = exchange(addr, "GET", "/debug/trace/never-seen", "", "");
     assert_eq!(status, 404);
+
+    server.shutdown();
+    trace::configure(&TraceSettings::default()).expect("reset trace config");
+}
+
+/// `/debug/trace/{request_id}` exists to show a request's events after
+/// the fact, so the feedback episodes that follow a query on the same
+/// worker (one ring shard) must not evict them: the engine records no
+/// event per feedback item, choice or link change.
+#[test]
+fn query_trace_survives_feedback_episodes_on_the_same_worker() {
+    let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
+    trace::configure(&TraceSettings {
+        mode: TraceMode::Ring,
+        sample: 1.0,
+        ring_capacity: DEFAULT_RING_CAPACITY,
+    })
+    .expect("enable ring recorder");
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server start");
+    let addr = server.local_addr();
+
+    const PAIRS: usize = 300;
+    let (status, _, body) = exchange(addr, "POST", "/sessions", "", &session_body(PAIRS));
+    assert_eq!(status, 201, "{body}");
+    let created = serde_json::parse_value_str(&body).unwrap();
+    let id = created.get("id").unwrap().as_str().unwrap().to_string();
+
+    let rid = "survives-feedback";
+    let (status, _, body) = exchange(
+        addr,
+        "POST",
+        &format!("/sessions/{id}/query"),
+        &format!("X-Request-Id: {rid}\r\n"),
+        r#"{"query": "SELECT ?n WHERE { ?l <http://l/name> ?n }"}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+
+    // Four episodes, each approving every true pair: one exploration per
+    // item, and the first one adds every other pair.
+    let items: Vec<String> = (0..PAIRS)
+        .map(|i| {
+            format!(r#"{{"left": "http://l/e{i}", "right": "http://r/e{i}", "approve": true}}"#)
+        })
+        .collect();
+    let feedback = format!(r#"{{"items": [{}]}}"#, items.join(","));
+    for _ in 0..4 {
+        let (status, _, body) = exchange(
+            addr,
+            "POST",
+            &format!("/sessions/{id}/feedback"),
+            "",
+            &feedback,
+        );
+        assert_eq!(status, 200, "{body}");
+    }
+
+    let (status, _, jsonl) = exchange(addr, "GET", &format!("/debug/trace/{rid}"), "", "");
+    assert_eq!(status, 200, "the query's trace was evicted: {jsonl}");
+    let events = trace::parse_jsonl(&jsonl).expect("trace endpoint returns valid JSONL");
+    assert!(
+        (events.iter()).any(|e| matches!(
+            &e.payload,
+            Payload::HttpRequest { request_id, .. } if request_id == rid
+        )),
+        "{jsonl}"
+    );
+    assert!(
+        (events.iter()).any(|e| matches!(e.payload, Payload::SourceAttempt { .. })),
+        "{jsonl}"
+    );
 
     server.shutdown();
     trace::configure(&TraceSettings::default()).expect("reset trace config");

@@ -80,74 +80,6 @@ pub enum Payload {
         /// Number of skipped-source incidents.
         skipped: u64,
     },
-    /// One user-feedback item on a link.
-    Feedback {
-        /// The judged link as `left<TAB>right` IRIs.
-        link: String,
-        /// Approved (`true`) or rejected.
-        positive: bool,
-    },
-    /// One ε-greedy action choice (the decision audit trail).
-    Decision {
-        /// The state link.
-        state: String,
-        /// ε in effect at the draw.
-        epsilon: f64,
-        /// Whether the ε coin chose exploration.
-        explored: bool,
-        /// The chosen feature (predicate pair) as `left<TAB>right`.
-        chosen: String,
-        /// The greedy action that was available (empty when none).
-        greedy: String,
-        /// `Q(state, chosen)` at choice time (see `q_defined`).
-        q: f64,
-        /// Whether `Q(state, chosen)` was defined at choice time.
-        q_defined: bool,
-        /// Observations recorded for `(state, chosen)` at choice time.
-        observations: u64,
-        /// Size of the action space `|A(state)|`.
-        actions: u64,
-        /// Size of the partition's exploration space.
-        space: u64,
-    },
-    /// Exploration added a candidate link.
-    LinkAdded {
-        /// The discovered link.
-        link: String,
-        /// The state the exploration started from.
-        state: String,
-        /// The feature that produced it.
-        feature: String,
-        /// The discovered link's score for that feature.
-        score: f64,
-    },
-    /// A candidate link was removed.
-    LinkRemoved {
-        /// The removed link.
-        link: String,
-        /// `rejected`, `blacklisted`, or `rollback`.
-        reason: String,
-    },
-    /// A state-action pair was rolled back (§6.3).
-    Rollback {
-        /// The state link.
-        state: String,
-        /// The banned feature.
-        feature: String,
-        /// Links removed by this rollback.
-        removed: u64,
-    },
-    /// One partition finished an episode.
-    EpisodeEnd {
-        /// Partition index.
-        partition: u64,
-        /// Feedback items processed.
-        feedback: u64,
-        /// Links added.
-        added: u64,
-        /// Links removed.
-        removed: u64,
-    },
     /// Records were appended to a session's write-ahead log.
     WalAppend {
         /// Session id owning the log.
@@ -205,12 +137,6 @@ impl Payload {
             Payload::BreakerTransition { .. } => "breaker_transition",
             Payload::SourceSkipped { .. } => "source_skipped",
             Payload::QueryDegraded { .. } => "query_degraded",
-            Payload::Feedback { .. } => "feedback",
-            Payload::Decision { .. } => "decision",
-            Payload::LinkAdded { .. } => "link_added",
-            Payload::LinkRemoved { .. } => "link_removed",
-            Payload::Rollback { .. } => "rollback",
-            Payload::EpisodeEnd { .. } => "episode_end",
             Payload::WalAppend { .. } => "wal_append",
             Payload::WalRotate { .. } => "wal_rotate",
             Payload::WalReplay { .. } => "wal_replay",
@@ -219,6 +145,19 @@ impl Payload {
         }
     }
 }
+
+/// Kinds that earlier builds wrote once per feedback item, choice, link
+/// change, rollback and episode. Engine state (`explain`) and the
+/// per-session `/metrics` gauges replaced them, so logs that hold them
+/// still parse through [`parse_jsonl`], which skips those lines.
+pub const RETIRED_KINDS: [&str; 6] = [
+    "feedback",
+    "decision",
+    "link_added",
+    "link_removed",
+    "rollback",
+    "episode_end",
+];
 
 /// One recorded event: ring-buffer ordering metadata plus the payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -243,10 +182,6 @@ fn string(v: &str) -> Value {
 
 fn uint(v: u64) -> Value {
     Value::Number(Number::U64(v))
-}
-
-fn float(v: f64) -> Value {
-    Value::Number(Number::F64(v))
 }
 
 impl Event {
@@ -309,68 +244,6 @@ impl Event {
                 put("reason", string(reason));
             }
             Payload::QueryDegraded { skipped } => put("skipped", uint(*skipped)),
-            Payload::Feedback { link, positive } => {
-                put("link", string(link));
-                put("positive", Value::Bool(*positive));
-            }
-            Payload::Decision {
-                state,
-                epsilon,
-                explored,
-                chosen,
-                greedy,
-                q,
-                q_defined,
-                observations,
-                actions,
-                space,
-            } => {
-                put("state", string(state));
-                put("epsilon", float(*epsilon));
-                put("explored", Value::Bool(*explored));
-                put("chosen", string(chosen));
-                put("greedy", string(greedy));
-                put("q", float(*q));
-                put("q_defined", Value::Bool(*q_defined));
-                put("observations", uint(*observations));
-                put("actions", uint(*actions));
-                put("space", uint(*space));
-            }
-            Payload::LinkAdded {
-                link,
-                state,
-                feature,
-                score,
-            } => {
-                put("link", string(link));
-                put("state", string(state));
-                put("feature", string(feature));
-                put("score", float(*score));
-            }
-            Payload::LinkRemoved { link, reason } => {
-                put("link", string(link));
-                put("reason", string(reason));
-            }
-            Payload::Rollback {
-                state,
-                feature,
-                removed,
-            } => {
-                put("state", string(state));
-                put("feature", string(feature));
-                put("removed", uint(*removed));
-            }
-            Payload::EpisodeEnd {
-                partition,
-                feedback,
-                added,
-                removed,
-            } => {
-                put("partition", uint(*partition));
-                put("feedback", uint(*feedback));
-                put("added", uint(*added));
-                put("removed", uint(*removed));
-            }
             Payload::WalAppend {
                 session,
                 kind,
@@ -412,8 +285,15 @@ impl Event {
         Value::Object(o).to_json_string(false)
     }
 
-    /// Parses one line produced by [`Event::to_json_line`].
+    /// Parses one line produced by [`Event::to_json_line`]. A line of a
+    /// retired kind is an error here; [`parse_jsonl`] skips it.
     pub fn parse_json_line(line: &str) -> Result<Event, String> {
+        Event::parse_kept_line(line)?.ok_or_else(|| format!("retired event kind: {line}"))
+    }
+
+    /// [`Event::parse_json_line`], with `None` for a line of a
+    /// [`RETIRED_KINDS`] kind.
+    fn parse_kept_line(line: &str) -> Result<Option<Event>, String> {
         let Value::Object(kv) = serde_json::parse_value_str(line).map_err(|e| e.to_string())?
         else {
             return Err("an event line must be a JSON object".into());
@@ -432,8 +312,6 @@ impl Event {
                 .ok_or_else(|| format!("missing string field {key:?}"))
         };
         let num = |key: &str| get(key).and_then(|v| v.as_u64()).unwrap_or(0);
-        let fnum = |key: &str| get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        let flag = |key: &str| get(key).and_then(|v| v.as_bool()).unwrap_or(false);
 
         let kind = req_str("kind")?;
         let payload = match kind.as_str() {
@@ -474,43 +352,6 @@ impl Event {
             "query_degraded" => Payload::QueryDegraded {
                 skipped: num("skipped"),
             },
-            "feedback" => Payload::Feedback {
-                link: req_str("link")?,
-                positive: flag("positive"),
-            },
-            "decision" => Payload::Decision {
-                state: req_str("state")?,
-                epsilon: fnum("epsilon"),
-                explored: flag("explored"),
-                chosen: req_str("chosen")?,
-                greedy: req_str("greedy")?,
-                q: fnum("q"),
-                q_defined: flag("q_defined"),
-                observations: num("observations"),
-                actions: num("actions"),
-                space: num("space"),
-            },
-            "link_added" => Payload::LinkAdded {
-                link: req_str("link")?,
-                state: req_str("state")?,
-                feature: req_str("feature")?,
-                score: fnum("score"),
-            },
-            "link_removed" => Payload::LinkRemoved {
-                link: req_str("link")?,
-                reason: req_str("reason")?,
-            },
-            "rollback" => Payload::Rollback {
-                state: req_str("state")?,
-                feature: req_str("feature")?,
-                removed: num("removed"),
-            },
-            "episode_end" => Payload::EpisodeEnd {
-                partition: num("partition"),
-                feedback: num("feedback"),
-                added: num("added"),
-                removed: num("removed"),
-            },
             "wal_append" => Payload::WalAppend {
                 session: req_str("session")?,
                 kind: req_str("record")?,
@@ -535,16 +376,17 @@ impl Event {
                 level: req_str("level")?,
                 text: req_str("text")?,
             },
+            other if RETIRED_KINDS.contains(&other) => return Ok(None),
             other => return Err(format!("unknown event kind {other:?}")),
         };
-        Ok(Event {
+        Ok(Some(Event {
             seq: num("seq"),
             ts_us: num("ts_us"),
             trace: num("trace"),
             span: num("span"),
             parent: num("parent"),
             payload,
-        })
+        }))
     }
 }
 
@@ -558,12 +400,13 @@ pub fn to_jsonl(events: &[Event]) -> String {
     out
 }
 
-/// Parses a JSON-lines document back into events; blank lines are skipped.
+/// Parses a JSON-lines document back into events; blank lines and lines
+/// of a [`RETIRED_KINDS`] kind are skipped.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty())
-        .map(Event::parse_json_line)
+        .filter_map(|l| Event::parse_kept_line(l).transpose())
         .collect()
 }
 
@@ -600,17 +443,10 @@ mod tests {
             ),
             mk(
                 3,
-                Payload::Decision {
-                    state: "http://l/e1\thttp://r/e1".into(),
-                    epsilon: 0.1,
-                    explored: false,
-                    chosen: "l/name\tr/label".into(),
-                    greedy: "l/name\tr/label".into(),
-                    q: 0.625,
-                    q_defined: true,
-                    observations: 8,
-                    actions: 3,
-                    space: 420,
+                Payload::HttpRequest {
+                    request_id: "probe-1".into(),
+                    method: "POST".into(),
+                    path: "/sessions/s1/query".into(),
                 },
             ),
             mk(
@@ -685,20 +521,6 @@ mod tests {
         assert!(Event::parse_json_line(line).is_err());
     }
 
-    fn decision(epsilon: f64, q: f64) -> Event {
-        let mut e = sample_events().swap_remove(2);
-        if let Payload::Decision {
-            epsilon: eps,
-            q: qv,
-            ..
-        } = &mut e.payload
-        {
-            *eps = epsilon;
-            *qv = q;
-        }
-        e
-    }
-
     #[test]
     fn escapes_round_trip() {
         let text = "a \"b\"\n\t\r\\ ü 東京 😀 \u{1} \u{1f}";
@@ -717,34 +539,20 @@ mod tests {
     }
 
     #[test]
-    fn floats_round_trip() {
-        for v in [
-            0.0,
-            0.1,
-            -1.5,
-            1e-9,
-            1.0,
-            12345.678,
-            f64::MIN_POSITIVE,
-            f64::MAX,
-        ] {
-            let e = decision(v, -v);
-            let back = Event::parse_json_line(&e.to_json_line()).unwrap();
-            let Payload::Decision { epsilon, q, .. } = back.payload else {
-                panic!("kind changed");
-            };
-            assert_eq!(epsilon.to_bits(), v.to_bits(), "epsilon {v:?}");
-            assert_eq!(q.to_bits(), (-v).to_bits(), "q {:?}", -v);
+    fn retired_kinds_are_skipped_by_the_document_parser_only() {
+        let kept = sample_events().swap_remove(0);
+        let mut doc = String::new();
+        for kind in RETIRED_KINDS {
+            doc.push_str(&format!(
+                "{{\"seq\":9,\"kind\":\"{kind}\",\"link\":\"a\\tb\"}}\n"
+            ));
         }
-    }
-
-    #[test]
-    fn non_finite_floats_render_as_null_and_parse_as_zero() {
-        let e = decision(f64::INFINITY, f64::NAN);
-        let line = e.to_json_line();
-        assert!(line.contains(r#""epsilon":null"#) && line.contains(r#""q":null"#));
-        let back = Event::parse_json_line(&line).unwrap();
-        assert_eq!(back, decision(0.0, 0.0));
+        doc.push_str(&kept.to_json_line());
+        assert_eq!(parse_jsonl(&doc).unwrap(), vec![kept]);
+        for line in doc.lines().take(RETIRED_KINDS.len()) {
+            let err = Event::parse_json_line(line).unwrap_err();
+            assert!(err.starts_with("retired event kind"), "{err}");
+        }
     }
 
     #[test]

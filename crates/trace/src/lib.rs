@@ -40,7 +40,7 @@ mod event;
 mod render;
 mod stage;
 
-pub use event::{parse_jsonl, to_jsonl, Event, Payload};
+pub use event::{parse_jsonl, to_jsonl, Event, Payload, RETIRED_KINDS};
 pub use render::render_tree;
 pub use stage::{stages, Histogram};
 

@@ -46,69 +46,6 @@ fn one_line(e: &Event) -> String {
         Payload::QueryDegraded { skipped } => {
             format!("degraded answer: {skipped} source skip(s)")
         }
-        Payload::Feedback { link, positive } => {
-            let verdict = if *positive { "approved" } else { "rejected" };
-            format!("feedback: {verdict} {}", link.replace('\t', " ≡ "))
-        }
-        Payload::Decision {
-            state,
-            epsilon,
-            explored,
-            chosen,
-            greedy,
-            q,
-            q_defined,
-            observations,
-            actions,
-            space,
-        } => {
-            let how = if *explored { "explore" } else { "exploit" };
-            let qs = if *q_defined {
-                format!("{q:.4} ({observations} obs)")
-            } else {
-                "undefined".to_string()
-            };
-            let alt = if greedy.is_empty() {
-                "none".to_string()
-            } else {
-                greedy.replace('\t', "×")
-            };
-            format!(
-                "decision at {}: ε={epsilon} → {how}, chose {} (Q={qs}, greedy={alt}, |A|={actions}, space={space})",
-                state.replace('\t', " ≡ "),
-                chosen.replace('\t', "×"),
-            )
-        }
-        Payload::LinkAdded {
-            link,
-            state: _,
-            feature,
-            score,
-        } => format!(
-            "+ link {} via {} (score {score:.3})",
-            link.replace('\t', " ≡ "),
-            feature.replace('\t', "×")
-        ),
-        Payload::LinkRemoved { link, reason } => {
-            format!("- link {} ({reason})", link.replace('\t', " ≡ "))
-        }
-        Payload::Rollback {
-            state,
-            feature,
-            removed,
-        } => format!(
-            "rollback at {} of {}: removed {removed} link(s)",
-            state.replace('\t', " ≡ "),
-            feature.replace('\t', "×")
-        ),
-        Payload::EpisodeEnd {
-            partition,
-            feedback,
-            added,
-            removed,
-        } => format!(
-            "episode end (partition {partition}): {feedback} feedback, +{added}/-{removed} links"
-        ),
         Payload::WalAppend {
             session,
             kind,

@@ -1,11 +1,13 @@
 //! Backward compatibility of the JSON-lines trace format: `alex trace
 //! --input` must keep reading logs written by older builds.
 //!
-//! `data/events-v1.jsonl` holds one line per [`Payload`] kind exactly as
-//! the original hand-rolled encoder wrote them: floats in `{:?}` form
-//! (`1.0`, `1e-9`), a `\u0001` escape and multi-byte UTF-8.
+//! `data/events-v1.jsonl` holds one line per payload kind the original
+//! hand-rolled encoder wrote, exactly as it wrote them: a `\u0001` escape
+//! and multi-byte UTF-8 included. Lines 9–14 are the per-link learning
+//! kinds later builds retired ([`RETIRED_KINDS`]); the document parser
+//! skips them.
 
-use alex_trace::{parse_jsonl, Event, Payload};
+use alex_trace::{parse_jsonl, Event, Payload, RETIRED_KINDS};
 
 const V1: &str = include_str!("data/events-v1.jsonl");
 
@@ -46,43 +48,6 @@ fn expected() -> Vec<Event> {
             reason: "breaker_open".into(),
         },
         Payload::QueryDegraded { skipped: 1 },
-        Payload::Feedback {
-            link: "http://l/Zoë\thttp://r/Zoë".into(),
-            positive: true,
-        },
-        Payload::Decision {
-            state: "http://l/e1\thttp://r/e1".into(),
-            epsilon: 1e-9,
-            explored: true,
-            chosen: "l/name\tr/label".into(),
-            greedy: "".into(),
-            q: 1.0,
-            q_defined: true,
-            observations: 8,
-            actions: 3,
-            space: 420,
-        },
-        Payload::LinkAdded {
-            link: "http://l/東京\thttp://r/東京".into(),
-            state: "http://l/e1\thttp://r/e1".into(),
-            feature: "l/name\tr/label".into(),
-            score: 0.8125,
-        },
-        Payload::LinkRemoved {
-            link: "http://l/e2\thttp://r/e9".into(),
-            reason: "rollback".into(),
-        },
-        Payload::Rollback {
-            state: "http://l/e1\thttp://r/e1".into(),
-            feature: "l/year\tr/born".into(),
-            removed: 3,
-        },
-        Payload::EpisodeEnd {
-            partition: 1,
-            feedback: 55,
-            added: 7,
-            removed: 2,
-        },
         Payload::WalAppend {
             session: "s1".into(),
             kind: "feedback".into(),
@@ -108,28 +73,37 @@ fn expected() -> Vec<Event> {
             text: "ctrl \u{1} quote \" backslash \\ newline \n tab \t cr \r emoji 😀".into(),
         },
     ];
+    // Line numbers of the kept lines: 1–8, then 15–19 after the six
+    // retired ones.
+    let seqs = (1..=8).chain(15..=19);
     payloads
         .into_iter()
-        .enumerate()
-        .map(|(i, payload)| {
-            let seq = i as u64 + 1;
-            Event {
-                seq,
-                ts_us: 1_000_000 + seq * 137,
-                trace: 0x5eed_1234,
-                span: 100 + seq,
-                parent: 100,
-                payload,
-            }
+        .zip(seqs)
+        .map(|(payload, seq)| Event {
+            seq,
+            ts_us: 1_000_000 + seq * 137,
+            trace: 0x5eed_1234,
+            span: 100 + seq,
+            parent: 100,
+            payload,
         })
         .collect()
+}
+
+/// The fixture lines of kinds this build still records.
+fn kept_lines() -> Vec<&'static str> {
+    V1.lines().filter(|l| !is_retired(l)).collect()
+}
+
+fn is_retired(line: &str) -> bool {
+    (RETIRED_KINDS.iter()).any(|k| line.contains(&format!(r#""kind":"{k}""#)))
 }
 
 #[test]
 fn v1_lines_parse_to_the_same_events() {
     let events = expected();
-    let lines: Vec<&str> = V1.lines().collect();
-    assert_eq!(lines.len(), events.len(), "one fixture line per event");
+    let lines = kept_lines();
+    assert_eq!(lines.len(), events.len(), "one kept fixture line per event");
     for (line, want) in lines.iter().zip(&events) {
         assert_eq!(&Event::parse_json_line(line).unwrap(), want, "{line}");
     }
@@ -137,21 +111,51 @@ fn v1_lines_parse_to_the_same_events() {
 }
 
 #[test]
+fn retired_lines_are_skipped() {
+    let retired: Vec<&str> = V1.lines().filter(|l| is_retired(l)).collect();
+    assert_eq!(
+        retired.len(),
+        RETIRED_KINDS.len(),
+        "one line per retired kind"
+    );
+    for line in &retired {
+        assert!(Event::parse_json_line(line).is_err(), "{line}");
+    }
+    assert!(parse_jsonl(&retired.join("\n")).unwrap().is_empty());
+}
+
+#[test]
 fn fixture_covers_every_payload_kind() {
     let mut kinds: Vec<&str> = expected().iter().map(|e| e.payload.kind()).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    assert_eq!(kinds.len(), 19);
+    assert_eq!(kinds.len(), 13);
+    assert_eq!(V1.lines().count(), kinds.len() + RETIRED_KINDS.len());
 }
 
 #[test]
-fn new_lines_differ_from_v1_only_in_float_rendering() {
-    // Floats now render in `{}` form; every other byte, field order
-    // included, is what the original encoder wrote.
-    for (line, event) in V1.lines().zip(expected()) {
-        let v1 = line
-            .replace(r#""epsilon":1e-9"#, r#""epsilon":0.000000001"#)
-            .replace(r#""q":1.0"#, r#""q":1"#);
-        assert_eq!(event.to_json_line(), v1);
+fn kept_lines_encode_exactly_as_v1() {
+    // Every byte, field order included, is what the original encoder
+    // wrote.
+    for (line, event) in kept_lines().into_iter().zip(expected()) {
+        assert_eq!(event.to_json_line(), line);
     }
+}
+
+#[test]
+fn two_and_three_byte_utf8_round_trip_in_a_kept_kind() {
+    // The fixture's 2- and 3-byte characters sit in retired lines (9 and
+    // 11), so this line carries them in a kept kind, written the way the
+    // original encoder wrote non-ASCII text: raw, unescaped.
+    let line = r#"{"seq":20,"ts_us":1002740,"trace":1592594996,"span":120,"parent":100,"kind":"http_request","request_id":"probe-Zoë","method":"GET","path":"/sessions/東京/links"}"#;
+    let event = Event::parse_json_line(line).unwrap();
+    assert_eq!(
+        event.payload,
+        Payload::HttpRequest {
+            request_id: "probe-Zoë".into(),
+            method: "GET".into(),
+            path: "/sessions/東京/links".into(),
+        }
+    );
+    assert_eq!(event.to_json_line(), line);
 }

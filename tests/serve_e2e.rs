@@ -571,6 +571,95 @@ fn a_per_session_wal_survives_a_crash_without_server_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Session `id`'s learning-health gauges and feedback counter as
+/// `/metrics` reports them, by series name.
+fn learning_metrics(addr: &str, id: &str) -> BTreeMap<String, u64> {
+    let (status, v) = http(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let Value::String(text) = v else {
+        panic!("/metrics is plain text: {v:?}")
+    };
+    let names = [
+        "alex_session_choices{",
+        "alex_session_rollbacks{",
+        "alex_session_q_entries{",
+        "alex_session_blacklisted{",
+        "alex_session_feedback_total{",
+    ];
+    (text.lines())
+        .filter(|l| names.iter().any(|n| l.starts_with(n)))
+        .filter(|l| l.contains(&format!("session=\"{id}\"")))
+        .map(|l| {
+            let (series, value) = l.rsplit_once(' ').unwrap();
+            (series.to_string(), value.parse().unwrap())
+        })
+        .collect()
+}
+
+/// The learning-health gauges read session state, and the feedback
+/// counter is seeded from it at boot, so a restart after a crash (WAL
+/// replay) or a graceful shutdown (checkpoint) reports the same values.
+#[test]
+fn learning_gauges_and_feedback_total_survive_restarts() {
+    let dir = fresh_dir("gauges");
+    let cfg = || {
+        local(|cfg| {
+            cfg.state_dir = Some(dir.clone());
+            cfg.durability.wal = true;
+        })
+    };
+    let (server, addr) = start(cfg());
+    let id = create_session_with(
+        &addr,
+        vec![("epsilon", Value::Number(serde_json::Number::F64(0.5)))],
+    );
+    reject_wrong_link(&addr, &id);
+    approve_correct_link(&addr, &id);
+    // Five negatives on a link the approval explored reach the rollback
+    // threshold of the pair that generated it.
+    let explored = obj(vec![
+        ("left", s("http://db/player1")),
+        ("right", s("http://ny/person1")),
+        ("approve", Value::Bool(false)),
+    ]);
+    let (status, v) = http(
+        &addr,
+        "POST",
+        &format!("/sessions/{id}/feedback"),
+        Some(&obj(vec![("items", Value::Array(vec![explored; 5]))])),
+    );
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(v.get("rollbacks").unwrap().as_u64(), Some(1), "{v:?}");
+    judge(&addr, &id, "http://ny/person0", true);
+
+    let before = learning_metrics(&addr, &id);
+    let get = |name: &str| before[&format!("{name}{{session=\"{id}\"}}")];
+    let choice =
+        |c: &str| before[&format!("alex_session_choices{{session=\"{id}\",choice=\"{c}\"}}")];
+    assert_eq!(get("alex_session_feedback_total"), 8);
+    assert_eq!(choice("explore") + choice("exploit"), 2, "{before:?}");
+    assert_eq!(get("alex_session_rollbacks"), 1);
+    assert_eq!(get("alex_session_blacklisted"), 2);
+    assert!(get("alex_session_q_entries") > 0, "{before:?}");
+    {
+        let sessions = server.state().sessions.read().unwrap();
+        let session = sessions[&id].handle.read();
+        assert_eq!(
+            (choice("explore"), choice("exploit")),
+            (session.explored, session.exploited)
+        );
+    }
+
+    drop(server); // a crash: the log replays at boot
+    let (server, addr) = start(cfg());
+    assert_eq!(learning_metrics(&addr, &id), before, "after WAL replay");
+    server.shutdown(); // a checkpoint folds the log
+    let (server, addr) = start(cfg());
+    assert_eq!(learning_metrics(&addr, &id), before, "after a checkpoint");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn boot_reserves_the_ids_of_sessions_it_cannot_recover() {
     let dir = fresh_dir("unrecoverable");
