@@ -10,7 +10,7 @@
 
 use std::collections::HashSet;
 
-use alex_core::trace::{self, TraceMode, TraceSettings};
+use alex_core::trace::{self, TraceMode};
 use alex_core::{AlexConfig, AlexDriver, ExactOracle, Quality};
 use alex_datagen::{degrade, generate, GeneratedPair, PaperPair};
 use alex_rdf::Link;
@@ -58,20 +58,15 @@ fn main() {
         initial.len()
     );
 
-    trace::configure(&TraceSettings::default()).expect("tracing off");
+    trace::configure(TraceMode::Off).expect("tracing off");
     let links_off = run_once(&pair, &initial, cfg.clone());
 
-    trace::configure(&TraceSettings {
-        mode: TraceMode::Ring,
-        sample: 1.0,
-        ring_capacity: 1 << 18,
-    })
-    .expect("ring recorder on");
+    trace::configure(TraceMode::Ring).expect("ring recorder on");
     let span = trace::root_span("invariance.traced_run");
     let links_ring = run_once(&pair, &initial, cfg);
     let recorded = trace::recorder().trace_events(span.trace_id()).len();
     drop(span);
-    trace::configure(&TraceSettings::default()).expect("tracing off again");
+    trace::configure(TraceMode::Off).expect("tracing off again");
 
     let quality = |links: &[Link]| {
         let set: HashSet<Link> = links.iter().copied().collect();

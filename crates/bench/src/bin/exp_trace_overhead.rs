@@ -15,7 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use alex_core::trace::{self, Payload, TraceMode, TraceSettings};
+use alex_core::trace::{self, Payload, TraceMode};
 use serde::Serialize;
 
 /// The disabled emit path may cost at most this fraction over baseline.
@@ -93,12 +93,7 @@ fn emitting(i: u64) -> u64 {
 }
 
 fn configure(mode: TraceMode) {
-    trace::configure(&TraceSettings {
-        mode,
-        sample: 1.0,
-        ring_capacity: 1 << 14,
-    })
-    .expect("configure recorder");
+    trace::configure(mode).expect("configure recorder");
 }
 
 fn main() {
@@ -131,7 +126,7 @@ fn main() {
         i
     });
 
-    // (c) Ring recorder on: the payload is built and pushed into a shard.
+    // (c) Ring recorder on: the payload is built and pushed into the ring.
     configure(TraceMode::Ring);
     let ring_span = trace::root_span("bench.ring");
     let ring_ns = measure(iters.min(200_000), reps.min(3), emitting);

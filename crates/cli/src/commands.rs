@@ -365,7 +365,7 @@ pub fn recover(args: &[String]) -> Result<(), String> {
 
 /// `alex serve [--addr A] [--workers N] [--queue-depth N]
 /// [--request-timeout SECS] [--state-dir DIR] [--wal] [--fsync POLICY]
-/// [--fsync-every-n N] [--wal-segment-bytes N] [--compact-after N]` —
+/// [--fsync-every-n N] [--compact-after N]` —
 /// run the HTTP curation server until SIGINT/SIGTERM, then drain and
 /// checkpoint sessions.
 pub fn serve(args: &[String]) -> Result<(), String> {
@@ -403,11 +403,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
                 d.fsync_every_n = v
                     .parse()
                     .map_err(|_| "--fsync-every-n must be an integer".to_string())?;
-            }
-            if let Some(v) = flag_value(args, "--wal-segment-bytes") {
-                d.segment_bytes = v
-                    .parse()
-                    .map_err(|_| "--wal-segment-bytes must be an integer".to_string())?;
             }
             if let Some(v) = flag_value(args, "--compact-after") {
                 d.compact_after_records = v

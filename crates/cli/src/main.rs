@@ -33,7 +33,7 @@ USAGE:
     alex serve  [--addr HOST:PORT] [--workers N] [--queue-depth N]
                 [--request-timeout SECS] [--state-dir DIR]
                 [--wal] [--fsync always|every_n|os] [--fsync-every-n N]
-                [--wal-segment-bytes N] [--compact-after N]
+                [--compact-after N]
     alex compact <DATASET> <OUT.alexdb>
     alex recover --state-dir DIR
     alex trace  --input events.jsonl
@@ -42,8 +42,8 @@ USAGE:
 
 FILES:    .nt (N-Triples), .ttl (Turtle), or .alexdb (binary snapshot,
           written by `alex compact`), by extension.
-TRACING:  every command honors ALEX_TRACE=off|ring|jsonl:<path>
-          (plus ALEX_TRACE_SAMPLE and ALEX_TRACE_RING).
+TRACING:  every command honors ALEX_TRACE=off|ring|jsonl:<path>; the
+          ring keeps the most recent 16,384 events.
 
 COMMANDS:
     stats    Print triple/entity/predicate counts for one dataset.

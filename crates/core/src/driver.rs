@@ -852,7 +852,7 @@ mod tests {
 
     #[test]
     fn tracing_records_spans_without_changing_output() {
-        use alex_trace::{Payload, TraceMode, TraceSettings};
+        use alex_trace::{Payload, TraceMode};
         // Single partition + fixed seed: identical runs are bit-identical,
         // so any divergence with tracing on would be tracing's fault.
         let (left, right, truth, links) = world(15);
@@ -870,18 +870,13 @@ mod tests {
         };
         let (baseline_driver, baseline) = run(cfg.clone());
 
-        alex_trace::configure(&TraceSettings {
-            mode: TraceMode::Ring,
-            sample: 1.0,
-            ring_capacity: 1 << 16,
-        })
-        .unwrap();
+        alex_trace::configure(TraceMode::Ring).unwrap();
         let span = alex_trace::root_span("test.traced_run");
         let trace_id = span.trace_id();
         let (driver, traced) = run(cfg);
         drop(span);
         let events = alex_trace::recorder().trace_events(trace_id);
-        alex_trace::configure(&TraceSettings::default()).unwrap();
+        alex_trace::configure(TraceMode::Off).unwrap();
 
         assert_eq!(
             baseline.final_links, traced.final_links,

@@ -1177,6 +1177,12 @@ mod tests {
         config.push(("trace".into(), serde_json::from_str(trace).unwrap()));
         let with_trace = value.to_json_string(false);
         assert!(with_trace.contains(r#""trace":{"mode":"ring""#));
+        // ... whose `DurabilityConfig` also still had `segment_bytes`.
+        assert!(!with_trace.contains("segment_bytes"));
+        let durability = r#""durability":{"#;
+        assert_eq!(with_trace.matches(durability).count(), 1);
+        let with_segment_bytes =
+            with_trace.replace(durability, r#""durability":{"segment_bytes":1048576,"#);
 
         let state = |json: &str| {
             let restored = SessionSnapshot::from_json(json)
@@ -1193,6 +1199,7 @@ mod tests {
             (links, fps)
         };
         assert_eq!(state(&with_trace), state(&plain));
+        assert_eq!(state(&with_segment_bytes), state(&plain));
     }
 
     /// A session with the ratio numeric mode restores with it: the mode is

@@ -1419,7 +1419,7 @@ mod tests {
 
     #[test]
     fn trace_has_one_source_attempt_event_per_probe_attempt() {
-        use alex_trace::{TraceMode, TraceSettings};
+        use alex_trace::TraceMode;
         let (dbpedia, nytimes, link) = federation_fixture();
         let mut fed = faulty_fed(
             &dbpedia,
@@ -1433,18 +1433,13 @@ mod tests {
         );
         fed.add_links([link]);
 
-        alex_trace::configure(&TraceSettings {
-            mode: TraceMode::Ring,
-            sample: 1.0,
-            ring_capacity: 1 << 16,
-        })
-        .unwrap();
+        alex_trace::configure(TraceMode::Ring).unwrap();
         let span = alex_trace::root_span("test.query");
         let trace_id = span.trace_id();
         let report = fed.execute_str_report(JOIN_QUERY).unwrap();
         drop(span);
         let events = alex_trace::recorder().trace_events(trace_id);
-        alex_trace::configure(&TraceSettings::default()).unwrap();
+        alex_trace::configure(TraceMode::Off).unwrap();
 
         assert!(report.total_retries() > 0, "the faults were actually hit");
         for rep in &report.sources {

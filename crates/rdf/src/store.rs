@@ -81,17 +81,17 @@ impl Store {
     /// Builds a store from a triple list in one shot — the bulk-load path
     /// used by the binary snapshot decoder.
     ///
-    /// Two things make this much faster than an [`Store::insert`] loop:
-    /// the dedup set is left to lazy materialization (duplicate freedom is
-    /// verified from the subject index instead, bounded by subject arity),
-    /// and on machines with enough cores the three position indexes are
-    /// built on separate threads. The result is observably identical to
-    /// inserting the triples in order: same triple order, same subject
-    /// first-insertion order, same dedup semantics (if `triples` contains
-    /// duplicates — possible only with a crafted snapshot — the build
-    /// falls back to the sequential insert loop).
+    /// This is much faster than an [`Store::insert`] loop: the dedup set
+    /// is left to lazy materialization (duplicate freedom is verified from
+    /// the subject index instead, bounded by subject arity), and each
+    /// position index is built in one pass, subjects hashed once per run.
+    /// The result is observably identical to inserting the triples in
+    /// order: same triple order, same subject first-insertion order, same
+    /// dedup semantics (if `triples` contains duplicates — possible only
+    /// with a crafted snapshot — the build falls back to the sequential
+    /// insert loop).
     pub fn from_triples(interner: Arc<Interner>, triples: Vec<Triple>) -> Self {
-        const PARALLEL_THRESHOLD: usize = 4096;
+        const BULK_THRESHOLD: usize = 4096;
         let sequential = |triples: Vec<Triple>| {
             let mut store = Self::new(Arc::clone(&interner));
             store.reserve(triples.len());
@@ -100,7 +100,7 @@ impl Store {
             }
             store
         };
-        if triples.len() < PARALLEL_THRESHOLD {
+        if triples.len() < BULK_THRESHOLD {
             return sequential(triples);
         }
         assert!(
@@ -110,89 +110,62 @@ impl Store {
         let n = triples.len();
         let ts: &[Triple] = &triples;
 
-        let build_subject = || {
-            // Subjects arrive in runs; the run count bounds the distinct
-            // subjects tightly, so the map can be sized exactly instead
-            // of growing through rehashes.
-            let runs = 1 + ts
-                .windows(2)
-                .filter(|w| w[0].subject != w[1].subject)
-                .count();
-            let mut by_subject: FastMap<IriId, Postings> = FastMap::default();
-            by_subject.reserve(runs);
-            let mut subject_order = Vec::with_capacity(runs);
-            // Triples arrive grouped into runs of equal subjects (that is
-            // how entities are serialized), so hash each run once instead
-            // of once per triple.
-            let mut i = 0usize;
-            while i < n {
-                let s = ts[i].subject;
-                let mut j = i + 1;
-                while j < n && ts[j].subject == s {
-                    j += 1;
-                }
-                match by_subject.entry(s) {
-                    Entry::Vacant(slot) => {
-                        subject_order.push(s);
-                        if j - i == 1 {
-                            slot.insert(Postings::One(i as u32));
-                        } else {
-                            slot.insert(Postings::Many(Box::new((i as u32..j as u32).collect())));
-                        }
-                    }
-                    Entry::Occupied(mut slot) => {
-                        let postings = slot.get_mut();
-                        for k in i..j {
-                            postings.push(k as u32);
-                        }
+        // Subjects arrive in runs; the run count bounds the distinct
+        // subjects tightly, so the map can be sized exactly instead of
+        // growing through rehashes.
+        let runs = 1 + ts
+            .windows(2)
+            .filter(|w| w[0].subject != w[1].subject)
+            .count();
+        let mut by_subject: FastMap<IriId, Postings> = FastMap::default();
+        by_subject.reserve(runs);
+        let mut subject_order = Vec::with_capacity(runs);
+        // Triples arrive grouped into runs of equal subjects (that is how
+        // entities are serialized), so hash each run once instead of once
+        // per triple.
+        let mut i = 0usize;
+        while i < n {
+            let s = ts[i].subject;
+            let mut j = i + 1;
+            while j < n && ts[j].subject == s {
+                j += 1;
+            }
+            match by_subject.entry(s) {
+                Entry::Vacant(slot) => {
+                    subject_order.push(s);
+                    if j - i == 1 {
+                        slot.insert(Postings::One(i as u32));
+                    } else {
+                        slot.insert(Postings::Many(Box::new((i as u32..j as u32).collect())));
                     }
                 }
-                i = j;
+                Entry::Occupied(mut slot) => {
+                    let postings = slot.get_mut();
+                    for k in i..j {
+                        postings.push(k as u32);
+                    }
+                }
             }
-            (by_subject, subject_order)
-        };
-        let build_predicate = || {
-            let mut by_predicate: FastMap<IriId, Postings> = FastMap::default();
-            for (i, t) in ts.iter().enumerate() {
-                by_predicate
-                    .entry(t.predicate)
-                    .and_modify(|p| p.push(i as u32))
-                    .or_insert(Postings::One(i as u32));
-            }
-            by_predicate
-        };
-        let build_object = || {
-            let mut by_object: FastMap<Term, Postings> = FastMap::default();
-            by_object.reserve(n);
-            for (i, t) in ts.iter().enumerate() {
-                by_object
-                    .entry(t.object)
-                    .and_modify(|p| p.push(i as u32))
-                    .or_insert(Postings::One(i as u32));
-            }
-            by_object
-        };
-
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let ((by_subject, subject_order), by_predicate, by_object) = if threads >= 3 {
-            std::thread::scope(|scope| {
-                let subject_builder = scope.spawn(build_subject);
-                let predicate_builder = scope.spawn(build_predicate);
-                let by_object = build_object();
-                (
-                    subject_builder.join().expect("subject builder panicked"),
-                    predicate_builder
-                        .join()
-                        .expect("predicate builder panicked"),
-                    by_object,
-                )
-            })
-        } else {
-            (build_subject(), build_predicate(), build_object())
-        };
-
+            i = j;
+        }
         if subject_lists_have_duplicates(ts, &by_subject) {
             return sequential(triples);
+        }
+
+        let mut by_predicate: FastMap<IriId, Postings> = FastMap::default();
+        for (i, t) in ts.iter().enumerate() {
+            by_predicate
+                .entry(t.predicate)
+                .and_modify(|p| p.push(i as u32))
+                .or_insert(Postings::One(i as u32));
+        }
+        let mut by_object: FastMap<Term, Postings> = FastMap::default();
+        by_object.reserve(n);
+        for (i, t) in ts.iter().enumerate() {
+            by_object
+                .entry(t.object)
+                .and_modify(|p| p.push(i as u32))
+                .or_insert(Postings::One(i as u32));
         }
         Self {
             interner,

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use alex_core::trace::{self, Payload, TraceMode, TraceSettings, DEFAULT_RING_CAPACITY};
+use alex_core::trace::{self, Payload, TraceMode};
 use alex_serve::{ServeConfig, Server};
 
 /// One HTTP/1.0-style exchange on a fresh connection (`Connection:
@@ -90,19 +90,14 @@ fn request_trace_matches_query_report_source_accounting() {
             ..ServeConfig::default()
         })
         .expect("server start");
-        trace::configure(&TraceSettings::default()).expect("reset trace config");
+        trace::configure(TraceMode::Off).expect("reset trace config");
         let (status, _, body) = exchange(server.local_addr(), "GET", "/debug/events", "", "");
         assert_eq!(status, 503, "{body}");
         assert!(body.contains("ALEX_TRACE"), "{body}");
         server.shutdown();
     }
 
-    trace::configure(&TraceSettings {
-        mode: TraceMode::Ring,
-        sample: 1.0,
-        ring_capacity: 1 << 16,
-    })
-    .expect("enable ring recorder");
+    trace::configure(TraceMode::Ring).expect("enable ring recorder");
 
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -194,22 +189,17 @@ fn request_trace_matches_query_report_source_accounting() {
     assert_eq!(status, 404);
 
     server.shutdown();
-    trace::configure(&TraceSettings::default()).expect("reset trace config");
+    trace::configure(TraceMode::Off).expect("reset trace config");
 }
 
 /// `/debug/trace/{request_id}` exists to show a request's events after
 /// the fact, so the feedback episodes that follow a query on the same
-/// worker (one ring shard) must not evict them: the engine records no
-/// event per feedback item, choice or link change.
+/// worker must not evict them from the 16,384-event ring: the engine
+/// records no event per feedback item, choice or link change.
 #[test]
 fn query_trace_survives_feedback_episodes_on_the_same_worker() {
     let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-    trace::configure(&TraceSettings {
-        mode: TraceMode::Ring,
-        sample: 1.0,
-        ring_capacity: DEFAULT_RING_CAPACITY,
-    })
-    .expect("enable ring recorder");
+    trace::configure(TraceMode::Ring).expect("enable ring recorder");
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
@@ -269,5 +259,5 @@ fn query_trace_survives_feedback_episodes_on_the_same_worker() {
     );
 
     server.shutdown();
-    trace::configure(&TraceSettings::default()).expect("reset trace config");
+    trace::configure(TraceMode::Off).expect("reset trace config");
 }

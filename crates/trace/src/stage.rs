@@ -1,11 +1,10 @@
 //! The stage table: how long every span took, aggregated by span name.
 //!
 //! Every [`Span`](crate::Span) adds its duration here when it closes,
-//! whether or not the recorder is on and whether or not its trace was
-//! sampled, so stage times are always available without a rerun. An entry
-//! is created (and allocated) on a name's first close; later closes take
-//! one short lock to find the entry and two relaxed atomic adds to update
-//! it.
+//! whether or not the recorder is on, so stage times are always
+//! available without a rerun. An entry is created (and allocated) on a
+//! name's first close; later closes take one short lock to find the entry
+//! and two relaxed atomic adds to update it.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, PoisonError};
