@@ -1,10 +1,12 @@
 //! Figure 10 (Appendix D) — sensitivity to the step size: F-measure,
 //! recall, and negative-feedback fraction for step ∈ {0.01, 0.05, 0.1}.
+//! Exits non-zero unless final recall is ordered by step size.
 //!
 //! ```sh
 //! cargo run --release -p alex-bench --bin exp_fig10 [--scale S] [--out DIR]
 //! ```
 
+use alex_bench::check_claims;
 use alex_bench::runner::{build_env, RunParams};
 use alex_bench::table::{maybe_write_output, reports_to_csv};
 use alex_core::RunOutcome;
@@ -91,5 +93,14 @@ fn main() {
     println!(
         "paper: larger steps discover more links (higher recall) but draw more negative\n\
          feedback and cost more execution time; quality differences stay small"
+    );
+
+    let recall: Vec<f64> = outcomes.iter().map(|o| o.final_quality().recall).collect();
+    check_claims(
+        "Figure 10",
+        &[(
+            format!("final recall is ordered by step size ({recall:.3?})"),
+            recall.windows(2).all(|w| w[0] <= w[1]),
+        )],
     );
 }

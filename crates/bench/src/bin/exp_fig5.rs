@@ -1,12 +1,14 @@
 //! Figure 5 — filtering to reduce the search space (paper §7.3):
 //! (a) total possible links vs the θ-filtered space for the first
 //! partition of DBpedia against all of NYTimes; (b) the filtered space vs
-//! the ground-truth links of that partition.
+//! the ground-truth links of that partition. Exits non-zero unless the
+//! θ-filter removes at least 90% of the possible links.
 //!
 //! ```sh
 //! cargo run --release -p alex-bench --bin exp_fig5 [--scale S]
 //! ```
 
+use alex_bench::check_claims;
 use alex_bench::runner::{build_env, default_partitions, RunParams};
 use alex_bench::table::print_paper_vs_measured;
 use alex_datagen::PaperPair;
@@ -20,6 +22,7 @@ fn main() {
     let engine = &driver.engines()[0];
     let total = engine.space().total_possible();
     let filtered = engine.space().len();
+    let reduction = 1.0 - filtered as f64 / total.max(1) as f64;
     let gt_in_partition = env
         .pair
         .truth
@@ -50,10 +53,7 @@ fn main() {
     println!("\n(a) total possible links vs filtered space");
     println!("    total possible : {total:>10}");
     println!("    filtered (θ=0.3): {filtered:>10}");
-    println!(
-        "    reduction      : {:>9.1}%",
-        100.0 * (1.0 - filtered as f64 / total.max(1) as f64)
-    );
+    println!("    reduction      : {:>9.1}%", 100.0 * reduction);
     println!("\n(b) filtered space vs ground truth");
     println!("    filtered space : {filtered:>10}");
     println!("    ground truth   : {gt_owned:>10} links owned by this partition ({gt_in_partition} retained in the space)");
@@ -66,10 +66,7 @@ fn main() {
         (
             "space reduction by θ-filter",
             "95%".into(),
-            format!(
-                "{:.1}%",
-                100.0 * (1.0 - filtered as f64 / total.max(1) as f64)
-            ),
+            format!("{:.1}%", 100.0 * reduction),
         ),
         (
             "ground truth / filtered space",
@@ -77,4 +74,14 @@ fn main() {
             format!("{:.2}%", 100.0 * gt_owned as f64 / filtered.max(1) as f64),
         ),
     ]);
+    check_claims(
+        "Figure 5",
+        &[(
+            format!(
+                "the θ-filter removes at least 90% of possible links (removed {:.1}%)",
+                100.0 * reduction
+            ),
+            reduction >= 0.90,
+        )],
+    );
 }

@@ -1,11 +1,13 @@
 //! Figure 6 — effect of the blacklist (paper §7.3): (a) F-measure with and
 //! without the blacklist; (b) fraction of negative feedback per episode
-//! for the first 10 episodes.
+//! for the first 10 episodes. Exits non-zero if strict convergence comes
+//! later with the blacklist than without it.
 //!
 //! ```sh
 //! cargo run --release -p alex-bench --bin exp_fig6 [--scale S] [--out DIR]
 //! ```
 
+use alex_bench::check_claims;
 use alex_bench::runner::{build_env, RunParams};
 use alex_bench::table::{maybe_write_output, reports_to_csv};
 use alex_datagen::PaperPair;
@@ -86,5 +88,19 @@ fn main() {
     maybe_write_output(
         "fig6_without_blacklist.csv",
         &reports_to_csv(&without.reports),
+    );
+
+    // A run that never converges converges later than any that does.
+    let episodes = |o: &alex_core::RunOutcome| o.strict_convergence.unwrap_or(usize::MAX);
+    check_claims(
+        "Figure 6",
+        &[(
+            format!(
+                "with the blacklist, strict convergence comes no later than without it \
+                 ({:?} vs {:?})",
+                with.strict_convergence, without.strict_convergence
+            ),
+            episodes(&with) <= episodes(&without),
+        )],
     );
 }

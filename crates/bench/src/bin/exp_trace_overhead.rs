@@ -81,13 +81,11 @@ fn measure(iters: u64, reps: usize, mut f: impl FnMut(u64) -> u64) -> f64 {
 }
 
 fn emitting(i: u64) -> u64 {
-    trace::emit(|| Payload::SourceAttempt {
-        source: format!("l/{i}\tr/{i}"),
-        attempt: i % 4 + 1,
-        outcome: "timeout".to_string(),
-        wait_ms: i,
-        backoff_ms: 17,
-        breaker: "closed".to_string(),
+    trace::emit(|| Payload::WalAppend {
+        session: format!("s{i}"),
+        kind: "feedback".to_string(),
+        seq: i,
+        bytes: 96,
     });
     work(i)
 }

@@ -22,3 +22,19 @@ pub fn fnv1a(words: &[u64]) -> u64 {
     }
     h
 }
+
+/// Checks the shape claims a figure binary makes about the paper's
+/// results, each a description and whether it held: every failed claim
+/// is printed to stderr, and the process exits non-zero if any failed.
+/// Stdout is left alone, so the printed figure stays comparable with its
+/// golden file either way.
+pub fn check_claims(figure: &str, claims: &[(String, bool)]) {
+    let mut failed = false;
+    for (claim, _) in claims.iter().filter(|(_, holds)| !holds) {
+        eprintln!("FAIL: {figure}: {claim}");
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}

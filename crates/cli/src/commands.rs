@@ -508,11 +508,8 @@ pub fn curate(args: &[String]) -> Result<(), String> {
             .map_err(|_| "--episodes must be an integer".to_string())?;
     }
 
-    // Resume from a session snapshot, or start from --links. Availability
-    // accounting (degraded queries from the federated layer) is carried
-    // through resume/save so it survives across runs.
+    // Resume from a session snapshot, or start from --links.
     let session_path = flag_value(args, "--session");
-    let mut carried_accounting = (0u64, 0u64);
     let mut driver = match &session_path {
         Some(p) if std::path::Path::new(p).exists() => {
             let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
@@ -522,13 +519,6 @@ pub fn curate(args: &[String]) -> Result<(), String> {
                 snap.candidates.len(),
                 snap.blacklist.len()
             );
-            if snap.degraded_queries > 0 {
-                eprintln!(
-                    "  availability: {} degraded queries so far ({} skipped-source incidents)",
-                    snap.degraded_queries, snap.source_skips
-                );
-            }
-            carried_accounting = (snap.degraded_queries, snap.source_skips);
             snap.restore(&left, &right)?
         }
         _ => {
@@ -566,8 +556,7 @@ pub fn curate(args: &[String]) -> Result<(), String> {
     );
 
     if let Some(p) = &session_path {
-        let mut snap = SessionSnapshot::capture(&driver, &left, &right);
-        (snap.degraded_queries, snap.source_skips) = carried_accounting;
+        let snap = SessionSnapshot::capture(&driver, &left, &right);
         std::fs::write(p, snap.to_json()).map_err(|e| e.to_string())?;
         eprintln!("saved session to {p}");
     }

@@ -72,6 +72,34 @@ pub fn save_links(
     Ok(n)
 }
 
+/// Checks `args` against the flags `alex <command>` accepts: each of
+/// `values` takes the argument after it, each of `switches` stands alone.
+/// An unknown `--flag`, or a value flag followed by nothing or by another
+/// flag, is a usage error naming it.
+pub fn check_flags(
+    command: &str,
+    args: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let known = |a: &str| values.contains(&a) || switches.contains(&a);
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") || switches.contains(&arg.as_str()) {
+            continue;
+        }
+        if !values.contains(&arg.as_str()) {
+            return Err(format!(
+                "unknown flag {arg} for `alex {command}` (see `alex help`)"
+            ));
+        }
+        if args.next_if(|value| !known(value)).is_none() {
+            return Err(format!("{arg} needs a value (see `alex help`)"));
+        }
+    }
+    Ok(())
+}
+
 /// Pulls the value following `--flag` out of `args`.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())

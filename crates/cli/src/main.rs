@@ -97,21 +97,67 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    let result = match command.as_str() {
-        "stats" => commands::stats(rest),
-        "link" => commands::link(rest),
-        "query" => commands::query(rest),
-        "curate" => commands::curate(rest),
-        "serve" => commands::serve(rest),
-        "compact" => commands::compact(rest),
-        "recover" => commands::recover(rest),
-        "trace" => trace_cmd::run(rest),
+    // Each command with the flags it accepts: those taking a value, then
+    // the switches.
+    type Command = fn(&[String]) -> Result<(), String>;
+    let (run, values, switches): (Command, &[&str], &[&str]) = match command.as_str() {
+        "stats" => (commands::stats, &[], &[]),
+        "link" => (commands::link, &["--threshold", "--out"], &[]),
+        "query" => (
+            commands::query,
+            &[
+                "--source",
+                "--links",
+                "--query",
+                "--fault-rate",
+                "--fault-seed",
+            ],
+            &[],
+        ),
+        "curate" => (
+            commands::curate,
+            &[
+                "--links",
+                "--truth",
+                "--episodes",
+                "--episode-size",
+                "--partitions",
+                "--session",
+                "--out",
+            ],
+            &[],
+        ),
+        "serve" => (
+            commands::serve,
+            &[
+                "--addr",
+                "--workers",
+                "--queue-depth",
+                "--request-timeout",
+                "--state-dir",
+                "--fsync",
+                "--fsync-every-n",
+                "--compact-after",
+            ],
+            &["--wal"],
+        ),
+        "compact" => (commands::compact, &[], &[]),
+        "recover" => (commands::recover, &["--state-dir"], &[]),
+        "trace" => (
+            trace_cmd::run,
+            &["--input", "--explain", "--scale", "--seed", "--episodes"],
+            &[],
+        ),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command '{other}'\n\n{}", usage())),
+        other => {
+            eprintln!("error: unknown command '{other}'\n\n{}", usage());
+            return ExitCode::FAILURE;
+        }
     };
+    let result = io::check_flags(command, rest, values, switches).and_then(|()| run(rest));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

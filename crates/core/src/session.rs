@@ -27,9 +27,11 @@
 //! away from the session it resumed within a few episodes. Version 1–3
 //! files still load, restarting that bookkeeping empty.
 //!
-//! Snapshots also keep the degraded-answer bookkeeping from the federated
-//! query layer (queries answered partially because sources were skipped),
-//! so availability accounting survives restarts too.
+//! A session's federated queries run over its own two in-memory datasets,
+//! which never fail, so a session keeps no query accounting: each query's
+//! per-source report goes back to its caller. Files written by earlier
+//! builds may still hold that accounting's two counters; they load, and
+//! the keys are ignored.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -129,12 +131,6 @@ pub struct SessionSnapshot {
     /// version-1 snapshots (learning restarts from scratch).
     #[serde(default)]
     pub policy: Vec<PartitionPolicySnapshot>,
-    /// Queries this session answered with a degraded (partial) answer set.
-    #[serde(default)]
-    pub degraded_queries: u64,
-    /// Skipped-source incidents across those degraded queries.
-    #[serde(default)]
-    pub source_skips: u64,
     /// Feedback episodes the session has completed (since version 3).
     #[serde(default)]
     pub episodes: u64,
@@ -487,7 +483,7 @@ fn sorted_blacklist(driver: &AlexDriver, left: &Store, right: &Store) -> Vec<Iri
 impl SessionSnapshot {
     /// Captures the current state of a driver. `left`/`right` resolve ids
     /// back to IRIs and must be the stores the driver was built over.
-    /// Degraded-query counters start at zero; [`LiveSession::snapshot`]
+    /// The episode counters start at zero; [`LiveSession::snapshot`]
     /// fills them from its own bookkeeping.
     pub fn capture(driver: &AlexDriver, left: &Store, right: &Store) -> Self {
         let (candidates, links): (Vec<(String, String)>, Vec<Link>) =
@@ -508,8 +504,6 @@ impl SessionSnapshot {
             blacklist: sorted_blacklist(driver, left, right),
             config: driver.config().clone(),
             policy,
-            degraded_queries: 0,
-            source_skips: 0,
             episodes: 0,
             feedback_items: 0,
             explored: 0,
@@ -624,14 +618,12 @@ impl SessionSnapshot {
 /// This is the unit a server holds per user session (Figure 1's loop as a
 /// long-lived object); wrap it in a [`SessionHandle`] for concurrent use.
 ///
-/// A session changes only through [`LiveSession::feedback_episode`] and
-/// [`LiveSession::record_query_outcome`]: each logs its WAL records first
-/// (when durable) and applies them through the `apply` recovery replays
-/// the log with. The session keeps its own [`Federation`] — the sameAs
-/// index over the candidate links plus the sources' breaker state — which
-/// the first query builds and `apply` then patches with each episode's
-/// link changes, so queries ([`LiveSession::federation`]) never rebuild
-/// it.
+/// A session changes only through [`LiveSession::feedback_episode`]: it
+/// logs its WAL records first (when durable) and applies them through the
+/// `apply` recovery replays the log with. The session keeps its own
+/// [`Federation`] — the sameAs index over the candidate links — which the
+/// first query builds and `apply` then patches with each episode's link
+/// changes, so queries ([`LiveSession::federation`]) never rebuild it.
 pub struct LiveSession {
     /// The left dataset (the one the driver partitions).
     pub left: Store,
@@ -653,11 +645,6 @@ pub struct LiveSession {
     pub explored: u64,
     /// ε-greedy choices that exploited, across episodes.
     pub exploited: u64,
-    /// Queries answered with a degraded (partial) answer set because one
-    /// or more federated sources had to be skipped.
-    pub degraded_queries: u64,
-    /// Total skipped-source incidents across degraded queries.
-    pub source_skips: u64,
     /// The session's directory (checkpoint and, when it logs, write-ahead
     /// log), when it has one.
     pub(crate) durable: Option<DurableSession>,
@@ -687,8 +674,6 @@ impl LiveSession {
             feedback_items: 0,
             explored: 0,
             exploited: 0,
-            degraded_queries: 0,
-            source_skips: 0,
             durable: None,
             pending: Vec::new(),
         }
@@ -726,11 +711,12 @@ impl LiveSession {
 
     /// A federated engine over the session's two datasets (sources
     /// `left` and `right`) and its live federation: the current candidate
-    /// links, and breaker state that carries from one query to the next.
-    /// Only the session's first call indexes the candidate links.
+    /// links. Only the session's first call indexes the candidate links.
+    /// Each engine starts with closed breakers, and in-memory sources
+    /// never open one.
     pub fn federation(&self) -> FederatedEngine<'_> {
         let federation = self.federation.get_or_init(|| {
-            let mut federation = Federation::new(2, self.driver.config().federation);
+            let mut federation = Federation::new(self.driver.config().federation);
             federation.add_links(self.driver.candidate_links());
             federation
         });
@@ -746,7 +732,8 @@ impl LiveSession {
     /// Runs one feedback episode over `batch`. A durable session first
     /// logs a `Feedback` record per item and the `EpisodeEnd` in one group
     /// commit; if that fails, the session is unchanged. The records are
-    /// then applied, one `PolicyDelta` per partition is logged for
+    /// then applied under one `rl.episode` span (the batch path's stage
+    /// name), one `PolicyDelta` per partition is logged for
     /// recovery to cross-check (an error there comes after the episode is
     /// logged, so recovery still reproduces it), and the log is compacted
     /// if due.
@@ -764,9 +751,13 @@ impl LiveSession {
         });
         let mut outcome = EpisodeOutcome::default();
         self.log(&records, &mut outcome.logged)?;
-        for record in &records {
-            if let Some(stats) = self.apply(record).map_err(io::Error::other)? {
-                outcome.stats = stats;
+        {
+            // Recovery's replay of the same records opens no span.
+            let _episode = trace::span("rl.episode");
+            for record in &records {
+                if let Some(stats) = self.apply(record).map_err(io::Error::other)? {
+                    outcome.stats = stats;
+                }
             }
         }
         let deltas: Vec<WalRecord> = (self.driver.engines().iter().enumerate())
@@ -785,20 +776,6 @@ impl LiveSession {
             }
         }
         Ok(outcome)
-    }
-
-    /// Records the outcome of one federated query: `skipped_sources > 0`
-    /// means the answer set may be partial, and a durable session logs
-    /// that before counting it. Returns what was logged.
-    pub fn record_query_outcome(&mut self, skipped_sources: usize) -> io::Result<WalStats> {
-        let mut logged = WalStats::default();
-        if skipped_sources > 0 {
-            let source_skips = skipped_sources as u64;
-            let record = WalRecord::Degraded { source_skips };
-            self.log(std::slice::from_ref(&record), &mut logged)?;
-            self.apply(&record).map_err(io::Error::other)?;
-        }
-        Ok(logged)
     }
 
     /// Appends `records` to the session's log, if it has one, adding to
@@ -872,13 +849,12 @@ impl LiveSession {
                 }
                 return Ok(Some(stats));
             }
-            WalRecord::Degraded { source_skips } => {
-                self.degraded_queries += 1;
-                self.source_skips += source_skips;
-            }
-            // Audit records in logs written by earlier builds: exploration
-            // re-derives link additions and removals from the feedback.
-            WalRecord::LinkAdded { .. } | WalRecord::LinkRemoved { .. } => {}
+            // Records in logs written by earlier builds: exploration
+            // re-derives link additions and removals from the feedback,
+            // and a session keeps no degraded-query tally.
+            WalRecord::LinkAdded { .. }
+            | WalRecord::LinkRemoved { .. }
+            | WalRecord::Degraded { .. } => {}
             WalRecord::PolicyDelta { partition, rng, .. } => {
                 let engine = usize::try_from(*partition).map(|p| self.driver.engines().get(p));
                 if engine.ok().flatten().map(|e| e.rng_state()) != Some(*rng) {
@@ -901,11 +877,9 @@ impl LiveSession {
     }
 
     /// Captures a persistable snapshot of the current curation state,
-    /// including the degraded-answer and episode counters.
+    /// including the episode counters.
     pub fn snapshot(&self) -> SessionSnapshot {
         let mut snap = SessionSnapshot::capture(&self.driver, &self.left, &self.right);
-        snap.degraded_queries = self.degraded_queries;
-        snap.source_skips = self.source_skips;
         snap.episodes = self.episodes;
         snap.feedback_items = self.feedback_items;
         snap.explored = self.explored;
@@ -928,8 +902,6 @@ impl LiveSession {
     /// Restores the bookkeeping counters from a snapshot (the driver
     /// itself is restored via [`SessionSnapshot::restore`]).
     pub fn restore_counters(&mut self, snap: &SessionSnapshot) {
-        self.degraded_queries = snap.degraded_queries;
-        self.source_skips = snap.source_skips;
         self.episodes = snap.episodes;
         self.feedback_items = snap.feedback_items;
         self.explored = snap.explored;
@@ -1105,12 +1077,10 @@ mod tests {
         let serde::Value::Object(fields) = &mut value else {
             panic!("snapshot serializes as an object");
         };
-        fields
-            .retain(|(k, _)| !matches!(k.as_str(), "policy" | "degraded_queries" | "source_skips"));
+        fields.retain(|(k, _)| k != "policy");
         let json = value.to_json_string(true);
         let back = SessionSnapshot::from_json(&json).unwrap();
         assert_eq!(back.policy, vec![]);
-        assert_eq!(back.degraded_queries, 0);
         let restored = back.restore(&left, &right).unwrap();
         assert!(restored.engines().iter().all(|e| e.q_table().is_empty()));
     }
@@ -1273,29 +1243,39 @@ mod tests {
         assert!(corrupt(&|_| {}).is_none());
     }
 
+    /// Checkpoints written while sessions still kept a degraded-query
+    /// tally carry its two counters; they restore like files without.
     #[test]
-    fn degraded_answer_bookkeeping_round_trips() {
+    fn snapshots_with_the_retired_query_tally_restore_identically() {
         let (left, right, truth) = world();
-        let initial: Vec<Link> = truth.iter().take(2).copied().collect();
-        let driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
+        let initial: Vec<Link> = truth.iter().take(3).copied().collect();
+        let mut driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
+        let oracle = ExactOracle::new(truth.clone());
+        driver.run(&oracle, &truth);
         let mut session = LiveSession::new(left, right, driver);
-        for skipped in [0, 2, 1] {
-            // A clean query (no skipped source) is not degraded.
-            session.record_query_outcome(skipped).unwrap();
-        }
-        assert_eq!(session.degraded_queries, 2);
-        assert_eq!(session.source_skips, 3);
+        session.episodes = 3;
+        session.feedback_items = 41;
+        let plain = session.snapshot().to_json();
+        assert!(!plain.contains("source_skips"));
+        let episodes = r#""episodes":3,"#;
+        assert_eq!(plain.matches(episodes).count(), 1);
+        let with_tally = plain.replace(
+            episodes,
+            r#""degraded_queries":2,"source_skips":3,"episodes":3,"#,
+        );
 
-        let snap = session.snapshot();
-        assert_eq!(snap.degraded_queries, 2);
-        assert_eq!(snap.source_skips, 3);
-        let back = SessionSnapshot::from_json(&snap.to_json()).unwrap();
-
-        let driver2 = back.restore(&session.left, &session.right).unwrap();
-        let mut resumed = LiveSession::new(session.left, session.right, driver2);
-        resumed.restore_counters(&back);
-        assert_eq!(resumed.degraded_queries, 2);
-        assert_eq!(resumed.source_skips, 3);
+        let state = |json: &str| {
+            let snap = SessionSnapshot::from_json(json).unwrap();
+            let restored = snap.restore(&session.left, &session.right).unwrap();
+            let mut links: Vec<Link> = restored.candidate_links().into_iter().collect();
+            links.sort();
+            let fps: Vec<u64> = (restored.engines().iter())
+                .map(|e| e.state_fingerprint())
+                .collect();
+            (links, fps, snap.episodes, snap.feedback_items)
+        };
+        assert_eq!(state(&with_tally), state(&plain));
+        assert_eq!(state(&plain).2, 3);
     }
 
     #[test]

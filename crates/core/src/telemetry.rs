@@ -24,21 +24,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use alex_trace::Histogram;
 
-/// Counter name: probe retries against federated query sources (one per
-/// re-attempt after a retryable failure).
-pub const QUERY_SOURCE_RETRIES_TOTAL: &str = "alex_query_source_retries_total";
-
-/// Counter name: federated source probe attempts that timed out.
-pub const QUERY_SOURCE_TIMEOUTS_TOTAL: &str = "alex_query_source_timeouts_total";
-
-/// Counter name: circuit-breaker trips (closed/half-open → open) across
-/// federated query sources.
-pub const QUERY_SOURCE_BREAKER_OPEN_TOTAL: &str = "alex_query_source_breaker_open_total";
-
-/// Counter name: federated queries that returned a degraded (partial)
-/// answer set because at least one source was skipped.
-pub const QUERY_DEGRADED_TOTAL: &str = "alex_queries_degraded_total";
-
 /// Counter name: records appended to session write-ahead logs.
 pub const WAL_APPENDS_TOTAL: &str = "alex_wal_appends_total";
 

@@ -2,8 +2,7 @@
 //! prove recovery lands on an exact prefix of the acknowledged history.
 //!
 //! The harness scripts a deterministic curation session — feedback
-//! episodes, each followed by a degraded query — through the session's
-//! own write path (the one the server uses: log, then apply) and captures
+//! episodes — through the session's own write path (the one the server uses: log, then apply) and captures
 //! an oracle state after each acknowledged step. It then replays crashes
 //! against copies of the session directory: truncating the log mid-frame
 //! (a torn write) or flipping a single byte (media corruption). For every
@@ -11,7 +10,7 @@
 //!
 //! 1. recovery never refuses to start;
 //! 2. the recovered state equals the oracle state after exactly the steps
-//!    whose closing record (`EpisodeEnd` or `Degraded`) survives on disk —
+//!    whose closing record (`EpisodeEnd`) survives on disk —
 //!    a *prefix* of the acknowledged history, predicted independently
 //!    from the frames' byte offsets;
 //! 3. re-applying the remaining script to the recovered session produces
@@ -121,8 +120,6 @@ struct OracleState {
     episodes: u64,
     explored: u64,
     exploited: u64,
-    degraded_queries: u64,
-    source_skips: u64,
     candidates: BTreeSet<(String, String)>,
     rng: Vec<[u64; 4]>,
     engines: Vec<u64>,
@@ -154,8 +151,6 @@ fn capture(session: &LiveSession) -> OracleState {
         episodes: session.episodes,
         explored: session.explored,
         exploited: session.exploited,
-        degraded_queries: session.degraded_queries,
-        source_skips: session.source_skips,
         candidates,
         rng: driver.engines().iter().map(|e| e.rng_state()).collect(),
         engines: driver
@@ -180,37 +175,24 @@ fn capture(session: &LiveSession) -> OracleState {
     }
 }
 
-/// One acknowledged mutation of the scripted session.
-#[derive(Clone, Debug)]
-enum Step {
-    /// A feedback episode: `(left IRI, right IRI, approve)` per item.
-    Episode(Vec<(String, String, bool)>),
-    /// A query answered with this many sources skipped.
-    Degraded(usize),
-}
+/// One acknowledged mutation of the scripted session: a feedback
+/// episode, `(left IRI, right IRI, approve)` per item.
+type Step = Vec<(String, String, bool)>;
 
 /// Takes one scripted step through the session's write path.
 fn take(session: &mut LiveSession, step: &Step) {
-    match step {
-        Step::Episode(items) => {
-            let batch: Vec<(Link, bool)> = items
-                .iter()
-                .map(|(l, r, approve)| {
-                    let link = Link::new(session.left.intern_iri(l), session.right.intern_iri(r));
-                    (link, *approve)
-                })
-                .collect();
-            session.feedback_episode(&batch).unwrap();
-        }
-        Step::Degraded(skipped) => {
-            session.record_query_outcome(*skipped).unwrap();
-        }
-    }
+    let batch: Vec<(Link, bool)> = step
+        .iter()
+        .map(|(l, r, approve)| {
+            let link = Link::new(session.left.intern_iri(l), session.right.intern_iri(r));
+            (link, *approve)
+        })
+        .collect();
+    session.feedback_episode(&batch).unwrap();
 }
 
 /// The scripted history: `passes` rounds of feedback on nine links (every
-/// third negative), an episode every three items, and after each episode
-/// a query that skipped one or two sources.
+/// third negative), an episode every three items.
 fn build_script(session: &LiveSession, links: &[Link], passes: usize) -> Vec<Step> {
     let fed: Vec<(String, String, bool)> = (links.iter().skip(3).cycle().take(9 * passes))
         .enumerate()
@@ -222,10 +204,7 @@ fn build_script(session: &LiveSession, links: &[Link], passes: usize) -> Vec<Ste
             )
         })
         .collect();
-    fed.chunks(3)
-        .enumerate()
-        .flat_map(|(i, items)| [Step::Episode(items.to_vec()), Step::Degraded(1 + i % 2)])
-        .collect()
+    fed.chunks(3).map(<[_]>::to_vec).collect()
 }
 
 fn copy_dir(src: &Path, dst: &Path) {
@@ -373,10 +352,7 @@ fn uninterrupted_run(root: PathBuf, seed: u64, passes: usize, compact_after: u64
             let mut frame = Vec::new();
             write_frame(&mut frame, &encode_record(r.seq, &r.record));
             end += frame.len() as u64;
-            let closes = matches!(
-                r.record,
-                WalRecord::EpisodeEnd { .. } | WalRecord::Degraded { .. }
-            );
+            let closes = matches!(r.record, WalRecord::EpisodeEnd { .. });
             (end, closes)
         })
         .collect();
@@ -411,8 +387,8 @@ fn crash_trials(
 ) {
     let seed = seed_from_env();
     let final_state = run.oracle.last().unwrap().clone();
-    // The last step is a degraded query, which never compacts, so faults
-    // always have a log to hit.
+    // Every run leaves its last episode in the log (see the compaction
+    // thresholds), so faults always have a log to hit.
     let total_bytes = run.acked_end.last().unwrap().0;
     for trial in 0..trials {
         let offset = rng.next() % total_bytes;
@@ -524,9 +500,10 @@ fn compaction_at_seeded_record_counts_recovers_exactly() {
     let base = scratch_base("compact");
     for k in 0..4 {
         // An episode writes six records (three feedback items, its end
-        // and two policy cross-checks) and its degraded query one;
-        // compact after 6–13 records, every one or two episodes.
-        let compact_after = 6 + rng.next() % 8;
+        // and two policy cross-checks); compacting after 7–12 records
+        // folds every second episode into a checkpoint, so the ninth and
+        // last one stays in the log.
+        let compact_after = 7 + rng.next() % 6;
         let run = uninterrupted_run(base.join(format!("full-{k}")), 7 + k, 3, compact_after);
         assert!(
             run.checkpointed > 0,

@@ -13,8 +13,8 @@
 //! * [`FederatedEngine`] — multi-source execution with `owl:sameAs`
 //!   entity translation and per-answer **link provenance**, the hook that
 //!   turns answer feedback into the link feedback ALEX consumes; its
-//!   owned half, [`Federation`] (the sameAs index plus breaker state),
-//!   can outlive a query and be patched link by link;
+//!   owned half, [`Federation`] (the sameAs index and the resilience
+//!   configuration), can outlive a query and be patched link by link;
 //! * [`QuerySource`] / [`FaultySource`] — a failure model for federation
 //!   members: deterministic seed-driven fault injection, per-source
 //!   deadline budgets, bounded retries with jittered backoff, circuit

@@ -6,9 +6,13 @@
 //! document for decentralised linked-data querying). [`QuerySource`]
 //! abstracts the one operation [`crate::FederatedEngine`] needs — a triple
 //! pattern probe — behind a fallible, latency-aware interface so the
-//! engine can apply deadlines, retries, and circuit breaking uniformly to
-//! in-memory stores, fault-injected test sources
-//! ([`crate::fault::FaultySource`]), and eventually real HTTP endpoints.
+//! engine can apply deadlines, retries, and circuit breaking uniformly.
+//!
+//! Only simulated remote sources fail: [`crate::fault::FaultySource`]
+//! wraps an [`InMemorySource`] and injects faults. An [`InMemorySource`]
+//! always answers ([`Probe::ok`]) at zero cost, so over in-memory stores
+//! alone — a curation session's two datasets — no probe is retried, timed
+//! out or skipped and no breaker opens.
 //!
 //! Time is *virtual*: a probe reports how many milliseconds it consumed
 //! ([`Probe::elapsed_ms`]), and the engine charges that against per-source
@@ -114,8 +118,7 @@ pub trait QuerySource: Send + Sync {
     ) -> Probe;
 }
 
-/// A flawless, zero-latency [`QuerySource`] over an in-memory [`Store`] —
-/// the only kind of source the engine knew before the failure model.
+/// A flawless, zero-latency [`QuerySource`] over an in-memory [`Store`].
 pub struct InMemorySource<'a> {
     name: String,
     store: &'a Store,

@@ -12,8 +12,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use alex_query::{
-    BreakerKind, FaultConfig, FaultySource, FederatedEngine, Federation, FederationConfig,
-    InMemorySource, Probe, QueryReport, QuerySource, SourceError,
+    BreakerKind, FaultConfig, FaultySource, FederatedEngine, FederationConfig, InMemorySource,
+    Probe, QueryReport, QuerySource, SourceError,
 };
 use alex_rdf::{Interner, IriId, Link, Literal, Store, Term};
 
@@ -150,10 +150,7 @@ fn breaker_walks_closed_open_halfopen_closed() {
     );
     fed.add_links([link]);
 
-    assert_eq!(
-        fed.federation().breaker_states(),
-        vec![BreakerKind::Closed; 2]
-    );
+    assert_eq!(fed.breaker_states(), vec![BreakerKind::Closed; 2]);
 
     // Query 1: both scripted failures burn through (no retries), tripping
     // the breaker mid-query. The join degrades to empty.
@@ -161,7 +158,7 @@ fn breaker_walks_closed_open_halfopen_closed() {
     assert!(report.degraded);
     assert_eq!(report.skipped_sources(), vec!["nytimes"]);
     assert_eq!(report.total_breaker_opens(), 1);
-    assert_eq!(fed.federation().breaker_states()[1], BreakerKind::Open);
+    assert_eq!(fed.breaker_states()[1], BreakerKind::Open);
 
     // While open, nytimes is skipped without being probed at all.
     let report = fed.execute_str_report(JOIN_QUERY).unwrap();
@@ -176,8 +173,8 @@ fn breaker_walks_closed_open_halfopen_closed() {
     let mut walked = Vec::new();
     for _ in 0..32 {
         let report = fed.execute_str_report(JOIN_QUERY).unwrap();
-        walked.push(fed.federation().breaker_states()[1]);
-        if fed.federation().breaker_states()[1] == BreakerKind::Closed {
+        walked.push(fed.breaker_states()[1]);
+        if fed.breaker_states()[1] == BreakerKind::Closed {
             assert!(!report.degraded, "recovered source serves the join again");
             assert_eq!(report.answers.len(), 3);
             break;
@@ -233,11 +230,11 @@ fn half_open_failure_reopens_the_breaker() {
     for _ in 0..32 {
         let report = fed.execute_str_report(JOIN_QUERY).unwrap();
         opened += report.sources[1].breaker_opened;
-        if fed.federation().breaker_states()[1] == BreakerKind::Closed {
+        if fed.breaker_states()[1] == BreakerKind::Closed {
             break;
         }
     }
-    assert_eq!(fed.federation().breaker_states()[1], BreakerKind::Closed);
+    assert_eq!(fed.breaker_states()[1], BreakerKind::Closed);
     assert!(
         opened >= 2,
         "expected the initial open plus a half-open reopen, saw {opened}"
@@ -395,13 +392,12 @@ fn breaker_state_survives_a_link_delta() {
         breaker_cooldown_ms: 1_000_000,
         ..FederationConfig::default()
     };
-    // One long-lived federation per side, each query wrapping it with
-    // fresh source views the way a curation session does.
-    let query = |fed: &Federation, text: &str| {
-        FederatedEngine::over(
-            fed,
+    // Two engines kept across their queries, the way `alex query` and
+    // `exp_faults` keep one; the breaker state is the engine's own.
+    let engine = || {
+        let mut fed = FederatedEngine::from_sources(
             vec![
-                Box::new(InMemorySource::new("dbpedia", &dbpedia)),
+                Box::new(InMemorySource::new("dbpedia", &dbpedia)) as Box<dyn QuerySource>,
                 Box::new(FaultySource::new(
                     InMemorySource::new("nytimes", &nytimes),
                     FaultConfig {
@@ -411,25 +407,23 @@ fn breaker_state_survives_a_link_delta() {
                     },
                 )),
             ],
-        )
-        .execute_str_report(text)
-        .unwrap()
-    };
-    let mut patched = Federation::new(2, cfg);
-    let mut untouched = Federation::new(2, cfg);
-    for fed in [&mut patched, &mut untouched] {
+            cfg,
+        );
         fed.add_links([link]);
-        query(fed, JOIN_QUERY);
+        fed.execute_str_report(JOIN_QUERY).unwrap();
         assert_eq!(fed.breaker_states()[1], BreakerKind::Open, "trip it first");
-    }
+        fed
+    };
+    let mut patched = engine();
+    let untouched = engine();
 
     // The delta: one link in, the query's own link out and back in.
     patched.add_links([other]);
     patched.remove_links([link]);
     patched.add_links([link]);
 
-    let after_delta = query(&patched, JOIN_QUERY);
-    let no_delta = query(&untouched, JOIN_QUERY);
+    let after_delta = patched.execute_str_report(JOIN_QUERY).unwrap();
+    let no_delta = untouched.execute_str_report(JOIN_QUERY).unwrap();
     assert_eq!(digest(&after_delta), digest(&no_delta));
     assert_eq!(after_delta.sources, no_delta.sources);
     assert_eq!(after_delta.sources[1].breaker, Some(BreakerKind::Open));

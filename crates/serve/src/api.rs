@@ -410,9 +410,9 @@ fn render_link(l: &Link, left: &Store, right: &Store) -> Value {
 /// `POST /sessions/{id}/query` — body `{"query": "SELECT ..."}`. Answers
 /// list their bound terms and the sameAs links each depends on — the
 /// provenance a client needs to convert answer feedback into link
-/// feedback (Figure 1). The response also reports the federation's
-/// health: whether the answer set is degraded (sources were skipped) and
-/// per-source retry/timeout/breaker accounting.
+/// feedback (Figure 1). The response also reports how many probes each
+/// source answered; the session's in-memory sources never fail, so no
+/// probe is retried, timed out or skipped.
 fn query(state: &AppState, id: &str, req: &Request) -> Response {
     let handle = match session_handle(state, id) {
         Ok(h) => h,
@@ -456,37 +456,14 @@ fn query(state: &AppState, id: &str, req: &Request) -> Response {
         .collect();
     drop(session);
 
-    let skipped = report.skipped_sources();
-    if report.degraded {
-        // Only degraded queries need the write lock; the hot path stays
-        // read-only so concurrent queries don't serialize.
-        match handle.write().record_query_outcome(skipped.len()) {
-            Ok(logged) => record_wal_metrics(state, &logged),
-            Err(e) => return Response::error(500, format!("write-ahead log append failed: {e}")),
-        }
-    }
-
     state.metrics.counter("alex_queries_total").inc();
-    record_federation_metrics(state, &report);
-
     let sources: Vec<Value> = report
         .sources
         .iter()
         .map(|s| {
             obj(vec![
                 ("name", Value::String(s.name.clone())),
-                ("skipped", Value::Bool(s.skipped)),
                 ("probes", Value::Number(Number::U64(s.probes))),
-                ("retries", Value::Number(Number::U64(s.retries))),
-                ("timeouts", Value::Number(Number::U64(s.timeouts))),
-                ("failed_probes", Value::Number(Number::U64(s.failed_probes))),
-                (
-                    "breaker",
-                    match s.breaker {
-                        Some(kind) => Value::String(kind.as_str().to_string()),
-                        None => Value::Null,
-                    },
-                ),
             ])
         })
         .collect();
@@ -495,46 +472,9 @@ fn query(state: &AppState, id: &str, req: &Request) -> Response {
         &obj(vec![
             ("count", num(rendered.len())),
             ("answers", Value::Array(rendered)),
-            ("degraded", Value::Bool(report.degraded)),
-            (
-                "skipped_sources",
-                Value::Array(
-                    skipped
-                        .iter()
-                        .map(|n| Value::String(n.to_string()))
-                        .collect(),
-                ),
-            ),
             ("sources", Value::Array(sources)),
         ]),
     )
-}
-
-/// Folds one query's federation report into the process-wide resilience
-/// counters served at `/metrics`.
-fn record_federation_metrics(state: &AppState, report: &alex_query::QueryReport) {
-    use alex_core::telemetry::{
-        QUERY_DEGRADED_TOTAL, QUERY_SOURCE_BREAKER_OPEN_TOTAL, QUERY_SOURCE_RETRIES_TOTAL,
-        QUERY_SOURCE_TIMEOUTS_TOTAL,
-    };
-    state
-        .metrics
-        .counter(QUERY_SOURCE_RETRIES_TOTAL)
-        .add(report.total_retries());
-    state
-        .metrics
-        .counter(QUERY_SOURCE_TIMEOUTS_TOTAL)
-        .add(report.total_timeouts());
-    state
-        .metrics
-        .counter(QUERY_SOURCE_BREAKER_OPEN_TOTAL)
-        .add(report.total_breaker_opens());
-    // `add(0)` registers the counter so it is visible in /metrics from
-    // the first query on, like the three above.
-    state
-        .metrics
-        .counter(QUERY_DEGRADED_TOTAL)
-        .add(u64::from(report.degraded));
 }
 
 /// `POST /sessions/{id}/feedback` — body
@@ -949,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn query_response_reports_federation_health() {
+    fn query_response_reports_probes_per_source() {
         let state = AppState::new(None);
         let id = created_session(&state);
         let q = r#"{"query": "SELECT ?n WHERE { ?l <http://l/name> ?n }"}"#;
@@ -959,26 +899,28 @@ mod tests {
         );
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         let v = serde_json::parse_value_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        // In-memory sources never fail, so the report is clean.
-        assert_eq!(v.get("degraded").unwrap().as_bool(), Some(false));
-        assert_eq!(
-            v.get("skipped_sources").unwrap().as_array().unwrap().len(),
-            0
-        );
+        let Value::Object(fields) = &v else {
+            panic!("the response is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["count", "answers", "sources"]);
         let sources = v.get("sources").unwrap().as_array().unwrap();
-        assert_eq!(sources.len(), 2);
+        let names: Vec<&str> = (sources.iter())
+            .map(|s| s.get("name").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(names, ["left", "right"]);
         for s in sources {
-            assert_eq!(s.get("skipped").unwrap().as_bool(), Some(false));
-            assert_eq!(s.get("retries").unwrap().as_u64(), Some(0));
-            assert_eq!(s.get("breaker").unwrap().as_str(), Some("closed"));
+            let Value::Object(fields) = s else {
+                panic!("a source is an object");
+            };
+            assert_eq!(fields.len(), 2, "name and probes only");
+            assert!(s.get("probes").unwrap().as_u64().unwrap() > 0);
         }
-        // The resilience counters exist in /metrics (zero under no faults).
+        // Sessions keep no query accounting, and /metrics serves none.
         let (_, resp) = route(&state, &request("GET", "/metrics", ""));
         let text = String::from_utf8(resp.body).unwrap();
-        assert!(text.contains("alex_query_source_retries_total 0"), "{text}");
-        assert!(text.contains("alex_query_source_timeouts_total 0"));
-        assert!(text.contains("alex_query_source_breaker_open_total 0"));
-        assert!(text.contains("alex_queries_degraded_total 0"));
+        assert!(!text.contains("alex_query_source_"), "{text}");
+        assert!(!text.contains("degraded"), "{text}");
     }
 
     #[test]

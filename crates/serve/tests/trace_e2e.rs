@@ -1,8 +1,9 @@
 //! End-to-end tracing through a live server: a real TCP client issues a
-//! federated query with an `X-Request-Id`, then reads that request's
-//! trace back through `GET /debug/trace/{id}` and checks it against the
-//! source accounting the query response itself reported, and that the
-//! trace is still there after feedback episodes on the same worker.
+//! federated sameAs join with an `X-Request-Id`, then reads that
+//! request's trace back through `GET /debug/trace/{id}`: its spans, and
+//! no event per source probe, however many probes the query response
+//! reports. The trace is still there after feedback episodes on the same
+//! worker, and each episode records its `rl.episode` span.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -78,8 +79,14 @@ fn session_body(n: usize) -> String {
     )
 }
 
+/// Every left entity's name and its counterpart's label: each of the
+/// first pattern's rows probes both sources for the entity and for each
+/// of its sameAs counterparts.
+const JOIN_QUERY: &str =
+    "SELECT ?l ?label WHERE { ?l <http://l/name> ?n . ?l <http://r/label> ?label }";
+
 #[test]
-fn request_trace_matches_query_report_source_accounting() {
+fn a_join_traces_its_spans_not_its_probes() {
     let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     // With tracing off, the debug endpoints refuse rather than serve an
     // empty trace.
@@ -125,15 +132,19 @@ fn request_trace_matches_query_report_source_accounting() {
         "POST",
         &format!("/sessions/{id}/query"),
         &format!("X-Request-Id: {rid}\r\n"),
-        r#"{"query": "SELECT ?n WHERE { ?l <http://l/name> ?n }"}"#,
+        &format!(r#"{{"query": "{JOIN_QUERY}"}}"#),
     );
     assert_eq!(status, 200, "{body}");
     assert_eq!(header(&headers, "x-request-id"), Some(rid));
     let report = serde_json::parse_value_str(&body).unwrap();
+    assert_eq!(
+        report.get("count").unwrap().as_u64(),
+        Some(2),
+        "the two linked pairs join: {body}"
+    );
 
-    // The request's trace is retrievable by its id and contains exactly
-    // one source_attempt event per probe the query response reported,
-    // each labelled with the breaker state at the time of the attempt.
+    // The request's trace is retrievable by its id and holds the request,
+    // the response and two spans: fewer events than the join's probes.
     let (status, _, jsonl) = exchange(addr, "GET", &format!("/debug/trace/{rid}"), "", "");
     assert_eq!(status, 200, "{jsonl}");
     let events = trace::parse_jsonl(&jsonl).expect("trace endpoint returns valid JSONL");
@@ -145,27 +156,27 @@ fn request_trace_matches_query_report_source_accounting() {
         )),
         "trace should open with the http_request event: {jsonl}"
     );
-    for source in report.get("sources").unwrap().as_array().unwrap() {
-        let name = source.get("name").unwrap().as_str().unwrap();
-        let probes = source.get("probes").unwrap().as_u64().unwrap();
-        let attempts: Vec<&trace::Event> = events
-            .iter()
-            .filter(
-                |e| matches!(&e.payload, Payload::SourceAttempt { source, .. } if source == name),
-            )
-            .collect();
-        assert_eq!(
-            attempts.len() as u64,
-            probes,
-            "source {name}: one source_attempt event per probe\n{jsonl}"
-        );
-        for e in &attempts {
-            let Payload::SourceAttempt { breaker, .. } = &e.payload else {
-                unreachable!()
-            };
-            assert!(!breaker.is_empty(), "attempt must carry breaker state");
-        }
-    }
+    let probes: u64 = (report.get("sources").unwrap().as_array().unwrap().iter())
+        .map(|source| source.get("probes").unwrap().as_u64().unwrap())
+        .sum();
+    let kinds: Vec<&str> = events.iter().map(|e| e.payload.kind()).collect();
+    assert_eq!(
+        kinds,
+        [
+            "span_start",
+            "http_request",
+            "span_start",
+            "span_end",
+            "http_response",
+            "span_end"
+        ],
+        "{jsonl}"
+    );
+    assert!(
+        probes > events.len() as u64,
+        "{probes} probes, {} events:\n{jsonl}",
+        events.len()
+    );
 
     // The tree rendering shows the span hierarchy under the HTTP request.
     let (status, _, tree) = exchange(
@@ -195,7 +206,9 @@ fn request_trace_matches_query_report_source_accounting() {
 /// `/debug/trace/{request_id}` exists to show a request's events after
 /// the fact, so the feedback episodes that follow a query on the same
 /// worker must not evict them from the 16,384-event ring: the engine
-/// records no event per feedback item, choice or link change.
+/// records no event per feedback item, choice or link change. Each
+/// episode's own work is one `rl.episode` span, in its request's trace
+/// and in the `/metrics` stage table.
 #[test]
 fn query_trace_survives_feedback_episodes_on_the_same_worker() {
     let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
@@ -232,16 +245,32 @@ fn query_trace_survives_feedback_episodes_on_the_same_worker() {
         })
         .collect();
     let feedback = format!(r#"{{"items": [{}]}}"#, items.join(","));
-    for _ in 0..4 {
+    for round in 0..4 {
         let (status, _, body) = exchange(
             addr,
             "POST",
             &format!("/sessions/{id}/feedback"),
-            "",
+            &format!("X-Request-Id: feedback-{round}\r\n"),
             &feedback,
         );
         assert_eq!(status, 200, "{body}");
     }
+    let (status, _, jsonl) = exchange(addr, "GET", "/debug/trace/feedback-0", "", "");
+    assert_eq!(status, 200, "{jsonl}");
+    let events = trace::parse_jsonl(&jsonl).expect("trace endpoint returns valid JSONL");
+    let spans: Vec<&str> = (events.iter())
+        .filter_map(|e| match &e.payload {
+            Payload::SpanStart { name } => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(spans, ["http.request", "rl.episode"], "{jsonl}");
+    let (status, _, metrics) = exchange(addr, "GET", "/metrics", "", "");
+    assert_eq!(status, 200);
+    assert!(
+        metrics.contains(r#"alex_stage_seconds_count{stage="rl.episode"} "#),
+        "{metrics}"
+    );
 
     let (status, _, jsonl) = exchange(addr, "GET", &format!("/debug/trace/{rid}"), "", "");
     assert_eq!(status, 200, "the query's trace was evicted: {jsonl}");
@@ -254,7 +283,10 @@ fn query_trace_survives_feedback_episodes_on_the_same_worker() {
         "{jsonl}"
     );
     assert!(
-        (events.iter()).any(|e| matches!(e.payload, Payload::SourceAttempt { .. })),
+        (events.iter()).any(|e| matches!(
+            &e.payload,
+            Payload::SpanStart { name } if name == "query.federated"
+        )),
         "{jsonl}"
     );
 

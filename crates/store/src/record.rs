@@ -61,6 +61,8 @@ pub enum WalRecord {
         feedback_items: u64,
     },
     /// The session answered a query with a degraded (partial) answer set.
+    /// A record that earlier builds wrote and replay skips, like
+    /// `LinkAdded`; nothing writes it any more.
     Degraded {
         /// Skipped-source incidents in that query.
         source_skips: u64,

@@ -44,42 +44,6 @@ pub enum Payload {
         /// HTTP status code.
         status: u64,
     },
-    /// One attempt against one federated source (including retries).
-    SourceAttempt {
-        /// Source label.
-        source: String,
-        /// 1-based attempt number within this probe.
-        attempt: u64,
-        /// `ok`, `timeout`, `transient`, `truncated`, or `outage`.
-        outcome: String,
-        /// Virtual milliseconds the attempt itself consumed.
-        wait_ms: u64,
-        /// Backoff delay scheduled before the *next* attempt (0 if none).
-        backoff_ms: u64,
-        /// Circuit-breaker state observed when the attempt started.
-        breaker: String,
-    },
-    /// The circuit breaker of a source changed state.
-    BreakerTransition {
-        /// Source label.
-        source: String,
-        /// Previous state.
-        from: String,
-        /// New state.
-        to: String,
-    },
-    /// A source was skipped without being attempted (degradation decision).
-    SourceSkipped {
-        /// Source label.
-        source: String,
-        /// Why: `breaker_open`, `budget_exhausted`, or `failed`.
-        reason: String,
-    },
-    /// The query finished with a partial answer set.
-    QueryDegraded {
-        /// Number of skipped-source incidents.
-        skipped: u64,
-    },
     /// Records were appended to a session's write-ahead log.
     WalAppend {
         /// Session id owning the log.
@@ -133,10 +97,6 @@ impl Payload {
             Payload::SpanEnd { .. } => "span_end",
             Payload::HttpRequest { .. } => "http_request",
             Payload::HttpResponse { .. } => "http_response",
-            Payload::SourceAttempt { .. } => "source_attempt",
-            Payload::BreakerTransition { .. } => "breaker_transition",
-            Payload::SourceSkipped { .. } => "source_skipped",
-            Payload::QueryDegraded { .. } => "query_degraded",
             Payload::WalAppend { .. } => "wal_append",
             Payload::WalRotate { .. } => "wal_rotate",
             Payload::WalReplay { .. } => "wal_replay",
@@ -147,16 +107,22 @@ impl Payload {
 }
 
 /// Kinds that earlier builds wrote once per feedback item, choice, link
-/// change, rollback and episode. Engine state (`explain`) and the
-/// per-session `/metrics` gauges replaced them, so logs that hold them
-/// still parse through [`parse_jsonl`], which skips those lines.
-pub const RETIRED_KINDS: [&str; 6] = [
+/// change, rollback and episode, and once per federated source probe,
+/// breaker change, skipped source and degraded query. Engine state
+/// (`explain`), the per-session `/metrics` gauges and a query's
+/// per-source report replaced them, so logs that hold them still parse
+/// through [`parse_jsonl`], which skips those lines.
+pub const RETIRED_KINDS: [&str; 10] = [
     "feedback",
     "decision",
     "link_added",
     "link_removed",
     "rollback",
     "episode_end",
+    "source_attempt",
+    "breaker_transition",
+    "source_skipped",
+    "query_degraded",
 ];
 
 /// One recorded event: ring-buffer ordering metadata plus the payload.
@@ -219,31 +185,6 @@ impl Event {
                 put("route", string(route));
                 put("status", uint(*status));
             }
-            Payload::SourceAttempt {
-                source,
-                attempt,
-                outcome,
-                wait_ms,
-                backoff_ms,
-                breaker,
-            } => {
-                put("source", string(source));
-                put("attempt", uint(*attempt));
-                put("outcome", string(outcome));
-                put("wait_ms", uint(*wait_ms));
-                put("backoff_ms", uint(*backoff_ms));
-                put("breaker", string(breaker));
-            }
-            Payload::BreakerTransition { source, from, to } => {
-                put("source", string(source));
-                put("from", string(from));
-                put("to", string(to));
-            }
-            Payload::SourceSkipped { source, reason } => {
-                put("source", string(source));
-                put("reason", string(reason));
-            }
-            Payload::QueryDegraded { skipped } => put("skipped", uint(*skipped)),
             Payload::WalAppend {
                 session,
                 kind,
@@ -332,26 +273,6 @@ impl Event {
                 route: req_str("route")?,
                 status: num("status"),
             },
-            "source_attempt" => Payload::SourceAttempt {
-                source: req_str("source")?,
-                attempt: num("attempt"),
-                outcome: req_str("outcome")?,
-                wait_ms: num("wait_ms"),
-                backoff_ms: num("backoff_ms"),
-                breaker: req_str("breaker")?,
-            },
-            "breaker_transition" => Payload::BreakerTransition {
-                source: req_str("source")?,
-                from: req_str("from")?,
-                to: req_str("to")?,
-            },
-            "source_skipped" => Payload::SourceSkipped {
-                source: req_str("source")?,
-                reason: req_str("reason")?,
-            },
-            "query_degraded" => Payload::QueryDegraded {
-                skipped: num("skipped"),
-            },
             "wal_append" => Payload::WalAppend {
                 session: req_str("session")?,
                 kind: req_str("record")?,
@@ -432,13 +353,10 @@ mod tests {
             ),
             mk(
                 2,
-                Payload::SourceAttempt {
-                    source: "dbpedia".into(),
-                    attempt: 2,
-                    outcome: "timeout".into(),
-                    wait_ms: 120,
-                    backoff_ms: 45,
-                    breaker: "closed".into(),
+                Payload::HttpResponse {
+                    request_id: "probe-1".into(),
+                    route: "query".into(),
+                    status: 200,
                 },
             ),
             mk(

@@ -22,9 +22,9 @@
 //! `alex trace` work in every mode) and `jsonl:<path>` additionally
 //! streams each event to a file as it is recorded. One lock guards the
 //! ring, the sink and the `seq` counter, so the ring and the file are
-//! both in `seq` order. Nothing records per feedback item or per link:
-//! a query or an episode records a handful of events (a join records one
-//! per source probe), too few for writers to contend on the lock.
+//! both in `seq` order. Nothing records per feedback item, per link or
+//! per source probe: a query or an episode records a handful of events,
+//! too few for writers to contend on the lock.
 //!
 //! ## Context propagation
 //!

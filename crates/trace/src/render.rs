@@ -20,32 +20,6 @@ fn one_line(e: &Event) -> String {
             route,
             status,
         } => format!("http → {status} route={route} [request_id={request_id}]"),
-        Payload::SourceAttempt {
-            source,
-            attempt,
-            outcome,
-            wait_ms,
-            backoff_ms,
-            breaker,
-        } => {
-            let backoff = if *backoff_ms > 0 {
-                format!(", backoff {backoff_ms}ms")
-            } else {
-                String::new()
-            };
-            format!(
-                "source {source} attempt #{attempt}: {outcome} ({wait_ms}ms, breaker {breaker}{backoff})"
-            )
-        }
-        Payload::BreakerTransition { source, from, to } => {
-            format!("breaker {source}: {from} → {to}")
-        }
-        Payload::SourceSkipped { source, reason } => {
-            format!("source {source} skipped: {reason}")
-        }
-        Payload::QueryDegraded { skipped } => {
-            format!("degraded answer: {skipped} source skip(s)")
-        }
         Payload::WalAppend {
             session,
             kind,
@@ -142,13 +116,9 @@ mod tests {
                 trace: 1,
                 span: 11,
                 parent: 0,
-                payload: Payload::SourceAttempt {
-                    source: "s0".into(),
-                    attempt: 1,
-                    outcome: "ok".into(),
-                    wait_ms: 3,
-                    backoff_ms: 0,
-                    breaker: "closed".into(),
+                payload: Payload::Message {
+                    level: "info".into(),
+                    text: "inside the query".into(),
                 },
             },
             Event {
@@ -182,7 +152,7 @@ mod tests {
         let indent = |l: &str| l.chars().skip_while(|c| *c != ' ').count();
         assert!(lines[1].contains("▶ query.federated"));
         assert!(indent(lines[1]) < indent(lines[0]) || lines[1].contains("  ▶"));
-        assert!(lines[2].contains("source s0 attempt #1: ok"));
+        assert!(lines[2].contains("[info] inside the query"));
         assert!(lines[4].contains("◀ http.request"));
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! `data/events-v1.jsonl` holds one line per payload kind the original
 //! hand-rolled encoder wrote, exactly as it wrote them: a `\u0001` escape
-//! and multi-byte UTF-8 included. Lines 9–14 are the per-link learning
-//! kinds later builds retired ([`RETIRED_KINDS`]); the document parser
-//! skips them.
+//! and multi-byte UTF-8 included. Lines 5–8 (the per-probe federation
+//! kinds) and 9–14 (the per-link learning kinds) are kinds later builds
+//! retired ([`RETIRED_KINDS`]); the document parser skips them.
 
 use alex_trace::{parse_jsonl, Event, Payload, RETIRED_KINDS};
 
@@ -30,24 +30,6 @@ fn expected() -> Vec<Event> {
             route: "query".into(),
             status: 200,
         },
-        Payload::SourceAttempt {
-            source: "dbpedia".into(),
-            attempt: 2,
-            outcome: "timeout".into(),
-            wait_ms: 120,
-            backoff_ms: 45,
-            breaker: "closed".into(),
-        },
-        Payload::BreakerTransition {
-            source: "nytimes".into(),
-            from: "closed".into(),
-            to: "open".into(),
-        },
-        Payload::SourceSkipped {
-            source: "nytimes".into(),
-            reason: "breaker_open".into(),
-        },
-        Payload::QueryDegraded { skipped: 1 },
         Payload::WalAppend {
             session: "s1".into(),
             kind: "feedback".into(),
@@ -73,9 +55,9 @@ fn expected() -> Vec<Event> {
             text: "ctrl \u{1} quote \" backslash \\ newline \n tab \t cr \r emoji 😀".into(),
         },
     ];
-    // Line numbers of the kept lines: 1–8, then 15–19 after the six
+    // Line numbers of the kept lines: 1–4, then 15–19 after the ten
     // retired ones.
-    let seqs = (1..=8).chain(15..=19);
+    let seqs = (1..=4).chain(15..=19);
     payloads
         .into_iter()
         .zip(seqs)
@@ -129,7 +111,7 @@ fn fixture_covers_every_payload_kind() {
     let mut kinds: Vec<&str> = expected().iter().map(|e| e.payload.kind()).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    assert_eq!(kinds.len(), 13);
+    assert_eq!(kinds.len(), 9);
     assert_eq!(V1.lines().count(), kinds.len() + RETIRED_KINDS.len());
 }
 
