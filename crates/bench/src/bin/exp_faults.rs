@@ -21,6 +21,7 @@
 //!     [--entities N] [--queries Q] [--rates 0,0.1,0.3,0.5] [--seed S] [--out FILE]
 //! ```
 
+use alex_bench::runner::Flags;
 use alex_query::{
     FaultConfig, FaultySource, FederatedEngine, FederationConfig, InMemorySource, QuerySource,
 };
@@ -102,28 +103,17 @@ fn build_fixture(entities: usize) -> Fixture {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut entities = 24usize;
-    let mut queries_per_rate = 48usize;
-    let mut seed = 0xFA0715u64;
-    let mut rates = vec![0.0, 0.1, 0.3, 0.5];
-    let mut out_path = "BENCH_faults.json".to_string();
-    for w in args.windows(2) {
-        match w[0].as_str() {
-            "--entities" => entities = w[1].parse().unwrap_or(entities),
-            "--queries" => queries_per_rate = w[1].parse().unwrap_or(queries_per_rate),
-            "--seed" => seed = w[1].parse().unwrap_or(seed),
-            "--out" => out_path = w[1].clone(),
-            "--rates" => {
-                rates = w[1]
-                    .split(',')
-                    .filter_map(|r| r.trim().parse().ok())
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .collect();
-            }
-            _ => {}
-        }
-    }
+    let flags = Flags::parse(&["--entities", "--queries", "--seed", "--out", "--rates"]);
+    let entities: usize = flags.get("--entities").unwrap_or(24);
+    let queries_per_rate: usize = flags.get("--queries").unwrap_or(48);
+    let seed: u64 = flags.get("--seed").unwrap_or(0xFA0715);
+    let out_path: String = flags.get("--out").unwrap_or("BENCH_faults.json".into());
+    let mut rates: Vec<f64> = flags
+        .list("--rates")
+        .unwrap_or(vec![0.0, 0.1, 0.3, 0.5])
+        .into_iter()
+        .filter(|r| (0.0..=1.0).contains(r))
+        .collect();
     if rates.is_empty() || rates[0] != 0.0 {
         rates.insert(0, 0.0); // rate 0 anchors the identity check
     }

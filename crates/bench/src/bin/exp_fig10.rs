@@ -13,7 +13,8 @@ use alex_core::RunOutcome;
 use alex_datagen::PaperPair;
 
 fn main() {
-    let params = RunParams::from_args();
+    // `--out` is read by `maybe_write_output`.
+    let (params, _) = RunParams::from_args_with(&["--out"]);
     let steps = [0.01, 0.05, 0.10];
 
     let outcomes: Vec<RunOutcome> = steps

@@ -10,7 +10,8 @@ use alex_bench::table::{maybe_write_output, reports_to_csv};
 use alex_datagen::PaperPair;
 
 fn main() {
-    let params = RunParams::from_args();
+    // `--out` is read by `maybe_write_output`.
+    let (params, _) = RunParams::from_args_with(&["--out"]);
     let base = PaperPair::DbpediaNytimes.suggested_episode_size(params.scale);
     let sizes = [base / 2, base, base * 3 / 2];
 

@@ -7,17 +7,12 @@
 //!
 //! Without `--pair`, all three sub-figures run.
 
-use alex_bench::runner::{build_env, RunParams};
+use alex_bench::runner::{build_env, select_pairs, RunParams};
 use alex_bench::table::{maybe_write_output, print_quality_series, reports_to_csv};
 use alex_datagen::PaperPair;
 
 fn main() {
-    let params = RunParams::from_args();
-    let which = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--pair")
-        .map(|w| w[1].clone());
+    let (params, flags) = RunParams::from_args_with(&["--pair", "--out"]);
 
     let subfigs: [(&str, &str, PaperPair); 3] = [
         (
@@ -33,13 +28,7 @@ fn main() {
         ("c", "Figure 2(c): DBpedia - Lexvo", PaperPair::DbpediaLexvo),
     ];
 
-    for (tag, title, kind) in subfigs {
-        if which
-            .as_deref()
-            .is_some_and(|w| w != tag && w != kind.label())
-        {
-            continue;
-        }
+    for (tag, title, kind) in select_pairs(&flags, &subfigs) {
         let env = build_env(kind, params, |_| {});
         println!(
             "\n{} — ground truth {} links, initial (P {:.2}, R {:.2}), episode size {}",

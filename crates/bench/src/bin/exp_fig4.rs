@@ -5,17 +5,12 @@
 //! cargo run --release -p alex-bench --bin exp_fig4 [--pair a|b|c|d] [--scale S] [--out DIR]
 //! ```
 
-use alex_bench::runner::{build_env, RunParams};
+use alex_bench::runner::{build_env, select_pairs, RunParams};
 use alex_bench::table::{maybe_write_output, print_quality_series, reports_to_csv};
 use alex_datagen::PaperPair;
 
 fn main() {
-    let params = RunParams::from_args();
-    let which = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--pair")
-        .map(|w| w[1].clone());
+    let (params, flags) = RunParams::from_args_with(&["--pair", "--out"]);
 
     let subfigs: [(&str, &str, PaperPair); 4] = [
         (
@@ -40,13 +35,7 @@ fn main() {
         ),
     ];
 
-    for (tag, title, kind) in subfigs {
-        if which
-            .as_deref()
-            .is_some_and(|w| w != tag && w != kind.label())
-        {
-            continue;
-        }
+    for (tag, title, kind) in select_pairs(&flags, &subfigs) {
         let env = build_env(kind, params, |c| {
             // Small datasets: a handful of partitions matches the paper's
             // per-user, specific-domain deployment.

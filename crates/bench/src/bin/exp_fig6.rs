@@ -13,7 +13,8 @@ use alex_bench::table::{maybe_write_output, reports_to_csv};
 use alex_datagen::PaperPair;
 
 fn main() {
-    let params = RunParams::from_args();
+    // `--out` is read by `maybe_write_output`.
+    let (params, _) = RunParams::from_args_with(&["--out"]);
 
     let with_env = build_env(PaperPair::DbpediaNytimes, params, |_| {});
     let with = with_env.run_exact();

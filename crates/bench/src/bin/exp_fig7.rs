@@ -23,7 +23,8 @@ fn partition_converged(reports: &[EpisodeReport]) -> bool {
 }
 
 fn main() {
-    let params = RunParams::from_args();
+    // `--out` is read by `maybe_write_output`.
+    let (params, _) = RunParams::from_args_with(&["--out"]);
 
     let off_env = build_env(PaperPair::DbpediaNytimes, params, |c| c.rollback = false);
     let off = off_env.run_exact();

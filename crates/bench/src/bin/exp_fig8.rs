@@ -11,7 +11,8 @@ use alex_bench::table::{maybe_write_output, print_quality_series, reports_to_csv
 use alex_datagen::PaperPair;
 
 fn main() {
-    let params = RunParams::from_args();
+    // `--out` is read by `maybe_write_output`.
+    let (params, _) = RunParams::from_args_with(&["--out"]);
     let env = build_env(PaperPair::DbpediaOpencyc, params, |_| {});
     println!(
         "Figure 8: {} — ground truth {} links (paper: 41039), initial (P {:.2}, R {:.2})",

@@ -12,7 +12,8 @@ use alex_core::NoisyOracle;
 use alex_datagen::PaperPair;
 
 fn main() {
-    let params = RunParams::from_args();
+    // `--out` is read by `maybe_write_output`.
+    let (params, _) = RunParams::from_args_with(&["--out"]);
 
     // Both runs cap at 20 episodes so per-link feedback exposure matches
     // the paper's (≈1.6 judgements per ground-truth link over the run; our

@@ -14,6 +14,7 @@
 //! ```
 
 use alex_bench::fnv1a;
+use alex_bench::runner::Flags;
 use alex_core::parallel::{Executor, THREADS_ENV};
 use alex_core::{trace, ExplorationSpace, RightIndex, DEFAULT_MAX_BLOCK};
 use alex_datagen::{generate, PaperPair};
@@ -46,11 +47,16 @@ struct ThreadResult {
     paris_speedup: f64,
     /// Similarity evaluations the space build scored from the table.
     space_evaluations: u64,
+    /// Of those, the string comparisons the edit-distance bound decided
+    /// without computing an edit distance.
+    space_bounded: u64,
     /// Distinct values in the space build's table.
     space_values: u64,
     /// Similarity evaluations PARIS scored from its table (all in the
     /// evidence build).
     paris_evaluations: u64,
+    /// Of those, the ones the edit-distance bound decided.
+    paris_bounded: u64,
     /// Distinct values in PARIS's table.
     paris_values: u64,
     /// Space and PARIS output bit-identical to the 1-thread run.
@@ -101,26 +107,16 @@ fn main() {
     // below; clear it so the sweep measures what it claims to.
     std::env::remove_var(THREADS_ENV);
 
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = 1.0f64;
-    let mut data_seed = 42u64;
-    let mut out_path = "BENCH_scaling.json".to_string();
-    let mut threads: Vec<usize> = vec![1, 2, 4, 8];
-    for w in args.windows(2) {
-        match w[0].as_str() {
-            "--scale" => scale = w[1].parse().unwrap_or(scale),
-            "--data-seed" => data_seed = w[1].parse().unwrap_or(data_seed),
-            "--out" => out_path = w[1].clone(),
-            "--threads" => {
-                threads = w[1]
-                    .split(',')
-                    .filter_map(|t| t.trim().parse().ok())
-                    .filter(|&t| t >= 1)
-                    .collect();
-            }
-            _ => {}
-        }
-    }
+    let flags = Flags::parse(&["--scale", "--data-seed", "--out", "--threads"]);
+    let scale: f64 = flags.get("--scale").unwrap_or(1.0);
+    let data_seed: u64 = flags.get("--data-seed").unwrap_or(42);
+    let out_path: String = flags.get("--out").unwrap_or("BENCH_scaling.json".into());
+    let mut threads: Vec<usize> = flags
+        .list("--threads")
+        .unwrap_or(vec![1, 2, 4, 8])
+        .into_iter()
+        .filter(|&t| t >= 1)
+        .collect();
     if threads.is_empty() || threads[0] != 1 {
         threads.insert(0, 1); // the serial oracle anchors every comparison
     }
@@ -216,8 +212,10 @@ fn main() {
             paris_ms,
             paris_speedup: baseline_paris_ms / paris_ms.max(1e-9),
             space_evaluations: space_stats.hits,
+            space_bounded: space_stats.bounded,
             space_values: space_stats.misses,
             paris_evaluations: s.cache.hits,
+            paris_bounded: s.cache.bounded,
             paris_values: s.cache.misses,
             identical_to_serial: identical,
         });

@@ -22,6 +22,7 @@
 
 use std::path::Path;
 
+use alex_bench::runner::Flags;
 use alex_core::store::{read_store_file, store_fingerprint, write_store_file};
 use alex_core::trace;
 use alex_datagen::PaperPair;
@@ -80,22 +81,12 @@ fn best_of_interleaved<A, B>(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = 1.0f64;
-    let mut seed = 0x57_0BEu64;
-    let mut iters = 3usize;
-    let mut min_speedup = 5.0f64;
-    let mut out_path = "BENCH_store.json".to_string();
-    for w in args.windows(2) {
-        match w[0].as_str() {
-            "--scale" => scale = w[1].parse().unwrap_or(scale),
-            "--seed" => seed = w[1].parse().unwrap_or(seed),
-            "--iters" => iters = w[1].parse().unwrap_or(iters),
-            "--min-speedup" => min_speedup = w[1].parse().unwrap_or(min_speedup),
-            "--out" => out_path = w[1].clone(),
-            _ => {}
-        }
-    }
+    let flags = Flags::parse(&["--scale", "--seed", "--iters", "--min-speedup", "--out"]);
+    let scale: f64 = flags.get("--scale").unwrap_or(1.0);
+    let seed: u64 = flags.get("--seed").unwrap_or(0x57_0BE);
+    let iters: usize = flags.get("--iters").unwrap_or(3);
+    let min_speedup: f64 = flags.get("--min-speedup").unwrap_or(5.0);
+    let out_path: String = flags.get("--out").unwrap_or("BENCH_store.json".into());
 
     let pair = alex_datagen::generate(&PaperPair::DbpediaNytimes.spec(scale, seed));
     println!(

@@ -10,6 +10,7 @@
 
 use std::collections::HashSet;
 
+use alex_bench::runner::Flags;
 use alex_core::trace::{self, TraceMode};
 use alex_core::{AlexConfig, AlexDriver, ExactOracle, Quality};
 use alex_datagen::{degrade, generate, GeneratedPair, PaperPair};
@@ -26,18 +27,10 @@ fn run_once(pair: &GeneratedPair, initial: &[Link], cfg: AlexConfig) -> Vec<Link
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = 0.1f64;
-    let mut seed = 42u64;
-    let mut episodes = 8usize;
-    for w in args.windows(2) {
-        match w[0].as_str() {
-            "--scale" => scale = w[1].parse().unwrap_or(scale),
-            "--seed" => seed = w[1].parse().unwrap_or(seed),
-            "--episodes" => episodes = w[1].parse().unwrap_or(episodes),
-            _ => {}
-        }
-    }
+    let flags = Flags::parse(&["--scale", "--seed", "--episodes"]);
+    let scale: f64 = flags.get("--scale").unwrap_or(0.1);
+    let seed: u64 = flags.get("--seed").unwrap_or(42);
+    let episodes: usize = flags.get("--episodes").unwrap_or(8);
 
     let scenario = PaperPair::DbpediaNytimes;
     let pair = generate(&scenario.spec(scale, seed));

@@ -15,6 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use alex_bench::runner::Flags;
 use alex_core::trace::{self, Payload, TraceMode};
 use serde::Serialize;
 
@@ -95,18 +96,10 @@ fn configure(mode: TraceMode) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut iters: u64 = 2_000_000;
-    let mut reps: usize = 7;
-    let mut out_path = "BENCH_trace.json".to_string();
-    for w in args.windows(2) {
-        match w[0].as_str() {
-            "--iters" => iters = w[1].parse().unwrap_or(iters),
-            "--reps" => reps = w[1].parse().unwrap_or(reps),
-            "--out" => out_path = w[1].clone(),
-            _ => {}
-        }
-    }
+    let flags = Flags::parse(&["--iters", "--reps", "--out"]);
+    let iters: u64 = flags.get("--iters").unwrap_or(2_000_000);
+    let reps: usize = flags.get("--reps").unwrap_or(7);
+    let out_path: String = flags.get("--out").unwrap_or("BENCH_trace.json".into());
 
     // (a) Bare workload — no emit call in the loop at all.
     configure(TraceMode::Off);

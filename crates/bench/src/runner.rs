@@ -41,22 +41,134 @@ impl Default for RunParams {
     }
 }
 
+/// The flags [`RunParams`] reads.
+pub const RUN_FLAGS: [&str; 3] = ["--scale", "--data-seed", "--seed"];
+
 impl RunParams {
     /// Reads `--scale`, `--data-seed`, and `--seed` from the process args,
-    /// falling back to the defaults.
+    /// falling back to the defaults; any other flag is a usage error (see
+    /// [`Flags::parse`]).
     pub fn from_args() -> Self {
-        let mut p = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            match w[0].as_str() {
-                "--scale" => p.scale = w[1].parse().unwrap_or(p.scale),
-                "--data-seed" => p.data_seed = w[1].parse().unwrap_or(p.data_seed),
-                "--seed" => p.run_seed = w[1].parse().unwrap_or(p.run_seed),
-                _ => {}
+        Self::from_args_with(&[]).0
+    }
+
+    /// [`RunParams::from_args`] for a binary that also takes the `extra`
+    /// flags, which it reads from the returned [`Flags`].
+    pub fn from_args_with(extra: &[&str]) -> (Self, Flags) {
+        let flags = Flags::parse(&[&RUN_FLAGS[..], extra].concat());
+        (Self::from_flags(&flags), flags)
+    }
+
+    /// Reads [`RUN_FLAGS`] from `flags`, falling back to the defaults.
+    pub fn from_flags(flags: &Flags) -> Self {
+        let d = Self::default();
+        Self {
+            scale: flags.get("--scale").unwrap_or(d.scale),
+            data_seed: flags.get("--data-seed").unwrap_or(d.data_seed),
+            run_seed: flags.get("--seed").unwrap_or(d.run_seed),
+        }
+    }
+}
+
+/// The `--flag value` pairs of an experiment binary's command line.
+///
+/// Every flag takes a value. An unknown flag, a flag followed by nothing
+/// or by another flag, and a value that does not parse are usage errors:
+/// the binary says so on stderr and exits with code 2, so a misspelled
+/// flag never silently measures the defaults.
+pub struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    /// The process args, checked against `known`.
+    pub fn parse(known: &[&str]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_args(&args, known).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// `args` (without the program name), checked against `known`.
+    pub fn from_args(args: &[String], known: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !known.contains(&arg.as_str()) {
+                return Err(format!(
+                    "unknown argument {arg} (flags: {})",
+                    known.join(", ")
+                ));
+            }
+            match args.next() {
+                Some(value) if !known.contains(&value.as_str()) => {
+                    pairs.push((arg.clone(), value.clone()));
+                }
+                _ => return Err(format!("{arg} needs a value")),
             }
         }
-        p
+        Ok(Self(pairs))
     }
+
+    /// The last value given for `flag`, if any.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value of `flag` parsed as `T`, if given; exits with code 2
+    /// when it does not parse.
+    pub fn get<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| usage_error(&format!("{flag}: cannot parse {v:?}")))
+        })
+    }
+
+    /// The comma-separated values of `flag` parsed as `T`, if given;
+    /// exits with code 2 when one does not parse.
+    pub fn list<T: std::str::FromStr>(&self, flag: &str) -> Option<Vec<T>> {
+        self.value(flag).map(|v| {
+            v.split(',')
+                .map(|item| {
+                    item.trim().parse().unwrap_or_else(|_| {
+                        usage_error(&format!("{flag}: cannot parse {item:?} in {v:?}"))
+                    })
+                })
+                .collect()
+        })
+    }
+}
+
+/// The sub-figures `(tag, title, pair)` that `--pair` selects, by tag or
+/// by pair label: all of them without the flag. Naming none is a usage
+/// error.
+pub fn select_pairs<'a>(
+    flags: &Flags,
+    subfigs: &'a [(&'a str, &'a str, PaperPair)],
+) -> Vec<(&'a str, &'a str, PaperPair)> {
+    let Some(which) = flags.value("--pair") else {
+        return subfigs.to_vec();
+    };
+    let chosen: Vec<_> = subfigs
+        .iter()
+        .filter(|(tag, _, kind)| which == *tag || which == kind.label())
+        .copied()
+        .collect();
+    if chosen.is_empty() {
+        let tags: Vec<&str> = subfigs.iter().map(|(tag, _, _)| *tag).collect();
+        usage_error(&format!(
+            "--pair: no sub-figure {which:?} (one of {}, or its pair's label)",
+            tags.join(", ")
+        ));
+    }
+    chosen
+}
+
+/// Reports a command-line error and exits with code 2.
+fn usage_error(message: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
+    eprintln!("{program}: {message}");
+    std::process::exit(2)
 }
 
 /// Builds the standard environment for `kind`: generated pair, degraded
@@ -166,5 +278,31 @@ mod tests {
         });
         let out = env.run_exact();
         assert!(out.final_quality().f1 >= out.reports[0].quality.f1);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_accept_known_flags_with_values() {
+        let flags = Flags::from_args(&args(&["--scale", "0.5", "--seed", "3"]), &RUN_FLAGS)
+            .expect("known flags");
+        let params = RunParams::from_flags(&flags);
+        assert_eq!(params.scale, 0.5);
+        assert_eq!(params.run_seed, 3);
+        assert_eq!(params.data_seed, RunParams::default().data_seed);
+    }
+
+    #[test]
+    fn flags_reject_unknown_and_valueless_flags() {
+        for bad in [
+            &["--scael", "0.1"][..],
+            &["--scale"],
+            &["--scale", "--seed", "3"],
+            &["0.1"],
+        ] {
+            assert!(Flags::from_args(&args(bad), &RUN_FLAGS).is_err(), "{bad:?}");
+        }
     }
 }

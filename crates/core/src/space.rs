@@ -20,7 +20,11 @@
 //! left entity: its distinct values are scored once against the distinct
 //! values of all its candidates, into one matrix, and each candidate's
 //! feature set is read from the matrix, so a value that several candidates
-//! share is scored once for the entity, not once per candidate.
+//! share is scored once for the entity, not once per candidate. A cell is
+//! scored through [`ValueTable::similarity_at_least`] at θ: a score below
+//! θ, which no feature reads, is stored as −∞, mostly without computing an
+//! edit distance, and every other cell has the exact bits of
+//! [`ValueTable::similarity`].
 //!
 //! For every surviving feature key the space keeps its pairs sorted by
 //! that key's score, so an ALEX action — "find all links whose value for
@@ -354,9 +358,15 @@ impl ExplorationSpace {
                 }
                 rvals.sort_unstable();
                 rvals.dedup();
+                // A cell below θ is never read as a feature, so it is
+                // stored as −∞ without being computed exactly.
                 matrix.clear();
                 for &l in &lvals {
-                    matrix.extend(rvals.iter().map(|&r| scorer.similarity(l, r)));
+                    matrix.extend(rvals.iter().map(|&r| {
+                        scorer
+                            .similarity_at_least(l, r, theta)
+                            .unwrap_or(f64::NEG_INFINITY)
+                    }));
                 }
                 lrow.clear();
                 lrow.extend(

@@ -172,14 +172,10 @@ impl Evidence {
                                 }
                                 ObjectEq::Belief { ab, ba }
                             }
-                            _ => {
-                                let s = scorer.similarity(ly, ry);
-                                let contributes = s >= literal_threshold && s > 0.0;
-                                if !contributes {
-                                    continue;
-                                }
-                                ObjectEq::Fixed(s)
-                            }
+                            _ => match scorer.similarity_at_least(ly, ry, literal_threshold) {
+                                Some(s) if s > 0.0 => ObjectEq::Fixed(s),
+                                _ => continue,
+                            },
                         };
                         let attr = id32(attr);
                         entries.push(((lp, rp), Entry { pp: 0, attr, eq }));

@@ -7,7 +7,8 @@
 //! float, date, etc.)". This crate is that function:
 //!
 //! * [`string`] — the two string metrics the similarity combines:
-//!   normalized Levenshtein (on a bit-parallel kernel) and token Jaccard;
+//!   normalized Levenshtein (on a bit-parallel kernel) and token Jaccard,
+//!   and a char-histogram lower bound on the edit distance;
 //! * [`numeric`] — ratio and half-life similarity for numbers and a distance-decay
 //!   similarity for calendar dates;
 //! * [`value_similarity`] — the type-dispatching function over RDF
@@ -18,7 +19,9 @@
 //!   values of both stores: dense ids, string forms computed once per
 //!   distinct string, and lock-free scoring equal to [`value_similarity`]
 //!   bit for bit. The parallel exploration-space and PARIS pipelines score
-//!   through it.
+//!   through it, asking only whether a score reaches their threshold
+//!   ([`ValueTable::similarity_at_least`]), which the bound mostly answers
+//!   without an edit distance.
 //!
 //! Every public metric is guaranteed to return a finite value in `[0, 1]`,
 //! to be symmetric in its arguments, and to return exactly `1.0` on equal

@@ -3,6 +3,8 @@
 //!
 //! Both operate on Unicode scalar values (not bytes) and cost
 //! `O(|a|·|b|)` or better — fine for attribute values, which are short.
+//! A [`CharHistogram`] bounds the edit distance from below without
+//! computing it.
 
 /// Levenshtein edit distance between two strings, counted over chars.
 pub fn levenshtein(a: &str, b: &str) -> usize {
@@ -20,12 +22,10 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// the same distance.
 pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        long.len()
-    } else if short.len() <= 64 {
-        levenshtein_bit_parallel(short, long)
-    } else {
-        levenshtein_dp(short, long)
+    match Pattern::new(short) {
+        Some(pattern) => pattern.distance(long),
+        None if short.is_empty() => long.len(),
+        None => levenshtein_dp(short, long),
     }
 }
 
@@ -50,57 +50,155 @@ pub fn levenshtein_dp(a: &[char], b: &[char]) -> usize {
     prev[short.len()]
 }
 
-/// Myers' bit-vector edit distance in Hyyrö's formulation: one machine
-/// word holds a whole DP column of `pattern` (1 to 64 chars) as vertical
-/// +1/−1 delta bits, and each char of `text` advances the column with a
-/// constant number of word operations. `dist` tracks the bottom cell.
-fn levenshtein_bit_parallel(pattern: &[char], text: &[char]) -> usize {
-    debug_assert!((1..=64).contains(&pattern.len()));
-    // Match masks: bit i of peq(c) is set when pattern[i] == c. ASCII
-    // chars index a table; the rare others search a short list.
-    let mut ascii = [0u64; 128];
-    let mut other: Vec<(char, u64)> = Vec::new();
-    for (i, &c) in pattern.iter().enumerate() {
-        let bit = 1u64 << i;
-        if c.is_ascii() {
-            ascii[c as usize] |= bit;
-        } else if let Some(slot) = other.iter_mut().find(|(k, _)| *k == c) {
-            slot.1 |= bit;
-        } else {
-            other.push((c, bit));
+/// A string of 1 to 64 chars prepared for Myers' bit-vector edit distance
+/// (JACM 1999): its match masks, built once and reused against any
+/// number of texts.
+#[derive(Clone, Debug)]
+pub(crate) struct Pattern {
+    /// Bit `i` of `ascii[c]` is set when `pattern[i] == c`; the rare
+    /// non-ASCII chars keep their masks in a short list.
+    ascii: [u64; 128],
+    other: Vec<(char, u64)>,
+    len: usize,
+}
+
+impl Pattern {
+    /// The pattern of `chars`, or `None` when it is empty or longer than
+    /// one 64-bit word.
+    pub(crate) fn new(chars: &[char]) -> Option<Self> {
+        if !(1..=64).contains(&chars.len()) {
+            return None;
         }
+        let mut ascii = [0u64; 128];
+        let mut other: Vec<(char, u64)> = Vec::new();
+        for (i, &c) in chars.iter().enumerate() {
+            let bit = 1u64 << i;
+            if c.is_ascii() {
+                ascii[c as usize] |= bit;
+            } else if let Some(slot) = other.iter_mut().find(|(k, _)| *k == c) {
+                slot.1 |= bit;
+            } else {
+                other.push((c, bit));
+            }
+        }
+        Some(Self {
+            ascii,
+            other,
+            len: chars.len(),
+        })
     }
-    let peq = |c: char| {
+
+    fn peq(&self, c: char) -> u64 {
         if c.is_ascii() {
-            ascii[c as usize]
+            self.ascii[c as usize]
         } else {
-            other
+            self.other
                 .iter()
                 .find(|(k, _)| *k == c)
                 .map_or(0, |&(_, mask)| mask)
         }
-    };
-    let last = 1u64 << (pattern.len() - 1);
-    let (mut pv, mut mv) = (!0u64, 0u64);
-    let mut dist = pattern.len();
-    for &c in text {
-        let eq = peq(c);
-        let xv = eq | mv;
-        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
-        let ph = mv | !(xh | pv);
-        let mh = pv & xh;
-        if ph & last != 0 {
-            dist += 1;
-        } else if mh & last != 0 {
-            dist -= 1;
-        }
-        // Row 0 of the DP grows by one per text char, so a +1 shifts in.
-        let ph = (ph << 1) | 1;
-        let mh = mh << 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
     }
-    dist
+
+    /// The Levenshtein distance between the pattern and `text` (of any
+    /// length), in Hyyrö's formulation: one machine word holds a whole DP
+    /// column of the pattern as vertical +1/−1 delta bits, and each char
+    /// of `text` advances the column with a constant number of word
+    /// operations. `dist` tracks the bottom cell.
+    pub(crate) fn distance(&self, text: &[char]) -> usize {
+        let last = 1u64 << (self.len - 1);
+        let (mut pv, mut mv) = (!0u64, 0u64);
+        let mut dist = self.len;
+        for &c in text {
+            let eq = self.peq(c);
+            let xv = eq | mv;
+            let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+            let ph = mv | !(xh | pv);
+            let mh = pv & xh;
+            if ph & last != 0 {
+                dist += 1;
+            } else if mh & last != 0 {
+                dist -= 1;
+            }
+            // Row 0 of the DP grows by one per text char, so a +1 shifts in.
+            let ph = (ph << 1) | 1;
+            let mh = mh << 1;
+            pv = mh | !(xv | ph);
+            mv = ph & xv;
+        }
+        dist
+    }
+}
+
+/// A string's chars counted in 64 classes (each ASCII letter and digit
+/// its own class, every other char hashed into the remaining 28), each
+/// count saturating at 15: 32 bytes of two 4-bit counts each.
+///
+/// Two histograms give a lower bound on the edit distance of their
+/// strings ([`CharHistogram::distance_bound`]): an insertion, deletion or
+/// substitution changes the surplus of each side's classes over the
+/// other's by at most one char.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CharHistogram([u8; 32]);
+
+impl CharHistogram {
+    /// The histogram of `chars`.
+    pub fn new(chars: &[char]) -> Self {
+        let mut counts = [0u8; 32];
+        for &c in chars {
+            let class = match c {
+                'a'..='z' => c as usize - 'a' as usize,
+                '0'..='9' => 26 + (c as usize - '0' as usize),
+                _ => 36 + c as usize % 28,
+            };
+            let shift = class % 2 * 4;
+            let byte = &mut counts[class / 2];
+            if (*byte >> shift) & 0xF < 15 {
+                *byte += 1 << shift;
+            }
+        }
+        Self(counts)
+    }
+
+    /// A lower bound on the Levenshtein distance between this histogram's
+    /// string, of `len` chars, and `other`'s, of `other_len` chars.
+    ///
+    /// The bag distance of two strings — the larger of their surpluses,
+    /// `Σ max(0, a[c] − b[c])` and the reverse — never exceeds their edit
+    /// distance, and counting by class and saturating only shrink each
+    /// surplus. The two true surpluses differ by exactly the length
+    /// difference, so the longer side's is also at least the shorter
+    /// side's counted surplus plus that difference.
+    #[inline]
+    pub fn distance_bound(&self, len: usize, other: &Self, other_len: usize) -> usize {
+        // Per byte, each side's surplus over its two classes (at most 30),
+        // in a loop the compiler turns into a few vector instructions.
+        let (mut mine, mut theirs) = ([0u8; 32], [0u8; 32]);
+        for i in 0..32 {
+            let (a, b) = (self.0[i], other.0[i]);
+            let (a_lo, a_hi, b_lo, b_hi) = (a & 0xF, a >> 4, b & 0xF, b >> 4);
+            mine[i] = a_lo.saturating_sub(b_lo) + a_hi.saturating_sub(b_hi);
+            theirs[i] = b_lo.saturating_sub(a_lo) + b_hi.saturating_sub(a_hi);
+        }
+        let (mine, theirs) = (byte_sum(&mine), byte_sum(&theirs));
+        if len >= other_len {
+            mine.max(theirs + (len - other_len))
+        } else {
+            theirs.max(mine + (other_len - len))
+        }
+    }
+}
+
+/// The sum of 32 bytes of at most 30 each: four words added lane by lane
+/// (at most 120 a lane), then the lanes folded in pairs and summed by one
+/// multiplication.
+fn byte_sum(bytes: &[u8; 32]) -> usize {
+    let lanes = bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+        .sum::<u64>();
+    const EVEN: u64 = 0x00FF_00FF_00FF_00FF;
+    let pairs = (lanes & EVEN) + ((lanes >> 8) & EVEN);
+    (pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48) as usize
 }
 
 /// Normalized Levenshtein similarity: `1 − dist / max_len`, in `[0, 1]`.

@@ -15,15 +15,25 @@
 //! and [`ValueTable::similarity`] equals [`crate::value_similarity`]
 //! evaluated on `(min(a, b), max(a, b))` bit for bit — which also makes it
 //! exactly symmetric.
+//!
+//! Callers that keep only scores at or above a threshold (the space
+//! build's θ, PARIS's literal threshold) score through
+//! [`ValueTable::similarity_at_least`]. Each form carries a 32-byte
+//! [`CharHistogram`], whose bag distance bounds the edit distance from
+//! below and so the Levenshtein score from above; when that ceiling shows
+//! the score is token Jaccard or below the threshold, no edit distance is
+//! computed. Every score it returns has the bits of
+//! [`ValueTable::similarity`].
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use alex_rdf::{Entity, Interner, IriId, Literal, Store, Term};
 
 use crate::numeric::date_similarity;
-use crate::string;
+use crate::string::{self, CharHistogram, Pattern};
 use crate::value::{numeric_sim, DATE_HALF_LIFE_DAYS};
 use crate::SimConfig;
 
@@ -40,6 +50,9 @@ pub type ValueId = u32;
 pub struct CacheStats {
     /// Similarity evaluations served from prebuilt forms.
     pub hits: u64,
+    /// Of `hits`, the string comparisons the edit-distance bound decided
+    /// without computing an edit distance.
+    pub bounded: u64,
     /// Distinct values whose forms were built.
     pub misses: u64,
 }
@@ -64,37 +77,61 @@ struct Value {
     form: u32,
 }
 
-/// The precomputed forms of one distinct string.
+/// The precomputed forms of one distinct string. Its chars and token ids
+/// live in the table's arenas.
 #[derive(Debug)]
 struct Form {
     /// `raw.trim().parse::<f64>()`, the numeric shortcut of string comparison.
     numeric: Option<f64>,
-    /// Chars of the lowercased string (Levenshtein).
-    chars: Box<[char]>,
-    /// Sorted, deduplicated lowercase token ids (token Jaccard).
-    token_set: Box<[u32]>,
+    /// Class counts of the chars (the edit-distance bound).
+    hist: CharHistogram,
+    /// Bit `id % 64` set for every token id: forms whose masks are
+    /// disjoint share no token.
+    token_mask: u64,
+    /// Chars of the lowercased string (Levenshtein), in
+    /// [`ValueTable::chars`].
+    chars: Range<u32>,
+    /// Sorted, deduplicated lowercase token ids (token Jaccard), in
+    /// [`ValueTable::token_sets`].
+    token_set: Range<u32>,
 }
 
 impl Form {
-    fn build(raw: &str, token_ids: &mut HashMap<String, u32>) -> Self {
+    /// The form of `raw`, its chars and token ids appended to the arenas.
+    /// Token ids are first-seen order, not string order; Jaccard only
+    /// counts the intersection, which any consistent order gives.
+    fn build(
+        raw: &str,
+        chars: &mut Vec<char>,
+        token_sets: &mut Vec<u32>,
+        token_ids: &mut HashMap<String, u32>,
+    ) -> Self {
         let lower = raw.to_lowercase();
-        // Token ids are first-seen order, not string order; Jaccard only
-        // counts the intersection, which any consistent order gives.
         let mut ids: Vec<u32> = string::tokens(&lower)
             .into_iter()
             .map(|t| {
-                let next = u32::try_from(token_ids.len()).expect("token ids fit in u32");
+                let next = id32(token_ids.len());
                 *token_ids.entry(t).or_insert(next)
             })
             .collect();
         ids.sort_unstable();
         ids.dedup();
+        let (chars_start, tokens_start) = (id32(chars.len()), id32(token_sets.len()));
+        chars.extend(lower.chars());
+        token_sets.extend_from_slice(&ids);
         Form {
             numeric: raw.trim().parse::<f64>().ok(),
-            chars: lower.chars().collect(),
-            token_set: ids.into(),
+            hist: CharHistogram::new(&chars[chars_start as usize..]),
+            token_mask: ids.iter().fold(0, |mask, id| mask | 1 << (id % 64)),
+            chars: chars_start..id32(chars.len()),
+            token_set: tokens_start..id32(token_sets.len()),
         }
     }
+}
+
+/// `n` as a `u32` id or arena offset.
+fn id32(n: usize) -> u32 {
+    u32::try_from(n).expect("value table ids and offsets fit u32")
 }
 
 /// The read-only value table of one pipeline. Build it once, share it by
@@ -107,7 +144,12 @@ pub struct ValueTable {
     terms: Vec<Term>,
     values: Vec<Value>,
     forms: Vec<Form>,
+    /// The chars of every form, one after another.
+    chars: Vec<char>,
+    /// The token ids of every form, one set after another.
+    token_sets: Vec<u32>,
     evaluations: AtomicU64,
+    bounded: AtomicU64,
 }
 
 impl ValueTable {
@@ -129,9 +171,11 @@ impl ValueTable {
             "value table overflow: more than u32::MAX distinct values"
         );
 
-        let mut form_ids: HashMap<String, u32> = HashMap::new();
-        let mut token_ids: HashMap<String, u32> = HashMap::new();
-        let mut forms: Vec<Form> = Vec::new();
+        // Sized up front: rehashing strings as the maps grow costs as much
+        // as filling them.
+        let mut form_ids: HashMap<String, u32> = HashMap::with_capacity(terms.len());
+        let mut token_ids: HashMap<String, u32> = HashMap::with_capacity(terms.len());
+        let (mut forms, mut chars, mut token_sets) = (Vec::new(), Vec::new(), Vec::new());
         let values = terms
             .iter()
             .map(|term| {
@@ -152,8 +196,13 @@ impl ValueTable {
                     }
                 };
                 let form = *form_ids.entry(raw).or_insert_with_key(|raw| {
-                    forms.push(Form::build(raw, &mut token_ids));
-                    u32::try_from(forms.len() - 1).expect("forms fit in u32")
+                    forms.push(Form::build(
+                        raw,
+                        &mut chars,
+                        &mut token_sets,
+                        &mut token_ids,
+                    ));
+                    id32(forms.len() - 1)
                 });
                 Value { kind, form }
             })
@@ -163,7 +212,10 @@ impl ValueTable {
             terms,
             values,
             forms,
+            chars,
+            token_sets,
             evaluations: AtomicU64::new(0),
+            bounded: AtomicU64::new(0),
         }
     }
 
@@ -206,6 +258,8 @@ impl ValueTable {
         Scorer {
             table: self,
             evaluations: Cell::new(0),
+            bounded: Cell::new(0),
+            pattern: RefCell::new(None),
         }
     }
 
@@ -214,6 +268,7 @@ impl ValueTable {
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.evaluations.load(Ordering::Relaxed),
+            bounded: self.bounded.load(Ordering::Relaxed),
             misses: self.terms.len() as u64,
         }
     }
@@ -221,15 +276,63 @@ impl ValueTable {
     /// [`crate::value_similarity`] of the two values in canonical term
     /// order: the same type dispatch, computed from prebuilt forms.
     pub fn similarity(&self, a: ValueId, b: ValueId) -> f64 {
+        self.score(a, b, f64::NEG_INFINITY, || self.distance(a, b))
+            .0
+            .expect("every score is at least −∞")
+    }
+
+    /// `Some(`[`ValueTable::similarity`]`(a, b))`, the same bits, when
+    /// that score is at least `threshold`; `None` when it is below.
+    pub fn similarity_at_least(&self, a: ValueId, b: ValueId, threshold: f64) -> Option<f64> {
+        self.score(a, b, threshold, || self.distance(a, b)).0
+    }
+
+    /// The edit distance between the string forms of `a` and `b`.
+    fn distance(&self, a: ValueId, b: ValueId) -> usize {
+        let chars = |v: ValueId| self.chars(self.values[v as usize].form);
+        string::levenshtein_chars(chars(a), chars(b))
+    }
+
+    /// The chars of form `form`.
+    fn chars(&self, form: u32) -> &[char] {
+        let f = &self.forms[form as usize];
+        &self.chars[f.chars.start as usize..f.chars.end as usize]
+    }
+
+    /// [`string::token_jaccard_sorted`] of the token sets of two forms,
+    /// without the merge when the masks show they share no token (the
+    /// score is then 0, or 1 when both are empty).
+    fn jaccard(&self, a: &Form, b: &Form) -> f64 {
+        if a.token_mask & b.token_mask == 0 {
+            return if a.token_set.is_empty() && b.token_set.is_empty() {
+                1.0
+            } else {
+                0.0
+            };
+        }
+        let set = |f: &Form| &self.token_sets[f.token_set.start as usize..f.token_set.end as usize];
+        string::token_jaccard_sorted(set(a), set(b))
+    }
+
+    /// The type dispatch of [`ValueTable::similarity`] in canonical
+    /// order: the score when it is at least `threshold`, and whether the
+    /// edit-distance bound decided it. `distance` returns the edit
+    /// distance between the string forms of `a` and `b`.
+    fn score(
+        &self,
+        a: ValueId,
+        b: ValueId,
+        threshold: f64,
+        distance: impl FnOnce() -> usize,
+    ) -> (Option<f64>, bool) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let (x, y) = (self.values[lo as usize], self.values[hi as usize]);
-        match (x.kind, y.kind) {
-            (Kind::Iri, Kind::Iri) | (Kind::Text, Kind::Text) => self.string_sim(x.form, y.form),
-            // IRI vs literal compares local name with lexical form; a string
-            // vs another literal family compares lexical forms. In canonical
-            // order the IRI always comes first.
+        let score = match (x.kind, y.kind) {
+            // Two strings compare their forms; so do an IRI and a literal
+            // (local name vs lexical form; in canonical order the IRI comes
+            // first) and a string and another literal (lexical forms).
             (Kind::Iri, _) | (_, Kind::Iri) | (Kind::Text, _) | (_, Kind::Text) => {
-                self.string_sim(x.form, y.form)
+                return self.string_score(x.form, y.form, threshold, distance)
             }
             (Kind::Int(p), Kind::Int(q)) => numeric_sim(&self.cfg, p as f64, q as f64),
             (Kind::Int(p), Kind::Float(q)) | (Kind::Float(q), Kind::Int(p)) => {
@@ -239,41 +342,97 @@ impl ValueTable {
             (Kind::Date(p), Kind::Date(q)) => date_similarity(p, q, DATE_HALF_LIFE_DAYS),
             (Kind::Bool(p), Kind::Bool(q)) if p == q => 1.0,
             _ => 0.0,
-        }
+        };
+        ((score >= threshold).then_some(score), false)
     }
 
     /// String comparison over two forms: equality (equal forms share an
     /// index), the numeric shortcut, then `max(Levenshtein, TokenJaccard)`
     /// on the lowercased forms — the decision ladder of the plain string
-    /// path.
-    fn string_sim(&self, fa: u32, fb: u32) -> f64 {
+    /// path — kept only at or above `threshold`.
+    ///
+    /// Levenshtein is `1 − d / max_len`, and the char histograms bound `d`
+    /// from below, so `1 − bound / max_len` is a ceiling on it (the float
+    /// operations are monotone, so the computed score never exceeds the
+    /// computed ceiling). When the ceiling is at most the token Jaccard
+    /// score, the maximum is that score; when it is below the threshold,
+    /// only the Jaccard score can reach the threshold. Either way the edit
+    /// distance is not needed.
+    fn string_score(
+        &self,
+        fa: u32,
+        fb: u32,
+        threshold: f64,
+        distance: impl FnOnce() -> usize,
+    ) -> (Option<f64>, bool) {
+        let at_least = |s: f64| (s >= threshold).then_some(s);
         if fa == fb {
-            return 1.0;
+            return (at_least(1.0), false);
         }
         let (a, b) = (&self.forms[fa as usize], &self.forms[fb as usize]);
         if let (Some(x), Some(y)) = (a.numeric, b.numeric) {
-            return numeric_sim(&self.cfg, x, y);
+            return (at_least(numeric_sim(&self.cfg, x, y)), false);
         }
-        string::levenshtein_similarity_chars(&a.chars, &b.chars)
-            .max(string::token_jaccard_sorted(&a.token_set, &b.token_set))
+        let jaccard = self.jaccard(a, b);
+        let (a_len, b_len) = (a.chars.len(), b.chars.len());
+        let max_len = a_len.max(b_len);
+        let levenshtein = |d: usize| {
+            if max_len == 0 {
+                1.0
+            } else {
+                1.0 - d as f64 / max_len as f64
+            }
+        };
+        let bound = a.hist.distance_bound(a_len, &b.hist, b_len);
+        let ceiling = levenshtein(bound);
+        if ceiling <= jaccard || ceiling < threshold {
+            return (at_least(jaccard), true);
+        }
+        (at_least(levenshtein(distance()).max(jaccard)), false)
     }
 }
 
-/// A scoring handle for one thread: [`ValueTable::similarity`] plus a
-/// local evaluation count, added to the table's counter on drop so worker
+/// A scoring handle for one thread: [`ValueTable::similarity_at_least`]
+/// plus local counts, added to the table's counters on drop so worker
 /// threads never contend on a shared atomic.
+///
+/// The handle keeps the Myers pattern of the last first argument it
+/// computed an edit distance for, so scoring one value against many (a
+/// row of a matrix) builds that value's pattern once, not once per cell.
 #[derive(Debug)]
 pub struct Scorer<'a> {
     table: &'a ValueTable,
     evaluations: Cell<u64>,
+    bounded: Cell<u64>,
+    /// A form index and the pattern of its chars (`None` when empty or
+    /// longer than 64 chars).
+    pattern: RefCell<Option<(u32, Option<Pattern>)>>,
 }
 
 impl Scorer<'_> {
-    /// [`ValueTable::similarity`], counted.
+    /// [`ValueTable::similarity_at_least`], counted.
     #[inline]
-    pub fn similarity(&self, a: ValueId, b: ValueId) -> f64 {
+    pub fn similarity_at_least(&self, a: ValueId, b: ValueId, threshold: f64) -> Option<f64> {
         self.evaluations.set(self.evaluations.get() + 1);
-        self.table.similarity(a, b)
+        let (score, bounded) = self.table.score(a, b, threshold, || self.distance(a, b));
+        self.bounded.set(self.bounded.get() + u64::from(bounded));
+        score
+    }
+
+    /// The edit distance between the forms of `a` and `b`, through the
+    /// pattern of `a`'s form, which is built on the first call for it.
+    fn distance(&self, a: ValueId, b: ValueId) -> usize {
+        let table = self.table;
+        let (fa, fb) = (table.values[a as usize].form, table.values[b as usize].form);
+        let mut cached = self.pattern.borrow_mut();
+        let (_, pattern) = match &mut *cached {
+            Some(c) if c.0 == fa => c,
+            slot => slot.insert((fa, Pattern::new(table.chars(fa)))),
+        };
+        match pattern {
+            Some(pattern) => pattern.distance(table.chars(fb)),
+            None => string::levenshtein_chars(table.chars(fa), table.chars(fb)),
+        }
     }
 
     /// The table being scored.
@@ -287,6 +446,9 @@ impl Drop for Scorer<'_> {
         self.table
             .evaluations
             .fetch_add(self.evaluations.get(), Ordering::Relaxed);
+        self.table
+            .bounded
+            .fetch_add(self.bounded.get(), Ordering::Relaxed);
     }
 }
 
@@ -418,19 +580,45 @@ mod tests {
     #[test]
     fn counters_track_evaluations_and_values() {
         let interner = Interner::new_shared();
-        let a: Term = Literal::str(&interner, "alpha beta").into();
-        let b: Term = Literal::str(&interner, "beta alpha").into();
-        let table = ValueTable::new(SimConfig::default(), &interner, [a, b, a]);
-        assert_eq!(table.stats(), CacheStats { hits: 0, misses: 2 });
+        let terms: Vec<Term> = ["alpha beta", "beta alpha", "kitten", "sitting"]
+            .iter()
+            .map(|s| Literal::str(&interner, s).into())
+            .collect();
+        let table = ValueTable::new(
+            SimConfig::default(),
+            &interner,
+            terms.iter().chain(&terms[..1]).copied(),
+        );
+        let id = |i: usize| table.id(&terms[i]).unwrap();
+        let zero = CacheStats {
+            hits: 0,
+            bounded: 0,
+            misses: 4,
+        };
+        assert_eq!(table.stats(), zero);
         {
             let scorer = table.scorer();
-            scorer.similarity(0, 1);
-            scorer.similarity(1, 0);
-            scorer.similarity(1, 1);
+            // Equal token sets: the bound shows Jaccard is the maximum.
+            assert_eq!(scorer.similarity_at_least(id(0), id(1), 0.5), Some(1.0));
+            assert_eq!(scorer.similarity_at_least(id(1), id(0), 0.5), Some(1.0));
+            // Equal forms.
+            assert_eq!(scorer.similarity_at_least(id(1), id(1), 0.5), Some(1.0));
+            // No shared token, and the bound is tight, 1 − 3/7: the edit
+            // distance is computed at 0.5, and not needed at 0.6.
+            let sitting = Some(1.0 - 3.0 / 7.0);
+            assert_eq!(scorer.similarity_at_least(id(2), id(3), 0.5), sitting);
+            assert_eq!(scorer.similarity_at_least(id(2), id(3), 0.6), None);
+            // Ten chars against six share at most three: below 0.5.
+            assert_eq!(scorer.similarity_at_least(id(0), id(2), 0.5), None);
             // Evaluations are published when the scorer is dropped.
-            assert_eq!(table.stats().hits, 0);
+            assert_eq!(table.stats(), zero);
         }
-        assert_eq!(table.stats(), CacheStats { hits: 3, misses: 2 });
+        let stats = CacheStats {
+            hits: 6,
+            bounded: 4,
+            misses: 4,
+        };
+        assert_eq!(table.stats(), stats);
     }
 
     /// Reading one table from 4 threads returns the same bits as serial
@@ -461,7 +649,8 @@ mod tests {
                         for i in 0..ids.len() {
                             for j in 0..ids.len() {
                                 if (i + j) % 4 == t {
-                                    let v = scorer.similarity(ids[i], ids[j]);
+                                    let v =
+                                        scorer.similarity_at_least(ids[i], ids[j], 0.0).unwrap();
                                     out.push((i, j, v.to_bits()));
                                 }
                             }

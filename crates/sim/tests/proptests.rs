@@ -40,6 +40,33 @@ fn arb_char() -> impl Strategy<Value = char> {
     })
 }
 
+/// Text for the threshold kernel: empty, numeric-looking, longer than one
+/// 64-bit word, or any mix of the edit-distance chars (non-ASCII
+/// included), often sharing a prefix with a second draw.
+fn arb_kernel_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0usize..1).prop_map(|_| String::new()),
+        (-1.0e6f64..1.0e6).prop_map(|x| format!(" {x} ")),
+        vec(arb_char(), 0..100).prop_map(|cs| cs.into_iter().collect()),
+        (arb_text(), arb_text()).prop_map(|(a, b)| format!("{a} {b} {a}{b}")),
+        arb_text(),
+    ]
+}
+
+/// A term for the threshold kernel: mostly text, sometimes another kind.
+fn arb_kernel_term() -> impl Strategy<Value = TermSpec> {
+    prop_oneof![
+        arb_kernel_text().prop_map(TermSpec::Str),
+        arb_kernel_text().prop_map(TermSpec::Str),
+        arb_kernel_text().prop_map(TermSpec::Str),
+        arb_term(),
+    ]
+}
+
+fn arb_threshold() -> impl Strategy<Value = f64> {
+    (0usize..5, 0.0f64..1.0).prop_map(|(k, x)| [0.0, 0.3, 0.85, 1.0, x][k])
+}
+
 #[derive(Clone, Debug)]
 enum TermSpec {
     Str(String),
@@ -198,5 +225,58 @@ proptest! {
         prop_assert!((ab - ba).abs() < 1e-12, "asymmetric: {ab} vs {ba} for {a:?} {b:?}");
         let aa = value_similarity(&ta, &ta, &i, &cfg);
         prop_assert!((aa - 1.0).abs() < 1e-12, "not reflexive on {a:?}: {aa}");
+    }
+}
+
+// The threshold kernel decides most comparisons from a bound, so its
+// exactness gets many more cases than the metrics above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `similarity_at_least` returns the bits of `similarity` (and of the
+    /// plain function in canonical order) exactly when that score is at
+    /// least the threshold, and `None` otherwise — through the table and
+    /// through a scorer that reuses its pattern along a row.
+    #[test]
+    fn similarity_at_least_is_exact_at_and_above_the_threshold(
+        a in arb_kernel_term(),
+        b in arb_kernel_term(),
+        c in arb_kernel_term(),
+        t in arb_threshold(),
+    ) {
+        let i = Interner::new_shared();
+        let terms = [a.build(&i), b.build(&i), c.build(&i)];
+        let cfg = SimConfig::default();
+        let table = ValueTable::new(cfg, &i, terms);
+        let scorer = table.scorer();
+        for x in &terms {
+            for y in &terms {
+                let (ix, iy) = (table.id(x).unwrap(), table.id(y).unwrap());
+                let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
+                let want = value_similarity(lo, hi, &i, &cfg);
+                prop_assert_eq!(table.similarity(ix, iy).to_bits(), want.to_bits());
+                let want = (want >= t).then_some(want.to_bits());
+                let got = table.similarity_at_least(ix, iy, t).map(f64::to_bits);
+                prop_assert_eq!(got, want, "{:?} vs {:?} at {}", x, y, t);
+                let got = scorer.similarity_at_least(ix, iy, t).map(f64::to_bits);
+                prop_assert_eq!(got, want, "scorer: {:?} vs {:?} at {}", x, y, t);
+            }
+        }
+    }
+
+    /// The histogram bound never exceeds the edit distance, including
+    /// long runs of one char that saturate its counts.
+    #[test]
+    fn histogram_bound_never_exceeds_levenshtein(
+        a in vec(arb_char(), 0..100),
+        b in vec(arb_char(), 0..100),
+        run in 0usize..40,
+    ) {
+        let mut a = a;
+        a.extend(std::iter::repeat_n('a', run));
+        let (ha, hb) = (string::CharHistogram::new(&a), string::CharHistogram::new(&b));
+        let want = string::levenshtein_dp(&a, &b);
+        prop_assert!(ha.distance_bound(a.len(), &hb, b.len()) <= want);
+        prop_assert!(hb.distance_bound(b.len(), &ha, a.len()) <= want);
     }
 }
