@@ -180,8 +180,8 @@ impl DurableSession {
         &self.id
     }
 
-    /// Appends a batch of records (group commit: one fsync decision for
-    /// the whole batch), emits the matching trace events, and adds the
+    /// Appends a batch of records (group commit: one write and at most
+    /// one fsync for the whole batch), emits the matching trace events, and adds the
     /// batch's WAL counters to `logged`. On `Ok` the records are logged
     /// (or there is no log); only then may the mutation be acknowledged.
     pub(crate) fn log(

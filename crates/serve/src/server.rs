@@ -8,12 +8,14 @@
 //! each one's full keep-alive loop (parse → route → respond). When the
 //! queue is full the acceptor answers `503 Service Unavailable` inline
 //! and closes — backpressure is explicit and immediate, never an unbounded
-//! backlog. Shutdown sets the flag, joins the acceptor, drops the sender
-//! (workers drain what was already queued, then exit), joins the workers,
-//! and finally checkpoints every session into its directory under the
-//! state directory.
+//! backlog. Every response, the error envelopes and the 503 included,
+//! leaves the server in one socket write ([`Response::write_to`]).
+//! Shutdown sets the flag, joins the acceptor, drops the sender (workers
+//! drain what was already queued, then exit), joins the workers, and
+//! finally checkpoints every session into its directory under the state
+//! directory.
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -432,7 +434,6 @@ fn handle_connection(
             }
             Err(HttpError::Io(_)) => break,
         }
-        let _ = writer.flush();
     }
 }
 

@@ -105,6 +105,13 @@ const TAG_DEGRADED: u8 = 6;
 /// Encodes a record (with its sequence number) into a frame payload.
 pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
+    encode_record_into(&mut out, seq, record);
+    out
+}
+
+/// [`encode_record`] appending to `out`, so a writer can reuse one buffer
+/// for every record of a batch.
+pub(crate) fn encode_record_into(out: &mut Vec<u8>, seq: u64, record: &WalRecord) {
     let tag = match record {
         WalRecord::Feedback { .. } => TAG_FEEDBACK,
         WalRecord::LinkAdded { .. } => TAG_LINK_ADDED,
@@ -114,53 +121,52 @@ pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
         WalRecord::Degraded { .. } => TAG_DEGRADED,
     };
     out.push(tag);
-    write_u64(&mut out, seq);
+    write_u64(out, seq);
     match record {
         WalRecord::Feedback {
             left,
             right,
             positive,
         } => {
-            write_str(&mut out, left);
-            write_str(&mut out, right);
+            write_str(out, left);
+            write_str(out, right);
             out.push(u8::from(*positive));
         }
         WalRecord::LinkAdded { left, right } => {
-            write_str(&mut out, left);
-            write_str(&mut out, right);
+            write_str(out, left);
+            write_str(out, right);
         }
         WalRecord::LinkRemoved {
             left,
             right,
             reason,
         } => {
-            write_str(&mut out, left);
-            write_str(&mut out, right);
-            write_str(&mut out, reason);
+            write_str(out, left);
+            write_str(out, right);
+            write_str(out, reason);
         }
         WalRecord::PolicyDelta {
             partition,
             rng,
             q_entries,
         } => {
-            write_u64(&mut out, *partition);
+            write_u64(out, *partition);
             for word in rng {
-                write_u64(&mut out, *word);
+                write_u64(out, *word);
             }
-            write_u64(&mut out, *q_entries);
+            write_u64(out, *q_entries);
         }
         WalRecord::EpisodeEnd {
             episode,
             feedback_items,
         } => {
-            write_u64(&mut out, *episode);
-            write_u64(&mut out, *feedback_items);
+            write_u64(out, *episode);
+            write_u64(out, *feedback_items);
         }
         WalRecord::Degraded { source_skips } => {
-            write_u64(&mut out, *source_skips);
+            write_u64(out, *source_skips);
         }
     }
-    out
 }
 
 /// Decodes a frame payload back into a sequenced record. Trailing bytes

@@ -15,10 +15,10 @@
 //! of the acknowledged history — never a reordered or spliced one.
 //!
 //! **Durability levels.** [`SyncPolicy::Always`] fsyncs on every append
-//! batch (group commit: one sync covers the whole batch), [`EveryN`]
-//! amortizes one fsync over `n` records, and [`Os`] leaves flushing to the
-//! page cache — fastest, loses the tail on power failure but never
-//! corrupts it.
+//! batch (group commit: one write and one sync cover the whole batch),
+//! [`EveryN`] amortizes one fsync over `n` records, and [`Os`] leaves
+//! flushing to the page cache — fastest, loses the tail on power failure
+//! but never corrupts it.
 //!
 //! [`EveryN`]: SyncPolicy::EveryN
 //! [`Os`]: SyncPolicy::Os
@@ -28,7 +28,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::frame::{read_frame, write_frame, FrameOutcome};
-use crate::record::{decode_record, encode_record, SequencedRecord, WalRecord};
+use crate::record::{decode_record, encode_record_into, SequencedRecord, WalRecord};
 
 /// When appended records are flushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -325,9 +325,13 @@ impl Wal {
         self.append_batch(std::slice::from_ref(record))
     }
 
-    /// Appends a batch of records, rotating segments as needed, then
-    /// applies the sync policy *once* for the whole batch (group commit).
-    /// On `Ok`, every record is in the file — and on stable storage if the
+    /// Appends a batch of records in one write and at most one fsync
+    /// (group commit): the frames are encoded into one buffer, written
+    /// with one `write_all`, and the sync policy is applied once for the
+    /// whole batch. A batch that crosses `segment_bytes` rotates before
+    /// the same record a record-at-a-time writer would; the part before
+    /// the rotation is written (and, by the rotation, synced) first. On
+    /// `Ok`, every record is in the file — and on stable storage if the
     /// policy synced. Callers must not acknowledge the mutations to a
     /// client before this returns. Once an append fails, every later one
     /// on this log fails too (see `failed`); reopening repairs the log.
@@ -341,23 +345,27 @@ impl Wal {
         // Cleared below only if every write and sync succeeds.
         self.failed = true;
         let first_seq = self.next_seq;
-        let mut bytes = 0u64;
+        let bytes_before = self.stats.bytes;
+        let mut frames = Vec::with_capacity(records.len() * 96);
+        let mut payload = Vec::with_capacity(96);
+        let mut unwritten = 0u64;
         let mut rotated_to = None;
         for record in records {
             if self.segment_len >= self.opts.segment_bytes && self.segment_len > 0 {
+                self.write_frames(&mut frames, &mut unwritten)?;
                 self.rotate()?;
                 rotated_to = Some(self.segment_index);
             }
-            let mut buf = Vec::with_capacity(96);
-            write_frame(&mut buf, &encode_record(self.next_seq, record));
-            self.file.write_all(&buf)?;
-            self.segment_len += buf.len() as u64;
-            bytes += buf.len() as u64;
+            payload.clear();
+            encode_record_into(&mut payload, self.next_seq, record);
+            let start = frames.len();
+            write_frame(&mut frames, &payload);
+            self.segment_len += (frames.len() - start) as u64;
             self.next_seq += 1;
-            self.stats.appends += 1;
-            self.stats.bytes += buf.len() as u64;
             self.appends_since_sync += 1;
+            unwritten += 1;
         }
+        self.write_frames(&mut frames, &mut unwritten)?;
         let synced = match self.opts.sync {
             SyncPolicy::Always => true,
             SyncPolicy::EveryN(n) => self.appends_since_sync >= n.max(1),
@@ -370,10 +378,24 @@ impl Wal {
         Ok(AppendOutcome {
             first_seq,
             last_seq: self.next_seq - 1,
-            bytes,
+            bytes: self.stats.bytes - bytes_before,
             synced,
             rotated_to,
         })
+    }
+
+    /// Writes the encoded `frames` of `records` records to the current
+    /// segment in one `write_all` and counts them, leaving both empty.
+    fn write_frames(&mut self, frames: &mut Vec<u8>, records: &mut u64) -> std::io::Result<()> {
+        if frames.is_empty() {
+            return Ok(());
+        }
+        self.file.write_all(frames)?;
+        self.stats.appends += *records;
+        self.stats.bytes += frames.len() as u64;
+        frames.clear();
+        *records = 0;
+        Ok(())
     }
 
     /// Forces appended records to stable storage regardless of policy.
@@ -503,6 +525,53 @@ mod tests {
             (1..=40).collect::<Vec<_>>()
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Segment index → file bytes, for every segment in `dir`.
+    fn segment_bytes(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+        (list_segments(dir).unwrap().into_iter())
+            .map(|(index, path)| (index, std::fs::read(path).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_rotates_where_single_appends_would_and_replays_identically() {
+        // A few ≈40-byte frames per 128-byte segment: a 23-record batch
+        // crosses the threshold several times.
+        let opts = WalOptions {
+            segment_bytes: 128,
+            ..WalOptions::default()
+        };
+        let records: Vec<WalRecord> = (0..23).map(feedback).collect();
+        let single = tmp_dir("rot-single");
+        {
+            let (mut wal, _, _) = Wal::open(&single, opts).unwrap();
+            for record in &records {
+                wal.append(record).unwrap();
+            }
+        }
+        let batched = tmp_dir("rot-batch");
+        let (mut wal, _, _) = Wal::open(&batched, opts).unwrap();
+        let out = wal.append_batch(&records).unwrap();
+        assert_eq!((out.first_seq, out.last_seq), (1, 23));
+        assert_eq!(out.rotated_to, Some(wal.segment_index()));
+        assert_eq!(out.bytes, wal.stats().bytes);
+        assert_eq!(wal.stats().appends, 23);
+        let fsyncs = wal.stats().fsyncs;
+        drop(wal);
+
+        let expected = segment_bytes(&single);
+        assert!(expected.len() >= 3, "the threshold splits the log");
+        assert_eq!(segment_bytes(&batched), expected);
+        // One sync per rotation, and the batch's own.
+        assert_eq!(fsyncs, expected.len() as u64);
+        let (_, from_single, _) = Wal::open(&single, opts).unwrap();
+        let (_, from_batch, report) = Wal::open(&batched, opts).unwrap();
+        assert_eq!(report.damage, None);
+        assert_eq!(from_batch, from_single);
+        assert_eq!(from_batch.len(), 23);
+        std::fs::remove_dir_all(&single).unwrap();
+        std::fs::remove_dir_all(&batched).unwrap();
     }
 
     #[test]

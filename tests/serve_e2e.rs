@@ -1,8 +1,8 @@
 //! End-to-end tests for `alex-serve` over real TCP sockets: the Figure-1
 //! loop (query → answer feedback → link change) through the HTTP API,
-//! saturation backpressure (503), request timeouts (408), and the
-//! session directories a `state_dir` server restores after a graceful
-//! shutdown or a crash.
+//! saturation backpressure (503), request timeouts (408), response
+//! framing (pipelined keep-alive, close), and the session directories a
+//! `state_dir` server restores after a graceful shutdown or a crash.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -48,6 +48,33 @@ fn read_response(stream: &mut TcpStream) -> (u16, Value) {
     let value =
         serde_json::parse_value_str(body).unwrap_or_else(|_| Value::String(body.to_string()));
     (status, value)
+}
+
+/// Reads one response framed by its `Content-Length` and returns
+/// `(head, body)`. Fails if the stream ends before the body is whole.
+fn read_framed(stream: &mut TcpStream) -> (String, Vec<u8>) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("read response head");
+        assert_eq!(n, 1, "stream ended in the head: {head:?}");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("utf-8 head");
+    let len: usize = (head.lines())
+        .find_map(|line| line.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no Content-Length: {head:?}"));
+    let mut body = vec![0; len];
+    stream.read_exact(&mut body).expect("whole body");
+    (head, body)
+}
+
+/// Asserts the peer has closed: the next read is EOF.
+fn assert_eof(stream: &mut TcpStream) {
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "bytes after the response: {rest:?}");
 }
 
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
@@ -409,6 +436,58 @@ fn keep_alive_serves_multiple_requests_on_one_connection() {
 }
 
 #[test]
+fn pipelined_requests_in_one_write_get_complete_responses_in_order() {
+    let (server, addr) = start(local(|_| {}));
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-Request-Id: first\r\n\r\n\
+              GET /nope HTTP/1.1\r\nHost: t\r\nX-Request-Id: second\r\n\r\n",
+        )
+        .unwrap();
+    let (head, body) = read_framed(&mut stream);
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+    assert!(head.contains("X-Request-Id: first\r\n"), "{head}");
+    assert_eq!(body, b"ok\n");
+    let (head, body) = read_framed(&mut stream);
+    assert!(head.starts_with("HTTP/1.1 404 Not Found\r\n"), "{head}");
+    assert!(head.contains("X-Request-Id: second\r\n"), "{head}");
+    let body = serde_json::parse_value_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert!(body.get("error").is_some(), "{body:?}");
+    // The connection is still open for a third request.
+    write!(stream, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+    let (head, body) = read_framed(&mut stream);
+    assert!(head.contains("Connection: close\r\n"), "{head}");
+    assert_eq!(body, b"ok\n");
+    assert_eof(&mut stream);
+    server.shutdown();
+}
+
+#[test]
+fn a_close_request_gets_its_whole_response_before_eof() {
+    let (server, addr) = start(local(|_| {}));
+    let id = create_session(&addr);
+    // The links listing and /metrics are the largest bodies the API sends.
+    for path in [format!("/sessions/{id}/links"), "/metrics".to_string()] {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write!(stream, "GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let (head, body) = read_framed(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert!(head.contains("Connection: close\r\n"), "{head}");
+        assert!(!body.is_empty(), "{path}");
+        assert_eof(&mut stream);
+    }
+    server.shutdown();
+}
+
+#[test]
 fn idle_keep_alive_connection_does_not_block_other_workers() {
     // Two workers: one sits on an idle keep-alive connection, waiting for
     // a next request that never comes; the other must serve a second
@@ -484,6 +563,40 @@ fn saturated_queue_answers_503_and_stalled_requests_408() {
     let Value::String(text) = v else { panic!() };
     assert!(text.contains("alex_connections_rejected_total 1"), "{text}");
 
+    server.shutdown();
+}
+
+#[test]
+fn the_full_queue_503_arrives_complete() {
+    let (server, addr) = start(local(|cfg| {
+        cfg.workers = 1;
+        cfg.queue_depth = 1;
+        cfg.request_timeout = Duration::from_millis(600);
+    }));
+    // One stalled connection occupies the worker, a second the queue.
+    let mut stalled = Vec::new();
+    for _ in 0..2 {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        write!(stream, "POST /sessions HTTP/1.1\r\n").unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+        stalled.push(stream);
+    }
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let (head, body) = read_framed(&mut stream);
+    assert!(
+        head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+        "{head}"
+    );
+    assert!(head.contains("Connection: close\r\n"), "{head}");
+    assert_eq!(
+        body,
+        b"{\"error\":\"server saturated: connection queue is full\"}\n"
+    );
+    assert_eof(&mut stream);
+    drop(stalled);
     server.shutdown();
 }
 
