@@ -519,7 +519,7 @@ pub fn curate(args: &[String]) -> Result<(), String> {
                 snap.candidates.len(),
                 snap.blacklist.len()
             );
-            snap.restore(&left, &right)?
+            snap.restore(&left, &right).map_err(|e| e.to_string())?
         }
         _ => {
             let links_path =

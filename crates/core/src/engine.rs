@@ -6,7 +6,6 @@
 //! links. Partitions never communicate (§6.2), so the driver can run many
 //! engines in parallel.
 
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::candidates::CandidateSet;
+use crate::candidates::{Blacklist, CandidateSet, Candidates, LinkSet};
 use crate::config::AlexConfig;
 use crate::feature::FeatureKey;
 use crate::oracle::FeedbackOracle;
@@ -153,18 +152,119 @@ pub(crate) struct EngineBookkeeping {
     pub(crate) negatives_on_link: Vec<(Link, usize)>,
 }
 
+/// No action, no pair.
+const NONE: u32 = u32::MAX;
+
+/// Per space pair, the actions that generated it ("Returns(s, a) that led
+/// to s'", Algorithm 1 line 14), by action number and in recorded order:
+/// the first in a dense column, any further ones in a side map, since
+/// few pairs are generated more than once.
+#[derive(Clone, Debug, Default)]
+struct Provenance {
+    first: Vec<u32>,
+    more: FastMap<u32, Vec<u32>>,
+}
+
+impl Provenance {
+    fn new(pairs: usize) -> Self {
+        Self {
+            first: vec![NONE; pairs],
+            more: FastMap::default(),
+        }
+    }
+
+    /// Records one more action that generated `pair`.
+    fn push(&mut self, pair: u32, action: u32) {
+        let first = &mut self.first[pair as usize];
+        if *first == NONE {
+            *first = action;
+        } else {
+            self.more.entry(pair).or_default().push(action);
+        }
+    }
+
+    /// The actions that generated `pair`, in recorded order.
+    fn of(&self, pair: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = Some(self.first[pair as usize]).filter(|&a| a != NONE);
+        let more = first.and_then(|_| self.more.get(&pair));
+        first.into_iter().chain(more.into_iter().flatten().copied())
+    }
+
+    /// Forgets every record of `action` generating `pair`.
+    fn remove(&mut self, pair: u32, action: u32) {
+        let first = &mut self.first[pair as usize];
+        let Some(more) = self.more.get_mut(&pair) else {
+            if *first == action {
+                *first = NONE;
+            }
+            return;
+        };
+        more.retain(|&a| a != action);
+        if *first == action {
+            *first = if more.is_empty() {
+                NONE
+            } else {
+                more.remove(0)
+            };
+        }
+        if more.is_empty() {
+            self.more.remove(&pair);
+        }
+    }
+
+    /// Replaces the actions that generated `pair`.
+    fn set(&mut self, pair: u32, actions: Vec<u32>) {
+        let mut actions = actions.into_iter();
+        self.first[pair as usize] = actions.next().unwrap_or(NONE);
+        let more: Vec<u32> = actions.collect();
+        if more.is_empty() {
+            self.more.remove(&pair);
+        } else {
+            self.more.insert(pair, more);
+        }
+    }
+
+    /// Every generated pair with its actions, in pair order.
+    fn entries(&self) -> impl Iterator<Item = (u32, Vec<u32>)> + '_ {
+        (0..self.first.len() as u32)
+            .filter(|&p| self.first[p as usize] != NONE)
+            .map(|p| (p, self.of(p).collect()))
+    }
+}
+
+/// A restored bookkeeping entry that names a link outside the engine's
+/// exploration space where only its pairs can be: an engine generates
+/// links only from its space, so the entry comes from other datasets or
+/// another configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct OutsideSpace {
+    /// The bookkeeping field: `"provenance"` or `"generated"`.
+    pub(crate) field: &'static str,
+    pub(crate) link: Link,
+}
+
 /// The reinforcement-learning engine for one partition.
+///
+/// Facts about links of the space (candidacy, blacklist, approval,
+/// provenance, generated links) are kept per pair id of the space; only
+/// links outside it are hashed. The Q-table, the policy and the
+/// per-episode visit sets stay keyed by link.
 pub struct PartitionEngine {
     space: ExplorationSpace,
     candidates: CandidateSet,
     q: QTable,
     policy: Policy,
-    blacklist: FastSet<Link>,
-    /// Discovered link → every state-action pair that generated it
-    /// ("Returns(s, a) that led to s'", Algorithm 1 line 14).
-    provenance: FastMap<Link, Vec<StateAction>>,
-    /// State-action pair → links it added (for rollback, §6.3).
-    generated: FastMap<StateAction, Vec<Link>>,
+    blacklist: LinkSet,
+    /// Every state-action pair the engine has acted on or restored
+    /// bookkeeping for, numbered in that order; `provenance` and
+    /// `generated` name them by number.
+    actions: Vec<StateAction>,
+    action_ids: FastMap<StateAction, u32>,
+    /// Per action: the pairs it added, in order (for rollback, §6.3);
+    /// `None` until it adds one and after its rollback.
+    generated: Vec<Option<Vec<u32>>>,
+    /// Per pair: every action that generated it.
+    provenance: Provenance,
     /// Negative feedback observed on links generated by each pair.
     negative_by_action: FastMap<StateAction, usize>,
     /// State-action pairs that have been rolled back: known-bad, never
@@ -172,9 +272,9 @@ pub struct PartitionEngine {
     /// not distinctive and avoid exploring around it in the future" (§4.2)
     /// without waiting for ε-greedy sampling to relearn it after every
     /// rollback.
-    banned_actions: HashSet<StateAction>,
+    banned_actions: FastSet<StateAction>,
     /// Links that have received positive feedback; rollback spares them.
-    approved: FastSet<Link>,
+    approved: LinkSet,
     /// Cumulative negative feedback per link, for the blacklist threshold.
     /// Positive feedback clears the count (contradicted negatives were
     /// probably user error; see `AlexConfig::blacklist_threshold`).
@@ -207,17 +307,24 @@ impl PartitionEngine {
         cfg: AlexConfig,
         seed: u64,
     ) -> Self {
+        let pairs = space.len();
+        let mut candidates = CandidateSet::new(pairs);
+        for l in initial_links {
+            candidates.insert(l, space.pair_id(l));
+        }
         Self {
             space,
-            candidates: CandidateSet::from_links(initial_links),
+            candidates,
             q: QTable::new(),
             policy: Policy::new(),
-            blacklist: FastSet::default(),
-            provenance: FastMap::default(),
-            generated: FastMap::default(),
+            blacklist: LinkSet::new(pairs),
+            actions: Vec::new(),
+            action_ids: FastMap::default(),
+            generated: Vec::new(),
+            provenance: Provenance::new(pairs),
             negative_by_action: FastMap::default(),
-            banned_actions: HashSet::new(),
-            approved: FastSet::default(),
+            banned_actions: FastSet::default(),
+            approved: LinkSet::new(pairs),
             negatives_on_link: FastMap::default(),
             visited_this_episode: FastSet::default(),
             states_this_episode: FastSet::default(),
@@ -253,13 +360,23 @@ impl PartitionEngine {
         format!("{}\t{}", self.iri(k.left), self.iri(k.right))
     }
 
+    /// The number of `sa`, numbering it if it is new.
+    fn action_id(&mut self, sa: StateAction) -> u32 {
+        *self.action_ids.entry(sa).or_insert_with(|| {
+            self.actions.push(sa);
+            self.generated.push(None);
+            u32::try_from(self.actions.len() - 1).expect("action numbers fit u32")
+        })
+    }
+
     /// Preloads blacklist entries (restoring a persisted session): these
     /// links are removed from the candidate set if present and will never
     /// be re-discovered.
     pub fn preload_blacklist(&mut self, links: impl IntoIterator<Item = Link>) {
         for l in links {
-            self.candidates.remove(l);
-            self.blacklist.insert(l);
+            let pair = self.space.pair_id(l);
+            self.candidates.remove(l, pair);
+            self.blacklist.insert(l, pair);
         }
     }
 
@@ -269,13 +386,19 @@ impl PartitionEngine {
     }
 
     /// Current candidate links of this partition.
-    pub fn candidates(&self) -> &CandidateSet {
-        &self.candidates
+    pub fn candidates(&self) -> Candidates<'_> {
+        Candidates {
+            set: &self.candidates,
+            space: &self.space,
+        }
     }
 
     /// Current blacklist.
-    pub fn blacklist(&self) -> &FastSet<Link> {
-        &self.blacklist
+    pub fn blacklist(&self) -> Blacklist<'_> {
+        Blacklist {
+            set: &self.blacklist,
+            space: &self.space,
+        }
     }
 
     /// The learned Q-table (for tests and diagnostics).
@@ -289,7 +412,7 @@ impl PartitionEngine {
     }
 
     /// State-action pairs pinned bad by rollback.
-    pub fn banned_actions(&self) -> &HashSet<StateAction> {
+    pub fn banned_actions(&self) -> &FastSet<StateAction> {
         &self.banned_actions
     }
 
@@ -325,23 +448,26 @@ impl PartitionEngine {
     /// The feedback bookkeeping, for session persistence (map entries
     /// in unspecified order).
     pub(crate) fn bookkeeping(&self) -> EngineBookkeeping {
+        let links =
+            |pairs: &[u32]| -> Vec<Link> { pairs.iter().map(|&p| self.space.link(p)).collect() };
         EngineBookkeeping {
             provenance: self
                 .provenance
-                .iter()
-                .map(|(l, sas)| (*l, sas.clone()))
+                .entries()
+                .map(|(p, actions)| {
+                    let sas = actions.iter().map(|&a| self.actions[a as usize]);
+                    (self.space.link(p), sas.collect())
+                })
                 .collect(),
-            generated: self
-                .generated
-                .iter()
-                .map(|(sa, ls)| (*sa, ls.clone()))
+            generated: (self.actions.iter().zip(&self.generated))
+                .filter_map(|(sa, pairs)| Some((*sa, links(pairs.as_deref()?))))
                 .collect(),
             negative_by_action: self
                 .negative_by_action
                 .iter()
                 .map(|(sa, n)| (*sa, *n))
                 .collect(),
-            approved: self.approved.iter().copied().collect(),
+            approved: self.approved.iter(&self.space).copied().collect(),
             negatives_on_link: self
                 .negatives_on_link
                 .iter()
@@ -352,12 +478,32 @@ impl PartitionEngine {
 
     /// Restores bookkeeping captured by [`PartitionEngine::bookkeeping`]
     /// from an engine over the same datasets, replacing the current one.
-    pub(crate) fn restore_bookkeeping(&mut self, b: EngineBookkeeping) {
-        self.provenance = b.provenance.into_iter().collect();
-        self.generated = b.generated.into_iter().collect();
+    /// Provenance and generated links must be pairs of the space.
+    pub(crate) fn restore_bookkeeping(&mut self, b: EngineBookkeeping) -> Result<(), OutsideSpace> {
+        let pair = |space: &ExplorationSpace, field, link| {
+            space.pair_id(link).ok_or(OutsideSpace { field, link })
+        };
+        self.provenance = Provenance::new(self.space.len());
+        for (link, sas) in b.provenance {
+            let p = pair(&self.space, "provenance", link)?;
+            let actions = sas.into_iter().map(|sa| self.action_id(sa)).collect();
+            self.provenance.set(p, actions);
+        }
+        self.generated.fill(None);
+        for (sa, links) in b.generated {
+            let pairs = (links.into_iter())
+                .map(|l| pair(&self.space, "generated", l))
+                .collect::<Result<_, _>>()?;
+            let a = self.action_id(sa);
+            self.generated[a as usize] = Some(pairs);
+        }
         self.negative_by_action = b.negative_by_action.into_iter().collect();
-        self.approved = b.approved.into_iter().collect();
+        self.approved = LinkSet::new(self.space.len());
+        for l in b.approved {
+            self.approved.insert(l, self.space.pair_id(l));
+        }
         self.negatives_on_link = b.negatives_on_link.into_iter().collect();
+        Ok(())
     }
 
     /// A hash of every field a later episode reads: candidates in
@@ -374,6 +520,7 @@ impl PartitionEngine {
             lines.sort_unstable();
             lines
         };
+        let b = self.bookkeeping();
         let mut h = std::collections::hash_map::DefaultHasher::new();
         let mut section = |name: &str, lines: Vec<String>| {
             name.hash(&mut h);
@@ -385,7 +532,7 @@ impl PartitionEngine {
         );
         section(
             "blacklist",
-            sorted(self.blacklist.iter().map(link).collect()),
+            sorted(self.blacklist.iter(&self.space).map(link).collect()),
         );
         section(
             "returns",
@@ -407,7 +554,7 @@ impl PartitionEngine {
         section(
             "provenance",
             sorted(
-                self.provenance
+                b.provenance
                     .iter()
                     .map(|(l, sas)| {
                         format!(
@@ -422,7 +569,7 @@ impl PartitionEngine {
         section(
             "generated",
             sorted(
-                self.generated
+                b.generated
                     .iter()
                     .map(|(k, ls)| {
                         format!("{} -> {:?}", sa(k), ls.iter().map(link).collect::<Vec<_>>())
@@ -433,17 +580,17 @@ impl PartitionEngine {
         section(
             "negative_by_action",
             sorted(
-                self.negative_by_action
+                b.negative_by_action
                     .iter()
                     .map(|(k, n)| format!("{} {n}", sa(k)))
                     .collect(),
             ),
         );
-        section("approved", sorted(self.approved.iter().map(link).collect()));
+        section("approved", sorted(b.approved.iter().map(link).collect()));
         section(
             "negatives_on_link",
             sorted(
-                self.negatives_on_link
+                b.negatives_on_link
                     .iter()
                     .map(|(l, n)| format!("{} {n}", link(l)))
                     .collect(),
@@ -466,11 +613,15 @@ impl PartitionEngine {
     /// it with its scores, Q estimate and rollback state. `None` when the
     /// engine holds nothing about the link.
     pub fn explain(&self, link: Link) -> Option<LinkExplanation> {
-        let candidate = self.candidates.contains(link);
-        let approved = self.approved.contains(&link);
-        let blacklisted = self.blacklist.contains(&link);
+        let pair = self.space.pair_id(link);
+        let candidate = self.candidates.contains(link, pair);
+        let approved = self.approved.contains(link, pair);
+        let blacklisted = self.blacklist.contains(link, pair);
         let negatives = self.negatives_on_link.get(&link).copied().unwrap_or(0);
-        let parents = self.provenance.get(&link).map_or(&[][..], Vec::as_slice);
+        let parents: Vec<StateAction> = (pair.into_iter())
+            .flat_map(|p| self.provenance.of(p))
+            .map(|a| self.actions[a as usize])
+            .collect();
         if !(candidate || approved || blacklisted || negatives > 0 || !parents.is_empty()) {
             return None;
         }
@@ -524,11 +675,11 @@ impl PartitionEngine {
         oracle: &dyn FeedbackOracle,
     ) -> PartitionEpisodeStats {
         for _ in 0..items {
-            let Some(link) = self.candidates.sample(&mut self.rng) else {
+            let Some((link, pair)) = self.candidates.sample_member(&mut self.rng) else {
                 break;
             };
             if let Some(positive) = oracle.judge(link, &mut self.rng) {
-                self.process_feedback(link, positive);
+                self.feedback(link, pair, positive);
                 // Nobody reads a batch episode's touched links: clearing
                 // them per item holds one item's changes, not a whole
                 // episode's (≈90,000 per partition at datagen scale 4).
@@ -540,6 +691,12 @@ impl PartitionEngine {
 
     /// Processes one feedback item on `link` (Algorithm 1, lines 11–22).
     pub fn process_feedback(&mut self, link: Link, positive: bool) {
+        self.feedback(link, self.space.pair_id(link), positive);
+    }
+
+    /// [`PartitionEngine::process_feedback`] on `link`, pair `pair` of the
+    /// space (`None` outside it).
+    fn feedback(&mut self, link: Link, pair: Option<u32>, positive: bool) {
         self.stats.feedback_items += 1;
         if !positive {
             self.stats.negative_feedback += 1;
@@ -554,30 +711,30 @@ impl PartitionEngine {
             } else {
                 self.cfg.negative_reward
             };
-            if let Some(parents) = self.provenance.get(&link) {
-                for &(s, a) in parents.clone().iter() {
-                    self.q.append(s, a, reward);
-                }
+            for a in pair.into_iter().flat_map(|p| self.provenance.of(p)) {
+                let (s, a) = self.actions[a as usize];
+                self.q.append(s, a, reward);
             }
         }
 
         if positive {
-            self.approved.insert(link);
+            self.approved.insert(link, pair);
             self.negatives_on_link.remove(&link);
-            self.act_on(link);
+            // A link from outside the filtered space (e.g. a PARIS link
+            // whose pair has no θ-surviving feature) has no action space.
+            if let Some(pair) = pair {
+                self.act_on(link, pair);
+            }
         } else {
-            self.reject(link);
+            self.reject(link, pair);
         }
     }
 
-    /// Takes an action at an approved link: choose a feature ε-greedily and
-    /// add every link within `±step_size` of its score (§4.2).
-    fn act_on(&mut self, state: Link) {
-        let Some(features) = self.space.feature_set(state) else {
-            // The link came from outside the filtered space (e.g. a PARIS
-            // link whose pair has no θ-surviving feature): no action space.
-            return;
-        };
+    /// Takes an action at an approved link, pair `pair` of the space:
+    /// choose a feature ε-greedily and add every link within
+    /// `±step_size` of its score (§4.2).
+    fn act_on(&mut self, state: Link, pair: u32) {
+        let features = self.space.pair_feature_set(pair);
         self.states_this_episode.insert(state);
         let Some(choice) = self
             .policy
@@ -596,26 +753,30 @@ impl PartitionEngine {
         }
         let found = self
             .space
-            .explore_from(&features, action, self.cfg.step_size);
-        for f in found {
-            if f == state || self.blacklist.contains(&f) {
+            .explore_pairs_from(&features, action, self.cfg.step_size);
+        let id = self.action_id((state, action));
+        for p in found {
+            if p == pair || self.blacklist.has_pair(p) {
                 continue;
             }
-            if self.candidates.insert(f) {
+            let link = self.space.link(p);
+            if self.candidates.insert(link, Some(p)) {
                 self.stats.links_added += 1;
-                self.touched_this_episode.push(f);
-                self.provenance.entry(f).or_default().push((state, action));
-                self.generated.entry((state, action)).or_default().push(f);
+                self.touched_this_episode.push(link);
+                self.provenance.push(p, id);
+                self.generated[id as usize]
+                    .get_or_insert_with(Vec::new)
+                    .push(p);
             }
         }
     }
 
-    /// Handles negative feedback: remove and (optionally) blacklist the
-    /// link, then charge the state-action pairs that generated it and roll
-    /// them back past the threshold (§6.3).
-    fn reject(&mut self, link: Link) {
-        let removed = self.candidates.remove(link);
-        if removed {
+    /// Handles negative feedback on `link` (pair `pair` of the space, if
+    /// any): remove and (optionally) blacklist the link, then charge the
+    /// state-action pairs that generated it and roll them back past the
+    /// threshold (§6.3).
+    fn reject(&mut self, link: Link, pair: Option<u32>) {
+        if self.candidates.remove(link, pair) {
             self.stats.links_removed += 1;
             self.touched_this_episode.push(link);
         }
@@ -623,45 +784,47 @@ impl PartitionEngine {
             let count = self.negatives_on_link.entry(link).or_insert(0);
             *count += 1;
             if *count >= self.cfg.blacklist_threshold {
-                self.blacklist.insert(link);
+                self.blacklist.insert(link, pair);
             }
         }
-        self.approved.remove(&link);
+        self.approved.remove(link, pair);
 
-        let parents = self.provenance.get(&link).cloned().unwrap_or_default();
-        for sa in parents {
-            let count = self.negative_by_action.entry(sa).or_insert(0);
+        let parents: Vec<u32> = pair
+            .into_iter()
+            .flat_map(|p| self.provenance.of(p))
+            .collect();
+        for a in parents {
+            let count = (self.negative_by_action)
+                .entry(self.actions[a as usize])
+                .or_insert(0);
             *count += 1;
             if self.cfg.rollback && *count >= self.cfg.rollback_threshold {
-                self.rollback(sa);
+                self.rollback(a);
             }
         }
     }
 
-    /// Rolls back a state-action pair: removes every link it generated,
-    /// except links later approved by the user. Rolled-back links are *not*
+    /// Rolls back action `a`: removes every link it generated, except
+    /// links later approved by the user. Rolled-back links are *not*
     /// blacklisted — "they may include some correct links … discovered
     /// later by another state-action pair with a better average return".
-    fn rollback(&mut self, sa: StateAction) {
-        let Some(links) = self.generated.remove(&sa) else {
+    fn rollback(&mut self, a: u32) {
+        let Some(pairs) = self.generated[a as usize].take() else {
             return;
         };
+        let sa = self.actions[a as usize];
         self.stats.rollbacks += 1;
         self.banned_actions.insert(sa);
-        for l in links {
-            if self.approved.contains(&l) {
+        for p in pairs {
+            if self.approved.has_pair(p) {
                 continue;
             }
-            if self.candidates.remove(l) {
+            let link = self.space.link(p);
+            if self.candidates.remove(link, Some(p)) {
                 self.stats.links_removed += 1;
-                self.touched_this_episode.push(l);
+                self.touched_this_episode.push(link);
             }
-            if let Some(parents) = self.provenance.get_mut(&l) {
-                parents.retain(|p| *p != sa);
-                if parents.is_empty() {
-                    self.provenance.remove(&l);
-                }
-            }
+            self.provenance.remove(p, a);
         }
         self.negative_by_action.remove(&sa);
     }
@@ -695,6 +858,7 @@ mod tests {
     use crate::space::DEFAULT_MAX_BLOCK;
     use alex_rdf::{Interner, IriId, Literal, Store};
     use alex_sim::SimConfig;
+    use std::collections::HashSet;
 
     /// A world with 8 matching entity pairs plus 2 left decoys; names are
     /// near-identical so exploration around the name feature finds all of
@@ -829,7 +993,9 @@ mod tests {
         let discovered: Vec<Link> = e.candidates().iter().filter(|l| *l != w.links[0]).collect();
         assert!(!discovered.is_empty());
         let child = discovered[0];
-        let (s, a) = e.provenance[&child][0];
+        let provenance = e.bookkeeping().provenance;
+        let (_, parents) = provenance.iter().find(|(l, _)| *l == child).unwrap();
+        let (s, a) = parents[0];
         // Repeated feedback on the same child within one episode counts once.
         e.process_feedback(child, true);
         e.process_feedback(child, true);
@@ -1006,11 +1172,15 @@ mod tests {
                     e.end_episode();
                 }
 
+                let b = e.bookkeeping();
+                let provenance: FastMap<Link, Vec<StateAction>> =
+                    b.provenance.into_iter().collect();
+                let generated: FastMap<StateAction, Vec<Link>> = b.generated.into_iter().collect();
                 for l in e.candidates().iter() {
                     let x = e.explain(l).expect("every candidate is explained");
-                    assert_eq!(x.origin == "initial", !e.provenance.contains_key(&l));
+                    assert_eq!(x.origin == "initial", !provenance.contains_key(&l));
                 }
-                for (l, parents) in &e.provenance {
+                for (l, parents) in &provenance {
                     let x = e.explain(*l).expect("a generated link is explained");
                     assert_eq!(x.origin, "explored");
                     assert_eq!(x.generated_by.len(), parents.len());
@@ -1019,7 +1189,7 @@ mod tests {
                         let score = g.score.expect("the link has the feature");
                         let (lo, hi) = (center - step, center + step);
                         assert!(lo <= score && score <= hi, "{score} outside [{lo}, {hi}]");
-                        let listed = e.generated.get(sa).is_some_and(|ls| ls.contains(l));
+                        let listed = generated.get(sa).is_some_and(|ls| ls.contains(l));
                         assert!(listed || e.banned_actions.contains(sa), "{l:?} <- {sa:?}");
                         assert_eq!(g.rolled_back, e.banned_actions.contains(sa));
                         kept_past_rollback += usize::from(!listed);
@@ -1042,5 +1212,44 @@ mod tests {
         e.process_feedback(alien, true);
         // No exploration possible; candidate set unchanged.
         assert_eq!(e.candidates().len(), 1);
+    }
+
+    /// An initial link outside the space is kept by hashing, where links
+    /// of the space are kept per pair id: approval, rejection, the
+    /// blacklist and explanations treat it like any other link.
+    #[test]
+    fn link_outside_space_is_approved_rejected_and_blacklisted() {
+        let w = world();
+        let alien = Link::new(w.links[0].left, w.links[0].left);
+        assert!(!w.space.contains(alien));
+        let cfg = AlexConfig {
+            epsilon: 0.0,
+            ..Default::default()
+        };
+        let mut e = engine_with(&w, &[w.links[0], alien], cfg);
+        e.process_feedback(alien, true);
+        let x = e.explain(alien).expect("a candidate is explained");
+        assert!(x.candidate && x.approved && !x.blacklisted);
+        assert_eq!((x.origin, x.negatives), ("initial", 0));
+        assert_eq!(e.bookkeeping().approved, vec![alien]);
+
+        e.process_feedback(alien, false);
+        assert!(!e.candidates().contains(alien));
+        assert!(e.blacklist().contains(&alien));
+        assert_eq!(e.blacklist().iter().collect::<Vec<_>>(), vec![&alien]);
+        assert_eq!(e.diagnostics().blacklisted, 1);
+        let x = e.explain(alien).expect("a blacklisted link is explained");
+        assert!(!x.candidate && !x.approved && x.blacklisted);
+        assert_eq!(x.negatives, 1);
+        assert!(e.bookkeeping().approved.is_empty());
+
+        // Exploring from an approved link of the space never re-adds it,
+        // and approving it again leaves it blacklisted.
+        e.process_feedback(w.links[0], true);
+        e.process_feedback(alien, true);
+        let x = e.explain(alien).expect("a blacklisted link is explained");
+        assert!(!x.candidate && x.approved && x.blacklisted);
+        assert_eq!(x.negatives, 0);
+        assert!(e.candidates().len() > 1, "the space link explored");
     }
 }

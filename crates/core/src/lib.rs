@@ -84,7 +84,7 @@ pub use alex_trace as trace;
 /// triple-store snapshot codec (the `alex-store` crate, re-exported).
 pub use alex_store as store;
 
-pub use candidates::CandidateSet;
+pub use candidates::{Blacklist, CandidateSet, Candidates};
 pub use config::{AlexConfig, DurabilityConfig};
 pub use driver::{AlexDriver, RunOutcome, SpaceBuildStats};
 pub use durability::{

@@ -163,6 +163,20 @@ pub enum SessionError {
     UnsupportedVersion(u32),
     /// JSON (de)serialization failed.
     Serde(String),
+    /// The snapshot does not resolve against the stores: a reference out
+    /// of range, or a configuration the driver rejects.
+    Restore(String),
+    /// A partition's engine bookkeeping names a link that is not a pair
+    /// of the partition's exploration space where only such pairs can be:
+    /// its `provenance` or `generated` links.
+    LinkOutsideSpace {
+        /// The partition.
+        partition: usize,
+        /// The bookkeeping field: `"provenance"` or `"generated"`.
+        field: &'static str,
+        /// The link's left and right IRIs.
+        link: (String, String),
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -175,6 +189,16 @@ impl std::fmt::Display for SessionError {
                 )
             }
             SessionError::Serde(m) => write!(f, "snapshot serialization error: {m}"),
+            SessionError::Restore(m) => write!(f, "{m}"),
+            SessionError::LinkOutsideSpace {
+                partition,
+                field,
+                link: (l, r),
+            } => write!(
+                f,
+                "engine snapshot of partition {partition}: {field} names <{l}> <{r}>, \
+                 which is not a pair of the partition's exploration space"
+            ),
         }
     }
 }
@@ -543,7 +567,7 @@ impl SessionSnapshot {
     /// set, blacklist, learned policy *and* feedback bookkeeping resume
     /// where the session left off, so the restored driver evolves exactly
     /// as the original would have.
-    pub fn restore(&self, left: &Store, right: &Store) -> Result<AlexDriver, String> {
+    pub fn restore(&self, left: &Store, right: &Store) -> Result<AlexDriver, SessionError> {
         self.restore_with_spaces(left, right, None)
     }
 
@@ -555,7 +579,7 @@ impl SessionSnapshot {
         left: &Store,
         right: &Store,
         spaces: Option<Vec<ExplorationSpace>>,
-    ) -> Result<AlexDriver, String> {
+    ) -> Result<AlexDriver, SessionError> {
         let (candidates, blacklist) = self.links(left, right);
         // Partition assignment is deterministic (round-robin over the left
         // store's subject order), so partition k's state restores into
@@ -567,7 +591,8 @@ impl SessionSnapshot {
                 .iter()
                 .filter_map(|p| p.engine.as_ref())
                 .map(|e| resolve_engine(e, &candidates, left, right))
-                .collect::<Result<Vec<_>, _>>()?
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(SessionError::Restore)?
         } else {
             Vec::new()
         };
@@ -586,7 +611,8 @@ impl SessionSnapshot {
             &blacklist,
             self.config.clone(),
             spaces,
-        )?;
+        )
+        .map_err(SessionError::Restore)?;
         if aligned {
             let link =
                 |p: &(String, String)| Link::new(left.intern_iri(&p.0), right.intern_iri(&p.1));
@@ -605,8 +631,16 @@ impl SessionSnapshot {
                 );
             }
         }
-        for (engine, (_, bookkeeping)) in driver.engines_mut().iter_mut().zip(engines) {
-            engine.restore_bookkeeping(bookkeeping);
+        for (partition, (engine, (_, bookkeeping))) in
+            driver.engines_mut().iter_mut().zip(engines).enumerate()
+        {
+            engine.restore_bookkeeping(bookkeeping).map_err(|e| {
+                SessionError::LinkOutsideSpace {
+                    partition,
+                    field: e.field,
+                    link: link_strings(e.link, left, right),
+                }
+            })?;
         }
         Ok(driver)
     }
@@ -1241,6 +1275,37 @@ mod tests {
         assert!(corrupt(&|e| e.actions.push((0, u32::MAX))).is_some());
         assert!(corrupt(&|e| e.generated.push((u32::MAX, vec![]))).is_some());
         assert!(corrupt(&|_| {}).is_none());
+
+        // Provenance and generated links are pairs of the partition's
+        // space: a link outside it is a typed error, not a dropped entry.
+        let outside = |e: &mut EngineStateSnapshot| {
+            e.links
+                .push(("http://nowhere/l".into(), "http://nowhere/r".into()));
+            (e.order.len() + e.links.len() - 1) as u32
+        };
+        let err = corrupt(&|e| {
+            let l = outside(e);
+            e.provenance.push((l, vec![0]));
+        });
+        assert!(
+            matches!(&err, Some(SessionError::LinkOutsideSpace { partition: 0, field: "provenance", link })
+                if link.0 == "http://nowhere/l"),
+            "{err:?}"
+        );
+        let err = corrupt(&|e| {
+            let l = outside(e);
+            e.generated.push((0, vec![l]));
+        });
+        assert!(
+            matches!(
+                &err,
+                Some(SessionError::LinkOutsideSpace {
+                    field: "generated",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
     }
 
     /// Checkpoints written while sessions still kept a degraded-query

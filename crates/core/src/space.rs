@@ -43,7 +43,8 @@
 //! query decides once per run whether its pairs can share enough of the
 //! state's features, skips the runs that cannot, and inside the others
 //! reads each shared feature's score at a slot known in advance. The
-//! ranks it keeps are marked in a bitset and read back in rank order.
+//! ranks it keeps are marked in a bitset and read back in rank order, as
+//! the pair ids the engine keys its bookkeeping by.
 
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -566,9 +567,30 @@ impl ExplorationSpace {
         self.pair_index.contains_key(&link)
     }
 
+    /// The dense id of `link` among the space's pairs, `None` for a link
+    /// outside the space.
+    pub(crate) fn pair_id(&self, link: Link) -> Option<u32> {
+        self.pair_index.get(&link).copied()
+    }
+
+    /// The link of pair `pair`.
+    pub(crate) fn link(&self, pair: u32) -> Link {
+        self.links[pair as usize]
+    }
+
+    /// Every pair's link, indexed by pair id.
+    pub(crate) fn pair_links(&self) -> &[Link] {
+        &self.links
+    }
+
     /// The feature set of `link` — the state representation (§4.1).
     pub fn feature_set(&self, link: Link) -> Option<FeatureSet> {
-        let (ids, scores) = self.pair_features(*self.pair_index.get(&link)?);
+        Some(self.pair_feature_set(self.pair_id(link)?))
+    }
+
+    /// The feature set of pair `pair`.
+    pub(crate) fn pair_feature_set(&self, pair: u32) -> FeatureSet {
+        let (ids, scores) = self.pair_features(pair);
         let features = ids
             .iter()
             .zip(scores)
@@ -577,13 +599,13 @@ impl ExplorationSpace {
                 score,
             })
             .collect();
-        Some(FeatureSet::from_sorted(features))
+        FeatureSet::from_sorted(features)
     }
 
     /// The score of feature `key` on `link`, if the link is in the space
     /// and has that feature. Allocates nothing.
     pub fn score_of(&self, link: Link, key: FeatureKey) -> Option<f64> {
-        let (ids, scores) = self.pair_features(*self.pair_index.get(&link)?);
+        let (ids, scores) = self.pair_features(self.pair_id(link)?);
         let j = ids.binary_search(&self.key_id(key)?).ok()?;
         Some(scores[j])
     }
@@ -598,9 +620,8 @@ impl ExplorationSpace {
         self.keys.len()
     }
 
-    /// The links of the pairs `index` ranks at `ranks` (distinct), in
-    /// rank order.
-    fn in_rank_order(&self, index: &KeyIndex, ranks: &[u32]) -> Vec<Link> {
+    /// The pairs `index` ranks at `ranks` (distinct), in rank order.
+    fn in_rank_order(index: &KeyIndex, ranks: &[u32]) -> Vec<u32> {
         let (Some(&lo), Some(&hi)) = (ranks.iter().min(), ranks.iter().max()) else {
             return Vec::new();
         };
@@ -611,15 +632,15 @@ impl ExplorationSpace {
             let i = (rank - lo) as usize;
             seen[i / 64] |= 1 << (i % 64);
         }
-        let mut links = Vec::with_capacity(ranks.len());
+        let mut pairs = Vec::with_capacity(ranks.len());
         for (w, mut bits) in seen.into_iter().enumerate() {
             while bits != 0 {
                 let rank = lo as usize + w * 64 + bits.trailing_zeros() as usize;
-                links.push(self.links[index.ranked[rank] as usize]);
+                pairs.push(index.ranked[rank]);
                 bits &= bits - 1;
             }
         }
-        links
+        pairs
     }
 
     /// Executes an action (§4.2): all links whose score for `key` lies in
@@ -672,6 +693,17 @@ impl ExplorationSpace {
     /// the order of [`ExplorationSpace::explore`], of which they are a
     /// subsequence.
     pub fn explore_from(&self, state: &FeatureSet, key: FeatureKey, step: f64) -> Vec<Link> {
+        let pairs = self.explore_pairs_from(state, key, step);
+        pairs.into_iter().map(|pair| self.link(pair)).collect()
+    }
+
+    /// [`ExplorationSpace::explore_from`] as pair ids, in the same order.
+    pub(crate) fn explore_pairs_from(
+        &self,
+        state: &FeatureSet,
+        key: FeatureKey,
+        step: f64,
+    ) -> Vec<u32> {
         let (Some(center), Some(explored)) = (state.score_of(key), self.key_id(key)) else {
             return Vec::new();
         };
@@ -712,7 +744,7 @@ impl ExplorationSpace {
                     }),
             );
         }
-        self.in_rank_order(index, &hits)
+        Self::in_rank_order(index, &hits)
     }
 }
 

@@ -30,6 +30,7 @@ fn link(i: &Interner, a: u32, b: u32) -> Link {
 enum SetOp {
     Insert(u32, u32),
     Remove(u32, u32),
+    Contains(u32, u32),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<SetOp>> {
@@ -37,45 +38,99 @@ fn arb_ops() -> impl Strategy<Value = Vec<SetOp>> {
         prop_oneof![
             (0u32..20, 0u32..20).prop_map(|(a, b)| SetOp::Insert(a, b)),
             (0u32..20, 0u32..20).prop_map(|(a, b)| SetOp::Remove(a, b)),
+            (0u32..20, 0u32..20).prop_map(|(a, b)| SetOp::Contains(a, b)),
         ],
         0..200,
     )
 }
 
+/// Links `l{a} r{b}` with `a < 10` are pair `20a + b` of a 200-pair
+/// space; the rest lie outside it.
+const SPACE_PAIRS: usize = 200;
+
+fn pair_of(a: u32, b: u32) -> Option<u32> {
+    (a < 10).then_some(20 * a + b)
+}
+
+/// The candidate set as a link vector plus a position map, every member
+/// hashed: the reference the pair-id columns must reproduce.
+#[derive(Default)]
+struct CandidateModel {
+    links: Vec<Link>,
+    index: std::collections::HashMap<Link, usize>,
+}
+
+impl CandidateModel {
+    fn insert(&mut self, link: Link) -> bool {
+        if self.index.contains_key(&link) {
+            return false;
+        }
+        self.index.insert(link, self.links.len());
+        self.links.push(link);
+        true
+    }
+
+    fn remove(&mut self, link: Link) -> bool {
+        let Some(pos) = self.index.remove(&link) else {
+            return false;
+        };
+        self.links.swap_remove(pos);
+        if let Some(&moved) = self.links.get(pos) {
+            self.index.insert(moved, pos);
+        }
+        true
+    }
+}
+
 proptest! {
-    /// CandidateSet behaves exactly like a HashSet under arbitrary
-    /// insert/remove interleavings (model-based test of the swap-remove
-    /// index maintenance).
+    /// CandidateSet behaves exactly like a link vector plus a position
+    /// map under arbitrary insert/remove/contains interleavings on pairs
+    /// of the space and on links outside it: the same answers, the same
+    /// member order, and so the same sample draws under one seed.
     #[test]
-    fn candidate_set_matches_model(ops in arb_ops()) {
+    fn candidate_set_matches_model(ops in arb_ops(), seed in 0u64..1000) {
         let interner = Interner::new();
-        let mut set = CandidateSet::new();
-        let mut model: HashSet<Link> = HashSet::new();
+        let mut set = CandidateSet::new(SPACE_PAIRS);
+        let mut model = CandidateModel::default();
         for op in ops {
             match op {
                 SetOp::Insert(a, b) => {
                     let l = link(&interner, a, b);
-                    prop_assert_eq!(set.insert(l), model.insert(l));
+                    prop_assert_eq!(set.insert(l, pair_of(a, b)), model.insert(l));
                 }
                 SetOp::Remove(a, b) => {
                     let l = link(&interner, a, b);
-                    prop_assert_eq!(set.remove(l), model.remove(&l));
+                    prop_assert_eq!(set.remove(l, pair_of(a, b)), model.remove(l));
+                }
+                SetOp::Contains(a, b) => {
+                    let l = link(&interner, a, b);
+                    prop_assert_eq!(set.contains(l, pair_of(a, b)), model.index.contains_key(&l));
                 }
             }
-            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.links.clone());
         }
-        prop_assert_eq!(set.to_set(), model);
+        let (mut ours, mut theirs) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        for _ in 0..50 {
+            let want = (!model.links.is_empty())
+                .then(|| model.links[rand::Rng::gen_range(&mut theirs, 0..model.links.len())]);
+            prop_assert_eq!(set.sample(&mut ours), want);
+        }
     }
 
     /// Sampling only ever returns members.
     #[test]
     fn candidate_sample_is_member(pairs in proptest::collection::vec((0u32..30, 0u32..30), 1..40), seed in 0u64..1000) {
         let interner = Interner::new();
-        let set = CandidateSet::from_links(pairs.iter().map(|&(a, b)| link(&interner, a, b)));
+        let mut set = CandidateSet::new(SPACE_PAIRS);
+        let key = |a: u32, b: u32| pair_of(a, b).filter(|_| b < 20);
+        for &(a, b) in &pairs {
+            set.insert(link(&interner, a, b), key(a, b));
+        }
+        let members: HashSet<Link> = pairs.iter().map(|&(a, b)| link(&interner, a, b)).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..50 {
             let s = set.sample(&mut rng).unwrap();
-            prop_assert!(set.contains(s));
+            prop_assert!(members.contains(&s));
         }
     }
 
@@ -744,7 +799,7 @@ proptest! {
             let Some(l) = engine.candidates().sample(&mut rng) else { break };
             engine.process_feedback(l, verdict);
             // Blacklist and candidates are disjoint.
-            for b in engine.blacklist() {
+            for b in engine.blacklist().iter() {
                 prop_assert!(!engine.candidates().contains(*b));
             }
         }
