@@ -5,10 +5,7 @@ use std::io::Read;
 
 use alex_core::{AlexConfig, AlexDriver, ExactOracle, SessionSnapshot};
 use alex_paris::{ParisConfig, ParisLinker};
-use alex_query::{
-    FaultConfig, FaultySource, FederatedEngine, FederationConfig, InMemorySource, QueryReport,
-    QuerySource,
-};
+use alex_query::FederatedEngine;
 use alex_rdf::{Interner, Link, Term};
 
 use crate::io::{flag_value, flag_values, load_links, load_store, positionals, save_links};
@@ -108,30 +105,13 @@ pub fn link(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `alex query --source f [--source g] [--links l] [--query q]
-/// [--fault-rate P --fault-seed S]` — federated query with optional
-/// fault injection for exercising the resilience machinery.
+/// `alex query --source f [--source g] [--links l] [--query q]` —
+/// federated query whose answers show their link provenance.
 pub fn query(args: &[String]) -> Result<(), String> {
     let sources = flag_values(args, "--source");
     if sources.is_empty() {
         return Err("query needs at least one --source".into());
     }
-    let fault_rate: f64 = flag_value(args, "--fault-rate")
-        .map(|v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|p| (0.0..=1.0).contains(p))
-                .ok_or("--fault-rate must be a probability in [0, 1]".to_string())
-        })
-        .transpose()?
-        .unwrap_or(0.0);
-    let fault_seed: u64 = flag_value(args, "--fault-seed")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| "--fault-seed must be an integer".to_string())
-        })
-        .transpose()?
-        .unwrap_or(0xA1EF);
 
     let interner = Interner::new_shared();
     let stores: Vec<(String, alex_rdf::Store)> = sources
@@ -153,36 +133,16 @@ pub fn query(args: &[String]) -> Result<(), String> {
         return Err("empty query (pass --query or pipe on stdin)".into());
     }
 
-    let mut fed = if fault_rate > 0.0 {
-        alex_core::trace::diag(
-            "info",
-            &format!("injecting faults: mixed rate {fault_rate}, seed {fault_seed}"),
-        );
-        let boxed: Vec<Box<dyn QuerySource>> = stores
-            .iter()
-            .map(|(n, s)| {
-                Box::new(FaultySource::new(
-                    InMemorySource::new(n.clone(), s),
-                    FaultConfig::mixed(fault_rate, fault_seed),
-                )) as Box<dyn QuerySource>
-            })
-            .collect();
-        FederatedEngine::from_sources(boxed, FederationConfig::default())
-    } else {
-        FederatedEngine::new(stores.iter().map(|(n, s)| (n.clone(), s)).collect())
-    };
+    let mut fed = FederatedEngine::new(stores.iter().map(|(n, s)| (n.clone(), s)).collect());
     if let Some(links_path) = flag_value(args, "--links") {
         let links = load_links(&links_path, &interner)?;
         eprintln!("installed {} owl:sameAs links", links.len());
         fed.add_links(links);
     }
 
-    let report = fed
-        .execute_str_report(&query_text)
-        .map_err(|e| e.to_string())?;
-    print_resilience_summary(&report);
-    eprintln!("{} answer(s)", report.answers.len());
-    for a in report.answers {
+    let answers = fed.execute_str(&query_text).map_err(|e| e.to_string())?;
+    eprintln!("{} answer(s)", answers.len());
+    for a in answers {
         let rendered: Vec<String> = a
             .row
             .iter()
@@ -210,36 +170,6 @@ pub fn query(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Prints the per-source resilience accounting of one federated query to
-/// stderr. Quiet when everything went cleanly.
-fn print_resilience_summary(report: &QueryReport) {
-    for s in &report.sources {
-        if s.retries + s.timeouts + s.failed_probes + s.breaker_skipped + s.budget_exhausted == 0 {
-            continue;
-        }
-        let breaker = s.breaker.map_or("?", |k| k.as_str());
-        eprintln!(
-            "source {}: {} probes, {} retries, {} timeouts, {} failed, breaker {}{}",
-            s.name,
-            s.probes,
-            s.retries,
-            s.timeouts,
-            s.failed_probes,
-            breaker,
-            if s.skipped { " [SKIPPED]" } else { "" }
-        );
-    }
-    if report.degraded {
-        alex_core::trace::diag(
-            "warn",
-            &format!(
-                "WARNING: degraded answer set — skipped source(s): {}",
-                report.skipped_sources().join(", ")
-            ),
-        );
-    }
 }
 
 /// `alex compact <dataset> <out.alexdb>` — convert a text RDF file into

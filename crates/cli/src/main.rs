@@ -26,7 +26,6 @@ USAGE:
     alex stats  <FILE>
     alex link   <LEFT> <RIGHT> [--threshold T] [--out FILE]
     alex query  --source FILE [--source FILE ...] [--links FILE] [--query Q]
-                [--fault-rate P] [--fault-seed S]
     alex curate <LEFT> <RIGHT> --links FILE --truth FILE
                 [--episodes N] [--episode-size K] [--partitions P]
                 [--session FILE] [--out FILE]
@@ -52,9 +51,6 @@ COMMANDS:
     query    Run a federated SPARQL query over one or more datasets,
              optionally joined through owl:sameAs links; reads the query
              from --query or stdin. Answers show their link provenance.
-             --fault-rate injects deterministic source faults (timeouts,
-             outages, truncation) to exercise retries and circuit
-             breakers; the resilience summary prints to stderr.
     curate   Run ALEX against a ground-truth oracle, starting from --links,
              and write the curated links. --session saves a resumable
              snapshot (and resumes from it if the file exists).
@@ -103,17 +99,7 @@ fn main() -> ExitCode {
     let (run, values, switches): (Command, &[&str], &[&str]) = match command.as_str() {
         "stats" => (commands::stats, &[], &[]),
         "link" => (commands::link, &["--threshold", "--out"], &[]),
-        "query" => (
-            commands::query,
-            &[
-                "--source",
-                "--links",
-                "--query",
-                "--fault-rate",
-                "--fault-seed",
-            ],
-            &[],
-        ),
+        "query" => (commands::query, &["--source", "--links", "--query"], &[]),
         "curate" => (
             commands::curate,
             &[

@@ -43,6 +43,10 @@ fn unknown_and_valueless_flags_are_named() {
         ),
         (&["serve", "--addr", "--wal"][..], "--addr needs a value"),
         (&["trace", "--input"][..], "--input needs a value"),
+        (
+            &["query", "--source", "a.nt", "--fault-rate", "0.3"][..],
+            "unknown flag --fault-rate",
+        ),
     ] {
         let out = alex(args);
         assert!(!out.status.success(), "{args:?} succeeded");

@@ -37,7 +37,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use alex_query::{FederatedEngine, Federation, InMemorySource};
+use alex_query::{FederatedEngine, Federation};
 use alex_rdf::hash::FastMap;
 use alex_rdf::{Link, Store};
 use alex_store::{WalOptions, WalRecord, WalStats};
@@ -746,20 +746,15 @@ impl LiveSession {
     /// A federated engine over the session's two datasets (sources
     /// `left` and `right`) and its live federation: the current candidate
     /// links. Only the session's first call indexes the candidate links.
-    /// Each engine starts with closed breakers, and in-memory sources
-    /// never open one.
     pub fn federation(&self) -> FederatedEngine<'_> {
         let federation = self.federation.get_or_init(|| {
-            let mut federation = Federation::new(self.driver.config().federation);
+            let mut federation = Federation::default();
             federation.add_links(self.driver.candidate_links());
             federation
         });
         FederatedEngine::over(
             federation,
-            vec![
-                Box::new(InMemorySource::new("left", &self.left)),
-                Box::new(InMemorySource::new("right", &self.right)),
-            ],
+            vec![("left".into(), &self.left), ("right".into(), &self.right)],
         )
     }
 
@@ -1341,6 +1336,40 @@ mod tests {
         };
         assert_eq!(state(&with_tally), state(&plain));
         assert_eq!(state(&plain).2, 3);
+    }
+
+    /// Checkpoints written while the federation had a failure model carry
+    /// its ten knobs in their config; they restore like files without.
+    #[test]
+    fn snapshots_with_the_retired_federation_knobs_restore_identically() {
+        let (left, right, truth) = world();
+        let initial: Vec<Link> = truth.iter().take(3).copied().collect();
+        let mut driver = AlexDriver::new(&left, &right, &initial, small_cfg()).unwrap();
+        driver.run(&ExactOracle::new(truth.clone()), &truth);
+        let session = LiveSession::new(left, right, driver);
+        let plain = session.snapshot().to_json();
+        let federation = r#""federation":{}"#;
+        assert_eq!(plain.matches(federation).count(), 1);
+        let with_knobs = plain.replace(
+            federation,
+            r#""federation":{"source_budget_ms":2000,"attempt_timeout_ms":250,"max_retries":2,
+            "backoff_base_ms":10,"backoff_cap_ms":200,"backoff_jitter":0.5,"breaker_threshold":3,
+            "breaker_cooldown_ms":1000,"breaker_halfopen_successes":1,"jitter_seed":1592697324}"#,
+        );
+
+        let state = |json: &str| {
+            let snap = SessionSnapshot::from_json(json).unwrap();
+            let restored = snap.restore(&session.left, &session.right).unwrap();
+            let mut links: Vec<Link> = restored.candidate_links().into_iter().collect();
+            links.sort();
+            let fps: Vec<u64> = (restored.engines().iter())
+                .map(|e| e.state_fingerprint())
+                .collect();
+            (links, fps)
+        };
+        let (links, fps) = state(&plain);
+        assert!(!links.is_empty());
+        assert_eq!(state(&with_knobs), (links, fps));
     }
 
     #[test]

@@ -10,16 +10,11 @@
 //!   paper's workloads need: basic graph patterns, `PREFIX`, `DISTINCT`,
 //!   `FILTER` (comparisons, `CONTAINS`, `STRSTARTS`, `&&`/`||`/`!`),
 //!   `LIMIT`;
-//! * [`FederatedEngine`] — multi-source execution with `owl:sameAs`
-//!   entity translation and per-answer **link provenance**, the hook that
-//!   turns answer feedback into the link feedback ALEX consumes; its
-//!   owned half, [`Federation`] (the sameAs index and the resilience
-//!   configuration), can outlive a query and be patched link by link;
-//! * [`QuerySource`] / [`FaultySource`] — a failure model for federation
-//!   members: deterministic seed-driven fault injection, per-source
-//!   deadline budgets, bounded retries with jittered backoff, circuit
-//!   breakers, and graceful degradation with per-source accounting
-//!   ([`FederatedEngine::execute_report`]).
+//! * [`FederatedEngine`] — execution over several named stores with
+//!   `owl:sameAs` entity translation and per-answer **link provenance**,
+//!   the hook that turns answer feedback into the link feedback ALEX
+//!   consumes; its owned half, [`Federation`] (the sameAs index), can
+//!   outlive a query and be patched link by link.
 //!
 //! ```
 //! use alex_query::FederatedEngine;
@@ -55,19 +50,15 @@
 
 pub mod ast;
 mod exec;
-pub mod fault;
 mod federated;
 mod parser;
 mod same_as;
-pub mod source;
 
 pub use ast::{
     CompareOp, FilterExpr, FilterOperand, LiteralSpec, OrderKey, PatternTerm, Query, TriplePattern,
     Variable,
 };
-pub use fault::{FaultConfig, FaultySource};
 pub use federated::{
-    Answer, BreakerKind, FederatedEngine, Federation, FederationConfig, QueryReport, SourceReport,
+    Answer, FederatedEngine, Federation, FederationConfig, QueryReport, SourceReport,
 };
 pub use parser::{parse, ParseError};
-pub use source::{InMemorySource, Probe, QuerySource, SourceError};

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 
-use alex_query::{Federation, FederationConfig};
+use alex_query::Federation;
 use alex_rdf::{Interner, IriId, Link};
 use proptest::prelude::*;
 
@@ -29,7 +29,7 @@ proptest! {
         let ids: Vec<IriId> = (0..POOL)
             .map(|i| IriId(interner.intern(&format!("http://ex/e{i}"))))
             .collect();
-        let mut live = Federation::new(FederationConfig::default());
+        let mut live = Federation::default();
         let mut set = BTreeSet::new();
         for delta in deltas {
             let (mut added, mut removed) = (Vec::new(), Vec::new());
@@ -54,7 +54,7 @@ proptest! {
 
             // Built fresh, in descending order to differ from the patch
             // history.
-            let mut fresh = Federation::new(FederationConfig::default());
+            let mut fresh = Federation::default();
             fresh.add_links(set.iter().rev().copied());
             prop_assert_eq!(live.linked_entities(), fresh.linked_entities());
             for &e in &ids {

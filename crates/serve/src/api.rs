@@ -411,8 +411,7 @@ fn render_link(l: &Link, left: &Store, right: &Store) -> Value {
 /// list their bound terms and the sameAs links each depends on — the
 /// provenance a client needs to convert answer feedback into link
 /// feedback (Figure 1). The response also reports how many probes each
-/// source answered; the session's in-memory sources never fail, so no
-/// probe is retried, timed out or skipped.
+/// source answered.
 fn query(state: &AppState, id: &str, req: &Request) -> Response {
     let handle = match session_handle(state, id) {
         Ok(h) => h,
