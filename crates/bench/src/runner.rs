@@ -45,28 +45,15 @@ impl Default for RunParams {
 pub const RUN_FLAGS: [&str; 3] = ["--scale", "--data-seed", "--seed"];
 
 impl RunParams {
-    /// Reads `--scale`, `--data-seed`, and `--seed` from the process args,
-    /// falling back to the defaults; any other flag is a usage error (see
-    /// [`Flags::parse`]).
-    pub fn from_args() -> Self {
-        Self::from_args_with(&[]).0
-    }
-
-    /// [`RunParams::from_args`] for a binary that also takes the `extra`
-    /// flags, which it reads from the returned [`Flags`].
-    pub fn from_args_with(extra: &[&str]) -> (Self, Flags) {
-        let flags = Flags::parse(&[&RUN_FLAGS[..], extra].concat());
-        (Self::from_flags(&flags), flags)
-    }
-
-    /// Reads [`RUN_FLAGS`] from `flags`, falling back to the defaults.
-    pub fn from_flags(flags: &Flags) -> Self {
+    /// Reads [`RUN_FLAGS`] from `flags`, falling back to the defaults; an
+    /// error when a value does not parse.
+    pub fn from_flags(flags: &Flags) -> Result<Self, String> {
         let d = Self::default();
-        Self {
-            scale: flags.get("--scale").unwrap_or(d.scale),
-            data_seed: flags.get("--data-seed").unwrap_or(d.data_seed),
-            run_seed: flags.get("--seed").unwrap_or(d.run_seed),
-        }
+        Ok(Self {
+            scale: flags.try_get("--scale")?.unwrap_or(d.scale),
+            data_seed: flags.try_get("--data-seed")?.unwrap_or(d.data_seed),
+            run_seed: flags.try_get("--seed")?.unwrap_or(d.run_seed),
+        })
     }
 }
 
@@ -115,13 +102,17 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The value of `flag` parsed as `T`, if given; exits with code 2
-    /// when it does not parse.
+    /// The value of `flag` parsed as `T`, if given; an error when it
+    /// does not parse.
+    pub fn try_get<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"));
+        self.value(flag).map(parse).transpose()
+    }
+
+    /// [`Flags::try_get`], exiting with code 2 when the value does not
+    /// parse.
     pub fn get<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
-        self.value(flag).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| usage_error(&format!("{flag}: cannot parse {v:?}")))
-        })
+        self.try_get(flag).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// The comma-separated values of `flag` parsed as `T`, if given;
@@ -139,33 +130,8 @@ impl Flags {
     }
 }
 
-/// The sub-figures `(tag, title, pair)` that `--pair` selects, by tag or
-/// by pair label: all of them without the flag. Naming none is a usage
-/// error.
-pub fn select_pairs<'a>(
-    flags: &Flags,
-    subfigs: &'a [(&'a str, &'a str, PaperPair)],
-) -> Vec<(&'a str, &'a str, PaperPair)> {
-    let Some(which) = flags.value("--pair") else {
-        return subfigs.to_vec();
-    };
-    let chosen: Vec<_> = subfigs
-        .iter()
-        .filter(|(tag, _, kind)| which == *tag || which == kind.label())
-        .copied()
-        .collect();
-    if chosen.is_empty() {
-        let tags: Vec<&str> = subfigs.iter().map(|(tag, _, _)| *tag).collect();
-        usage_error(&format!(
-            "--pair: no sub-figure {which:?} (one of {}, or its pair's label)",
-            tags.join(", ")
-        ));
-    }
-    chosen
-}
-
 /// Reports a command-line error and exits with code 2.
-fn usage_error(message: &str) -> ! {
+pub fn usage_error(message: &str) -> ! {
     let program = std::env::args().next().unwrap_or_default();
     eprintln!("{program}: {message}");
     std::process::exit(2)
@@ -241,6 +207,14 @@ impl ExperimentEnv {
     pub fn exact_oracle(&self) -> ExactOracle {
         ExactOracle::new(self.pair.truth.clone())
     }
+
+    /// The correct links of `run`'s final set that the initial candidates
+    /// lacked.
+    pub fn discovered(&self, run: &RunOutcome) -> usize {
+        let truth = &self.pair.truth;
+        let new = |l: &&Link| truth.contains(*l) && !self.initial.contains(*l);
+        run.final_links.iter().filter(new).count()
+    }
 }
 
 #[cfg(test)]
@@ -288,7 +262,7 @@ mod tests {
     fn flags_accept_known_flags_with_values() {
         let flags = Flags::from_args(&args(&["--scale", "0.5", "--seed", "3"]), &RUN_FLAGS)
             .expect("known flags");
-        let params = RunParams::from_flags(&flags);
+        let params = RunParams::from_flags(&flags).expect("values parse");
         assert_eq!(params.scale, 0.5);
         assert_eq!(params.run_seed, 3);
         assert_eq!(params.data_seed, RunParams::default().data_seed);

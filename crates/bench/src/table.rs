@@ -1,21 +1,27 @@
-//! Rendering helpers: plain-text tables matching the paper's figures, plus
-//! CSV and JSON emission so EXPERIMENTS.md numbers are regenerable.
+//! Rendering helpers: plain-text tables matching the paper's figures, and
+//! the CSV rows of a run, so EXPERIMENTS.md numbers are regenerable.
+
+use std::io::{self, Write};
 
 use alex_core::{EpisodeReport, RunOutcome};
 
-/// Prints the per-episode quality table for one run, with the relaxed
+/// Writes the per-episode quality table for one run, with the relaxed
 /// convergence episode marked the way the paper's green vertical line is.
-pub fn print_quality_series(title: &str, outcome: &RunOutcome) {
-    println!("\n== {title} ==");
-    println!("episode | precision | recall | f-measure | candidates | neg-feedback%");
-    println!("--------+-----------+--------+-----------+------------+--------------");
+pub fn quality_series(out: &mut dyn Write, title: &str, outcome: &RunOutcome) -> io::Result<()> {
+    writeln!(out, "\n== {title} ==")?;
+    writeln!(
+        out,
+        "episode | precision | recall | f-measure | candidates | neg-feedback%\n\
+         --------+-----------+--------+-----------+------------+--------------"
+    )?;
     for r in &outcome.reports {
         let marker = if Some(r.episode) == outcome.relaxed_convergence {
             " <- relaxed (<5%)"
         } else {
             ""
         };
-        println!(
+        writeln!(
+            out,
             "{:>7} |   {:.3}   | {:.3}  |   {:.3}   | {:>8}   |    {:>4.1}{}",
             r.episode,
             r.quality.precision,
@@ -24,14 +30,67 @@ pub fn print_quality_series(title: &str, outcome: &RunOutcome) {
             r.candidates,
             r.negative_fraction() * 100.0,
             marker,
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "convergence: strict {:?}, relaxed {:?}; final F {:.3}",
         outcome.strict_convergence,
         outcome.relaxed_convergence,
         outcome.final_quality().f1
-    );
+    )
+}
+
+/// Writes runs side by side, one column each: `header`, then one line per
+/// episode of the longest run, laid out by `row` from the episode and each
+/// run's `cell` of that episode's report, or of its last report once the
+/// run has stopped.
+pub fn side_by_side(
+    out: &mut dyn Write,
+    header: &str,
+    runs: &[&RunOutcome],
+    cell: impl Fn(&EpisodeReport) -> String,
+    row: impl Fn(usize, &[String]) -> String,
+) -> io::Result<()> {
+    let episodes = runs.iter().map(|r| r.reports.len()).max().unwrap_or(0);
+    let held = |r: &RunOutcome, ep: usize| {
+        let report = r.reports.get(ep).or(r.reports.last());
+        report.map_or(String::new(), &cell)
+    };
+    lines(out, header, 0..episodes, runs, held, row)
+}
+
+/// Writes the negative-feedback share of episodes 1 to 10 of runs side by
+/// side, as [`side_by_side`] does, with `-` past the end of a run.
+pub fn negative_feedback(
+    out: &mut dyn Write,
+    header: &str,
+    runs: &[&RunOutcome],
+    row: impl Fn(usize, &[String]) -> String,
+) -> io::Result<()> {
+    let share = |r: &RunOutcome, ep: usize| match r.reports.get(ep) {
+        Some(report) => format!("{:.1}%", report.negative_fraction() * 100.0),
+        None => "-".into(),
+    };
+    lines(out, header, 1..=10, runs, share, row)
+}
+
+/// `header`, then a line per episode of `episodes` laid out by `row` from
+/// each run's `cell` at that episode.
+fn lines(
+    out: &mut dyn Write,
+    header: &str,
+    episodes: impl Iterator<Item = usize>,
+    runs: &[&RunOutcome],
+    cell: impl Fn(&RunOutcome, usize) -> String,
+    row: impl Fn(usize, &[String]) -> String,
+) -> io::Result<()> {
+    writeln!(out, "{header}")?;
+    for ep in episodes {
+        let cells: Vec<String> = runs.iter().map(|r| cell(r, ep)).collect();
+        writeln!(out, "{}", row(ep, &cells))?;
+    }
+    Ok(())
 }
 
 /// Renders episode reports as CSV (header + one row per episode).
@@ -58,30 +117,14 @@ pub fn reports_to_csv(reports: &[EpisodeReport]) -> String {
     out
 }
 
-/// Writes `content` to `path` if `--out <dir>` was passed on the command
-/// line; returns whether anything was written.
-pub fn maybe_write_output(filename: &str, content: &str) -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--out" {
-            let dir = std::path::Path::new(&w[1]);
-            std::fs::create_dir_all(dir).expect("create output dir");
-            let path = dir.join(filename);
-            std::fs::write(&path, content).expect("write output file");
-            println!("wrote {}", path.display());
-            return true;
-        }
-    }
-    false
-}
-
-/// Formats a simple two-column comparison block (paper vs measured).
-pub fn print_paper_vs_measured(rows: &[(&str, String, String)]) {
-    println!("\n{:<38} | {:<22} | measured", "metric", "paper");
-    println!("{}", "-".repeat(90));
+/// Writes a two-column comparison block (paper vs measured).
+pub fn paper_vs_measured(out: &mut dyn Write, rows: &[(&str, String, String)]) -> io::Result<()> {
+    writeln!(out, "\n{:<38} | {:<22} | measured", "metric", "paper")?;
+    writeln!(out, "{}", "-".repeat(90))?;
     for (metric, paper, measured) in rows {
-        println!("{metric:<38} | {paper:<22} | {measured}");
+        writeln!(out, "{metric:<38} | {paper:<22} | {measured}")?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
