@@ -74,7 +74,6 @@ mod policy;
 mod session;
 mod space;
 pub mod space_file;
-pub mod telemetry;
 
 /// Structured tracing: spans, typed events, the flight recorder, and the
 /// JSON-lines exporter (the `alex-trace` crate, re-exported).

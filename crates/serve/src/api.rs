@@ -18,15 +18,16 @@
 
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::PoisonError;
+use std::sync::{Arc, PoisonError};
 
 use alex_core::store::WalStats;
 use alex_core::trace;
-use alex_core::{AlexConfig, AlexDriver, DurabilityConfig, LiveSession, Quality, SessionHandle};
+use alex_core::{AlexConfig, AlexDriver, DurabilityConfig, LiveSession, SessionHandle};
 use alex_rdf::{ntriples, turtle, Interner, Link, Store, Term};
 use serde_json::{Number, Value};
 
 use crate::http::{Request, Response};
+use crate::metrics::{self, WAL_APPENDS_TOTAL, WAL_BYTES_TOTAL, WAL_FSYNCS_TOTAL};
 use crate::state::{AppState, SessionEntry};
 
 /// Shorthand for building an object value.
@@ -44,7 +45,7 @@ pub fn route(state: &AppState, req: &Request) -> (&'static str, Response) {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => ("/healthz", Response::text(200, "ok\n")),
-        ("GET", ["metrics"]) => ("/metrics", Response::text(200, state.metrics.render())),
+        ("GET", ["metrics"]) => ("/metrics", Response::text(200, metrics::render(state))),
         ("POST", ["sessions"]) => ("/sessions", create_session(state, req)),
         ("GET", ["sessions", id]) => ("/sessions/{id}", session_info(state, id)),
         ("POST", ["sessions", id, "query"]) => ("/sessions/{id}/query", query(state, id, req)),
@@ -89,7 +90,6 @@ fn session_handle(state: &AppState, id: &str) -> Result<SessionHandle, Response>
 /// Folds what a mutation logged into the process-wide WAL counters
 /// (which appear in `/metrics` once a durable session first logs).
 fn record_wal_metrics(state: &AppState, logged: &WalStats) {
-    use alex_core::telemetry::{WAL_APPENDS_TOTAL, WAL_BYTES_TOTAL, WAL_FSYNCS_TOTAL};
     if logged.appends == 0 {
         return;
     }
@@ -225,7 +225,7 @@ fn create_session(state: &AppState, req: &Request) -> Response {
             .as_array()
             .map(|items| parse_link_array(items, &left, &right))
         {
-            Some(Ok(links)) => Some(links.into_iter().collect::<HashSet<_>>()),
+            Some(Ok(links)) => Some(Arc::new(links.into_iter().collect::<HashSet<_>>())),
             Some(Err(e)) => return Response::error(400, e),
             None => return Response::error(400, "truth must be an array of [left, right] pairs"),
         },
@@ -288,20 +288,12 @@ fn create_session(state: &AppState, req: &Request) -> Response {
     let durable_on = session.is_durable();
 
     let handle = SessionHandle::new(session);
-    update_session_gauges(state, &id, &handle, truth.as_ref());
     state
         .sessions
         .write()
         .unwrap_or_else(PoisonError::into_inner)
         .insert(id.clone(), SessionEntry { handle, truth });
     state.metrics.counter("alex_sessions_created_total").inc();
-    state.metrics.gauge("alex_sessions_active").set(
-        state
-            .sessions
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len() as i64,
-    );
 
     Response::json(
         201,
@@ -313,51 +305,6 @@ fn create_session(state: &AppState, req: &Request) -> Response {
             ("durable", Value::Bool(durable_on)),
         ]),
     )
-}
-
-/// Refreshes the per-session gauges, all read from session state: size,
-/// progress and learning health (ε-greedy choices by how the ε coin fell,
-/// rollbacks, Q-table entries, blacklist), and quality when ground truth
-/// is known. Also called by boot recovery in `server.rs`.
-pub(crate) fn update_session_gauges(
-    state: &AppState,
-    id: &str,
-    handle: &SessionHandle,
-    truth: Option<&HashSet<Link>>,
-) {
-    let session = handle.read();
-    let set = |name: &str, labels: &str, value: u64| {
-        (state.metrics)
-            .gauge(&format!("{name}{{session=\"{id}\"{labels}}}"))
-            .set(value as i64);
-    };
-    let health = session.driver().diagnostics();
-    let (explore, exploit) = (",choice=\"explore\"", ",choice=\"exploit\"");
-    set("alex_session_candidates", "", health.candidates as u64);
-    set("alex_session_episodes", "", session.episodes);
-    set("alex_session_choices", explore, session.explored);
-    set("alex_session_choices", exploit, session.exploited);
-    // A rolled-back pair is banned and never taken again, so the banned
-    // pairs are the rollbacks.
-    set("alex_session_rollbacks", "", health.banned_actions as u64);
-    set("alex_session_q_entries", "", health.q_entries as u64);
-    set("alex_session_blacklisted", "", health.blacklisted as u64);
-    state
-        .metrics
-        .counter(&format!("alex_session_feedback_total{{session=\"{id}\"}}"));
-    if let Some(truth) = truth {
-        let driver = session.driver();
-        let correct = driver.candidates().filter(|l| truth.contains(l)).count();
-        let q = Quality::from_counts(correct, driver.candidate_count(), truth.len());
-        state
-            .metrics
-            .float_gauge(&format!("alex_session_precision{{session=\"{id}\"}}"))
-            .set(q.precision);
-        state
-            .metrics
-            .float_gauge(&format!("alex_session_recall{{session=\"{id}\"}}"))
-            .set(q.recall);
-    }
 }
 
 /// `GET /sessions/{id}` — summary.
@@ -480,15 +427,9 @@ fn query(state: &AppState, id: &str, req: &Request) -> Response {
 /// `{"items": [{"left": iri, "right": iri, "approve": bool}, ...]}`.
 /// Runs one feedback episode and reports what changed.
 fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
-    let (handle, truth) = {
-        let sessions = state
-            .sessions
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        match sessions.get(id) {
-            Some(e) => (e.handle.clone(), e.truth.clone()),
-            None => return Response::error(404, format!("no session {id:?}")),
-        }
+    let handle = match session_handle(state, id) {
+        Ok(h) => h,
+        Err(resp) => return resp,
     };
     let body = match req.json_body() {
         Ok(v) => v,
@@ -543,11 +484,6 @@ fn feedback(state: &AppState, id: &str, req: &Request) -> Response {
         .metrics
         .counter("alex_feedback_items_total")
         .add(batch.len() as u64);
-    state
-        .metrics
-        .counter(&format!("alex_session_feedback_total{{session=\"{id}\"}}"))
-        .add(batch.len() as u64);
-    update_session_gauges(state, id, &handle, truth.as_ref());
 
     Response::json(
         200,

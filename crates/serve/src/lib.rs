@@ -11,8 +11,11 @@
 //!   keep-alive and per-connection timeouts.
 //! * [`api`] — the JSON routes (`/sessions`, `…/query`, `…/feedback`,
 //!   `…/links`, `…/explain`, `/healthz`, `/metrics`).
+//! * [`metrics`] — the `/metrics` page: counters and latency histograms
+//!   counted as events happen, and gauges read from the session table,
+//!   the connection queue and each session at scrape time.
 //! * [`state`] — the shared session table ([`alex_core::SessionHandle`]
-//!   per session) and metrics registry.
+//!   per session), connection-queue depth and metrics registry.
 //! * [`server`] — acceptor + bounded-queue worker pool (`503` when
 //!   saturated) + graceful shutdown that persists session snapshots.
 //!
@@ -34,6 +37,7 @@
 
 pub mod api;
 pub mod http;
+pub mod metrics;
 pub mod server;
 pub mod state;
 

@@ -18,20 +18,20 @@
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use alex_core::telemetry::{
-    RECOVERED_RECORDS_TOTAL, RECOVERIES_TOTAL, WAL_APPENDS_TOTAL, WAL_BYTES_TOTAL, WAL_FSYNCS_TOTAL,
-};
 use alex_core::trace::{self, Payload};
 use alex_core::{DurabilityConfig, SessionHandle};
 
 use crate::api;
 use crate::http::{read_request, HttpError, Response};
+use crate::metrics::{
+    RECOVERED_RECORDS_TOTAL, RECOVERIES_TOTAL, WAL_APPENDS_TOTAL, WAL_BYTES_TOTAL, WAL_FSYNCS_TOTAL,
+};
 use crate::state::{AppState, SessionEntry};
 
 /// How the server should run.
@@ -118,20 +118,16 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
-        // Connections sent but not yet taken by a worker: the
-        // `alex_queue_depth` gauge (std channels do not expose a length).
-        let queued = Arc::new(AtomicUsize::new(0));
 
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
             .map(|i| {
                 let rx = Arc::clone(&rx);
-                let queued = Arc::clone(&queued);
                 let state = Arc::clone(&state);
                 let shutdown = Arc::clone(&shutdown);
                 let timeout = cfg.request_timeout;
                 std::thread::Builder::new()
                     .name(format!("alex-serve-worker-{i}"))
-                    .spawn(move || worker_loop(rx, queued, state, shutdown, timeout))
+                    .spawn(move || worker_loop(rx, state, shutdown, timeout))
                     .expect("spawning worker thread")
             })
             .collect();
@@ -142,7 +138,7 @@ impl Server {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("alex-serve-acceptor".into())
-                .spawn(move || acceptor_loop(listener, tx, queued, state, shutdown))
+                .spawn(move || acceptor_loop(listener, tx, state, shutdown))
                 .expect("spawning acceptor thread")
         };
 
@@ -218,14 +214,6 @@ fn recover_sessions(
             .counter(RECOVERED_RECORDS_TOTAL)
             .add(recovered.report.replayed_records);
         state.advance_ids_past(&recovered.id);
-        (state.metrics)
-            .counter(&format!(
-                "alex_session_feedback_total{{session=\"{}\"}}",
-                recovered.id
-            ))
-            .add(recovered.session.feedback_items);
-        let handle = SessionHandle::new(recovered.session);
-        api::update_session_gauges(state, &recovered.id, &handle, None);
         state
             .sessions
             .write()
@@ -233,7 +221,7 @@ fn recover_sessions(
             .insert(
                 recovered.id.clone(),
                 SessionEntry {
-                    handle,
+                    handle: SessionHandle::new(recovered.session),
                     truth: None,
                 },
             );
@@ -250,13 +238,6 @@ fn recover_sessions(
             ),
         );
     }
-    state.metrics.gauge("alex_sessions_active").set(
-        state
-            .sessions
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len() as i64,
-    );
 }
 
 /// Poll interval for the non-blocking accept loop; bounds shutdown
@@ -266,11 +247,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 fn acceptor_loop(
     listener: TcpListener,
     tx: SyncSender<TcpStream>,
-    queued: Arc<AtomicUsize>,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let queue_gauge = state.metrics.gauge("alex_queue_depth");
     let conns = state.metrics.counter("alex_connections_total");
     let rejected = state.metrics.counter("alex_connections_rejected_total");
     while !shutdown.load(Ordering::SeqCst) {
@@ -279,11 +258,11 @@ fn acceptor_loop(
                 conns.inc();
                 // Count before sending so a worker's decrement can never
                 // run ahead of this increment.
-                queued.fetch_add(1, Ordering::SeqCst);
+                state.queued.fetch_add(1, Ordering::SeqCst);
                 match tx.try_send(stream) {
-                    Ok(()) => queue_gauge.set(queued.load(Ordering::SeqCst) as i64),
+                    Ok(()) => {}
                     Err(TrySendError::Full(stream)) => {
-                        queued.fetch_sub(1, Ordering::SeqCst);
+                        state.queued.fetch_sub(1, Ordering::SeqCst);
                         rejected.inc();
                         state
                             .metrics
@@ -327,12 +306,10 @@ fn reject_connection(mut stream: TcpStream) {
 
 fn worker_loop(
     rx: Arc<Mutex<Receiver<TcpStream>>>,
-    queued: Arc<AtomicUsize>,
     state: Arc<AppState>,
     shutdown: Arc<AtomicBool>,
     timeout: Duration,
 ) {
-    let queue_gauge = state.metrics.gauge("alex_queue_depth");
     loop {
         // A statement of its own: the receiver guard is a temporary and
         // must drop before the connection is served. In a `while let`
@@ -340,8 +317,7 @@ fn worker_loop(
         // workers.
         let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
         let Ok(stream) = next else { break };
-        let depth = queued.fetch_sub(1, Ordering::SeqCst) - 1;
-        queue_gauge.set(depth as i64);
+        state.queued.fetch_sub(1, Ordering::SeqCst);
         handle_connection(stream, &state, &shutdown, timeout);
     }
 }

@@ -1,23 +1,26 @@
-//! Shared server state: the session table and the metrics registry.
+//! Shared server state: the session table, the connection queue's depth
+//! and the metrics registry.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use alex_core::telemetry::MetricsRegistry;
 use alex_core::{DurabilityConfig, SessionHandle};
 use alex_rdf::Link;
 
+use crate::metrics::MetricsRegistry;
+
 /// One server-side session: the shared curation handle plus optional
 /// ground-truth links (when the client supplied them at creation time,
-/// precision/recall gauges are updated after every feedback episode).
+/// `/metrics` reports the session's precision and recall against them).
+#[derive(Clone)]
 pub struct SessionEntry {
     /// The thread-safe curation session (with its session directory, when
     /// the server has a state directory).
     pub handle: SessionHandle,
     /// Optional ground truth for quality gauges.
-    pub truth: Option<HashSet<Link>>,
+    pub truth: Option<Arc<HashSet<Link>>>,
 }
 
 /// State shared by every worker thread.
@@ -25,8 +28,11 @@ pub struct AppState {
     /// Session id → entry. The map lock is held only to look up or insert
     /// a handle; per-session work happens under the session's own lock.
     pub sessions: RwLock<HashMap<String, SessionEntry>>,
-    /// Process-wide metrics, served at `GET /metrics`.
+    /// Process-wide counters and histograms, served at `GET /metrics`.
     pub metrics: MetricsRegistry,
+    /// Connections accepted but not yet taken by a worker (std channels
+    /// do not expose a length): the `alex_queue_depth` gauge.
+    pub(crate) queued: AtomicUsize,
     /// Where every session keeps its `session-<id>/` directory, if
     /// anywhere: written at creation, checkpointed at shutdown, and
     /// restored at boot.
@@ -44,6 +50,7 @@ impl AppState {
         AppState {
             sessions: RwLock::new(HashMap::new()),
             metrics: MetricsRegistry::new(),
+            queued: AtomicUsize::new(0),
             state_dir,
             durability: DurabilityConfig::default(),
             next_id: AtomicU64::new(1),

@@ -411,6 +411,66 @@ fn figure1_loop_over_tcp_query_feedback_link_change() {
     server.shutdown();
 }
 
+/// A `/metrics` page after traffic on two sessions, several routes and
+/// several stages parses as Prometheus text: every family's `# TYPE` line
+/// comes once, before its first sample, and its samples follow it
+/// without another family in between.
+#[test]
+fn metrics_page_types_each_family_once() {
+    let (server, addr) = start(local(|_| {}));
+    let ids = [create_session(&addr), create_session(&addr)];
+    for id in &ids {
+        run_query(&addr, id);
+        reject_wrong_link(&addr, id);
+        http(&addr, "GET", &format!("/sessions/{id}/links"), None);
+    }
+    approve_correct_link(&addr, &ids[0]);
+    http(&addr, "GET", "/healthz", None);
+    http(&addr, "GET", "/no/such/route", None);
+    let (status, v) = http(&addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let Value::String(page) = v else {
+        panic!("/metrics is plain text: {v:?}")
+    };
+
+    let mut typed: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut samples: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut current: Option<(&str, &str)> = None;
+    for line in page.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = decl.split_once(' ').expect("# TYPE <family> <kind>");
+            assert!(
+                typed.insert(family, kind).is_none(),
+                "second # TYPE for {family}: {page}"
+            );
+            current = Some((family, kind));
+            continue;
+        }
+        assert!(!line.starts_with('#'), "unexpected comment {line:?}");
+        let series = line.split([' ', '{']).next().unwrap();
+        let (family, kind) = current.unwrap_or_else(|| panic!("{line:?} before any # TYPE"));
+        let own = match kind {
+            "histogram" => ["_bucket", "_sum", "_count"]
+                .iter()
+                .any(|suffix| series.strip_suffix(suffix) == Some(family)),
+            _ => series == family,
+        };
+        assert!(own, "{line:?} under # TYPE {family} {kind}: {page}");
+        *samples.entry(family).or_default() += 1;
+    }
+    // The families that used to repeat their `# TYPE` line did get
+    // several series each.
+    assert!(samples["alex_http_requests_total"] >= 5, "{samples:?}");
+    assert!(samples["alex_stage_seconds"] > samples["alex_http_request_seconds"]);
+    for family in ["alex_session_candidates", "alex_session_feedback_total"] {
+        assert_eq!(samples[family], 2, "{family}: {page}");
+    }
+    assert_eq!(typed["alex_session_feedback_total"], "counter");
+    assert_eq!(typed["alex_queue_depth"], "gauge");
+    assert_eq!(typed["alex_sessions_active"], "gauge");
+    server.shutdown();
+}
+
 #[test]
 fn keep_alive_serves_multiple_requests_on_one_connection() {
     let (server, addr) = start(local(|_| {}));
